@@ -5,7 +5,7 @@ from .catalog import (BranchType, MultiEGSInstance, SunicInstance,
                       gupta_sidki, has_csp, in_class_E, is_torsion, make_ggs,
                       make_multi_egs, make_multi_ggs, make_sunic, preset,
                       r_dot)
-from .engine import (ResourceGuardError, StabilizerChain, Subgroup,
+from .engine import (InducedPcgs, ResourceGuardError, Subgroup,
                      commutator_subgroup, derived_series, frattini_subgroup,
                      group_of, is_regular_branch_over,
                      is_super_strongly_fractal, join, lower_central_series,

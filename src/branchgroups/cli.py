@@ -16,7 +16,8 @@ from .catalog import (BranchType, GroupInstance, MultiEGSInstance,
                       SunicInstance, branch_type, has_csp, in_class_E,
                       is_torsion, preset, r_dot)
 from .engine import ResourceGuardError, Subgroup, group_of
-from .gmodules import compute_rm, rm_tuples, uniserial_chain, wm_module
+from .gmodules import (compute_rm, rm_tuples, tuple_from_rank,
+                       uniserial_chain, wm_module)
 from .linalg import FpSubspace
 from .suite import (CHECKS, GroupContext, default_depth, run_all, run_check,
                     verify_profinite_distinction)
@@ -152,7 +153,6 @@ def cmd_chain(args) -> int:
     rm = compute_rm(g, args.level)
     layers = []
     for space in chain:
-        from .gmodules import tuple_from_rank
         layers.append({
             "tuple": list(tuple_from_rank(space.dim - 1, inst.p, args.level)),
             "dimension": space.dim,
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
     ctx = GroupContext(inst)
     if args.check == "all":
         reports = run_all(ctx, depth=args.depth, seed=args.seed,
-                          timings=args.timings, jobs=args.jobs)
+                          timings=args.timings)
     elif args.check == "profinite-pair":
         if not args.other:
             raise SpecError("profinite-pair requires --other SPEC-or-preset")
@@ -213,7 +213,7 @@ def cmd_report(args) -> int:
     inst = load_instance(args)
     ctx = GroupContext(inst)
     reports = run_all(ctx, depth=args.depth, seed=args.seed,
-                      timings=args.timings, jobs=args.jobs)
+                      timings=args.timings)
     payload = _report_payload(inst, reports, args.depth or 0, args.seed)
     Path(args.json).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -294,8 +294,8 @@ def _oracle_replay(args) -> int:
             in_chain = sub.contains(elem)
             verdict = not in_chain
             if sub.order_exponent <= args.cap:
-                keys = _bfs_keys(gens, inst.p, depth)
-                verdict = verdict and (elem.key() not in keys)
+                verdict = verdict and (
+                    elem.key() not in oracle.bfs_elements(gens, args.cap))
             print(f"{check['name']}: witness "
                   f"{'CONFIRMED' if verdict else 'NOT confirmed'}")
             confirmed += verdict
@@ -306,22 +306,6 @@ def _oracle_replay(args) -> int:
     print(json.dumps({"confirmed": confirmed, "unreplayed": unsupported},
                      sort_keys=True))
     return EXIT_PASS if unsupported == 0 else EXIT_FAIL
-
-
-def _bfs_keys(gens, p, depth):
-    ident = Portrait.identity(p, depth)
-    seen = {ident.key()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.key() not in seen:
-                    seen.add(y.key())
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def len_digits_to_depth(p: int, digits: str) -> int:
@@ -378,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--other", help="second spec for profinite-pair")
     p_verify.add_argument("--depth", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--json", help="write the report to this path")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall-clock millis in the report")
@@ -389,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--json", required=True)
     p_report.add_argument("--depth", type=int, default=None)
     p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--jobs", type=int, default=1)
     p_report.add_argument("--timings", action="store_true")
     p_report.set_defaults(func=cmd_report)
 

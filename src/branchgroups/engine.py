@@ -1,26 +1,30 @@
 """Subgroup computations in finite quotients of tree groups.
 
-The central structure is a Schreier-Sims stabilizer chain whose base is
-the full vertex set of the truncated tree (levels 1..n) in breadth-lex
-order.  Because every group handled here is a p-subgroup of the
-iterated wreath product of C_p, orbits of consecutive base points live
-inside a sibling block of size p, so each transversal has size 1 or p
-and the order of any subgroup is a pure p-power; orders are therefore
-stored as p-exponents only.
+Every group handled here is a subgroup of the Sylow p-subgroup of the
+automorphism group of the truncated tree.  That group has the polycyclic
+series G_i = {f : the labels at positions 0..i-1 vanish}, positions in
+breadth-lex order; on G_i the label at position i is a homomorphism onto
+C_p with kernel G_{i+1}.  A subgroup is therefore held as an induced
+pcgs for this series: at most one element per pivot (first nonzero
+label), each with leading label 1.  Sifting is Gaussian elimination on
+pivots, orders are pure p-powers (stored as p-exponents) and level
+stabilizers are tails of the sequence.
 
-A chain supports incremental generator insertion, which is what the
+A sequence supports incremental generator insertion, which is what the
 normal-closure and series computations lean on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .linalg import FpSubspace
-from .trees import Portrait, _Tables, commutator, parse_vertex, vertex_local_index
+from .trees import (Portrait, _Tables, commutator, embed_at_vertex,
+                    parse_vertex, vertex_from_local_index, vertex_local_index)
 
 
 class ResourceGuardError(RuntimeError):
@@ -30,220 +34,166 @@ class ResourceGuardError(RuntimeError):
 DEFAULT_MAX_STRONG_GENS = 4096
 
 
-class _Level:
-    __slots__ = ("pos", "level", "base_local", "gens", "transversal", "pending",
-                 "seen")
-
-    def __init__(self, pos: int, level: int, base_local: int,
-                 ident: Portrait):
-        self.pos = pos              # flat perm position of the base vertex
-        self.level = level          # tree level of the base vertex (1-based)
-        self.base_local = base_local
-        self.gens: list[int] = []   # indices into chain.sgens
-        self.transversal: dict[int, tuple[Portrait, Portrait]] = {
-            base_local: (ident, ident)}
-        self.pending: deque[tuple[int, int]] = deque()
-        self.seen: set[tuple[int, int]] = set()
+def _pivot(lab: np.ndarray, start: int = 0) -> int:
+    """Position of the first nonzero label at or after start; -1 if none."""
+    nz = np.flatnonzero(lab[start:])
+    return start + int(nz[0]) if nz.size else -1
 
 
-class StabilizerChain:
-    """Membership-complete stabilizer chain over the truncated tree."""
+class InducedPcgs:
+    """Induced pcgs of a subgroup H with respect to the label series.
 
-    def __init__(self, p: int, depth: int, base: Sequence[int] | None = None,
+    A sequence with strictly increasing pivots and leading labels 1 is an
+    induced pcgs of the group it generates iff every h^p and every
+    commutator [h, x] of its elements sifts to the identity through it
+    (Holt-Eick-O'Brien, Handbook of CGT, ch. 8); then every member of H
+    is a unique product of powers of the elements and |H| = p^k.
+    """
+
+    def __init__(self, p: int, depth: int,
                  max_strong_gens: int = DEFAULT_MAX_STRONG_GENS):
         self.p = p
         self.depth = depth
-        t = _Tables(p, depth)
-        self._t = t
-        self.identity = Portrait.identity(p, depth)
-        if base is None:
-            self.base = np.arange(t.nperm, dtype=np.int32)
-            self._default_base = True
-        else:
-            self.base = np.asarray(base, dtype=np.int32)
-            if sorted(self.base.tolist()) != list(range(t.nperm)):
-                raise ValueError("base must be a permutation of all vertices")
-            self._default_base = False
         self.max_strong_gens = max_strong_gens
-        self.sgens: list[Portrait] = []
-        self.sgen_inv: list[Portrait] = []
-        self.fm_rank: list[int] = []
-        lvl_of_pos = np.searchsorted(np.array(t.perm_off), np.arange(t.nperm),
-                                     side="right")
-        self.levels = [
-            _Level(int(pos), int(lvl_of_pos[pos]),
-                   int(t.local[pos]), self.identity)
-            for pos in self.base
-        ]
-        self._dirty: set[int] = set()
-
-    # -- ranks and images --------------------------------------------------
-
-    def _first_moved_rank(self, f: Portrait) -> int:
-        moved = f.perm != self._t.local
-        if self._default_base:
-            return int(np.argmax(moved))
-        return int(np.argmax(moved[self.base]))
-
-    def _image(self, rank: int, local_pt: int, g: Portrait) -> int:
-        lvl = self.levels[rank]
-        off = self._t.perm_off[lvl.level - 1]
-        return int(g.perm[off + local_pt])
-
-    # -- membership ----------------------------------------------------------
+        # pivot -> [h, h^-1, h^-2, ..., h^-(p-1)]: index e > 0 clears a
+        # leading label e in one composition
+        self._powers: dict[int, list[Portrait]] = {}
 
     def sift(self, f: Portrait) -> tuple[int, Portrait]:
-        """Reduce f through the chain; returns (rank, residue).
+        """Reduce f through the sequence; returns (pivot, residue).
 
-        The residue fixes all base points before `rank`; it is the
-        identity iff f is a member.
+        The residue's pivot holds no element; it is -1, and the residue the
+        identity, iff f is a member.
         """
-        while True:
-            if f.is_identity():
-                return len(self.levels), f
-            r = self._first_moved_rank(f)
-            lvl = self.levels[r]
-            img = self._image(r, lvl.base_local, f)
-            pair = lvl.transversal.get(img)
-            if pair is None:
-                return r, f
-            f = f * pair[1]
+        i = _pivot(f.lab)
+        while i >= 0:
+            powers = self._powers.get(i)
+            if powers is None:
+                break
+            f = f * powers[int(f.lab[i])]
+            i = _pivot(f.lab, i + 1)
+        return i, f
 
     def contains(self, f: Portrait) -> bool:
-        return self.sift(f)[1].is_identity()
-
-    # -- construction ----------------------------------------------------------
+        return self.sift(f)[0] < 0
 
     def add_generator(self, g: Portrait) -> bool:
-        """Insert g (if new) and re-close the chain. Returns True if the
+        """Insert g (if new) and re-close the sequence. Returns True if the
         group grew."""
-        r, h = self.sift(g)
-        if h.is_identity():
-            return False
-        self._insert(h, r)
-        self._drain()
-        return True
-
-    def _insert(self, h: Portrait, rank: int) -> None:
-        if len(self.sgens) >= self.max_strong_gens:
-            raise ResourceGuardError(
-                f"strong generator cap {self.max_strong_gens} exceeded")
-        gi = len(self.sgens)
-        self.sgens.append(h)
-        self.sgen_inv.append(h.inverse())
-        self.fm_rank.append(rank)
-        for k in range(rank + 1):
-            lvl = self.levels[k]
-            lvl.gens.append(gi)
-            if k == rank or len(lvl.transversal) > 1:
-                for u in list(lvl.transversal):
-                    self._maybe_enqueue(k, u, gi)
-                self._close_orbit(k)
-
-    def _maybe_enqueue(self, rank: int, u: int, gi: int) -> None:
-        lvl = self.levels[rank]
-        if (u, gi) in lvl.seen:
-            return
-        # Schreier generator for a fixed base point with trivial rep is the
-        # generator itself, which already sits in the deeper levels' lists.
-        if u == lvl.base_local and self._image(rank, u, self.sgens[gi]) == u:
-            lvl.seen.add((u, gi))
-            return
-        lvl.seen.add((u, gi))
-        lvl.pending.append((u, gi))
-        self._dirty.add(rank)
-
-    def _close_orbit(self, rank: int) -> None:
-        lvl = self.levels[rank]
-        frontier = list(lvl.transversal)
-        while frontier:
-            u = frontier.pop(0)
-            rep_u = lvl.transversal[u][0]
-            for gi in lvl.gens:
-                w = self._image(rank, u, self.sgens[gi])
-                if w not in lvl.transversal:
-                    rep = rep_u * self.sgens[gi]
-                    lvl.transversal[w] = (rep, rep.inverse())
-                    frontier.append(w)
-                    for gj in lvl.gens:
-                        self._maybe_enqueue(rank, w, gj)
-
-    def _drain(self) -> None:
-        while self._dirty:
-            r = max(self._dirty)
-            lvl = self.levels[r]
-            if not lvl.pending:
-                self._dirty.discard(r)
+        queue = [g]
+        grew = False
+        while queue:
+            i, h = self.sift(queue.pop())
+            if i < 0:
                 continue
-            u, gi = lvl.pending.popleft()
-            t_u, _ = lvl.transversal[u]
-            g = self.sgens[gi]
-            w = self._image(r, u, g)
-            t_w_inv = lvl.transversal[w][1]
-            sg = t_u * g * t_w_inv if u != lvl.base_local else g * t_w_inv
-            rr, h = self.sift(sg)
-            if not h.is_identity():
-                self._insert(h, rr)
+            if len(self._powers) >= self.max_strong_gens:
+                raise ResourceGuardError(
+                    f"strong generator cap {self.max_strong_gens} exceeded")
+            lead = int(h.lab[i])
+            if lead != 1:
+                h = h ** pow(lead, -1, self.p)
+            powers = [h, h.inverse()]
+            for _ in range(self.p - 2):
+                powers.append(powers[-1] * powers[1])
+            queue.append(powers[1] * powers[-1])          # h^-p
+            queue.extend(powers[1] * x[1] * h * x[0]      # [h, x]
+                         for x in self._powers.values())
+            self._powers[i] = powers
+            grew = True
+        return grew
 
     # -- data ----------------------------------------------------------
 
-    def order_exponent_from(self, min_rank: int = 0) -> int:
-        e = 0
-        for lvl in self.levels[min_rank:]:
-            n = len(lvl.transversal)
-            if n > 1:
-                if n != self.p:
-                    raise AssertionError("orbit size must be 1 or p")
-                e += 1
-        return e
-
     @property
     def order_exponent(self) -> int:
-        return self.order_exponent_from(0)
+        return len(self._powers)
 
-    def orbit_size(self, rank: int) -> int:
-        return len(self.levels[rank].transversal)
+    def pivots(self) -> list[int]:
+        return sorted(self._powers)
 
-    def strong_generators(self, min_rank: int = 0) -> list[Portrait]:
-        return [g for g, r in zip(self.sgens, self.fm_rank) if r >= min_rank]
+    def elements(self) -> list[Portrait]:
+        """The sequence in pivot order."""
+        return [self._powers[i][0] for i in self.pivots()]
+
+    def tail(self, start: int) -> "InducedPcgs":
+        """The elements with pivot >= start: an induced pcgs of H ∩ G_start,
+        closed as it stands."""
+        sub = InducedPcgs(self.p, self.depth, self.max_strong_gens)
+        sub._powers = {i: pw for i, pw in self._powers.items() if i >= start}
+        return sub
+
+    def level_dims(self) -> list[int]:
+        """Number of pivots on each label level 0..depth-1."""
+        label_off = _Tables(self.p, self.depth).label_off
+        dims = [0] * self.depth
+        for i in self._powers:
+            dims[bisect_right(label_off, i) - 1] += 1
+        return dims
+
+    def vertex_stabilizer(self, v) -> list[Portrait]:
+        """Induced pcgs of st_H(v), in pivot order.
+
+        Walking down the path to v, the current group fixes the path vertex
+        u, and its label at u is a homomorphism onto C_p whose kernel fixes
+        the next path vertex.  Clearing that label from every earlier
+        element with the last element s it does not kill keeps all other
+        pivots and leading labels, so dropping s leaves an induced pcgs of
+        the kernel.
+        """
+        p = self.p
+        label_off = _Tables(p, self.depth).label_off
+        seq = self.elements()
+        for k in range(len(v)):
+            pos = label_off[k] + vertex_local_index(v[:k], p)
+            labels = [int(h.lab[pos]) for h in seq]
+            s = max((j for j, c in enumerate(labels) if c), default=-1)
+            if s < 0:
+                continue
+            h_s = seq.pop(s)
+            scale = pow(labels[s], -1, p)
+            powers: dict[int, Portrait] = {}
+            for j in range(s):
+                if labels[j]:
+                    e = -labels[j] * scale % p
+                    if e not in powers:
+                        powers[e] = h_s ** e
+                    seq[j] = seq[j] * powers[e]
+        return seq
 
 
 class Subgroup:
     """A finitely generated subgroup of the depth-n quotient, with a lazily
-    built stabilizer chain providing membership and orders."""
+    built induced pcgs providing membership and orders."""
 
     def __init__(self, p: int, depth: int, gens: Iterable[Portrait],
-                 name: str = "", chain: StabilizerChain | None = None,
+                 name: str = "", pcgs: InducedPcgs | None = None,
                  max_strong_gens: int = DEFAULT_MAX_STRONG_GENS):
         self.p = p
         self.depth = depth
         self.gens = [g for g in gens if not g.is_identity()]
         self.name = name
-        self._chain = chain
+        self._pcgs = pcgs
         self._max_strong_gens = max_strong_gens
 
     @property
-    def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            c = StabilizerChain(self.p, self.depth,
-                                max_strong_gens=self._max_strong_gens)
+    def pcgs(self) -> InducedPcgs:
+        if self._pcgs is None:
+            pcgs = InducedPcgs(self.p, self.depth,
+                               max_strong_gens=self._max_strong_gens)
             for g in self.gens:
-                c.add_generator(g)
-            self._chain = c
-        return self._chain
+                pcgs.add_generator(g)
+            self._pcgs = pcgs
+        return self._pcgs
 
     @property
     def order_exponent(self) -> int:
-        return self.chain.order_exponent
+        return self.pcgs.order_exponent
 
     def generating_set(self) -> list[Portrait]:
         return self.gens if self.gens else []
 
-    def strong_generators(self) -> list[Portrait]:
-        return self.chain.strong_generators()
-
     def contains(self, f: Portrait) -> bool:
-        return self.chain.contains(f)
+        return self.pcgs.contains(f)
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         return all(other.contains(g) for g in self.gens)
@@ -257,26 +207,15 @@ class Subgroup:
 
     # -- stabilizers and sections ------------------------------------------
 
-    def stab_rank(self, m: int) -> int:
-        """Chain rank after which all base vertices lie deeper than level m."""
-        return int(self.chain._t.perm_off[min(m, self.depth)])
-
     def stabilizer(self, m: int) -> "Subgroup":
-        """St_H(m): strong generators fixing all vertices of levels <= m."""
+        """St_H(m): the pcgs elements fixing all vertices of levels <= m."""
         if m <= 0:
             return self
-        chain = self.chain
-        if isinstance(chain, _StabChainView):
-            m = max(m, chain.m)
-            chain = chain.parent
-        if not chain._default_base:
-            raise ValueError("stabilizer() requires the breadth-lex base")
-        rank0 = int(chain._t.perm_off[min(m, self.depth)])
-        gens = chain.strong_generators(min_rank=rank0)
-        view = _StabChainView(chain, m, rank0)
-        return Subgroup(self.p, self.depth, gens,
+        start = _Tables(self.p, self.depth).label_off[min(m, self.depth)]
+        tail = self.pcgs.tail(start)
+        return Subgroup(self.p, self.depth, tail.elements(),
                         name=f"{self.name}.St({m})" if self.name else f"St({m})",
-                        chain=view)
+                        pcgs=tail)
 
     def section_subgroup(self, v) -> "Subgroup":
         """phi_v(st_H(v)) acting on the subtree below v (depth n - |v|)."""
@@ -286,12 +225,7 @@ class Subgroup:
         if all(g.apply_vertex(v) == v for g in self.gens):
             st_gens = self.gens
         else:
-            base = _path_first_base(self.p, self.depth, v)
-            c = StabilizerChain(self.p, self.depth, base=base,
-                                max_strong_gens=self._max_strong_gens)
-            for g in self.gens:
-                c.add_generator(g)
-            st_gens = c.strong_generators(min_rank=len(v))
+            st_gens = self.pcgs.vertex_stabilizer(v)
         return Subgroup(self.p, self.depth - len(v),
                         [g.section(v) for g in st_gens])
 
@@ -305,62 +239,14 @@ class Subgroup:
         return FpSubspace(self.p, self.p**m, rows if rows else None)
 
     def level_dims(self) -> list[int]:
-        """t(m) = log_p |St(m) : St(m+1)| for m = 0..depth-1, from the chain."""
-        chain = self.chain
-        if not chain._default_base:
-            raise ValueError("level_dims() requires the breadth-lex base")
-        out = []
-        for m in range(self.depth):
-            lo, hi = chain._t.perm_off[m], chain._t.perm_off[m + 1]
-            out.append(sum(1 for r in range(lo, hi)
-                           if chain.orbit_size(r) > 1))
-        return out
+        """t(m) = log_p |St(m) : St(m+1)| for m = 0..depth-1, from the pcgs."""
+        return self.pcgs.level_dims()
 
     def max_stab_depth(self) -> int:
         """Largest m with H <= St(m); errors on the trivial group."""
         if not self.gens:
             raise ValueError("max_stab_depth of the trivial subgroup")
         return min(g.max_stab_level() for g in self.gens)
-
-
-class _StabChainView:
-    """Read-only chain view for a level stabilizer of an existing chain."""
-
-    def __init__(self, parent: StabilizerChain, m: int, rank0: int):
-        self.parent = parent
-        self.m = m
-        self.rank0 = rank0
-        self.p = parent.p
-        self._default_base = True
-        self._t = parent._t
-
-    def contains(self, f: Portrait) -> bool:
-        return f.in_stab(self.m) and self.parent.contains(f)
-
-    @property
-    def order_exponent(self) -> int:
-        return self.parent.order_exponent_from(self.rank0)
-
-    def order_exponent_from(self, min_rank: int = 0) -> int:
-        return self.parent.order_exponent_from(max(min_rank, self.rank0))
-
-    def orbit_size(self, rank: int) -> int:
-        return 1 if rank < self.rank0 else self.parent.orbit_size(rank)
-
-    def strong_generators(self, min_rank: int = 0) -> list[Portrait]:
-        return self.parent.strong_generators(max(min_rank, self.rank0))
-
-
-def _path_first_base(p: int, depth: int, v) -> list[int]:
-    """Base order visiting the path prefixes of v first, then the rest in
-    breadth-lex order; stabilizing the prefix ranks is st(v)."""
-    t = _Tables(p, depth)
-    path = []
-    for k in range(1, len(v) + 1):
-        prefix = v[:k]
-        path.append(t.perm_off[k - 1] + vertex_local_index(prefix, p))
-    rest = [pos for pos in range(t.nperm) if pos not in set(path)]
-    return path + rest
 
 
 # -- derived constructions -------------------------------------------------
@@ -376,19 +262,18 @@ def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup,
     """Smallest subgroup containing the seeds and closed under conjugation
     by the ambient generators (= the normal closure in ⟨ambient.gens⟩)."""
     p, depth = ambient.p, ambient.depth
-    chain = StabilizerChain(p, depth, max_strong_gens=ambient._max_strong_gens)
+    pcgs = InducedPcgs(p, depth, max_strong_gens=ambient._max_strong_gens)
     amb = [(g, g.inverse()) for g in ambient.generating_set()]
     queue = deque(s for s in seeds if not s.is_identity())
     kept: list[Portrait] = []
     while queue:
         x = queue.popleft()
-        if chain.contains(x):
+        if not pcgs.add_generator(x):
             continue
-        chain.add_generator(x)
         kept.append(x)
         for g, g_inv in amb:
             queue.append(g_inv * x * g)
-    return Subgroup(p, depth, kept, name=name, chain=chain)
+    return Subgroup(p, depth, kept, name=name, pcgs=pcgs)
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup, ambient: Subgroup,
@@ -454,34 +339,36 @@ def min_generators(h: Subgroup) -> int:
 
 
 def psi_preimage_gens(section_gens: Sequence[Portrait], level: int,
-                      depth: int) -> list[Portrait]:
-    """Generators of psi_level^{-1}(K x ... x K) from generators of K."""
-    from .trees import embed_at_vertex
-    p = section_gens[0].p if section_gens else None
-    out = []
+                      depth: int) -> Iterator[Portrait]:
+    """Generators of psi_level^{-1}(K x ... x K) from generators of K: each
+    generator embedded at each level-`level` vertex, vertex by vertex."""
+    if not section_gens:
+        return
+    p = section_gens[0].p
     for c in range(p**level):
-        v = _vertex_of_index(p, level, c)
+        v = vertex_from_local_index(p, level, c)
         for kgen in section_gens:
-            out.append(embed_at_vertex(kgen, v, depth))
-    return out
+            yield embed_at_vertex(kgen, v, depth)
 
 
-def _vertex_of_index(p: int, level: int, idx: int):
-    from .trees import vertex_from_local_index
-    return vertex_from_local_index(p, level, idx)
+def first_missing_embedding(section_gens: Sequence[Portrait], level: int,
+                            sub: Subgroup) -> tuple[int, Portrait] | None:
+    """The first (vertex index, element) of psi_preimage_gens that sub does
+    not contain; None iff psi_level^{-1}(K x ... x K) <= sub."""
+    for j, x in enumerate(psi_preimage_gens(section_gens, level, sub.depth)):
+        if not sub.contains(x):
+            return j // len(section_gens), x
+    return None
 
 
 def is_regular_branch_over(g_n: Subgroup, g_shallow: Subgroup, k_n: Subgroup,
                            k_gens_shallow: Sequence[Portrait]) -> bool:
     """K x 1 x ... x 1 <= psi(St_K(1)) in the depth-n quotient, plus level-1
     transitivity and a self-similarity spot check."""
-    from .trees import embed_at_vertex
-    p, n = g_n.p, g_n.depth
-    for kgen in k_gens_shallow:
-        for c in range(1, p + 1):
-            if not k_n.contains(embed_at_vertex(kgen, (c,), n)):
-                return False
-    if g_n.chain.orbit_size(0) != p:
+    p = g_n.p
+    if first_missing_embedding(k_gens_shallow, 1, k_n) is not None:
+        return False
+    if 0 not in g_n.pcgs.pivots():
         return False
     st1 = g_n.stabilizer(1)
     for g in st1.generating_set():
@@ -502,7 +389,7 @@ def is_super_strongly_fractal(quotients: Sequence[Subgroup]) -> bool:
         target = quotients[n - m - 1]
         st_gens = st.generating_set()
         for idx in range(p**m):
-            v = _vertex_of_index(p, m, idx)
+            v = vertex_from_local_index(p, m, idx)
             sec = Subgroup(p, n - m, [g.section(v) for g in st_gens])
             if not (sec.is_subgroup_of(target)
                     and sec.order_exponent == target.order_exponent):

@@ -7,24 +7,27 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import ResourceGuardError, Subgroup
+from .engine import ResourceGuardError
+from .gmodules import (GModule, layer_preimage, submodule_closure,
+                       wm_module)
 from .linalg import FpSubspace
 from .trees import Portrait
 
 
-def bfs_enumerate(gens: Sequence[Portrait], cap_exp: int = 12) -> tuple[int, int]:
-    """Closure of the generators under composition.
+def bfs_elements(gens: Sequence[Portrait],
+                 cap_exp: int = 12) -> dict[bytes, Portrait]:
+    """Every element of the finite group <gens>, keyed by Portrait.key().
 
-    Returns (element count, order exponent); raises ResourceGuardError as
-    soon as the closure exceeds p**cap_exp elements.
+    Breadth-first closure of the generators under right multiplication
+    (in a finite group that reaches the identity and all inverses); empty
+    for no generators.  Raises ResourceGuardError as soon as the closure
+    exceeds p**cap_exp elements.
     """
     if not gens:
-        return 1, 0
-    p = gens[0].p
-    cap = p**cap_exp
-    ident = Portrait.identity(p, gens[0].depth)
-    seen = {ident.key(): ident}
-    frontier = [ident]
+        return {}
+    cap = gens[0].p**cap_exp
+    seen = {g.key(): g for g in gens}
+    frontier = list(seen.values())
     while frontier:
         nxt = []
         for x in frontier:
@@ -38,31 +41,21 @@ def bfs_enumerate(gens: Sequence[Portrait], cap_exp: int = 12) -> tuple[int, int
                     seen[k] = y
                     nxt.append(y)
         frontier = nxt
-    count = len(seen)
+    return seen
+
+
+def bfs_enumerate(gens: Sequence[Portrait], cap_exp: int = 12) -> tuple[int, int]:
+    """(element count, order exponent) of <gens> by bfs_elements."""
+    if not gens:
+        return 1, 0
+    p = gens[0].p
+    count = len(bfs_elements(gens, cap_exp))
     exp = 0
     while p**exp < count:
         exp += 1
     if p**exp != count:
         raise AssertionError(f"group order {count} is not a power of {p}")
     return count, exp
-
-
-def closure_of_vector(vec: np.ndarray, actions: Sequence[np.ndarray],
-                      p: int) -> FpSubspace:
-    """Smallest action-invariant subspace containing vec."""
-    dim = len(vec)
-    space = FpSubspace(p, dim, [vec])
-    frontier = list(space.rows)
-    while frontier:
-        new_rows = []
-        for row in frontier:
-            for mat in actions:
-                img = space.reduce(row @ mat % p)
-                if img.any():
-                    space = space.with_vectors(img)
-                    new_rows.append(img)
-        frontier = new_rows
-    return space
 
 
 def brute_submodules(actions: Sequence[np.ndarray], p: int,
@@ -75,12 +68,13 @@ def brute_submodules(actions: Sequence[np.ndarray], p: int,
     dim = actions[0].shape[0]
     if p**dim > cap_count:
         raise ResourceGuardError(f"p^dim = {p**dim} exceeds cap {cap_count}")
+    mod = GModule(p, dim, dict(enumerate(actions)))
     found: dict[bytes, FpSubspace] = {}
     for coeffs in itertools.product(range(p), repeat=dim):
         if not any(coeffs):
             continue
         vec = np.array(coeffs, dtype=np.int64)
-        sp = closure_of_vector(vec, actions, p)
+        sp = submodule_closure(FpSubspace(p, dim, [vec]), mod)
         found.setdefault(sp.key(), sp)
     return sorted(found.values(), key=lambda s: (s.dim, s.key()))
 
@@ -93,7 +87,6 @@ def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
     by conjugation, and returns the subgroups sorted by order; the chain
     theorem predicts a totally ordered list of t(m)+1 of them.
     """
-    from .gmodules import layer_preimage, wm_module
     u = g_n.image_in_wm(m)
     actions = wm_module(inst, m).action_list()
     spaces = brute_invariant_subspaces_within(u, actions, cap_dim=cap_dim)
@@ -124,12 +117,13 @@ def brute_invariant_subspaces_within(space: FpSubspace,
     p = space.p
     if space.dim > cap_dim:
         raise ResourceGuardError(f"dim {space.dim} exceeds cap {cap_dim}")
+    mod = GModule(p, space.ambient, dict(enumerate(actions)))
     cyclic: dict[bytes, FpSubspace] = {}
     for coeffs in itertools.product(range(p), repeat=space.dim):
         if not any(coeffs):
             continue
         vec = (np.array(coeffs, dtype=np.int64) @ space.rows) % p
-        sp = closure_of_vector(vec, actions, p)
+        sp = submodule_closure(FpSubspace(p, space.ambient, [vec]), mod)
         cyclic.setdefault(sp.key(), sp)
     # close the set of cyclic submodules under pairwise sums
     all_spaces: dict[bytes, FpSubspace] = dict(cyclic)

@@ -25,13 +25,14 @@ from .catalog import (BranchType, MultiEGSInstance, SunicInstance, branch_type,
                       evaluate_word, has_csp, is_fabrykowski_gupta, is_ggs,
                       is_torsion, r_dot)
 from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
-                     derived_series, frattini_subgroup, group_of,
+                     derived_series, first_missing_embedding, group_of,
                      is_regular_branch_over, is_subdirect_in_product,
-                     is_super_strongly_fractal, join, lower_central_series,
-                     min_generators, normal_closure)
-from .gmodules import (compute_rm, layer_preimage, rm_tuples, tuple_rank,
-                       uniserial_chain, wm_module)
-from .trees import Portrait, assemble, commutator, embed_at_vertex, rooted_a
+                     is_super_strongly_fractal, join, min_generators,
+                     normal_closure)
+from .gmodules import (compute_rm, layer_preimage, preimage_is_normal,
+                       submodule_closure, tuple_from_rank, uniserial_chain,
+                       vj_basis, wm_module)
+from .trees import Portrait, assemble, commutator, vertex_from_local_index
 
 # -- deterministic rng -------------------------------------------------------
 
@@ -87,68 +88,61 @@ class GroupContext:
     """Shared cache of quotients, stabilizers and series for one instance."""
 
     def __init__(self, inst):
-        import threading
         self.inst = inst
         self._quotients: dict[int, Subgroup] = {}
         self._derived: dict[int, Subgroup] = {}
         self._gamma: dict[tuple[int, int], Subgroup] = {}
         self._families: dict[tuple[int, int, int], list] = {}
         self._branch_derived: dict[int, Subgroup | None] = {}
-        self._lock = threading.RLock()
 
     @property
     def p(self) -> int:
         return self.inst.p
 
     def quotient(self, n: int) -> Subgroup:
-        with self._lock:
-            if n not in self._quotients:
-                self._quotients[n] = group_of(self.inst, n, name=f"G_{n}")
-            return self._quotients[n]
+        if n not in self._quotients:
+            self._quotients[n] = group_of(self.inst, n, name=f"G_{n}")
+        return self._quotients[n]
 
     def derived(self, n: int, order: int = 1) -> Subgroup:
-        with self._lock:
-            key = (n, order)
-            if key not in self._derived:
-                if order == 1:
-                    g = self.quotient(n)
-                    self._derived[key] = commutator_subgroup(g, g, g, name="G'")
-                else:
-                    h = self.derived(n, order - 1)
-                    self._derived[key] = commutator_subgroup(
-                        h, h, self.quotient(n), name="G" + "'" * order)
-            return self._derived[key]
+        key = (n, order)
+        if key not in self._derived:
+            if order == 1:
+                g = self.quotient(n)
+                self._derived[key] = commutator_subgroup(g, g, g, name="G'")
+            else:
+                h = self.derived(n, order - 1)
+                self._derived[key] = commutator_subgroup(
+                    h, h, self.quotient(n), name="G" + "'" * order)
+        return self._derived[key]
 
     def gamma(self, k: int, n: int) -> Subgroup:
         """k-th lower central term of the depth-n quotient."""
         if k == 1:
             return self.quotient(n)
-        with self._lock:
-            key = (k, n)
-            if key not in self._gamma:
-                prev = self.gamma(k - 1, n)
-                g = self.quotient(n)
-                self._gamma[key] = commutator_subgroup(prev, g, g, name=f"g{k}")
-            return self._gamma[key]
+        key = (k, n)
+        if key not in self._gamma:
+            prev = self.gamma(k - 1, n)
+            g = self.quotient(n)
+            self._gamma[key] = commutator_subgroup(prev, g, g, name=f"g{k}")
+        return self._gamma[key]
 
     def branch_derived(self, n: int) -> Subgroup | None:
         """K' for the branching subgroup K at depth n (None if not branch)."""
-        with self._lock:
-            if n not in self._branch_derived:
-                k = branch_subgroup(self, n)
-                if k is None:
-                    self._branch_derived[n] = None
-                else:
-                    self._branch_derived[n] = commutator_subgroup(
-                        k, k, self.quotient(n), name="K'")
-            return self._branch_derived[n]
+        if n not in self._branch_derived:
+            k = branch_subgroup(self, n)
+            if k is None:
+                self._branch_derived[n] = None
+            else:
+                self._branch_derived[n] = commutator_subgroup(
+                    k, k, self.quotient(n), name="K'")
+        return self._branch_derived[n]
 
     def normal_family(self, n: int, seed: int, size: int = 20) -> list["FamilyMember"]:
-        with self._lock:
-            key = (n, seed, size)
-            if key not in self._families:
-                self._families[key] = _build_normal_family(self, n, seed, size)
-            return self._families[key]
+        key = (n, seed, size)
+        if key not in self._families:
+            self._families[key] = _build_normal_family(self, n, seed, size)
+        return self._families[key]
 
 
 class FamilyMember:
@@ -194,7 +188,6 @@ def _build_normal_family(ctx: GroupContext, n: int, seed: int,
             members.append(FamilyMember("G" + "'" * order, d))
     # chain-layer preimages: one mid-chain layer per level (only when the
     # candidate subspace is action-invariant and inside the actual image)
-    from .gmodules import submodule_closure, tuple_from_rank, vj_basis
     for m in range(1, n):
         u = g.image_in_wm(m)
         if u.dim >= 2:
@@ -257,6 +250,20 @@ def csp_offset(inst, n_g: int | None = None) -> tuple[int | None, str]:
     return None, f"branch type {bt.value}: no effective offset"
 
 
+def _family_offset(ctx: GroupContext,
+                   n: int) -> tuple[int | None, str, int | None]:
+    """(offset, rule, n_G) from csp_offset, computing n_G where the offset
+    needs it; offset None carries the reason as the rule."""
+    inst = ctx.inst
+    n_g = None
+    if isinstance(inst, SunicInstance) and inst.p == 2 and inst.is_regular_branch():
+        n_g = compute_n_g(ctx, n)
+        if n_g is None:
+            return None, "n_G not determined within this depth", None
+    offset, rule = csp_offset(inst, n_g)
+    return offset, rule, n_g
+
+
 def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
     """The subgroup K the group regular-branches over, in the depth-n quotient."""
     inst = ctx.inst
@@ -291,13 +298,7 @@ def verify_effective_csp(ctx: GroupContext, n: int, seed: int,
     """St(m + d) <= [N, G] over a family of normal subgroups (Thm 1.1 shape,
     with the Sunic offsets for that family)."""
     inst = ctx.inst
-    n_g = None
-    if isinstance(inst, SunicInstance) and inst.p == 2 and inst.is_regular_branch():
-        n_g = compute_n_g(ctx, n)
-        if n_g is None:
-            return _skip("effective-csp", inst, n,
-                         "n_G not determined within this depth")
-    offset, offset_label = csp_offset(inst, n_g)
+    offset, offset_label, _ = _family_offset(ctx, n)
     if offset is None:
         return _skip("effective-csp", inst, n, offset_label)
     g = ctx.quotient(n)
@@ -350,15 +351,9 @@ def _remark_fallback(ctx: GroupContext, n: int, mem: FamilyMember,
         return None
     if kprime.is_trivial():
         return "pass: K' trivial at this depth"
-    ng = mem.ng(ctx, n)
-    p = ctx.p
-    for idx in range(p**(m + 1)):
-        from .trees import vertex_from_local_index
-        v = vertex_from_local_index(p, m + 1, idx)
-        for kg in kprime.generating_set():
-            if not ng.contains(embed_at_vertex(kg, v, n)):
-                return f"fail at coordinate {idx}"
-    return "pass"
+    missing = first_missing_embedding(kprime.generating_set(), m + 1,
+                                      mem.ng(ctx, n))
+    return "pass" if missing is None else f"fail at coordinate {missing[0]}"
 
 
 def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
@@ -388,22 +383,13 @@ def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport
         if gam.is_trivial():
             results[mem.name] = f"pass: gamma_{gamma_k} trivial at depth {n - m - 1}"
             continue
-        ng = mem.ng(ctx, n)
-        ok = True
-        for idx in range(ctx.p**(m + 1)):
-            from .trees import vertex_from_local_index
-            v = vertex_from_local_index(ctx.p, m + 1, idx)
-            for c in gam.generating_set():
-                x = embed_at_vertex(c, v, n)
-                if not ng.contains(x):
-                    ok = False
-                    witness = {"member": mem.name, "coordinate": idx,
-                               "element": x.digits()}
-                    break
-            if not ok:
-                break
-        results[mem.name] = "pass" if ok else "fail"
-        if not ok:
+        missing = first_missing_embedding(gam.generating_set(), m + 1,
+                                          mem.ng(ctx, n))
+        results[mem.name] = "pass" if missing is None else "fail"
+        if missing is not None:
+            idx, x = missing
+            witness = {"member": mem.name, "coordinate": idx,
+                       "element": x.digits()}
             status = "fail"
             break
     return VerificationReport(
@@ -442,20 +428,11 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
         if k.is_trivial():
             results[mem.name] = f"pass: {label} trivial at depth {n - m}"
             continue
-        ng = mem.ng(ctx, n)
-        ok = True
-        for idx in range(ctx.p**m):
-            from .trees import vertex_from_local_index
-            v = vertex_from_local_index(ctx.p, m, idx)
-            for c in k.generating_set():
-                if not ng.contains(embed_at_vertex(c, v, n)):
-                    ok = False
-                    witness = {"member": mem.name, "coordinate": idx}
-                    break
-            if not ok:
-                break
-        results[mem.name] = "pass" if ok else "fail"
-        if not ok:
+        missing = first_missing_embedding(k.generating_set(), m,
+                                          mem.ng(ctx, n))
+        results[mem.name] = "pass" if missing is None else "fail"
+        if missing is not None:
+            witness = {"member": mem.name, "coordinate": missing[0]}
             status = "fail"
             break
     return VerificationReport(
@@ -530,17 +507,10 @@ def _check_psi_st_product(ctx: GroupContext, n: int, m: int) -> bool:
     p = ctx.p
     for x in st.generating_set():
         for idx in range(p**(m - 1)):
-            from .trees import vertex_from_local_index
             v = vertex_from_local_index(p, m - 1, idx)
             if not shallow.contains(x.section(v)):
                 return False
-    for kg in shallow.generating_set():
-        from .trees import vertex_from_local_index
-        for idx in range(p**(m - 1)):
-            v = vertex_from_local_index(p, m - 1, idx)
-            if not g.contains(embed_at_vertex(kg, v, n)):
-                return False
-    return True
+    return first_missing_embedding(shallow.generating_set(), m - 1, g) is None
 
 
 def _coordinate_link_holds(ctx: GroupContext, n: int, m: int,
@@ -560,7 +530,6 @@ def _coordinate_link_holds(ctx: GroupContext, n: int, m: int,
     for ell in itertools.product(range(p), repeat=p):
         secs = [a_pows[ell[i]] * b_pows[ell[(i + 1) % p]] for i in range(p)]
         candidates.append(assemble(0, secs))
-    from .trees import vertex_from_local_index
     for idx in range(p**(m - 1)):
         v = vertex_from_local_index(p, m - 1, idx)
         sec = x.section(v)
@@ -607,13 +576,7 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
         layers = chain if u.dim <= normality_cap else [chain[0],
                                                        chain[len(chain) // 2],
                                                        chain[-1]]
-        normal_ok = True
-        for space in layers:
-            pre = layer_preimage(g, m, space)
-            for x in pre.generating_set()[:12]:
-                for amb in g.generating_set():
-                    if not pre.contains(x.conjugate(amb)):
-                        normal_ok = False
+        normal_ok = all(preimage_is_normal(g, m, space) for space in layers)
         details[f"preimages normal m={m}"] = "pass" if normal_ok else "fail"
         if not normal_ok:
             status = "fail"
@@ -665,34 +628,12 @@ def verify_width_and_rank(ctx: GroupContext, n: int, seed: int,
     """log_p |N : [N,G]| and the normal-generator count of N over a family,
     against the family-specific bound; FG additionally attains width 2."""
     inst = ctx.inst
-    n_g = None
-    if isinstance(inst, SunicInstance):
-        if not inst.is_regular_branch():
-            return _skip("width-rank", inst, n, "sunic (2,1) not regular branch")
-        if inst.p == 2:
-            n_g = compute_n_g(ctx, n)
-            bound = inst.r + n_g + 3
-            rule = "sunic p=2: r+n_G+3"
-        else:
-            bound = inst.r + 3
-            rule = "sunic odd: r+3"
-    else:
-        if is_torsion(inst):
-            return _skip("width-rank", inst, n,
-                         "torsion multi-EGS outside the width corollary")
-        bt = branch_type(inst)
-        if bt is BranchType.OVER_DERIVED:
-            if is_fabrykowski_gupta(inst):
-                bound, rule = 2, "fabrykowski-gupta: 2"
-            elif is_ggs(inst):
-                bound, rule = 3, "ggs over derived: 3"
-            else:
-                bound, rule = r_dot(inst) + 3, "multi-egs over derived: rdot+3"
-        elif bt is BranchType.OVER_GAMMA3:
-            bound, rule = (4, "ggs over gamma3: 4") if is_ggs(inst) \
-                else (7, "multi-egs over gamma3: 7")
-        else:
-            return _skip("width-rank", inst, n, f"branch type {bt.value}")
+    if isinstance(inst, MultiEGSInstance) and is_torsion(inst):
+        return _skip("width-rank", inst, n,
+                     "torsion multi-EGS outside the width corollary")
+    bound, rule, n_g = _family_offset(ctx, n)
+    if bound is None:
+        return _skip("width-rank", inst, n, rule)
     g = ctx.quotient(n)
     members = ctx.normal_family(n, seed, family_size)
     results = {}
@@ -1017,15 +958,6 @@ def run_check(ctx: GroupContext, name: str, depth: int | None = None,
 
 
 def run_all(ctx: GroupContext, depth: int | None = None, seed: int = 0,
-            timings: bool = False, jobs: int = 1) -> list[VerificationReport]:
-    names = sorted(CHECKS)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {name: pool.submit(run_check, ctx, name, depth, seed,
-                                      timings) for name in names}
-            reports = [futs[name].result() for name in names]
-    else:
-        reports = [run_check(ctx, name, depth, seed, timings)
-                   for name in names]
-    return reports
+            timings: bool = False) -> list[VerificationReport]:
+    return [run_check(ctx, name, depth, seed, timings)
+            for name in sorted(CHECKS)]

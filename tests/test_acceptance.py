@@ -225,7 +225,7 @@ def test_criterion_9_sunic_suite():
 
 
 def test_criterion_10_oracle_agreement():
-    with criterion(10, 60, "chain orders equal BFS counts; twisted sums equal "
+    with criterion(10, 60, "pcgs orders equal BFS counts; twisted sums equal "
                            "permutation modules"):
         cases = [
             (Subgroup(3, 2, [rooted_a(3, 2)]), [rooted_a(3, 2)], 3),

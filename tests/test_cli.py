@@ -52,6 +52,14 @@ def test_verify_exit_code_on_fail():
                 "--depth", "4"]) == EXIT_FAIL
 
 
+def test_width_rank_without_n_g_is_skipped(capsys):
+    # n_G of the Grigorchuk group is not determined at depth 3
+    assert run(["verify", "width-rank", "--preset", "sunic-grigorchuk",
+                "--depth", "3"]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"][0]["status"] == "skipped"
+
+
 def test_report_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
-                                  make_sunic, preset)
+                                  make_multi_ggs, make_sunic, preset)
 from branchgroups.engine import (Subgroup, commutator_subgroup,
                                  derived_series, frattini_subgroup, group_of,
                                  is_regular_branch_over,
@@ -50,6 +50,24 @@ def test_fg_known_level_dims(fg3_ctx):
     assert g.level_dims() == [1, 3, 6, 18]
     # chain consistency: exponent = sum of layer image dimensions
     assert g.order_exponent == sum(g.image_in_wm(m).dim for m in range(4))
+
+
+@pytest.mark.parametrize("gens", [
+    fabrykowski_gupta(5).generators(3),
+    make_multi_ggs(5, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]).generators(3),
+    [rooted_a(3, 3) * fabrykowski_gupta(3).generators(3)[1]]],
+    ids=["fg5", "multi-ggs-p5-3", "fg3-cyclic-ab"])
+def test_pcgs_is_induced(gens):
+    p = gens[0].p
+    pcgs = Subgroup(p, 3, gens).pcgs
+    elems = pcgs.elements()
+    pivots = [int(np.flatnonzero(h.lab)[0]) for h in elems]
+    assert pivots == pcgs.pivots()
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    assert all(h.lab[i] == 1 for i, h in zip(pivots, elems))
+    for j, h in enumerate(elems):
+        assert pcgs.contains(h**p)
+        assert all(pcgs.contains(commutator(h, x)) for x in elems[:j])
 
 
 # -- membership ----------------------------------------------------------------
@@ -122,7 +140,7 @@ def test_fg_sections_of_stab_are_full(fg3_ctx):
 
 
 def test_section_with_base_change():
-    # st_H(v) for a subgroup not fixing v requires the path-first chain
+    # st_H(v) for a subgroup not fixing v runs the pcgs vertex-stabilizer walk
     inst = fabrykowski_gupta(3)
     g = group_of(inst, 3)
     sec = g.section_subgroup((1,))

@@ -8,6 +8,7 @@ from branchgroups.gmodules import (canonical_generator_vec, commutator_subspace,
                                    compute_rm, is_sentinel,
                                    iterated_twisted_sum, layer_preimage,
                                    layer_representative, predecessor,
+                                   preimage_is_normal,
                                    rm_tuples, submodule_closure, tuple_from_rank,
                                    tuple_rank, uniserial_chain, vj_basis,
                                    wm_module)
@@ -224,3 +225,13 @@ def test_layer_preimage_order(fg3_ctx):
     st3 = g.stabilizer(3)
     assert pre.order_exponent == st3.order_exponent + sub.dim
     assert st3.is_subgroup_of(pre)
+
+
+def test_preimage_normality(fg3_ctx):
+    g = fg3_ctx.quotient(3)
+    # <St(2), a representative of e_0>: a permutes e_0 to another
+    # coordinate, so the span of e_0 in W_1 is not invariant
+    e0 = FpSubspace(3, 3, [[1, 0, 0]])
+    assert not preimage_is_normal(g, 1, e0)
+    for j in ((1,), (2,), (3,)):
+        assert preimage_is_normal(g, 1, vj_basis(3, j))

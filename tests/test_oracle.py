@@ -5,7 +5,8 @@ import pytest
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki, preset
 from branchgroups.engine import ResourceGuardError, Subgroup, group_of
 from branchgroups.gmodules import vj_basis, wm_module
-from branchgroups.oracle import (bfs_enumerate, brute_invariant_subspaces_within,
+from branchgroups.oracle import (bfs_elements, bfs_enumerate,
+                                 brute_invariant_subspaces_within,
                                  brute_normal_between, brute_submodules)
 from branchgroups.trees import rooted_a
 
@@ -38,7 +39,7 @@ def test_bfs_matches_chain(name, depth):
 
 
 def test_bfs_set_equals_chain_membership():
-    # not just equal counts: every enumerated element sifts into the chain
+    # not just equal counts: every enumerated element sifts into the pcgs
     inst = fabrykowski_gupta(3)
     g = group_of(inst, 2)
     ident = inst.generators(2)[0] ** 0
@@ -56,6 +57,24 @@ def test_bfs_set_equals_chain_membership():
         frontier = nxt
     assert len(seen) == 3**g.order_exponent
     assert all(g.contains(x) for x in seen.values())
+
+
+@pytest.mark.parametrize("name,depth,v,cyclic", [
+    ("fg3", 3, (2, 3), False), ("sunic-grigorchuk", 4, (2, 1), False),
+    ("fg3", 3, (2,), True), ("sunic-grigorchuk", 4, (2,), True)])
+def test_section_subgroup_matches_bfs(name, depth, v, cyclic):
+    # v is moved by the generators, so the pcgs vertex-stabilizer walk runs;
+    # the cyclic <first * last generator> has a section image smaller than
+    # the sections of all its elements generate
+    gens = preset(name).generators(depth)
+    if cyclic:
+        gens = [gens[0] * gens[-1]]
+    assert any(g.apply_vertex(v) != v for g in gens)
+    images = {x.section(v).key(): x.section(v)
+              for x in bfs_elements(gens).values() if x.apply_vertex(v) == v}
+    sec = Subgroup(gens[0].p, depth, gens).section_subgroup(v)
+    assert gens[0].p**sec.order_exponent == len(images)
+    assert all(sec.contains(y) for y in images.values())
 
 
 def test_brute_submodules_w1():
