@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import FpSubspace, rref
+from .linalg import Echelon, FpSubspace, rref
 from .trees import Portrait
 
 IndexTuple = tuple[int, ...]
@@ -184,14 +184,20 @@ def canonical_generator(p: int, j: IndexTuple) -> bytes:
     if len(j) == 1:
         vec = _a_nilpotent_power(p, p - j[0])[0] % p
         return vec.astype(np.int8).tobytes()
-    w_prefix = np.frombuffer(canonical_generator(p, j[:-1]), dtype=np.int8)
-    coeffs = np.frombuffer(canonical_generator(p, (j[-1],)), dtype=np.int8)
-    return (np.concatenate([(int(c) * w_prefix) % p for c in coeffs])
-            .astype(np.int8).tobytes())
+    w_prefix = canonical_generator_vec(p, j[:-1])
+    coeffs = canonical_generator_vec(p, (j[-1],))
+    return _block_multiples(coeffs, w_prefix, p).astype(np.int8).tobytes()
 
 
 def canonical_generator_vec(p: int, j: IndexTuple) -> np.ndarray:
     return np.frombuffer(canonical_generator(p, j), dtype=np.int8).copy()
+
+
+def _block_multiples(coeffs: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """The concatenation of c * w over the coefficients c, in int64 (int8
+    products wrap around once p >= 13)."""
+    return (np.outer(np.asarray(coeffs, dtype=np.int64),
+                     np.asarray(w, dtype=np.int64)) % p).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -210,38 +216,38 @@ def vj_basis(p: int, j: IndexTuple) -> FpSubspace:
     if m == 1:
         return FpSubspace(p, p, _a_nilpotent_power(p, p - j[0]))
     lower = vj_basis(p, predecessor(j[:-1], p))
-    rows = []
     d = p**(m - 1)
-    for i in range(p):
-        for row in lower.rows:
-            full = np.zeros(ambient, dtype=np.int64)
-            full[i * d:(i + 1) * d] = row
-            rows.append(full)
+    # the block sum of V_{(j')-} is already in echelon form
+    basis = Echelon(p, ambient, np.kron(np.eye(p, dtype=np.int64), lower.rows),
+                    [i * d + c for i in range(p) for c in lower.pivots])
     w_prefix = canonical_generator_vec(p, j[:-1])
     for coeff_row in vj_basis(p, (j[-1],)).rows:
-        rows.append(np.concatenate(
-            [(int(c) * w_prefix) % p for c in coeff_row]))
-    return FpSubspace(p, ambient, rows)
+        basis.add(_block_multiples(coeff_row, w_prefix, p))
+    return basis.subspace()
 
 
 # -- closures ---------------------------------------------------------------
 
 
 def submodule_closure(seed: FpSubspace, mod: GModule) -> FpSubspace:
-    """Smallest action-invariant subspace containing the seed."""
-    space = seed
+    """Smallest action-invariant subspace containing the seed: the images
+    of each new batch of basis vectors under the generators are reduced
+    together, and the nonzero residues grow one echelon basis."""
+    basis = seed.echelon()
     actions = mod.action_list()
-    frontier = list(space.rows)
-    while frontier:
+    frontier = basis.rows
+    while len(frontier):
+        images = basis.reduce(np.concatenate([frontier @ mat for mat in actions]))
         new_rows = []
-        for row in frontier:
-            for mat in actions:
-                img = space.reduce(row @ mat % mod.p)
-                if img.any():
-                    space = space.with_vectors(img)
-                    new_rows.append(img)
-        frontier = new_rows
-    return space
+        for res in images[images.any(axis=1)]:
+            if new_rows:        # the basis grew since the batch was reduced
+                res = basis.reduce(res)
+                if not res.any():
+                    continue
+            basis.insert(res)
+            new_rows.append(res)
+        frontier = np.array(new_rows, dtype=np.int64).reshape(-1, mod.dim)
+    return basis.subspace()
 
 
 def commutator_subspace(u: FpSubspace, mod: GModule) -> FpSubspace:
@@ -309,35 +315,43 @@ def rm_tuples(j_max: IndexTuple, p: int) -> list[IndexTuple]:
 # -- group <-> module dictionary --------------------------------------------
 
 
-def layer_representative(g_n, m: int, vec: np.ndarray) -> Portrait:
-    """An element of St(m) whose level-m labels equal vec, as a product of
-    stabilizer generators (solves a linear system over F_p)."""
-    st = g_n.stabilizer(m)
-    gens = st.generating_set()
+def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
+    """Elements of St(m) whose level-m labels equal the given vectors, as
+    products of stabilizer generators (one linear system over F_p with a
+    right-hand side per vector)."""
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, g_n.p**m)
+    if not len(vecs):
+        return []
+    gens = g_n.stabilizer(m).generating_set()
     if not gens:
         raise ValueError("empty stabilizer cannot represent a nonzero vector")
     p = g_n.p
     mat = np.array([g.level_labels(m) for g in gens], dtype=np.int64)
-    aug = np.concatenate([mat.T, np.asarray(vec, dtype=np.int64).reshape(-1, 1)],
-                         axis=1)
-    rows, pivots = rref(aug, p)
-    if len(gens) in pivots:
+    rows, pivots = rref(np.concatenate([mat.T, vecs.T], axis=1), p)
+    if pivots and pivots[-1] >= len(gens):
         raise ValueError("vector not in the image of St(m)")
-    coeffs = np.zeros(len(gens), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        coeffs[c] = rows[r, -1]
-    out = Portrait.identity(p, g_n.depth)
-    for g, c in zip(gens, coeffs):
-        if c:
-            out = out * g**int(c)
+    coeffs = np.zeros((len(vecs), len(gens)), dtype=np.int64)
+    coeffs[:, pivots] = rows[:, len(gens):].T
+    out = []
+    for vec_coeffs in coeffs:
+        x = Portrait.identity(p, g_n.depth)
+        for g, c in zip(gens, vec_coeffs):
+            if c:
+                x = x * g**int(c)
+        out.append(x)
     return out
+
+
+def layer_representative(g_n, m: int, vec: np.ndarray) -> Portrait:
+    """An element of St(m) whose level-m labels equal vec."""
+    return layer_representatives(g_n, m, [vec])[0]
 
 
 def layer_preimage(g_n, m: int, space: FpSubspace, name: str = ""):
     """The subgroup N with St(m+1) <= N <= St(m) whose layer image is the
     given invariant subspace: generated by representatives plus St(m+1)."""
     from .engine import Subgroup
-    reps = [layer_representative(g_n, m, row) for row in space.rows]
+    reps = layer_representatives(g_n, m, space.rows)
     st_next = g_n.stabilizer(m + 1)
     return Subgroup(g_n.p, g_n.depth, reps + st_next.generating_set(),
                     name=name or f"layer({m},dim{space.dim})")
@@ -354,3 +368,35 @@ def preimage_is_normal(g_n, m: int, space: FpSubspace) -> bool:
     reps = pre.generating_set()[:space.dim]
     return all(pre.contains(x.conjugate(amb))
                for x in reps for amb in g_n.generating_set())
+
+
+def layer_conjugation(g_n, m: int) -> tuple[FpSubspace, list[np.ndarray]]:
+    """The conjugation action of g_n on its layer U = image of St(m) in W_m.
+
+    Returns U and, per generator g of g_n, the matrix whose row i is the
+    level-m labels of x_i^g, where x_i represents the i-th echelon row of
+    U.  Conjugation is computed on portraits, not read off the permutation
+    module, so this is an independent view of the action.
+    """
+    u = g_n.image_in_wm(m)
+    reps = layer_representatives(g_n, m, u.rows)
+    return u, [np.array([x.conjugate(g).level_labels(m) for x in reps],
+                        dtype=np.int64).reshape(u.dim, u.ambient)
+               for g in g_n.generating_set()]
+
+
+def first_non_normal_layer(g_n, m: int, spaces) -> int | None:
+    """Index of the first subspace of U = image of St(m) in W_m whose
+    layer preimage is not normal in g_n, or None when all are normal.
+
+    For St(m+1) <= N <= St(m), N is normal exactly when its image is
+    invariant under the conjugation action of g_n on U.  Coordinates in
+    U's echelon basis are the entries at U's pivots, so each space is
+    tested with one product per generator.
+    """
+    u, actions = layer_conjugation(g_n, m)
+    for idx, space in enumerate(spaces):
+        coords = space.rows[:, u.pivots].astype(np.int64)
+        if any(space.reduce(coords @ act).any() for act in actions):
+            return idx
+    return None

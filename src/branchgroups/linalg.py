@@ -1,6 +1,14 @@
-"""Row-echelon linear algebra over the prime field F_p."""
+"""Row-echelon linear algebra over the prime field F_p.
+
+One routine does all elimination: `Echelon` keeps a reduced row-echelon
+basis and grows it one vector at a time.  `rref`, `FpSubspace` and the
+submodule closure all go through it.  Arithmetic is in int64; finished
+bases are stored as int8 rows.
+"""
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -9,31 +17,68 @@ def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), p - 2, p)
 
 
+def _reduce(rows: np.ndarray, pivots: list[int], vec, p: int) -> np.ndarray:
+    """Residue of vec (or of each row of a matrix) against RREF rows: the
+    coefficient of row i is the entry at pivot i, so the residue is one
+    product (in int64)."""
+    v = np.asarray(vec, dtype=np.int64) % p
+    if pivots:
+        v = (v - v[..., pivots] @ rows) % p
+    return v
+
+
+class Echelon:
+    """Reduced row-echelon basis of a growing subspace of F_p^d.
+
+    Rows are int64 and in pivot order; each row is 1 at its own pivot and
+    0 at every other pivot, so after every insertion the rows are the
+    canonical RREF of their span.
+    """
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p: int, ambient: int, rows=None, pivots=()):
+        self.p = p
+        self.rows = (np.zeros((0, ambient), dtype=np.int64) if rows is None
+                     else np.array(rows, dtype=np.int64))
+        self.pivots = list(pivots)
+
+    def reduce(self, vec) -> np.ndarray:
+        return _reduce(self.rows, self.pivots, vec, self.p)
+
+    def insert(self, res: np.ndarray) -> None:
+        """Insert a nonzero residue returned by reduce: scale it to 1 at its
+        leading column c, clear c from the other rows, keep pivot order."""
+        p = self.p
+        c = int(res.nonzero()[0][0])
+        res = res * _inv_mod(res[c], p) % p
+        rows, col = self.rows, self.rows[:, c:c + 1]
+        if col.any():
+            rows = (rows - col * res) % p
+        k = bisect.bisect(self.pivots, c)
+        self.rows = np.concatenate([rows[:k], res[None], rows[k:]])
+        self.pivots.insert(k, c)
+
+    def add(self, vec) -> None:
+        """Reduce vec and insert the residue if it is nonzero."""
+        res = self.reduce(vec)
+        if res.any():
+            self.insert(res)
+
+    def subspace(self) -> "FpSubspace":
+        return FpSubspace._canonical(self.p, self.rows.astype(np.int8),
+                                     list(self.pivots))
+
+
 def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     mat = np.array(rows, dtype=np.int64) % p
     if mat.ndim == 1:
         mat = mat.reshape(1, -1)
-    nrows, ncols = mat.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(mat[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            mat[[r, k]] = mat[[k, r]]
-        mat[r] = (mat[r] * _inv_mod(mat[r, c], p)) % p
-        others = np.nonzero(mat[:, c])[0]
-        for i in others:
-            if i != r:
-                mat[i] = (mat[i] - mat[i, c] * mat[r]) % p
-        pivots.append(c)
-        r += 1
-    return mat[:r].astype(np.int8), pivots
+    ech = Echelon(p, mat.shape[1])
+    for row in mat:
+        ech.add(row)
+    return ech.rows.astype(np.int8), ech.pivots
 
 
 class FpSubspace:
@@ -52,6 +97,15 @@ class FpSubspace:
             if self.rows.shape[1] != ambient:
                 raise ValueError("row length does not match ambient dimension")
         self._key = None
+
+    @classmethod
+    def _canonical(cls, p: int, rows: np.ndarray,
+                   pivots: list[int]) -> "FpSubspace":
+        """Wrap int8 rows that are already in RREF."""
+        out = cls.__new__(cls)
+        out.p, out.ambient = p, rows.shape[1]
+        out.rows, out.pivots, out._key = rows, pivots, None
+        return out
 
     @property
     def dim(self) -> int:
@@ -72,13 +126,13 @@ class FpSubspace:
     def __repr__(self) -> str:
         return f"FpSubspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"
 
+    def echelon(self) -> Echelon:
+        """A mutable copy of the basis, to grow without changing self."""
+        return Echelon(self.p, self.ambient, self.rows, self.pivots)
+
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Residue of vec after elimination against the echelon basis."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                v = (v - int(v[c]) * row) % self.p
-        return v
+        return _reduce(self.rows, self.pivots, vec, self.p)
 
     def contains_vector(self, vec) -> bool:
         return not self.reduce(vec).any()
@@ -87,11 +141,10 @@ class FpSubspace:
         return all(self.contains_vector(r) for r in other.rows)
 
     def with_vectors(self, vecs) -> "FpSubspace":
-        vecs = np.atleast_2d(np.asarray(vecs))
-        if self.dim == 0:
-            return FpSubspace(self.p, self.ambient, vecs)
-        return FpSubspace(self.p, self.ambient,
-                          np.vstack([self.rows, vecs % self.p]))
+        ech = self.echelon()
+        for vec in np.atleast_2d(np.asarray(vecs)):
+            ech.add(vec)
+        return ech.subspace()
 
     def sum_with(self, other: "FpSubspace") -> "FpSubspace":
         return self.with_vectors(other.rows) if other.dim else self

@@ -58,21 +58,29 @@ def bfs_enumerate(gens: Sequence[Portrait], cap_exp: int = 12) -> tuple[int, int
     return count, exp
 
 
+def projective_points(p: int, dim: int) -> Iterable[tuple[int, ...]]:
+    """One coefficient vector per line of F_p^dim: the first nonzero
+    coefficient is 1, so every nonzero vector is a unique scalar multiple
+    of exactly one of the (p^dim - 1)/(p - 1) vectors yielded."""
+    for lead in range(dim):
+        for rest in itertools.product(range(p), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + rest
+
+
 def brute_submodules(actions: Sequence[np.ndarray], p: int,
                      cap_count: int = 20000) -> list[FpSubspace]:
     """All closures of single vectors, deduplicated and sorted by dimension.
 
-    When every submodule is cyclic this is the full submodule list
-    (excluding the zero space).
+    closure(c v) = closure(v) for c != 0, so one vector per projective
+    class is closed.  When every submodule is cyclic this is the full
+    submodule list (excluding the zero space).
     """
     dim = actions[0].shape[0]
     if p**dim > cap_count:
         raise ResourceGuardError(f"p^dim = {p**dim} exceeds cap {cap_count}")
     mod = GModule(p, dim, dict(enumerate(actions)))
     found: dict[bytes, FpSubspace] = {}
-    for coeffs in itertools.product(range(p), repeat=dim):
-        if not any(coeffs):
-            continue
+    for coeffs in projective_points(p, dim):
         vec = np.array(coeffs, dtype=np.int64)
         sp = submodule_closure(FpSubspace(p, dim, [vec]), mod)
         found.setdefault(sp.key(), sp)
@@ -107,8 +115,9 @@ def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
 def brute_invariant_subspaces_within(space: FpSubspace,
                                      actions: Sequence[np.ndarray],
                                      cap_dim: int = 6) -> list[FpSubspace]:
-    """All invariant subspaces of an invariant `space`, by closing every
-    vector of the space (cyclic closures) and then summing closures.
+    """All invariant subspaces of an invariant `space`, by closing one
+    vector per projective class of the space (cyclic closures) and then
+    summing closures.
 
     Sound because in the cases this referee is used for, every invariant
     subspace is a sum of cyclic ones (always true) and the vector count
@@ -119,9 +128,7 @@ def brute_invariant_subspaces_within(space: FpSubspace,
         raise ResourceGuardError(f"dim {space.dim} exceeds cap {cap_dim}")
     mod = GModule(p, space.ambient, dict(enumerate(actions)))
     cyclic: dict[bytes, FpSubspace] = {}
-    for coeffs in itertools.product(range(p), repeat=space.dim):
-        if not any(coeffs):
-            continue
+    for coeffs in projective_points(p, space.dim):
         vec = (np.array(coeffs, dtype=np.int64) @ space.rows) % p
         sp = submodule_closure(FpSubspace(p, space.ambient, [vec]), mod)
         cyclic.setdefault(sp.key(), sp)

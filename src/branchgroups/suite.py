@@ -29,7 +29,7 @@ from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
                      is_regular_branch_over, is_subdirect_in_product,
                      is_super_strongly_fractal, join, min_generators,
                      normal_closure)
-from .gmodules import (compute_rm, layer_preimage, preimage_is_normal,
+from .gmodules import (compute_rm, first_non_normal_layer, layer_preimage,
                        submodule_closure, tuple_from_rank, uniserial_chain,
                        vj_basis, wm_module)
 from .trees import Portrait, assemble, commutator, vertex_from_local_index
@@ -94,6 +94,8 @@ class GroupContext:
         self._gamma: dict[tuple[int, int], Subgroup] = {}
         self._families: dict[tuple[int, int, int], list] = {}
         self._branch_derived: dict[int, Subgroup | None] = {}
+        self._sunic_k: dict[int, Subgroup] = {}
+        self._n_g: dict[int, int | None] = {}
 
     @property
     def p(self) -> int:
@@ -137,6 +139,29 @@ class GroupContext:
                 self._branch_derived[n] = commutator_subgroup(
                     k, k, self.quotient(n), name="K'")
         return self._branch_derived[n]
+
+    def sunic_k(self, n: int) -> Subgroup:
+        """K = <[a,b_2],...,[a,b_r]>^G for Sunic groups on the binary tree."""
+        if n not in self._sunic_k:
+            gens = self.inst.generators(n)
+            seeds = [commutator(gens[0], b) for b in gens[2:]]
+            self._sunic_k[n] = normal_closure(seeds, self.quotient(n), name="K")
+        return self._sunic_k[n]
+
+    def n_g(self, n: int) -> int | None:
+        """Least n' with <a, b_1, ..., b_{r-1}> inside the section of
+        st_K(2...2) at the vertex 2...2 of level n' (p = 2 Sunic groups);
+        quotient-level, hence one-sided."""
+        if n not in self._n_g:
+            k = self.sunic_k(n)
+            self._n_g[n] = None
+            for cand in range(1, n - 1):
+                sec = k.section_subgroup((2,) * cand)
+                targets = self.inst.generators(n - cand)[:self.inst.r]  # a, b_1..b_{r-1}
+                if all(sec.contains(t) for t in targets):
+                    self._n_g[n] = cand
+                    break
+        return self._n_g[n]
 
     def normal_family(self, n: int, seed: int, size: int = 20) -> list["FamilyMember"]:
         key = (n, seed, size)
@@ -257,7 +282,7 @@ def _family_offset(ctx: GroupContext,
     inst = ctx.inst
     n_g = None
     if isinstance(inst, SunicInstance) and inst.p == 2 and inst.is_regular_branch():
-        n_g = compute_n_g(ctx, n)
+        n_g = ctx.n_g(n)
         if n_g is None:
             return None, "n_G not determined within this depth", None
     offset, rule = csp_offset(inst, n_g)
@@ -271,7 +296,7 @@ def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
         if not inst.is_regular_branch():
             return None
         if inst.p == 2:
-            return sunic_k(ctx, n)
+            return ctx.sunic_k(n)
         return ctx.derived(n)
     bt = branch_type(inst)
     if bt is BranchType.OVER_DERIVED:
@@ -282,12 +307,8 @@ def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
 
 
 def sunic_k(ctx: GroupContext, n: int) -> Subgroup:
-    """K = <[a,b_2],...,[a,b_r]>^G for Sunic groups on the binary tree."""
-    inst = ctx.inst
-    gens = inst.generators(n)
-    a = gens[0]
-    seeds = [commutator(a, b) for b in gens[2:]]
-    return normal_closure(seeds, ctx.quotient(n), name="K")
+    """K for Sunic groups on the binary tree (cached in the context)."""
+    return ctx.sunic_k(n)
 
 
 # -- individual checks ----------------------------------------------------------
@@ -539,12 +560,11 @@ def _coordinate_link_holds(ctx: GroupContext, n: int, m: int,
 
 
 def verify_chain_theorem(ctx: GroupContext, n: int,
-                         levels: list[int] | None = None,
-                         normality_cap: int = 6) -> VerificationReport:
+                         levels: list[int] | None = None) -> VerificationReport:
     """Layer-by-layer chain certification: the image of St(m) in W_m is a
     chain module V_j, every commutator step drops dimension exactly 1,
-    the chain preimages are normal, and the closed forms for t(m) hold
-    for non-torsion regular-branch GGS groups."""
+    the preimages of all chain layers are normal, and the closed forms for
+    t(m) hold for non-torsion regular-branch GGS groups."""
     inst = ctx.inst
     hyp = _chain_hypothesis(inst)
     g = ctx.quotient(n)
@@ -573,10 +593,7 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
         if not rm["match"]:
             status = "fail"
             witness = witness or {"level": m, **rm.get("witness", {})}
-        layers = chain if u.dim <= normality_cap else [chain[0],
-                                                       chain[len(chain) // 2],
-                                                       chain[-1]]
-        normal_ok = all(preimage_is_normal(g, m, space) for space in layers)
+        normal_ok = first_non_normal_layer(g, m, chain) is None
         details[f"preimages normal m={m}"] = "pass" if normal_ok else "fail"
         if not normal_ok:
             status = "fail"
@@ -752,18 +769,8 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
 
 
 def compute_n_g(ctx: GroupContext, n: int) -> int | None:
-    """Least n' with <a, b_1, ..., b_{r-1}> inside the section of st_K(2...2)
-    at the vertex 2...2 of level n' (p = 2 Sunic groups); quotient-level,
-    hence one-sided."""
-    inst = ctx.inst
-    k = sunic_k(ctx, n)
-    for cand in range(1, n - 1):
-        v = (2,) * cand
-        sec = k.section_subgroup(v)
-        targets = inst.generators(n - cand)[:inst.r]  # a, b_1..b_{r-1}
-        if all(sec.contains(t) for t in targets):
-            return cand
-    return None
+    """n_G for p = 2 Sunic groups (cached in the context)."""
+    return ctx.n_g(n)
 
 
 def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
@@ -824,7 +831,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
             witness = witness or {"clause": f"R_{m}", "t": t}
     n_g = None
     if p == 2:
-        n_g = compute_n_g(ctx, n)
+        n_g = ctx.n_g(n)
         details["n_G"] = n_g if n_g is not None else "not found within depth"
     # stabilizer inclusions (depth permitting)
     if p % 2 == 1:

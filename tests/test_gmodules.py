@@ -5,7 +5,8 @@ import pytest
 
 from branchgroups.catalog import fabrykowski_gupta, make_ggs, make_sunic, preset
 from branchgroups.gmodules import (canonical_generator_vec, commutator_subspace,
-                                   compute_rm, is_sentinel,
+                                   compute_rm, first_non_normal_layer,
+                                   is_sentinel,
                                    iterated_twisted_sum, layer_preimage,
                                    layer_representative, predecessor,
                                    preimage_is_normal,
@@ -73,6 +74,20 @@ def test_dim_formula_and_chain_structure(p, mmax):
             assert v.contains(lower) and v.dim == lower.dim + 1
             assert v.contains_vector(canonical_generator_vec(p, j))
             assert not lower.contains_vector(canonical_generator_vec(p, j))
+
+
+@pytest.mark.parametrize("p", [11, 13, pytest.param(17, marks=pytest.mark.slow)])
+def test_level_two_chain_modules_are_submodules(p):
+    # int8 products c * w wrap around once p >= 13; every V_j must still be
+    # closed under the action and contain its canonical generator
+    mod = wm_module(fabrykowski_gupta(p), 2)
+    for j in itertools.product(range(1, p + 1), repeat=2):
+        v = vj_basis(p, j)
+        assert v.dim == tuple_rank(j, p) + 1
+        assert submodule_closure(v, mod) == v
+        w = canonical_generator_vec(p, j)
+        assert v.contains_vector(w)
+        assert not vj_basis(p, predecessor(j, p)).contains_vector(w)
 
 
 # -- modules -------------------------------------------------------------------
@@ -235,3 +250,28 @@ def test_preimage_normality(fg3_ctx):
     assert not preimage_is_normal(g, 1, e0)
     for j in ((1,), (2,), (3,)):
         assert preimage_is_normal(g, 1, vj_basis(3, j))
+
+
+def test_non_normal_layer_caught_in_long_chain(fg3_ctx):
+    # t(3) = 18 at depth 4: a chain of 19 layers
+    g = fg3_ctx.quotient(4)
+    u = g.image_in_wm(3)
+    chain, witness = uniserial_chain(u, wm_module(fg3_ctx.inst, 3))
+    assert witness is None and len(chain) == 19
+    assert first_non_normal_layer(g, 3, chain) is None
+    # swap layer 9 for another subspace of the same dimension between its
+    # neighbours: W_3 is uniserial on U, so it is not invariant
+    outside = next(r for r in chain[8].rows if not chain[9].contains_vector(r))
+    bad = chain[10].with_vectors(outside)
+    assert bad.dim == chain[9].dim and bad != chain[9]
+    layers = chain[:9] + [bad] + chain[10:]
+    assert first_non_normal_layer(g, 3, layers) == 9
+    assert not preimage_is_normal(g, 3, bad)
+
+
+def test_non_normal_layer_in_w1(fg3_ctx):
+    g = fg3_ctx.quotient(3)
+    e0 = FpSubspace(3, 3, [[1, 0, 0]])
+    chain = [vj_basis(3, (j,)) for j in (3, 2, 1)]
+    assert first_non_normal_layer(g, 1, chain) is None
+    assert first_non_normal_layer(g, 1, chain + [e0]) == 3

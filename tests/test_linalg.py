@@ -1,7 +1,51 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from branchgroups.linalg import FpSubspace, full_space, matrix_rank, rref, zero_subspace
+from branchgroups.linalg import (Echelon, FpSubspace, full_space, matrix_rank,
+                                 rref, zero_subspace)
+
+
+def reference_rref(rows, p):
+    """Column-by-column Gauss-Jordan elimination of the whole matrix, the
+    earlier implementation of rref, kept as the reference."""
+    mat = np.array(rows, dtype=np.int64) % p
+    if mat.ndim == 1:
+        mat = mat.reshape(1, -1)
+    nrows, ncols = mat.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(mat[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            mat[[r, k]] = mat[[k, r]]
+        mat[r] = (mat[r] * pow(int(mat[r, c]), p - 2, p)) % p
+        for i in np.nonzero(mat[:, c])[0]:
+            if i != r:
+                mat[i] = (mat[i] - mat[i, c] * mat[r]) % p
+        pivots.append(c)
+        r += 1
+    return mat[:r].astype(np.int8), pivots
+
+
+@st.composite
+def matrices(draw):
+    """(p, rows): up to 8 rows of length 1..8 over F_p, biased towards
+    dependent rows so that insertions that change nothing occur."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    if len(rows) >= 2 and draw(st.booleans()):
+        c = draw(st.integers(1, p - 1))
+        rows.append([(c * x + y) % p for x, y in zip(rows[0], rows[1])])
+    return p, np.array(rows, dtype=np.int64)
 
 
 def test_rref_canonical():
@@ -55,3 +99,47 @@ def test_reduce_is_idempotent():
 def test_basis_digits():
     s = FpSubspace(3, 3, [[1, 2, 0]])
     assert s.basis_digits() == ["120"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_insertion_matches_reference_rref(case):
+    p, mat = case
+    ref_rows, ref_pivots = reference_rref(mat, p)
+    ech = Echelon(p, mat.shape[1])
+    space = zero_subspace(p, mat.shape[1])
+    for row in mat:
+        ech.add(row)
+        space = space.with_vectors(row)
+    rows, pivots = rref(mat, p)
+    for got_rows, got_pivots in ((ech.rows, ech.pivots), (rows, pivots),
+                                 (space.rows, space.pivots)):
+        assert got_pivots == ref_pivots
+        assert np.array_equal(got_rows, ref_rows)
+    assert rows.dtype == np.int8 and space.rows.dtype == np.int8
+    assert space.key() == ref_rows.tobytes()
+    assert FpSubspace(p, mat.shape[1], mat).key() == ref_rows.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_reduce_idempotent_and_zero_at_pivots(case, data):
+    p, mat = case
+    space = FpSubspace(p, mat.shape[1], mat)
+    vec = np.array(data.draw(st.lists(st.integers(-2 * p, 2 * p),
+                                      min_size=mat.shape[1],
+                                      max_size=mat.shape[1])))
+    res = space.reduce(vec)
+    assert res.dtype == np.int64
+    assert not res[space.pivots].any()
+    assert np.array_equal(space.reduce(res), res)
+    assert space.contains_vector((vec - res) % p)
+
+
+def test_reduce_does_not_wrap_at_large_p():
+    # int8 products of entries near p would wrap around for p >= 13
+    p = 67
+    s = FpSubspace(p, 3, [[1, 0, 66], [0, 1, 65]])
+    v = np.array([66, 66, 0])
+    assert not s.reduce(v)[:2].any()
+    assert s.reduce(v)[2] == (-(66 * 66) - 66 * 65) % p

@@ -4,10 +4,13 @@ import pytest
 
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki, preset
 from branchgroups.engine import ResourceGuardError, Subgroup, group_of
-from branchgroups.gmodules import vj_basis, wm_module
+from branchgroups.gmodules import (GModule, submodule_closure, vj_basis,
+                                   wm_module)
+from branchgroups.linalg import FpSubspace
 from branchgroups.oracle import (bfs_elements, bfs_enumerate,
                                  brute_invariant_subspaces_within,
-                                 brute_normal_between, brute_submodules)
+                                 brute_normal_between, brute_submodules,
+                                 projective_points)
 from branchgroups.trees import rooted_a
 
 
@@ -75,6 +78,34 @@ def test_section_subgroup_matches_bfs(name, depth, v, cyclic):
     sec = Subgroup(gens[0].p, depth, gens).section_subgroup(v)
     assert gens[0].p**sec.order_exponent == len(images)
     assert all(sec.contains(y) for y in images.values())
+
+
+def closures_of_every_vector(actions, p):
+    """The census without projective deduplication: every nonzero vector."""
+    dim = actions[0].shape[0]
+    mod = GModule(p, dim, dict(enumerate(actions)))
+    found = {}
+    for coeffs in itertools.product(range(p), repeat=dim):
+        if any(coeffs):
+            sp = submodule_closure(FpSubspace(p, dim, [coeffs]), mod)
+            found.setdefault(sp.key(), sp)
+    return sorted(found.values(), key=lambda s: (s.dim, s.key()))
+
+
+@pytest.mark.parametrize("p,dim", [(2, 4), (3, 3), (5, 2), (7, 1)])
+def test_projective_points_cover_each_line_once(p, dim):
+    points = list(projective_points(p, dim))
+    assert len(points) == (p**dim - 1) // (p - 1)
+    lines = {tuple(c * x % p for x in pt) for pt in points for c in range(1, p)}
+    assert len(lines) == p**dim - 1
+
+
+@pytest.mark.parametrize("p,level", [(5, 1), pytest.param(3, 2, marks=pytest.mark.slow)])
+def test_projective_census_matches_every_vector(p, level):
+    actions = wm_module(fabrykowski_gupta(p), level).action_list()
+    projective = brute_submodules(actions, p)
+    assert ([s.key() for s in projective]
+            == [s.key() for s in closures_of_every_vector(actions, p)])
 
 
 def test_brute_submodules_w1():

@@ -4,9 +4,9 @@ import pytest
 
 from branchgroups.catalog import (fabrykowski_gupta, make_ggs, make_multi_egs,
                                   make_multi_ggs, make_sunic, preset)
-from branchgroups.suite import (GroupContext, SplitMix64, compute_n_g,
-                                csp_offset, run_all, run_check,
-                                verify_profinite_distinction)
+from branchgroups.suite import (GroupContext, SplitMix64, branch_subgroup,
+                                compute_n_g, csp_offset, run_all, run_check,
+                                sunic_k, verify_profinite_distinction)
 
 
 def report_json(report):
@@ -181,6 +181,25 @@ def test_sunic_dihedral_skipped():
 def test_n_g_stable(grigorchuk_ctx):
     assert compute_n_g(grigorchuk_ctx, 5) == 3
     assert compute_n_g(grigorchuk_ctx, 6) == 3
+
+
+def test_n_g_and_k_computed_once_per_depth(monkeypatch):
+    ctx = GroupContext(preset("sunic-grigorchuk"))
+    k = sunic_k(ctx, 5)
+    assert ctx.sunic_k(5) is k and branch_subgroup(ctx, 5) is k
+    calls = []
+    section = k.section_subgroup
+
+    def counting(v):
+        calls.append(v)
+        return section(v)
+
+    monkeypatch.setattr(k, "section_subgroup", counting)
+    assert [compute_n_g(ctx, 5), ctx.n_g(5)] == [3, 3]
+    assert calls == [(2,), (2, 2), (2, 2, 2)]
+    run_check(ctx, "width-rank", depth=5)
+    run_check(ctx, "sunic", depth=5)
+    assert len(calls) == 3
 
 
 def test_generator_count(fg3_ctx):
