@@ -6,9 +6,8 @@ from .catalog import (BranchType, MultiEGSInstance, SunicInstance,
                       make_multi_egs, make_multi_ggs, make_sunic, preset,
                       r_dot)
 from .engine import (InducedPcgs, ResourceGuardError, Subgroup,
-                     commutator_subgroup, derived_series, frattini_subgroup,
-                     group_of, is_regular_branch_over,
-                     is_super_strongly_fractal, join, lower_central_series,
+                     commutator_subgroup, frattini_subgroup, group_of,
+                     is_regular_branch_over, is_super_strongly_fractal, join,
                      min_generators, normal_closure)
 from .gmodules import (GModule, compute_rm, predecessor, submodule_closure,
                        twisted_sum, uniserial_chain, vj_basis, wm_module)

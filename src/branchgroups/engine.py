@@ -202,6 +202,13 @@ class Subgroup:
         return (self.order_exponent == other.order_exponent
                 and self.is_subgroup_of(other))
 
+    def is_normal_in(self, ambient: "Subgroup") -> bool:
+        """Whether every conjugate of a generator by an ambient generator is
+        a member; for self <= ambient this is normality in ambient."""
+        amb = [(g, g.inverse()) for g in ambient.generating_set()]
+        return all(self.contains(x.conjugate(g, g_inv))
+                   for x in self.gens for g, g_inv in amb)
+
     def is_trivial(self) -> bool:
         return not self.gens or self.order_exponent == 0
 
@@ -291,36 +298,6 @@ def join(a: Subgroup, b: Subgroup, name: str = "") -> Subgroup:
                     name=name)
 
 
-def lower_central_series(g: Subgroup, max_steps: int = 64) -> list[Subgroup]:
-    """gamma_1 = G, gamma_{k+1} = [gamma_k, G], until trivial/stable."""
-    series = [g]
-    for k in range(max_steps):
-        nxt = commutator_subgroup(series[-1], g, g, name=f"gamma{k + 2}")
-        if nxt.order_exponent == series[-1].order_exponent:
-            break
-        series.append(nxt)
-        if nxt.is_trivial():
-            break
-    else:
-        raise ResourceGuardError("lower central series step budget exhausted")
-    return series
-
-
-def derived_series(g: Subgroup, max_steps: int = 16) -> list[Subgroup]:
-    series = [g]
-    for k in range(max_steps):
-        h = series[-1]
-        nxt = commutator_subgroup(h, h, g, name=f"derived{k + 1}")
-        if nxt.order_exponent == h.order_exponent:
-            break
-        series.append(nxt)
-        if nxt.is_trivial():
-            break
-    else:
-        raise ResourceGuardError("derived series step budget exhausted")
-    return series
-
-
 def frattini_subgroup(h: Subgroup) -> Subgroup:
     """Phi(H) = H' H^p for a finite p-group, via the normal closure in H of
     generator commutators and p-th powers."""
@@ -361,21 +338,25 @@ def first_missing_embedding(section_gens: Sequence[Portrait], level: int,
     return None
 
 
+def sections_within(gens: Sequence[Portrait], level: int,
+                    target: Subgroup) -> bool:
+    """Whether every level-`level` section of every element of gens lies in
+    target; for gens in St(level), psi_level(<gens>) <= target x ... x target
+    (the dual of first_missing_embedding)."""
+    p = target.p
+    vertices = [vertex_from_local_index(p, level, c) for c in range(p**level)]
+    return all(target.contains(g.section(v)) for g in gens for v in vertices)
+
+
 def is_regular_branch_over(g_n: Subgroup, g_shallow: Subgroup, k_n: Subgroup,
                            k_gens_shallow: Sequence[Portrait]) -> bool:
     """K x 1 x ... x 1 <= psi(St_K(1)) in the depth-n quotient, plus level-1
     transitivity and a self-similarity spot check."""
-    p = g_n.p
     if first_missing_embedding(k_gens_shallow, 1, k_n) is not None:
         return False
     if 0 not in g_n.pcgs.pivots():
         return False
-    st1 = g_n.stabilizer(1)
-    for g in st1.generating_set():
-        for c in range(1, p + 1):
-            if not g_shallow.contains(g.section((c,))):
-                return False
-    return True
+    return sections_within(g_n.stabilizer(1).generating_set(), 1, g_shallow)
 
 
 def is_super_strongly_fractal(quotients: Sequence[Subgroup]) -> bool:
@@ -383,31 +364,20 @@ def is_super_strongly_fractal(quotients: Sequence[Subgroup]) -> bool:
     phi_u(St(m)) = G for every m < n and every level-m vertex u."""
     n = len(quotients)
     g_n = quotients[-1]
-    p = g_n.p
-    for m in range(1, n):
-        st = g_n.stabilizer(m)
-        target = quotients[n - m - 1]
-        st_gens = st.generating_set()
-        for idx in range(p**m):
-            v = vertex_from_local_index(p, m, idx)
-            sec = Subgroup(p, n - m, [g.section(v) for g in st_gens])
-            if not (sec.is_subgroup_of(target)
-                    and sec.order_exponent == target.order_exponent):
-                return False
-    return True
+    return all(is_subdirect_in_product(g_n.stabilizer(m), m,
+                                       quotients[n - m - 1])
+               for m in range(1, n))
 
 
-def is_subdirect_in_product(st1_subgroup: Subgroup,
-                            g_shallow: Subgroup) -> bool:
-    """For H <= St(1): every coordinate projection of psi(H) is the full
-    depth-(n-1) quotient."""
-    p = st1_subgroup.p
-    gens = st1_subgroup.generating_set()
-    if not gens:
-        return False
-    for c in range(1, p + 1):
-        proj = Subgroup(p, g_shallow.depth, [g.section((c,)) for g in gens])
-        if not (proj.is_subgroup_of(g_shallow)
-                and proj.order_exponent == g_shallow.order_exponent):
+def is_subdirect_in_product(sub: Subgroup, level: int,
+                            target: Subgroup) -> bool:
+    """For H <= St(level): every coordinate projection of psi_level(H), the
+    sections of H's generators at one level-`level` vertex, equals target."""
+    p = sub.p
+    gens = sub.generating_set()
+    for c in range(p**level):
+        v = vertex_from_local_index(p, level, c)
+        proj = Subgroup(p, target.depth, [g.section(v) for g in gens])
+        if not proj.equal(target):
             return False
     return True

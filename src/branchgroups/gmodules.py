@@ -342,11 +342,6 @@ def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
     return out
 
 
-def layer_representative(g_n, m: int, vec: np.ndarray) -> Portrait:
-    """An element of St(m) whose level-m labels equal vec."""
-    return layer_representatives(g_n, m, [vec])[0]
-
-
 def layer_preimage(g_n, m: int, space: FpSubspace, name: str = ""):
     """The subgroup N with St(m+1) <= N <= St(m) whose layer image is the
     given invariant subspace: generated by representatives plus St(m+1)."""
@@ -355,19 +350,6 @@ def layer_preimage(g_n, m: int, space: FpSubspace, name: str = ""):
     st_next = g_n.stabilizer(m + 1)
     return Subgroup(g_n.p, g_n.depth, reps + st_next.generating_set(),
                     name=name or f"layer({m},dim{space.dim})")
-
-
-def preimage_is_normal(g_n, m: int, space: FpSubspace) -> bool:
-    """Whether layer_preimage(g_n, m, space) is normal in g_n.
-
-    St(m+1) is normal in g_n, so only the layer representatives (the
-    first space.dim generators, none of them the identity) need their
-    conjugates by the generators of g_n tested.
-    """
-    pre = layer_preimage(g_n, m, space)
-    reps = pre.generating_set()[:space.dim]
-    return all(pre.contains(x.conjugate(amb))
-               for x in reps for amb in g_n.generating_set())
 
 
 def layer_conjugation(g_n, m: int) -> tuple[FpSubspace, list[np.ndarray]]:

@@ -12,6 +12,8 @@ import bisect
 
 import numpy as np
 
+from .trees import to_digits
+
 
 def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), p - 2, p)
@@ -150,7 +152,7 @@ class FpSubspace:
         return self.with_vectors(other.rows) if other.dim else self
 
     def basis_digits(self) -> list[str]:
-        return ["".join(str(int(x)) for x in row) for row in self.rows]
+        return [to_digits(row) for row in self.rows]
 
 
 def zero_subspace(p: int, ambient: int) -> FpSubspace:

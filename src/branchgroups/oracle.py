@@ -99,14 +99,11 @@ def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
     actions = wm_module(inst, m).action_list()
     spaces = brute_invariant_subspaces_within(u, actions, cap_dim=cap_dim)
     out = []
-    gens = g_n.generating_set()
     for space in spaces:
         sub = layer_preimage(g_n, m, space)
-        for x in sub.generating_set():
-            for amb in gens:
-                if not sub.contains(x.conjugate(amb)):
-                    raise AssertionError(
-                        "pullback of an invariant subspace must be normal")
+        if not sub.is_normal_in(g_n):
+            raise AssertionError(
+                "pullback of an invariant subspace must be normal")
         out.append(sub)
     out.sort(key=lambda s: s.order_exponent)
     return out

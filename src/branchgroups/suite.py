@@ -25,10 +25,9 @@ from .catalog import (BranchType, MultiEGSInstance, SunicInstance, branch_type,
                       evaluate_word, has_csp, is_fabrykowski_gupta, is_ggs,
                       is_torsion, r_dot)
 from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
-                     derived_series, first_missing_embedding, group_of,
-                     is_regular_branch_over, is_subdirect_in_product,
-                     is_super_strongly_fractal, join, min_generators,
-                     normal_closure)
+                     first_missing_embedding, group_of, is_regular_branch_over,
+                     is_subdirect_in_product, is_super_strongly_fractal, join,
+                     min_generators, normal_closure, sections_within)
 from .gmodules import (compute_rm, first_non_normal_layer, layer_preimage,
                        submodule_closure, tuple_from_rank, uniserial_chain,
                        vj_basis, wm_module)
@@ -85,15 +84,14 @@ def _skip(name, inst, depth, reason, **details) -> VerificationReport:
 
 
 class GroupContext:
-    """Shared cache of quotients, stabilizers and series for one instance."""
+    """Shared cache of quotients, commutator subgroups and series for one
+    instance."""
 
     def __init__(self, inst):
         self.inst = inst
         self._quotients: dict[int, Subgroup] = {}
-        self._derived: dict[int, Subgroup] = {}
-        self._gamma: dict[tuple[int, int], Subgroup] = {}
+        self._commutators: dict[tuple[Subgroup, Subgroup, int], Subgroup] = {}
         self._families: dict[tuple[int, int, int], list] = {}
-        self._branch_derived: dict[int, Subgroup | None] = {}
         self._sunic_k: dict[int, Subgroup] = {}
         self._n_g: dict[int, int | None] = {}
 
@@ -106,39 +104,32 @@ class GroupContext:
             self._quotients[n] = group_of(self.inst, n, name=f"G_{n}")
         return self._quotients[n]
 
+    def commutator(self, a: Subgroup, b: Subgroup, n: int) -> Subgroup:
+        """[A, B] in the depth-n quotient, memoised on the operand objects:
+        every series term and every [N, G] is built here, once."""
+        key = (a, b, n)
+        if key not in self._commutators:
+            self._commutators[key] = commutator_subgroup(a, b, self.quotient(n))
+        return self._commutators[key]
+
     def derived(self, n: int, order: int = 1) -> Subgroup:
-        key = (n, order)
-        if key not in self._derived:
-            if order == 1:
-                g = self.quotient(n)
-                self._derived[key] = commutator_subgroup(g, g, g, name="G'")
-            else:
-                h = self.derived(n, order - 1)
-                self._derived[key] = commutator_subgroup(
-                    h, h, self.quotient(n), name="G" + "'" * order)
-        return self._derived[key]
+        """The order-th derived subgroup G^(order) of the depth-n quotient."""
+        h = self.quotient(n)
+        for _ in range(order):
+            h = self.commutator(h, h, n)
+        return h
 
     def gamma(self, k: int, n: int) -> Subgroup:
         """k-th lower central term of the depth-n quotient."""
-        if k == 1:
-            return self.quotient(n)
-        key = (k, n)
-        if key not in self._gamma:
-            prev = self.gamma(k - 1, n)
-            g = self.quotient(n)
-            self._gamma[key] = commutator_subgroup(prev, g, g, name=f"g{k}")
-        return self._gamma[key]
+        g = term = self.quotient(n)
+        for _ in range(k - 1):
+            term = self.commutator(term, g, n)
+        return term
 
     def branch_derived(self, n: int) -> Subgroup | None:
         """K' for the branching subgroup K at depth n (None if not branch)."""
-        if n not in self._branch_derived:
-            k = branch_subgroup(self, n)
-            if k is None:
-                self._branch_derived[n] = None
-            else:
-                self._branch_derived[n] = commutator_subgroup(
-                    k, k, self.quotient(n), name="K'")
-        return self._branch_derived[n]
+        k = branch_subgroup(self, n)
+        return None if k is None else self.commutator(k, k, n)
 
     def sunic_k(self, n: int) -> Subgroup:
         """K = <[a,b_2],...,[a,b_r]>^G for Sunic groups on the binary tree."""
@@ -171,19 +162,15 @@ class GroupContext:
 
 
 class FamilyMember:
-    """A verified-normal subgroup of G_n plus its cached [N, G]."""
+    """A verified-normal subgroup of G_n."""
 
     def __init__(self, name: str, subgroup: Subgroup):
         self.name = name
         self.subgroup = subgroup
-        self._ng: Subgroup | None = None
 
     def ng(self, ctx: GroupContext, n: int) -> Subgroup:
-        if self._ng is None:
-            g = ctx.quotient(n)
-            self._ng = commutator_subgroup(self.subgroup, g, g,
-                                           name=f"[{self.name},G]")
-        return self._ng
+        """[N, G] (for the members G and gamma_k this is G' and gamma_k+1)."""
+        return ctx.commutator(self.subgroup, ctx.quotient(n), n)
 
 
 def _random_word(rng: SplitMix64, gens: list[Portrait], length: int) -> Portrait:
@@ -238,13 +225,9 @@ def _build_normal_family(ctx: GroupContext, n: int, seed: int,
                 members.append(FamilyMember(
                     f"ncl{idx}x", normal_closure([prod], g, name=f"ncl{idx}x")))
         previous = w
-    # verify normality: conjugation-closed under the ambient generators
     for mem in members:
-        sub = mem.subgroup
-        for x in sub.generating_set():
-            for amb in gens:
-                if not sub.contains(x.conjugate(amb)):
-                    raise AssertionError(f"family member {mem.name} not normal")
+        if not mem.subgroup.is_normal_in(g):
+            raise AssertionError(f"family member {mem.name} not normal")
     return members
 
 
@@ -304,11 +287,6 @@ def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
     if bt is BranchType.OVER_GAMMA3:
         return ctx.gamma(3, n)
     return None
-
-
-def sunic_k(ctx: GroupContext, n: int) -> Subgroup:
-    """K for Sunic groups on the binary tree (cached in the context)."""
-    return ctx.sunic_k(n)
 
 
 # -- individual checks ----------------------------------------------------------
@@ -426,13 +404,8 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
         return _skip("ggs-strong", inst, n, "GGS groups only")
     bt = branch_type(inst)
     if bt is BranchType.OVER_DERIVED:
-        def inner(depth):
-            return ctx.derived(depth, 2)
         label = "G''"
     elif bt is BranchType.OVER_GAMMA3:
-        def inner(depth):
-            gam = ctx.gamma(3, depth)
-            return commutator_subgroup(gam, gam, ctx.quotient(depth))
         label = "gamma3'"
     else:
         return _skip("ggs-strong", inst, n, f"branch type {bt.value}")
@@ -445,7 +418,7 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
         m = mem.subgroup.max_stab_depth()
         if m >= n - 1:
             continue
-        k = inner(n - m)
+        k = ctx.branch_derived(n - m)     # K' for K = G' or gamma_3
         if k.is_trivial():
             results[mem.name] = f"pass: {label} trivial at depth {n - m}"
             continue
@@ -473,19 +446,17 @@ def verify_fg_lemma(ctx: GroupContext, n: int, seed: int,
     if not (isinstance(inst, MultiEGSInstance) and is_fabrykowski_gupta(inst)):
         return _skip("fg-lemma", inst, n, "Fabrykowski-Gupta preset only")
     g = ctx.quotient(n)
-    der = derived_series(g)
     details: dict = {}
     witness = None
     status = "pass"
     for m in range(2, n):
         st = g.stabilizer(m)
-        ok = (len(der) > m and der[m].order_exponent == st.order_exponent
-              and der[m].is_subgroup_of(st))
+        dm = ctx.derived(n, m)
+        ok = dm.order_exponent == st.order_exponent and dm.is_subgroup_of(st)
         details[f"a1:G^({m})=St({m})"] = "pass" if ok else "fail"
         if not ok:
             status = "fail"
             if witness is None:
-                dm = der[m] if len(der) > m else der[-1]
                 bad = next((x for x in st.generating_set()
                             if not dm.contains(x)), None)
                 witness = {
@@ -524,13 +495,8 @@ def _check_psi_st_product(ctx: GroupContext, n: int, m: int) -> bool:
     """psi_{m-1}(St_G(m)) = G' x ... x G', both inclusions."""
     g = ctx.quotient(n)
     shallow = ctx.derived(n - m + 1)
-    st = g.stabilizer(m)
-    p = ctx.p
-    for x in st.generating_set():
-        for idx in range(p**(m - 1)):
-            v = vertex_from_local_index(p, m - 1, idx)
-            if not shallow.contains(x.section(v)):
-                return False
+    if not sections_within(g.stabilizer(m).generating_set(), m - 1, shallow):
+        return False
     return first_missing_embedding(shallow.generating_set(), m - 1, g) is None
 
 
@@ -768,11 +734,6 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
                               one_sided=True, details=details, witness=witness)
 
 
-def compute_n_g(ctx: GroupContext, n: int) -> int | None:
-    """n_G for p = 2 Sunic groups (cached in the context)."""
-    return ctx.n_g(n)
-
-
 def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
     """The appendix facts for Sunic groups: branching subgroup, super strong
     fractality, the R_m pattern, n_G and the stabilizer inclusions."""
@@ -812,7 +773,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
     if p % 2 == 1:
         der = ctx.derived(n)
         details["psi(G') subdirect"] = (
-            "pass" if is_subdirect_in_product(der, ctx.quotient(n - 1))
+            "pass" if is_subdirect_in_product(der, 1, ctx.quotient(n - 1))
             else "fail")
         if details["psi(G') subdirect"] == "fail":
             status = "fail"
@@ -848,7 +809,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
     elif n_g is not None:
         need = r + n_g + 2
         if n > need:
-            kp = commutator_subgroup(k_n, k_n, g)
+            kp = ctx.branch_derived(n)
             ok = all(kp.contains(x)
                      for x in g.stabilizer(need).generating_set())
             details[f"St({need})<=K'"] = "pass" if ok else "fail"

@@ -30,6 +30,11 @@ Vertex = tuple[int, ...]
 _LABEL_DTYPE = np.int8
 _PERM_DTYPE = np.int32
 
+# Composition adds two int8 labels, so 2(p - 1) <= 127; digit strings
+# spend one symbol of DIGITS per label, and 62 symbols also cover p <= 61.
+MAX_PRIME = 61
+DIGITS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -48,7 +53,15 @@ def check_prime(p: int, odd: bool = False) -> int:
         raise ValueError(f"p must be prime, got {p!r}")
     if odd and p == 2:
         raise ValueError("p must be an odd prime for this construction")
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} is outside the supported range "
+                         f"p <= {MAX_PRIME}")
     return p
+
+
+def to_digits(labels) -> str:
+    """Label values in 0..p-1 as one DIGITS symbol each."""
+    return "".join(DIGITS[int(x)] for x in labels)
 
 
 @lru_cache(maxsize=None)
@@ -186,13 +199,15 @@ class Portrait:
         return f"Portrait(p={self.p}, depth={self.depth}, labels={self.digits()})"
 
     def digits(self) -> str:
-        """Flat label array in breadth-lex order, base-p digits."""
-        return "".join(str(int(d)) for d in self.lab)
+        """Flat label array in breadth-lex order, one DIGITS symbol per
+        label (0-9, then a-z, then A-Z)."""
+        return to_digits(self.lab)
 
     @staticmethod
     def from_digits(p: int, depth: int, digits: str) -> "Portrait":
         return Portrait.from_labels(
-            p, depth, np.array([int(c) for c in digits], dtype=_LABEL_DTYPE))
+            p, depth, np.array([DIGITS.index(c) for c in digits],
+                               dtype=_LABEL_DTYPE))
 
     def is_identity(self) -> bool:
         return not self.lab.any()

@@ -20,15 +20,14 @@ from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
                                   make_multi_ggs, make_sunic, preset)
 from branchgroups.engine import (Subgroup, commutator_subgroup, group_of,
                                  is_regular_branch_over,
-                                 is_super_strongly_fractal,
-                                 lower_central_series, min_generators,
+                                 is_super_strongly_fractal, min_generators,
                                  normal_closure, psi_preimage_gens)
 from branchgroups.gmodules import (canonical_generator_vec, compute_rm,
                                    layer_preimage, rm_tuples, uniserial_chain,
                                    vj_basis, wm_module)
 from branchgroups.oracle import (bfs_enumerate, brute_normal_between,
                                  brute_submodules)
-from branchgroups.suite import GroupContext, compute_n_g, run_check
+from branchgroups.suite import GroupContext, run_check
 from branchgroups.trees import rooted_a
 
 SEED = 20260809
@@ -151,7 +150,10 @@ def test_criterion_6_central_width():
         assert rep.details["attainment(N=G)"] == 2
         assert len(rep.details["members"]) >= 20
         assert all(v["width"] <= 2 for v in rep.details["members"].values())
-        series = lower_central_series(ctx.quotient(4))
+        series = [ctx.quotient(4)]
+        while not series[-1].is_trivial():
+            series.append(ctx.gamma(len(series) + 1, 4))
+            assert series[-1].order_exponent < series[-2].order_exponent
         layer_dims = [series[k].order_exponent - series[k + 1].order_exponent
                       for k in range(len(series) - 1)]
         assert all(d <= 2 for d in layer_dims)
@@ -171,12 +173,11 @@ def test_criterion_7_structure_identities():
         assert st2.is_subgroup_of(ctx.derived(4))   # St(r_G+1) <= G'
         # Literal clause G^(m) = St(m) for m in {2,3}: refuted by exact
         # computation (see module docstring); asserted as stated.
-        from branchgroups.engine import derived_series
-        der = derived_series(g)
         for m in (2, 3):
             stm = g.stabilizer(m)
-            assert der[m].order_exponent == stm.order_exponent, (
-                f"G^({m}) has order exponent {der[m].order_exponent}, "
+            der = ctx.derived(4, m)
+            assert der.order_exponent == stm.order_exponent, (
+                f"G^({m}) has order exponent {der.order_exponent}, "
                 f"St({m}) has {stm.order_exponent}")
 
 
@@ -209,7 +210,7 @@ def test_criterion_9_sunic_suite():
         assert rep.details["super-strongly-fractal(n<=4)"] == "pass"
         assert rep.details["R_1={1..p}^1"] == "pass"
         assert rep.details["R_2={1..p}^2"] == "pass"
-        n_g = compute_n_g(ctx2, 6)
+        n_g = ctx2.n_g(6)
         assert isinstance(n_g, int)
         wrep = run_check(ctx2, "width-rank", depth=6, seed=SEED)
         assert wrep.status == "pass"

@@ -32,6 +32,15 @@ def test_ggs_rejects_even_prime():
         make_ggs(2, (1,))
 
 
+def test_primes_above_61_rejected():
+    # int8 labels: 2(p - 1) must stay <= 127
+    for build in (fabrykowski_gupta, lambda p: make_sunic(p, (1,))):
+        with pytest.raises(ValueError, match="p <= 61"):
+            build(67)
+    b = fabrykowski_gupta(61).generators(2)[1]
+    assert (b**60) * (b**60) == b**59
+
+
 def test_multi_egs_rejects_dependent_family():
     with pytest.raises(ValueError):
         make_multi_egs(5, {1: [(1, 0, 0, 0), (2, 0, 0, 0)]})

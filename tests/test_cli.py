@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from branchgroups.catalog import fabrykowski_gupta
 from branchgroups.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, SpecError,
                               instance_from_dict, run)
 
@@ -114,6 +116,28 @@ def test_bad_spec_exit_code(tmp_path):
     assert run(["info", "--spec", str(path)]) == EXIT_USAGE
 
 
+def test_prime_above_61_exit_code(tmp_path, capsys):
+    path = tmp_path / "fg67.json"
+    path.write_text(json.dumps({"type": "fg", "p": 67}))
+    assert run(["quotient", "--spec", str(path), "--depth", "2"]) == EXIT_USAGE
+    assert "p <= 61" in capsys.readouterr().err
+
+
+def test_oracle_replay_reads_letter_digits(tmp_path, capsys):
+    # b^10 in the p=11 group carries the label 10, written "a"
+    inst = fabrykowski_gupta(11)
+    a, b = inst.generators(2)
+    elem = (b**10).digits()
+    assert elem == "0a" + "0" * 10
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"group": inst.spec_dict(), "checks": [
+        {"name": "hand-made", "status": "fail",
+         "witness": {"kind": "non-membership", "element": elem,
+                     "subgroup_gens": [a.digits()]}}]}))
+    assert run(["oracle", "replay", "--report", str(report)]) == EXIT_PASS
+    assert "hand-made: witness CONFIRMED" in capsys.readouterr().out
+
+
 def test_entries_reduced_mod_p():
     inst = instance_from_dict({"type": "ggs", "p": 3, "vector": [4, -1]})
     assert inst.families[0][0] == (1, 2)
@@ -121,3 +145,33 @@ def test_entries_reduced_mod_p():
 
 def test_usage_error_exit():
     assert run(["quotient", "--depth", "2"]) == EXIT_USAGE  # no spec/preset
+
+
+# -- golden reports --------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("all-fg3-d3", ["all", "--preset", "fg3", "--depth", "3"], EXIT_FAIL),
+    ("all-gs3-d3", ["all", "--preset", "gs3", "--depth", "3"], EXIT_PASS),
+    ("all-fg5-d2", ["all", "--preset", "fg5", "--depth", "2"], EXIT_PASS),
+    ("all-sunic-grigorchuk", ["all", "--preset", "sunic-grigorchuk"],
+     EXIT_PASS),
+    ("all-appb-p5-d3", ["all", "--preset", "appb-p5", "--depth", "3"],
+     EXIT_PASS),
+    # the GGS group on (0,1,1,0) branches over gamma_3: ggs-strong's
+    # gamma3' branch
+    ("ggs-strong-ggs5-d3", ["ggs-strong", "--spec", "SPEC", "--depth", "3"],
+     EXIT_PASS),
+])
+def test_golden_reports(name, argv, code, tmp_path, capsys):
+    """verify reports (stdout, stderr, exit code) equal the committed
+    references byte for byte."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"type": "ggs", "p": 5, "vector": [0, 1, 1, 0]}))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    assert run(["verify"] + argv) == code
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")

@@ -4,12 +4,12 @@ import pytest
 from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
                                   make_multi_ggs, make_sunic, preset)
 from branchgroups.engine import (Subgroup, commutator_subgroup,
-                                 derived_series, frattini_subgroup, group_of,
+                                 frattini_subgroup, group_of,
                                  is_regular_branch_over,
                                  is_subdirect_in_product,
                                  is_super_strongly_fractal, join,
-                                 lower_central_series, min_generators,
-                                 normal_closure)
+                                 min_generators, normal_closure,
+                                 sections_within)
 from branchgroups.oracle import bfs_enumerate
 from branchgroups.trees import Portrait, commutator, rooted_a
 
@@ -175,12 +175,11 @@ def test_commutator_index(fg3_ctx):
 
 
 def test_lower_central_layers_small(fg3_ctx):
-    g = fg3_ctx.quotient(4)
-    series = lower_central_series(g)
-    dims = [series[k].order_exponent - series[k + 1].order_exponent
-            for k in range(len(series) - 1)]
-    assert all(1 <= d <= 2 for d in dims)
-    assert series[-1].is_trivial()
+    # every layer has dimension 1 or 2, so the loop reaches the trivial group
+    series = [fg3_ctx.quotient(4)]
+    while not series[-1].is_trivial():
+        series.append(fg3_ctx.gamma(len(series) + 1, 4))
+        assert 1 <= series[-2].order_exponent - series[-1].order_exponent <= 2
 
 
 def test_gamma3_sits_strictly_above_st2(fg3_ctx):
@@ -199,21 +198,20 @@ def test_gamma3_sits_strictly_above_st2(fg3_ctx):
     assert gamma3.max_stab_depth() == 1
 
 
-def test_derived_vs_lcs(fg3_ctx):
-    g = fg3_ctx.quotient(3)
-    der = derived_series(g)
-    assert der[1].equal(fg3_ctx.gamma(2, 3))
-
-
 def test_sunic_k_normal_closure(grigorchuk_ctx):
-    from branchgroups.suite import sunic_k
-    k = sunic_k(grigorchuk_ctx, 4)
+    k = grigorchuk_ctx.sunic_k(4)
     g = grigorchuk_ctx.quotient(4)
     # index of K in the Grigorchuk group is 16
     assert g.order_exponent - k.order_exponent == 4
-    for x in k.generating_set():
-        for amb in g.generating_set():
-            assert k.contains(x.conjugate(amb))
+    assert k.is_normal_in(g)
+
+
+def test_is_normal_in(fg3_ctx):
+    g = fg3_ctx.quotient(3)
+    a, b = g.generating_set()
+    assert g.stabilizer(1).is_normal_in(g)
+    assert Subgroup(3, 3, []).is_normal_in(g)
+    assert not Subgroup(3, 3, [b]).is_normal_in(g)     # b^a is not in <b>
 
 
 def test_min_generators_basics(fg3_ctx):
@@ -280,6 +278,12 @@ def test_symmetric_p5_not_branch_over_derived():
 
 
 def test_subdirectness(fg3_ctx):
-    assert is_subdirect_in_product(fg3_ctx.derived(3), fg3_ctx.quotient(2))
+    assert is_subdirect_in_product(fg3_ctx.derived(3), 1, fg3_ctx.quotient(2))
     triv = Subgroup(3, 3, [])
-    assert not is_subdirect_in_product(triv, fg3_ctx.quotient(2))
+    assert not is_subdirect_in_product(triv, 1, fg3_ctx.quotient(2))
+
+
+def test_sections_within(fg3_ctx):
+    st1 = fg3_ctx.quotient(3).stabilizer(1).generating_set()
+    assert sections_within(st1, 1, fg3_ctx.quotient(2))
+    assert not sections_within(st1, 1, Subgroup(3, 2, []))

@@ -8,8 +8,7 @@ from branchgroups.gmodules import (canonical_generator_vec, commutator_subspace,
                                    compute_rm, first_non_normal_layer,
                                    is_sentinel,
                                    iterated_twisted_sum, layer_preimage,
-                                   layer_representative, predecessor,
-                                   preimage_is_normal,
+                                   layer_representatives, predecessor,
                                    rm_tuples, submodule_closure, tuple_from_rank,
                                    tuple_rank, uniserial_chain, vj_basis,
                                    wm_module)
@@ -228,7 +227,7 @@ def test_layer_representative_roundtrip(fg3_ctx):
     g = fg3_ctx.quotient(4)
     u = g.image_in_wm(2)
     for row in u.rows[:3]:
-        rep = layer_representative(g, 2, row)
+        rep = layer_representatives(g, 2, [row])[0]
         assert rep.in_stab(2)
         assert np.array_equal(rep.level_labels(2) % 3, row % 3)
 
@@ -247,9 +246,9 @@ def test_preimage_normality(fg3_ctx):
     # <St(2), a representative of e_0>: a permutes e_0 to another
     # coordinate, so the span of e_0 in W_1 is not invariant
     e0 = FpSubspace(3, 3, [[1, 0, 0]])
-    assert not preimage_is_normal(g, 1, e0)
+    assert not layer_preimage(g, 1, e0).is_normal_in(g)
     for j in ((1,), (2,), (3,)):
-        assert preimage_is_normal(g, 1, vj_basis(3, j))
+        assert layer_preimage(g, 1, vj_basis(3, j)).is_normal_in(g)
 
 
 def test_non_normal_layer_caught_in_long_chain(fg3_ctx):
@@ -266,7 +265,7 @@ def test_non_normal_layer_caught_in_long_chain(fg3_ctx):
     assert bad.dim == chain[9].dim and bad != chain[9]
     layers = chain[:9] + [bad] + chain[10:]
     assert first_non_normal_layer(g, 3, layers) == 9
-    assert not preimage_is_normal(g, 3, bad)
+    assert not layer_preimage(g, 3, bad).is_normal_in(g)
 
 
 def test_non_normal_layer_in_w1(fg3_ctx):

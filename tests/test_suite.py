@@ -5,8 +5,8 @@ import pytest
 from branchgroups.catalog import (fabrykowski_gupta, make_ggs, make_multi_egs,
                                   make_multi_ggs, make_sunic, preset)
 from branchgroups.suite import (GroupContext, SplitMix64, branch_subgroup,
-                                compute_n_g, csp_offset, run_all, run_check,
-                                sunic_k, verify_profinite_distinction)
+                                csp_offset, run_all, run_check,
+                                verify_profinite_distinction)
 
 
 def report_json(report):
@@ -52,6 +52,15 @@ def test_normal_family_size_and_determinism(fg3_ctx):
     assert names == [m.name for m in fam2]
     for a, b in zip(fam, fam2):
         assert a.subgroup.order_exponent == b.subgroup.order_exponent
+
+
+def test_commutator_terms_built_once(fg3_ctx):
+    # [G, G] is G', [gamma_k, G] is gamma_k+1 and K' is G'' for fg3
+    assert fg3_ctx.gamma(2, 3) is fg3_ctx.derived(3)
+    assert fg3_ctx.branch_derived(3) is fg3_ctx.derived(3, 2)
+    members = {m.name: m for m in fg3_ctx.normal_family(3, seed=5)}
+    assert members["G"].ng(fg3_ctx, 3) is fg3_ctx.derived(3)
+    assert members["gamma2"].ng(fg3_ctx, 3) is fg3_ctx.gamma(3, 3)
 
 
 # -- the individual checks ---------------------------------------------------------
@@ -179,13 +188,13 @@ def test_sunic_dihedral_skipped():
 
 
 def test_n_g_stable(grigorchuk_ctx):
-    assert compute_n_g(grigorchuk_ctx, 5) == 3
-    assert compute_n_g(grigorchuk_ctx, 6) == 3
+    assert grigorchuk_ctx.n_g(5) == 3
+    assert grigorchuk_ctx.n_g(6) == 3
 
 
 def test_n_g_and_k_computed_once_per_depth(monkeypatch):
     ctx = GroupContext(preset("sunic-grigorchuk"))
-    k = sunic_k(ctx, 5)
+    k = ctx.sunic_k(5)
     assert ctx.sunic_k(5) is k and branch_subgroup(ctx, 5) is k
     calls = []
     section = k.section_subgroup
@@ -195,7 +204,7 @@ def test_n_g_and_k_computed_once_per_depth(monkeypatch):
         return section(v)
 
     monkeypatch.setattr(k, "section_subgroup", counting)
-    assert [compute_n_g(ctx, 5), ctx.n_g(5)] == [3, 3]
+    assert [ctx.n_g(5), ctx.n_g(5)] == [3, 3]
     assert calls == [(2,), (2, 2), (2, 2, 2)]
     run_check(ctx, "width-rank", depth=5)
     run_check(ctx, "sunic", depth=5)

@@ -109,10 +109,18 @@ def test_embed_at_vertex_roundtrip():
 
 # -- algebraic laws (property-based) ------------------------------------------
 
+def primes_and_depths():
+    """p in {2, 3, 5, 7} at depths 1-3; p in {11, 13, 61} (61 is the
+    largest supported prime) at depths 1-2."""
+    return st.one_of(
+        st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)),
+        st.tuples(st.sampled_from([11, 13, 61]), st.integers(1, 2)))
+
+
 @st.composite
 def portraits(draw, p=None, depth=None):
-    p = p or draw(st.sampled_from([2, 3, 5, 7]))
-    depth = depth or draw(st.integers(min_value=1, max_value=3))
+    if p is None:
+        p, depth = draw(primes_and_depths())
     labels = draw(st.lists(st.integers(0, p - 1), min_size=nlabels(p, depth),
                            max_size=nlabels(p, depth)))
     return Portrait.from_labels(p, depth, np.array(labels))
@@ -120,8 +128,7 @@ def portraits(draw, p=None, depth=None):
 
 @st.composite
 def portrait_triples(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    depth = draw(st.integers(min_value=1, max_value=3))
+    p, depth = draw(primes_and_depths())
     return [draw(portraits(p=p, depth=depth)) for _ in range(3)]
 
 
@@ -188,6 +195,17 @@ def test_digit_roundtrip():
     rng = np.random.default_rng(1)
     f = random_portrait(rng, 5, 2)
     assert Portrait.from_digits(5, 2, f.digits()) == f
+
+
+@pytest.mark.parametrize("p", [11, 61])
+def test_digit_roundtrip_one_symbol_per_label(p):
+    rng = np.random.default_rng(p)
+    f = random_portrait(rng, p, 2)
+    f.lab[1] = p - 1                 # the largest label, "a" or "Y"
+    f = Portrait.from_labels(p, 2, f.lab)
+    assert len(f.digits()) == nlabels(p, 2)
+    assert f.digits()[1] == ("a" if p == 11 else "Y")
+    assert Portrait.from_digits(p, 2, f.digits()) == f
 
 
 def test_vertex_index_roundtrip():
