@@ -13,6 +13,7 @@ transversals depend on this being deterministic.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -375,7 +376,6 @@ def appb_d_words(inst: MultiEGSInstance) -> list[Word]:
     names = [name for name, _, _ in inst.directed]
     j1 = dirs[0]
     words: list[Word] = []
-    import itertools
     for alphas in itertools.product(range(p), repeat=len(dirs) - 1):
         if sum((ji - j1) * al for ji, al in zip(dirs[1:], alphas)) % p != 0:
             continue

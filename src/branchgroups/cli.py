@@ -11,13 +11,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import catalog
+import numpy as np
+
+from . import catalog, oracle
 from .catalog import (BranchType, GroupInstance, MultiEGSInstance,
                       SunicInstance, branch_type, has_csp, in_class_E,
                       is_torsion, preset, r_dot)
 from .engine import ResourceGuardError, Subgroup, group_of
-from .gmodules import (compute_rm, rm_tuples, tuple_from_rank,
-                       uniserial_chain, wm_module)
+from .gmodules import (compute_rm, iterated_twisted_sum, rm_tuples,
+                       tuple_from_rank, uniserial_chain, wm_module)
 from .linalg import FpSubspace
 from .suite import (CHECKS, GroupContext, default_depth, run_all, run_check,
                     verify_profinite_distinction)
@@ -224,7 +226,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle
     if args.which == "replay":
         return _oracle_replay(args)
     inst = load_instance(args)
@@ -248,8 +249,6 @@ def cmd_oracle(args) -> int:
                           "dims": [s.dim for s in subs]}, sort_keys=True))
         return EXIT_PASS
     if args.which == "twisted":
-        import numpy as np
-        from .gmodules import iterated_twisted_sum
         level = args.level or 2
         tw = iterated_twisted_sum(inst, level)
         wm = wm_module(inst, level)
@@ -277,7 +276,6 @@ def cmd_oracle(args) -> int:
 
 def _oracle_replay(args) -> int:
     """Re-check the witnesses in a report file with independent machinery."""
-    from . import oracle
     data = json.loads(Path(args.report).read_text(encoding="utf-8"))
     inst = instance_from_dict(data["group"])
     confirmed, unsupported = 0, 0

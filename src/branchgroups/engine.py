@@ -17,14 +17,15 @@ normal-closure and series computations lean on.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .linalg import FpSubspace
-from .trees import (Portrait, _Tables, commutator, embed_at_vertex,
-                    parse_vertex, vertex_from_local_index, vertex_local_index)
+from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, _Tables, commutator,
+                    compose_rows, embed_at_vertex, extend_perm, parse_vertex,
+                    vertex_from_local_index, vertex_local_index)
 
 
 class ResourceGuardError(RuntimeError):
@@ -34,10 +35,47 @@ class ResourceGuardError(RuntimeError):
 DEFAULT_MAX_STRONG_GENS = 4096
 
 
-def _pivot(lab: np.ndarray, start: int = 0) -> int:
-    """Position of the first nonzero label at or after start; -1 if none."""
-    nz = np.flatnonzero(lab[start:])
-    return start + int(nz[0]) if nz.size else -1
+# Rows per batched sift of generated elements: bounds one batch's memory.
+SIFT_BATCH = 256
+
+
+def _pivots(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first nonzero position (-1 for a zero row) and the label
+    there."""
+    if not lab.shape[1]:
+        return np.full(len(lab), -1), np.zeros(len(lab), dtype=lab.dtype)
+    piv = (lab != 0).argmax(axis=1)
+    lead = lab[np.arange(len(lab)), piv]
+    piv[lead == 0] = -1
+    return piv, lead
+
+
+def _stack(elems: Sequence[Portrait], t: _Tables, cut: bool = False
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and perms of elems as new 2-D arrays, one row each; cut
+    keeps only the perm entries that sifting reads (levels 1..depth-1)."""
+    width = t.ninner if cut else t.nperm
+    if not elems:
+        return (np.empty((0, t.nlabels), dtype=_LABEL_DTYPE),
+                np.empty((0, width), dtype=_PERM_DTYPE))
+    return (np.stack([f.lab for f in elems]),
+            np.stack([f.perm[:width] for f in elems]))
+
+
+def _conjugate_rows(t: _Tables, x: tuple[np.ndarray, np.ndarray],
+                    g: tuple[np.ndarray, np.ndarray],
+                    g_inv: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """x^g = g^-1 x g on (lab, perm) pairs, each one portrait or a stack;
+    the perms come out as wide as g_inv's."""
+    return compose_rows(t, *compose_rows(t, *g_inv, *x), *g)
+
+
+def _doubled(table: np.ndarray) -> np.ndarray:
+    """table followed by room for as many slots again (at least 8)."""
+    spare = np.empty((max(8, len(table)),) + table.shape[1:],
+                     dtype=table.dtype)
+    return np.concatenate([table, spare])
 
 
 class InducedPcgs:
@@ -48,6 +86,11 @@ class InducedPcgs:
     commutator [h, x] of its elements sifts to the identity through it
     (Holt-Eick-O'Brien, Handbook of CGT, ch. 8); then every member of H
     is a unique product of powers of the elements and |H| = p^k.
+
+    The elements live in one power table: slot s holds the rows of h,
+    h^-1, ..., h^-(p-1) for the s-th inserted element h (row e > 0 clears
+    a leading label e in one composition), and a dense pivot -> slot index
+    lets a whole batch of elements sift at once.
     """
 
     def __init__(self, p: int, depth: int,
@@ -55,78 +98,188 @@ class InducedPcgs:
         self.p = p
         self.depth = depth
         self.max_strong_gens = max_strong_gens
-        # pivot -> [h, h^-1, h^-2, ..., h^-(p-1)]: index e > 0 clears a
-        # leading label e in one composition
-        self._powers: dict[int, list[Portrait]] = {}
+        self._t = t = _Tables(p, depth)
+        # slots in insertion order; capacity beyond len(_pivot_of) is unused
+        self._lab = np.empty((0, p, t.nlabels), dtype=_LABEL_DTYPE)
+        self._perm = np.empty((0, p, t.nperm), dtype=_PERM_DTYPE)
+        self._pivot_of: list[int] = []
+        # pivot -> slot, -1 if none; the extra last entry answers pivot -1
+        self._slot = np.full(t.nlabels + 1, -1)
 
-    def sift(self, f: Portrait) -> tuple[int, Portrait]:
-        """Reduce f through the sequence; returns (pivot, residue).
+    def sift(self, lab: np.ndarray, perm: np.ndarray) -> np.ndarray:
+        """Reduce every row of the stack (lab, perm) through the sequence,
+        in place; returns each residue's pivot.
 
-        The residue's pivot holds no element; it is -1, and the residue the
-        identity, iff f is a member.
+        A residue's pivot holds no element; it is -1, and the residue the
+        identity, iff the row is a member.  Each step clears the pivot of
+        every row that still has a stored element there.  perm may be cut
+        to its first nlabels - 1 entries, all that sifting reads.
         """
-        i = _pivot(f.lab)
-        while i >= 0:
-            powers = self._powers.get(i)
-            if powers is None:
-                break
-            f = f * powers[int(f.lab[i])]
-            i = _pivot(f.lab, i + 1)
-        return i, f
+        t, p, slot = self._t, self.p, self._slot
+        tab_lab = self._lab.reshape(-1, t.nlabels)
+        tab_perm = self._perm.reshape(-1, t.nperm)
+        piv, lead = _pivots(lab)
+        todo = np.flatnonzero(slot[piv] >= 0)
+        cur_lab, cur_perm, cur_piv, lead = (lab[todo], perm[todo],
+                                            piv[todo], lead[todo])
+        while todo.size:
+            cur_lab, cur_perm = compose_rows(
+                t, cur_lab, cur_perm, tab_lab, tab_perm,
+                slot[cur_piv] * p + lead)
+            cur_piv, lead = _pivots(cur_lab)
+            more = slot[cur_piv] >= 0
+            if not more.all():
+                done = ~more
+                stop = todo[done]
+                lab[stop], perm[stop], piv[stop] = (
+                    cur_lab[done], cur_perm[done], cur_piv[done])
+                todo, cur_lab, cur_perm, cur_piv, lead = (
+                    todo[more], cur_lab[more], cur_perm[more], cur_piv[more],
+                    lead[more])
+        return piv
+
+    def members(self, elems: Sequence[Portrait]) -> np.ndarray:
+        """Boolean array: which of elems lie in the group."""
+        return self.sift(*_stack(elems, self._t, cut=True)) < 0
 
     def contains(self, f: Portrait) -> bool:
-        return self.sift(f)[0] < 0
+        return bool(self.members([f])[0])
 
     def add_generator(self, g: Portrait) -> bool:
         """Insert g (if new) and re-close the sequence. Returns True if the
         group grew."""
-        queue = [g]
-        grew = False
+        return self._add_residue(g.lab.copy(), g.perm[:self._t.ninner].copy())
+
+    def add_generators(self, seeds: Iterable[Portrait],
+                       conjugators: Sequence[Portrait] = ()
+                       ) -> list[Portrait]:
+        """add_generator for each seed in turn and, after each element that
+        grows the group, for its conjugates by every conjugator, queued
+        FIFO behind the rest; returns the elements that grew the group.
+
+        The residues of all waiting elements are sifted as one batch after
+        each growth, and members, which could add nothing, leave the queue.
+        """
+        p, depth, t = self.p, self.depth, self._t
+        conj_rows = _stack(conjugators, t)
+        conj_inv_rows = _stack([g.inverse() for g in conjugators], t)
+        queue = [s for s in seeds if not s.is_identity()]
+        res_lab, res_perm = _stack(queue, t, cut=True)
+        kept: list[Portrait] = []
         while queue:
-            i, h = self.sift(queue.pop())
-            if i < 0:
+            x, queue = queue[0], queue[1:]
+            grew = self._add_residue(res_lab[0].copy(), res_perm[0].copy())
+            res_lab, res_perm = res_lab[1:], res_perm[1:]
+            if not grew:
                 continue
-            if len(self._powers) >= self.max_strong_gens:
+            kept.append(x)
+            lab, perm = _conjugate_rows(t, (x.lab, x.perm), conj_rows,
+                                        conj_inv_rows)
+            queue += [Portrait(p, depth, lab[j].copy(), perm[j].copy())
+                      for j in range(len(lab))]
+            res_lab = np.concatenate([res_lab, lab])
+            res_perm = np.concatenate([res_perm, perm[:, :t.ninner]])
+            outside = self.sift(res_lab, res_perm) >= 0
+            if not outside.all():
+                queue = [y for y, out in zip(queue, outside) if out]
+                res_lab, res_perm = res_lab[outside], res_perm[outside]
+        return kept
+
+    def _add_residue(self, lab: np.ndarray, perm: np.ndarray) -> bool:
+        """add_generator for the element whose rows are (lab, perm), or
+        what an earlier sift through this sequence left of them (perm cut
+        as sift allows); the arrays are consumed.
+
+        The queue is a stack of residues, LIFO.  After each insertion of
+        some h, h^-p and [h, x] for every earlier x are pushed, and the
+        whole queue is sifted as one batch: members are dropped, and every
+        other residue is then the one its element would leave if sifted
+        afresh, since stored elements are never replaced.  So the top of
+        the queue is inserted as it stands, in the order that sifting whole
+        elements when popped would give.
+        """
+        p, t = self.p, self._t
+        queue_lab, queue_perm = lab[None], perm[None]
+        grew = False
+        while True:
+            piv = self.sift(queue_lab, queue_perm)
+            outside = piv >= 0
+            if not outside.any():
+                return grew
+            if not outside.all():
+                queue_lab, queue_perm = queue_lab[outside], queue_perm[outside]
+            if len(self._pivot_of) >= self.max_strong_gens:
                 raise ResourceGuardError(
                     f"strong generator cap {self.max_strong_gens} exceeded")
-            lead = int(h.lab[i])
-            if lead != 1:
-                h = h ** pow(lead, -1, self.p)
-            powers = [h, h.inverse()]
-            for _ in range(self.p - 2):
-                powers.append(powers[-1] * powers[1])
-            queue.append(powers[1] * powers[-1])          # h^-p
-            queue.extend(powers[1] * x[1] * h * x[0]      # [h, x]
-                         for x in self._powers.values())
-            self._powers[i] = powers
+            i = int(piv[outside][-1])
+            h = Portrait(p, self.depth, queue_lab[-1].copy(),
+                         extend_perm(t, queue_lab[-1], queue_perm[-1]))
+            if h.lab[i] != 1:
+                h = h ** pow(int(h.lab[i]), -1, p)
+            s = self._insert(i, h)
+            tab_lab = self._lab.reshape(-1, t.nlabels)
+            tab_perm = self._perm.reshape(-1, t.nperm)
+            inv = (tab_lab[s * p + 1], tab_perm[s * p + 1, :t.ninner])
+            earlier = np.arange(s) * p
+            # h^-p = h^-1 h^-(p-1), then [h, x] = h^-1 x^-1 h x
+            power = compose_rows(t, *inv, tab_lab[s * p + p - 1],
+                                 tab_perm[s * p + p - 1])
+            comm = compose_rows(t, *inv, tab_lab, tab_perm, earlier + 1)
+            comm = compose_rows(t, *comm, tab_lab[s * p], tab_perm[s * p])
+            comm = compose_rows(t, *comm, tab_lab, tab_perm, earlier)
+            queue_lab = np.concatenate([queue_lab[:-1], power[0][None],
+                                        comm[0]])
+            queue_perm = np.concatenate([queue_perm[:-1], power[1][None],
+                                         comm[1]])
             grew = True
-        return grew
+
+    def _insert(self, pivot: int, h: Portrait) -> int:
+        """Store h (leading label 1 at pivot) and its inverse powers in a
+        new slot; returns the slot."""
+        s = len(self._pivot_of)
+        if s == len(self._lab):
+            self._lab, self._perm = _doubled(self._lab), _doubled(self._perm)
+        lab, perm = self._lab[s], self._perm[s]
+        inv = h.inverse()
+        lab[0], perm[0] = h.lab, h.perm
+        lab[1], perm[1] = inv.lab, inv.perm
+        for e in range(2, self.p):
+            lab[e], perm[e] = compose_rows(self._t, lab[e - 1], perm[e - 1],
+                                           inv.lab, inv.perm)
+        self._pivot_of.append(pivot)
+        self._slot[pivot] = s
+        return s
 
     # -- data ----------------------------------------------------------
 
     @property
     def order_exponent(self) -> int:
-        return len(self._powers)
+        return len(self._pivot_of)
 
     def pivots(self) -> list[int]:
-        return sorted(self._powers)
+        return sorted(self._pivot_of)
 
     def elements(self) -> list[Portrait]:
-        """The sequence in pivot order."""
-        return [self._powers[i][0] for i in self.pivots()]
+        """The sequence in pivot order, each element with its own arrays."""
+        return [Portrait(self.p, self.depth, self._lab[s, 0].copy(),
+                         self._perm[s, 0].copy())
+                for s in self._slot[self.pivots()]]
 
     def tail(self, start: int) -> "InducedPcgs":
         """The elements with pivot >= start: an induced pcgs of H ∩ G_start,
         closed as it stands."""
         sub = InducedPcgs(self.p, self.depth, self.max_strong_gens)
-        sub._powers = {i: pw for i, pw in self._powers.items() if i >= start}
+        keep = [s for s, i in enumerate(self._pivot_of) if i >= start]
+        sub._lab, sub._perm = self._lab[keep], self._perm[keep]
+        sub._pivot_of = [self._pivot_of[s] for s in keep]
+        sub._slot[sub._pivot_of] = np.arange(len(keep))
         return sub
 
     def level_dims(self) -> list[int]:
         """Number of pivots on each label level 0..depth-1."""
-        label_off = _Tables(self.p, self.depth).label_off
+        label_off = self._t.label_off
         dims = [0] * self.depth
-        for i in self._powers:
+        for i in self._pivot_of:
             dims[bisect_right(label_off, i) - 1] += 1
         return dims
 
@@ -141,7 +294,7 @@ class InducedPcgs:
         the kernel.
         """
         p = self.p
-        label_off = _Tables(p, self.depth).label_off
+        label_off = self._t.label_off
         seq = self.elements()
         for k in range(len(v)):
             pos = label_off[k] + vertex_local_index(v[:k], p)
@@ -180,8 +333,7 @@ class Subgroup:
         if self._pcgs is None:
             pcgs = InducedPcgs(self.p, self.depth,
                                max_strong_gens=self._max_strong_gens)
-            for g in self.gens:
-                pcgs.add_generator(g)
+            pcgs.add_generators(self.gens)
             self._pcgs = pcgs
         return self._pcgs
 
@@ -195,8 +347,22 @@ class Subgroup:
     def contains(self, f: Portrait) -> bool:
         return self.pcgs.contains(f)
 
+    def first_non_member(self, elems: Iterable[Portrait]
+                         ) -> tuple[int, Portrait] | None:
+        """(index, element) of the first of elems outside the group, or None
+        if all are members; elems are sifted SIFT_BATCH at a time."""
+        elems = iter(elems)
+        done = 0
+        while chunk := list(islice(elems, SIFT_BATCH)):
+            missing = np.flatnonzero(~self.pcgs.members(chunk))
+            if missing.size:
+                j = int(missing[0])
+                return done + j, chunk[j]
+            done += len(chunk)
+        return None
+
     def is_subgroup_of(self, other: "Subgroup") -> bool:
-        return all(other.contains(g) for g in self.gens)
+        return other.first_non_member(self.gens) is None
 
     def equal(self, other: "Subgroup") -> bool:
         return (self.order_exponent == other.order_exponent
@@ -205,9 +371,15 @@ class Subgroup:
     def is_normal_in(self, ambient: "Subgroup") -> bool:
         """Whether every conjugate of a generator by an ambient generator is
         a member; for self <= ambient this is normality in ambient."""
-        amb = [(g, g.inverse()) for g in ambient.generating_set()]
-        return all(self.contains(x.conjugate(g, g_inv))
-                   for x in self.gens for g, g_inv in amb)
+        t = _Tables(self.p, self.depth)
+        xs = _stack(self.gens, t)
+        for g in ambient.generating_set():
+            g_inv = g.inverse()
+            conj = _conjugate_rows(t, xs, (g.lab, g.perm),
+                                   (g_inv.lab, g_inv.perm[:t.ninner]))
+            if (self.pcgs.sift(*conj) >= 0).any():
+                return False
+        return True
 
     def is_trivial(self) -> bool:
         return not self.gens or self.order_exponent == 0
@@ -268,19 +440,10 @@ def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup,
                    name: str = "") -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation
     by the ambient generators (= the normal closure in ⟨ambient.gens⟩)."""
-    p, depth = ambient.p, ambient.depth
-    pcgs = InducedPcgs(p, depth, max_strong_gens=ambient._max_strong_gens)
-    amb = [(g, g.inverse()) for g in ambient.generating_set()]
-    queue = deque(s for s in seeds if not s.is_identity())
-    kept: list[Portrait] = []
-    while queue:
-        x = queue.popleft()
-        if not pcgs.add_generator(x):
-            continue
-        kept.append(x)
-        for g, g_inv in amb:
-            queue.append(g_inv * x * g)
-    return Subgroup(p, depth, kept, name=name, pcgs=pcgs)
+    pcgs = InducedPcgs(ambient.p, ambient.depth,
+                       max_strong_gens=ambient._max_strong_gens)
+    kept = pcgs.add_generators(seeds, ambient.generating_set())
+    return Subgroup(ambient.p, ambient.depth, kept, name=name, pcgs=pcgs)
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup, ambient: Subgroup,
@@ -332,10 +495,12 @@ def first_missing_embedding(section_gens: Sequence[Portrait], level: int,
                             sub: Subgroup) -> tuple[int, Portrait] | None:
     """The first (vertex index, element) of psi_preimage_gens that sub does
     not contain; None iff psi_level^{-1}(K x ... x K) <= sub."""
-    for j, x in enumerate(psi_preimage_gens(section_gens, level, sub.depth)):
-        if not sub.contains(x):
-            return j // len(section_gens), x
-    return None
+    missing = sub.first_non_member(
+        psi_preimage_gens(section_gens, level, sub.depth))
+    if missing is None:
+        return None
+    j, x = missing
+    return j // len(section_gens), x
 
 
 def sections_within(gens: Sequence[Portrait], level: int,
@@ -345,7 +510,8 @@ def sections_within(gens: Sequence[Portrait], level: int,
     (the dual of first_missing_embedding)."""
     p = target.p
     vertices = [vertex_from_local_index(p, level, c) for c in range(p**level)]
-    return all(target.contains(g.section(v)) for g in gens for v in vertices)
+    return target.first_non_member(
+        g.section(v) for g in gens for v in vertices) is None
 
 
 def is_regular_branch_over(g_n: Subgroup, g_shallow: Subgroup, k_n: Subgroup,

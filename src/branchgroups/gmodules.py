@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import Subgroup
 from .linalg import Echelon, FpSubspace, rref
 from .trees import Portrait
 
@@ -345,7 +346,6 @@ def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
 def layer_preimage(g_n, m: int, space: FpSubspace, name: str = ""):
     """The subgroup N with St(m+1) <= N <= St(m) whose layer image is the
     given invariant subspace: generated by representatives plus St(m+1)."""
-    from .engine import Subgroup
     reps = layer_representatives(g_n, m, space.rows)
     st_next = g_n.stabilizer(m + 1)
     return Subgroup(g_n.p, g_n.depth, reps + st_next.generating_set(),

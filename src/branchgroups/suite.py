@@ -14,6 +14,7 @@ are kept out of the payload unless explicitly requested.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -149,7 +150,7 @@ class GroupContext:
             for cand in range(1, n - 1):
                 sec = k.section_subgroup((2,) * cand)
                 targets = self.inst.generators(n - cand)[:self.inst.r]  # a, b_1..b_{r-1}
-                if all(sec.contains(t) for t in targets):
+                if sec.first_non_member(targets) is None:
                     self._n_g[n] = cand
                     break
         return self._n_g[n]
@@ -318,13 +319,12 @@ def verify_effective_csp(ctx: GroupContext, n: int, seed: int,
             continue
         ng = mem.ng(ctx, n)
         target = g.stabilizer(m + offset)
-        bad = next((x for x in target.generating_set()
-                    if not ng.contains(x)), None)
-        if bad is not None:
+        missing = ng.first_non_member(target.generating_set())
+        if missing is not None:
             status = "fail"
             results[mem.name] = f"fail: m={m}"
             witness = {"kind": "non-membership", "member": mem.name, "m": m,
-                       "offset": offset, "element": bad.digits(),
+                       "offset": offset, "element": missing[1].digits(),
                        "subgroup_gens": [x.digits()
                                          for x in ng.generating_set()]}
             break
@@ -457,14 +457,14 @@ def verify_fg_lemma(ctx: GroupContext, n: int, seed: int,
         if not ok:
             status = "fail"
             if witness is None:
-                bad = next((x for x in st.generating_set()
-                            if not dm.contains(x)), None)
+                missing = dm.first_non_member(st.generating_set())
                 witness = {
                     "kind": "non-membership",
                     "clause": f"G^({m})=St({m})",
                     "derived_exponent": dm.order_exponent,
                     "stab_exponent": st.order_exponent,
-                    "element": bad.digits() if bad is not None else None,
+                    "element": (missing[1].digits() if missing is not None
+                                else None),
                     "subgroup_gens": [x.digits()
                                       for x in dm.generating_set()]}
     for m in range(2, n):
@@ -504,7 +504,6 @@ def _coordinate_link_holds(ctx: GroupContext, n: int, m: int,
                            x: Portrait) -> bool:
     """phi_v(x) is congruent mod St(2) to psi^-1(a^l(1) b^l(2), ..., a^l(p) b^l(1))
     for some exponent vector l, at every level-(m-1) vertex v."""
-    import itertools
     p = ctx.p
     d = n - m + 1            # sections of St(m) at level m-1 live at this depth
     if d < 2:
@@ -669,8 +668,7 @@ def verify_congruence_equiv(ctx: GroupContext, n: int) -> VerificationReport:
     h_inst = catalog.make_multi_ggs(ctx.p, vecs)
     g = ctx.quotient(n)
     h = group_of(h_inst, n, name="H_n")
-    ok = (all(h.contains(x) for x in g.generating_set())
-          and all(g.contains(x) for x in h.generating_set()))
+    ok = g.is_subgroup_of(h) and h.is_subgroup_of(g)
     details = {"companion": h_inst.spec_dict(),
                "orders": [g.order_exponent, h.order_exponent]}
     return VerificationReport(
@@ -711,7 +709,7 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
         status = "fail"
     if n >= 6:
         st5 = g.stabilizer(5)
-        ok = all(b_sub.contains(x) for x in st5.generating_set())
+        ok = st5.is_subgroup_of(b_sub)
         details["St(5)<=B"] = "pass" if ok else "fail"
         if not ok:
             status = "fail"
@@ -719,7 +717,7 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
         details["St(5)<=B"] = "skipped: needs depth >= 6"
     for k in range(1, n):
         gs = join(gam3, g.stabilizer(k))
-        ok = all(gs.contains(x) for x in b_sub.generating_set())
+        ok = b_sub.is_subgroup_of(gs)
         details[f"B<=gamma3*St({k})"] = "pass" if ok else "fail"
         if not ok:
             status = "fail"
@@ -799,8 +797,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
         need = r + 3
         if n > need:
             gpp = ctx.derived(n, 2)
-            ok = all(gpp.contains(x)
-                     for x in g.stabilizer(need).generating_set())
+            ok = g.stabilizer(need).is_subgroup_of(gpp)
             details[f"St({need})<=G''"] = "pass" if ok else "fail"
             if not ok:
                 status = "fail"
@@ -810,8 +807,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
         need = r + n_g + 2
         if n > need:
             kp = ctx.branch_derived(n)
-            ok = all(kp.contains(x)
-                     for x in g.stabilizer(need).generating_set())
+            ok = g.stabilizer(need).is_subgroup_of(kp)
             details[f"St({need})<=K'"] = "pass" if ok else "fail"
             if not ok:
                 status = "fail"

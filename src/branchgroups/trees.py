@@ -80,6 +80,8 @@ class _Tables:
         for m in range(1, depth + 1):
             self.perm_off.append(self.perm_off[-1] + p**m)
         self.nperm = self.perm_off[-1]
+        # perm entries of levels 1..depth-1: all that labels of a product read
+        self.ninner = max(self.nlabels - 1, 0)
 
         # per perm position: offset of its level, and the local arange
         prm_off = np.empty(self.nperm, dtype=_PERM_DTYPE)
@@ -110,10 +112,58 @@ class _Tables:
         return slice(self.perm_off[m - 1], self.perm_off[m])
 
 
+def compose_rows(t: _Tables, a_lab: np.ndarray, a_perm: np.ndarray,
+                 b_lab: np.ndarray, b_perm: np.ndarray,
+                 b_rows: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and perm of a * b (first a, then b) for depth >= 1.
+
+    Each factor is one portrait (1-D lab and perm) or a stack of them (2-D,
+    one portrait per row).  Two stacks multiply row by row, and a single
+    portrait multiplies every row of the other factor; with b_rows, row r
+    of a is multiplied by row b_rows[r] of the stack b.  a_perm may hold
+    only its first k >= nlabels - 1 entries (whole levels): labels read no
+    deeper, and the product's perm then has the same k entries.  The
+    results are new arrays.
+    """
+    lbl_idx = t.g_lbl + a_perm[..., :t.nlabels - 1]
+    prm_idx = t.prm_off[:a_perm.shape[-1]] + a_perm
+    if b_lab.ndim == 1:
+        first = b_lab[:1]
+        gathered, perm = b_lab[lbl_idx], b_perm[prm_idx]
+    else:
+        # flat gathers from the C-contiguous stack, one offset per row
+        rows = (np.arange(len(b_lab)) if b_rows is None else b_rows)[:, None]
+        off = rows * b_lab.shape[1]
+        b_flat = b_lab.ravel()
+        first, gathered = b_flat[off], b_flat[lbl_idx + off]
+        perm = b_perm.ravel()[prm_idx + rows * b_perm.shape[1]]
+    lab = np.concatenate([a_lab[..., :1] + first, a_lab[..., 1:] + gathered],
+                         axis=-1)
+    lab %= t.p
+    return lab, perm
+
+
+def extend_perm(t: _Tables, lab: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The whole perm of the portrait with labels lab, given its first
+    levels 1..k (k >= 0) in perm; each further level follows from the one
+    above and the labels."""
+    p = t.p
+    k = t.perm_off.index(len(perm))
+    seg = perm[t.perm_slice(k)] if k else np.zeros(1, dtype=_PERM_DTYPE)
+    levels = [perm]
+    for m in range(k, t.depth):
+        lab_m = lab[t.label_slice(m)].astype(_PERM_DTYPE)
+        seg = np.repeat(seg * p, p) + (t.tiled_x[m] + np.repeat(lab_m, p)) % p
+        levels.append(seg)
+    return np.concatenate(levels)
+
+
 def parse_vertex(v) -> Vertex:
-    """Accept a vertex as a tuple/list of letters or a digit string."""
+    """Accept a vertex as a tuple/list of letters or a string with one
+    DIGITS symbol per letter (so letter 10 is "a" when p >= 11)."""
     if isinstance(v, str):
-        return tuple(int(c) for c in v)
+        return tuple(DIGITS.index(c) for c in v)
     return tuple(int(c) for c in v)
 
 
@@ -160,14 +210,8 @@ class Portrait:
         lab = np.asarray(lab, dtype=_LABEL_DTYPE) % p
         if lab.shape != (t.nlabels,):
             raise ValueError(f"expected {t.nlabels} labels, got {lab.shape}")
-        perm = np.empty(t.nperm, dtype=_PERM_DTYPE)
-        seg = (np.arange(p, dtype=_PERM_DTYPE) + int(lab[0])) % p
-        perm[t.perm_slice(1)] = seg
-        for m in range(1, depth):
-            lab_m = lab[t.label_slice(m)].astype(_PERM_DTYPE)
-            seg = np.repeat(seg * p, p) + (t.tiled_x[m] + np.repeat(lab_m, p)) % p
-            perm[t.perm_slice(m + 1)] = seg
-        return Portrait(p, depth, lab, perm)
+        return Portrait(p, depth, lab,
+                        extend_perm(t, lab, np.empty(0, dtype=_PERM_DTYPE)))
 
     @staticmethod
     def from_level_labels(p: int, levels: Sequence) -> "Portrait":
@@ -220,14 +264,9 @@ class Portrait:
             raise ValueError("portraits must share p and depth")
         if self.depth == 0:
             return self
-        t = self.tables
-        lab = np.empty(t.nlabels, dtype=_LABEL_DTYPE)
-        lab[0] = (int(self.lab[0]) + int(other.lab[0])) % self.p
-        if t.nlabels > 1:
-            gathered = other.lab[t.g_lbl + self.perm[:t.nlabels - 1]]
-            lab[1:] = (self.lab[1:] + gathered) % self.p
-        perm = other.perm[t.prm_off + self.perm]
-        return Portrait(self.p, self.depth, lab, perm)
+        return Portrait(self.p, self.depth,
+                        *compose_rows(self.tables, self.lab, self.perm,
+                                      other.lab, other.perm))
 
     def __mul__(self, other: "Portrait") -> "Portrait":
         return self.compose(other)

@@ -70,6 +70,148 @@ def test_pcgs_is_induced(gens):
         assert all(pcgs.contains(commutator(h, x)) for x in elems[:j])
 
 
+class ReferencePcgs:
+    """The induced pcgs as it was before the power table: a dict from pivot
+    to [h, h^-1, ..., h^-(p-1)] and one portrait sifted at a time.  Kept as
+    the reference for insertion order, pivots and elements."""
+
+    def __init__(self, p):
+        self.p = p
+        self.powers = {}
+
+    def sift(self, f):
+        nz = np.flatnonzero(f.lab)
+        i = int(nz[0]) if nz.size else -1
+        while i >= 0:
+            powers = self.powers.get(i)
+            if powers is None:
+                break
+            f = f * powers[int(f.lab[i])]
+            nz = np.flatnonzero(f.lab[i + 1:])
+            i = i + 1 + int(nz[0]) if nz.size else -1
+        return i, f
+
+    def add_generator(self, g):
+        queue = [g]
+        grew = False
+        while queue:
+            i, h = self.sift(queue.pop())
+            if i < 0:
+                continue
+            lead = int(h.lab[i])
+            if lead != 1:
+                h = h ** pow(lead, -1, self.p)
+            powers = [h, h.inverse()]
+            for _ in range(self.p - 2):
+                powers.append(powers[-1] * powers[1])
+            queue.append(powers[1] * powers[-1])          # h^-p
+            queue.extend(powers[1] * x[1] * h * x[0]      # [h, x]
+                         for x in self.powers.values())
+            self.powers[i] = powers
+            grew = True
+        return grew
+
+
+def reference_normal_closure(seeds, ambient):
+    """normal_closure as it was before batched sifting: every conjugate is
+    queued and added whole.  Returns the kept elements and the pcgs."""
+    pcgs = ReferencePcgs(ambient.p)
+    amb = [(g, g.inverse()) for g in ambient.generating_set()]
+    queue = [s for s in seeds if not s.is_identity()]
+    kept = []
+    while queue:
+        x = queue.pop(0)
+        if not pcgs.add_generator(x):
+            continue
+        kept.append(x)
+        queue.extend(g_inv * x * g for g, g_inv in amb)
+    return kept, pcgs
+
+
+def ggs5_three_vectors(depth):
+    return make_multi_ggs(
+        5, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]).generators(depth)
+
+
+PINNED_GROUPS = {
+    "fg3-d4": lambda: fabrykowski_gupta(3).generators(4),
+    "fg5-d3": lambda: fabrykowski_gupta(5).generators(3),
+    "multi-ggs-p5-3-d3": lambda: ggs5_three_vectors(3),
+    "grigorchuk-d6": lambda: preset("sunic-grigorchuk").generators(6),
+    "fg3-cyclic-ab-d3": lambda: [rooted_a(3, 3)
+                                 * fabrykowski_gupta(3).generators(3)[1]],
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_GROUPS))
+def test_pcgs_matches_reference_insertion(name):
+    gens = PINNED_GROUPS[name]()
+    p, depth = gens[0].p, gens[0].depth
+    pcgs = Subgroup(p, depth, gens).pcgs
+    ref = ReferencePcgs(p)
+    for g in gens:
+        ref.add_generator(g)
+    ref_pivots = sorted(ref.powers)
+    assert pcgs._pivot_of == list(ref.powers)          # insertion order
+    assert pcgs.pivots() == ref_pivots
+    assert ([h.digits() for h in pcgs.elements()]
+            == [ref.powers[i][0].digits() for i in ref_pivots])
+    off = pcgs._t.label_off
+    assert pcgs.level_dims() == [sum(lo <= i < hi for i in ref_pivots)
+                                 for lo, hi in zip(off, off[1:])]
+    # every row of a batch sifts to the reference residue, and to what it
+    # sifts to alone
+    rng = np.random.default_rng(len(name))
+    batch = [gens[0]] + [Portrait.from_labels(p, depth, rng.integers(
+        0, p, pcgs._t.nlabels)) for _ in range(12)]
+    x = Portrait.identity(p, depth)
+    for _ in range(6):                                  # members too
+        x = x * gens[int(rng.integers(len(gens)))]
+        batch.append(x)
+    lab = np.stack([f.lab for f in batch])
+    perm = np.stack([f.perm for f in batch])
+    piv = pcgs.sift(lab, perm)
+    for row, f in enumerate(batch):
+        want_piv, want = ref.sift(f)
+        assert piv[row] == want_piv
+        assert np.array_equal(lab[row], want.lab)
+        assert np.array_equal(perm[row], want.perm)
+        alone_lab, alone_perm = f.lab[None].copy(), f.perm[None].copy()
+        assert pcgs.sift(alone_lab, alone_perm)[0] == want_piv
+        assert np.array_equal(alone_lab[0], want.lab)
+    assert pcgs.members(batch).tolist() == [i < 0 for i in piv]
+
+
+@pytest.mark.parametrize("preset_name,depth", [("fg3", 4),
+                                               ("sunic-grigorchuk", 5)])
+def test_normal_closure_matches_reference(preset_name, depth):
+    inst = preset(preset_name)
+    g = group_of(inst, depth)
+    a, b = g.generating_set()[:2]
+    seeds = [commutator(a, b), b * a * b]
+    kept, ref = reference_normal_closure(seeds, g)
+    ncl = normal_closure(seeds, g)
+    assert [x.digits() for x in ncl.generating_set()] == [
+        x.digits() for x in kept]
+    assert ncl.pcgs._pivot_of == list(ref.powers)
+    assert [h.digits() for h in ncl.pcgs.elements()] == [
+        ref.powers[i][0].digits() for i in sorted(ref.powers)]
+
+
+def test_pcgs_arrays_own_their_data(fg3_ctx):
+    # a row view would keep a whole batch buffer alive
+    g = fg3_ctx.quotient(4)
+    pcgs = g.pcgs
+    tail = pcgs.tail(5)
+    ncl = normal_closure([g.generating_set()[1]], g)
+    arrays = [pcgs._lab, pcgs._perm, tail._lab, tail._perm,
+              ncl.pcgs._lab, ncl.pcgs._perm]
+    for h in (pcgs.elements() + tail.elements() + ncl.generating_set()
+              + pcgs.vertex_stabilizer((2, 1))):
+        arrays += [h.lab, h.perm]
+    assert all(arr.base is None for arr in arrays)
+
+
 # -- membership ----------------------------------------------------------------
 
 def test_b_outside_cyclic():

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki
-from branchgroups.trees import (Portrait, assemble, commutator,
-                                embed_at_vertex, parse_vertex, rooted_a,
-                                vertex_from_local_index, vertex_local_index)
+from branchgroups.trees import (Portrait, _Tables, assemble, commutator,
+                                compose_rows, embed_at_vertex, parse_vertex,
+                                rooted_a, vertex_from_local_index,
+                                vertex_local_index)
 
 
 def nlabels(p, depth):
@@ -183,6 +184,53 @@ def test_level_label_additivity_on_stabilizer(triple, m):
     assert np.array_equal(left, right)
 
 
+@st.composite
+def portrait_stacks(draw):
+    """Two stacks of 1-4 portraits each, for p in {2, 3, 5, 7, 11, 61} at
+    small depths."""
+    p, depth = draw(st.one_of(
+        st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)),
+        st.tuples(st.sampled_from([11, 61]), st.integers(1, 2))))
+    rows = draw(st.integers(1, 4))
+    return [[draw(portraits(p=p, depth=depth)) for _ in range(rows)]
+            for _ in range(2)]
+
+
+def stacked(fs):
+    return np.stack([f.lab for f in fs]), np.stack([f.perm for f in fs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(portrait_stacks(), st.integers(0, 3))
+def test_compose_rows_matches_compose(stacks, seed):
+    fs, gs = stacks
+    t = _Tables(fs[0].p, fs[0].depth)
+    f_lab, f_perm = stacked(fs)
+    g_lab, g_perm = stacked(gs)
+    pick = np.random.default_rng(seed).integers(0, len(gs), len(fs))
+    cases = [  # (result, expected products row by row)
+        (compose_rows(t, f_lab, f_perm, g_lab, g_perm), zip(fs, gs)),
+        (compose_rows(t, fs[0].lab, fs[0].perm, g_lab, g_perm),
+         ((fs[0], g) for g in gs)),
+        (compose_rows(t, f_lab, f_perm, gs[0].lab, gs[0].perm),
+         ((f, gs[0]) for f in fs)),
+        (compose_rows(t, f_lab, f_perm, g_lab, g_perm, pick),
+         ((f, gs[j]) for f, j in zip(fs, pick)))]
+    for (lab, perm), pairs in cases:
+        pairs = list(pairs)
+        assert lab.shape == (len(pairs), t.nlabels)
+        for row, (f, g) in enumerate(pairs):
+            want = f.compose(g)
+            assert np.array_equal(lab[row], want.lab)
+            assert np.array_equal(perm[row], want.perm)
+    # a perm cut to levels 1..depth-1 gives the product's perm cut alike
+    lab, perm = compose_rows(t, f_lab, f_perm[:, :t.ninner], g_lab, g_perm)
+    for row, (f, g) in enumerate(zip(fs, gs)):
+        want = f.compose(g)
+        assert np.array_equal(lab[row], want.lab)
+        assert np.array_equal(perm[row], want.perm[:t.ninner])
+
+
 def test_commutator_definition():
     rng = np.random.default_rng(0)
     x, y = (random_portrait(rng, 3, 3) for _ in range(2))
@@ -214,6 +262,17 @@ def test_vertex_index_roundtrip():
             v = vertex_from_local_index(p, 2, idx)
             assert vertex_local_index(v, p) == idx
     assert parse_vertex("312") == (3, 1, 2)
+
+
+def test_vertex_strings_name_letters_past_nine():
+    # p = 11: the string "ab1" is the vertex (10, 11, 1)
+    rng = np.random.default_rng(11)
+    f = random_portrait(rng, 11, 4)
+    assert parse_vertex("ab1") == (10, 11, 1)
+    for text, v in (("ab1", (10, 11, 1)), ("b", (11,)), ("1a", (1, 10))):
+        assert f.apply_vertex(text) == f.apply_vertex(v)
+        assert f.label_at(text) == f.label_at(v)
+        assert f.section(text) == f.section(v)
 
 
 def test_mismatched_compose_raises():
