@@ -229,8 +229,8 @@ def cmd_oracle(args) -> int:
     if args.which == "replay":
         return _oracle_replay(args)
     inst = load_instance(args)
+    depth, level = args.depth, args.level
     if args.which == "bfs":
-        depth = args.depth or 2
         g = group_of(inst, depth)
         count, exp = oracle.bfs_enumerate(inst.generators(depth),
                                           cap_exp=args.cap)
@@ -241,29 +241,22 @@ def cmd_oracle(args) -> int:
                           "agree": ok}, sort_keys=True))
         return EXIT_PASS if ok else EXIT_FAIL
     if args.which == "submodules":
-        level = args.level or 2
-        mod = wm_module(inst, level)
-        subs = oracle.brute_submodules(mod.action_list(), inst.p)
+        subs = oracle.brute_submodules(wm_module(inst, level))
         print(json.dumps({"level": level,
                           "nontrivial_submodules": len(subs),
                           "dims": [s.dim for s in subs]}, sort_keys=True))
         return EXIT_PASS
     if args.which == "twisted":
-        level = args.level or 2
         tw = iterated_twisted_sum(inst, level)
         wm = wm_module(inst, level)
-        ok = all(np.array_equal(tw.actions[k] % inst.p, wm.actions[k] % inst.p)
-                 for k in wm.actions)
+        ok = all(np.array_equal(tw.perms[k], wm.perms[k]) for k in wm.perms)
         print(json.dumps({"level": level, "agree": ok}, sort_keys=True))
         return EXIT_PASS if ok else EXIT_FAIL
     if args.which == "normal-between":
-        level = args.level or 1
-        depth = args.depth or level + 2
         g = group_of(inst, depth)
         try:
             subs = oracle.brute_invariant_subspaces_within(
-                g.image_in_wm(level), wm_module(inst, level).action_list(),
-                cap_dim=args.cap)
+                g.image_in_wm(level), wm_module(inst, level), cap_dim=args.cap)
         except ResourceGuardError as exc:
             print(json.dumps({"status": "skipped", "reason": str(exc)}))
             return EXIT_GUARD
@@ -315,6 +308,31 @@ def len_digits_to_depth(p: int, digits: str) -> int:
     if acc != total:
         raise SpecError("witness label string has invalid length")
     return depth
+
+
+def _resolve_flags(args) -> str | None:
+    """Fill in the oracles' default --level and --depth and check both
+    flags before any work starts; returns what is out of range, or None.
+
+    A level m needs the layer St(m)/St(m+1) of the depth-n quotient, so
+    1 <= m <= n - 1 where a quotient is built; verify and report need
+    n >= 2, as several checks build the depth n - 1 quotient.
+    """
+    between = args.command == "oracle" and args.which == "normal-between"
+    if args.command == "oracle":
+        if args.level is None:
+            args.level = 1 if between else 2
+        if args.depth is None:
+            args.depth = args.level + 2 if between else 2
+    depth, level = getattr(args, "depth", None), getattr(args, "level", None)
+    least = 2 if args.command in ("verify", "report") else 1
+    if depth is not None and depth < least:
+        return f"--depth must be at least {least}, got {depth}"
+    if level is not None and level < 1:
+        return f"--level must be at least 1, got {level}"
+    if (args.command == "chain" or between) and level >= depth:
+        return f"--level must be below --depth, got {level} and {depth}"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,6 +409,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    problem = _resolve_flags(args)
+    if problem is not None:
+        print(f"usage error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except SpecError as exc:

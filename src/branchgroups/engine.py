@@ -32,7 +32,8 @@ class ResourceGuardError(RuntimeError):
     """A configured computation cap was exceeded."""
 
 
-DEFAULT_MAX_STRONG_GENS = 4096
+# Most elements an induced pcgs may hold before the resource guard trips.
+MAX_STRONG_GENS = 4096
 
 
 # Rows per batched sift of generated elements: bounds one batch's memory.
@@ -93,11 +94,9 @@ class InducedPcgs:
     lets a whole batch of elements sift at once.
     """
 
-    def __init__(self, p: int, depth: int,
-                 max_strong_gens: int = DEFAULT_MAX_STRONG_GENS):
+    def __init__(self, p: int, depth: int):
         self.p = p
         self.depth = depth
-        self.max_strong_gens = max_strong_gens
         self._t = t = _Tables(p, depth)
         # slots in insertion order; capacity beyond len(_pivot_of) is unused
         self._lab = np.empty((0, p, t.nlabels), dtype=_LABEL_DTYPE)
@@ -145,17 +144,13 @@ class InducedPcgs:
     def contains(self, f: Portrait) -> bool:
         return bool(self.members([f])[0])
 
-    def add_generator(self, g: Portrait) -> bool:
-        """Insert g (if new) and re-close the sequence. Returns True if the
-        group grew."""
-        return self._add_residue(g.lab.copy(), g.perm[:self._t.ninner].copy())
-
     def add_generators(self, seeds: Iterable[Portrait],
                        conjugators: Sequence[Portrait] = ()
                        ) -> list[Portrait]:
-        """add_generator for each seed in turn and, after each element that
-        grows the group, for its conjugates by every conjugator, queued
-        FIFO behind the rest; returns the elements that grew the group.
+        """Insert each seed in turn (if new) and re-close the sequence;
+        after each element that grows the group, do the same for its
+        conjugates by every conjugator, queued FIFO behind the rest.
+        Returns the elements that grew the group.
 
         The residues of all waiting elements are sifted as one batch after
         each growth, and members, which could add nothing, leave the queue.
@@ -186,9 +181,10 @@ class InducedPcgs:
         return kept
 
     def _add_residue(self, lab: np.ndarray, perm: np.ndarray) -> bool:
-        """add_generator for the element whose rows are (lab, perm), or
-        what an earlier sift through this sequence left of them (perm cut
-        as sift allows); the arrays are consumed.
+        """Insert the element whose rows are (lab, perm), or what an
+        earlier sift through this sequence left of them (perm cut as sift
+        allows), and re-close the sequence; the arrays are consumed.
+        Returns True if the group grew.
 
         The queue is a stack of residues, LIFO.  After each insertion of
         some h, h^-p and [h, x] for every earlier x are pushed, and the
@@ -208,9 +204,9 @@ class InducedPcgs:
                 return grew
             if not outside.all():
                 queue_lab, queue_perm = queue_lab[outside], queue_perm[outside]
-            if len(self._pivot_of) >= self.max_strong_gens:
+            if len(self._pivot_of) >= MAX_STRONG_GENS:
                 raise ResourceGuardError(
-                    f"strong generator cap {self.max_strong_gens} exceeded")
+                    f"strong generator cap {MAX_STRONG_GENS} exceeded")
             i = int(piv[outside][-1])
             h = Portrait(p, self.depth, queue_lab[-1].copy(),
                          extend_perm(t, queue_lab[-1], queue_perm[-1]))
@@ -268,7 +264,7 @@ class InducedPcgs:
     def tail(self, start: int) -> "InducedPcgs":
         """The elements with pivot >= start: an induced pcgs of H ∩ G_start,
         closed as it stands."""
-        sub = InducedPcgs(self.p, self.depth, self.max_strong_gens)
+        sub = InducedPcgs(self.p, self.depth)
         keep = [s for s, i in enumerate(self._pivot_of) if i >= start]
         sub._lab, sub._perm = self._lab[keep], self._perm[keep]
         sub._pivot_of = [self._pivot_of[s] for s in keep]
@@ -319,20 +315,17 @@ class Subgroup:
     built induced pcgs providing membership and orders."""
 
     def __init__(self, p: int, depth: int, gens: Iterable[Portrait],
-                 name: str = "", pcgs: InducedPcgs | None = None,
-                 max_strong_gens: int = DEFAULT_MAX_STRONG_GENS):
+                 name: str = "", pcgs: InducedPcgs | None = None):
         self.p = p
         self.depth = depth
         self.gens = [g for g in gens if not g.is_identity()]
         self.name = name
         self._pcgs = pcgs
-        self._max_strong_gens = max_strong_gens
 
     @property
     def pcgs(self) -> InducedPcgs:
         if self._pcgs is None:
-            pcgs = InducedPcgs(self.p, self.depth,
-                               max_strong_gens=self._max_strong_gens)
+            pcgs = InducedPcgs(self.p, self.depth)
             pcgs.add_generators(self.gens)
             self._pcgs = pcgs
         return self._pcgs
@@ -440,8 +433,7 @@ def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup,
                    name: str = "") -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation
     by the ambient generators (= the normal closure in ⟨ambient.gens⟩)."""
-    pcgs = InducedPcgs(ambient.p, ambient.depth,
-                       max_strong_gens=ambient._max_strong_gens)
+    pcgs = InducedPcgs(ambient.p, ambient.depth)
     kept = pcgs.add_generators(seeds, ambient.generating_set())
     return Subgroup(ambient.p, ambient.depth, kept, name=name, pcgs=pcgs)
 

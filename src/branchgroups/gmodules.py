@@ -3,8 +3,11 @@
 The m-th layer St_S(m)/St_S(m+1) of the Sylow pro-p group is the
 permutation module W_m on the level-m vertices: for x in St(m) the
 level-m labels of x^g are those of x permuted by g's vertex action
-(labels are abelian).  The generic psi-twisted p-fold direct sum is
-implemented as well and is matrix-checked against this shortcut.
+(labels are abelian).  Every module here is a permutation module, held
+as one coordinate permutation per generator.  The generic psi-twisted
+p-fold direct sum is implemented as well, from psi words rather than
+portraits, and is checked against this shortcut permutation by
+permutation.
 
 The distinguished submodule chain V_j of W_m, indexed by tuples
 j in {1..p}^m plus a sentinel (0,p,...,p) for the zero space, is built
@@ -15,6 +18,7 @@ every basis deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -27,88 +31,66 @@ IndexTuple = tuple[int, ...]
 
 
 class GModule:
-    """Finite F_pG-module: one invertible action matrix per generator,
-    acting on row vectors from the right."""
+    """Finite F_pG permutation module: each generator permutes the
+    coordinates of F_p^dim and acts on row vectors from the right,
+    (v.g)[perm[i]] = v[i]."""
 
-    def __init__(self, p: int, dim: int, actions: dict[str, np.ndarray]):
+    def __init__(self, p: int, dim: int, perms: dict[str, Sequence[int]]):
         self.p = p
         self.dim = dim
-        self.actions = {k: np.asarray(v, dtype=np.int64) % p
-                        for k, v in actions.items()}
-        for k, mat in self.actions.items():
-            if mat.shape != (dim, dim):
-                raise ValueError(f"action {k} has shape {mat.shape}")
+        self.perms: dict[str, np.ndarray] = {}
+        self._gather: dict[str, np.ndarray] = {}
+        for k, perm in perms.items():
+            perm = np.asarray(perm, dtype=np.intp)
+            # the inverse by scatter: every entry is set iff perm is a
+            # bijection (np.argsort would map in the sort kernels' pages)
+            gather = np.full(dim, -1, dtype=np.intp)
+            if perm.shape == (dim,) and ((perm >= 0) & (perm < dim)).all():
+                gather[perm] = np.arange(dim)
+            if (gather < 0).any():
+                raise ValueError(
+                    f"action {k} is not a permutation of range({dim})")
+            self.perms[k] = perm
+            self._gather[k] = gather
 
-    def action_list(self) -> list[np.ndarray]:
-        return [self.actions[k] for k in sorted(self.actions)]
-
-    def word_matrix(self, word) -> np.ndarray:
-        mat = np.eye(self.dim, dtype=np.int64)
-        for name, e in word:
-            mat = mat @ _matrix_power(self.actions[name], e, self.p) % self.p
-        return mat % self.p
-
-
-def _matrix_inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    rows, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over F_p")
-    return rows[:, n:].astype(np.int64)
-
-
-def _matrix_power(mat: np.ndarray, e: int, p: int) -> np.ndarray:
-    if e < 0:
-        return _matrix_power(_matrix_inverse(mat, p), -e, p)
-    out = np.eye(mat.shape[0], dtype=np.int64)
-    base = mat % p
-    while e:
-        if e & 1:
-            out = out @ base % p
-        e >>= 1
-        if e:
-            base = base @ base % p
-    return out
-
-
-def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    n = len(perm)
-    mat = np.zeros((n, n), dtype=np.int64)
-    mat[np.arange(n), perm] = 1
-    return mat
+    def act(self, rows: np.ndarray, name: str) -> np.ndarray:
+        """The images v.g of a vector or of every row of a matrix under the
+        generator `name`: one index gather."""
+        return rows.take(self._gather[name], axis=-1)
 
 
 def wm_module(inst, m: int) -> GModule:
     """W_m as the permutation module on level-m vertices: each generator
     acts by its vertex action, (v.g) at u = v at u^(g^-1)."""
-    p = inst.p
     if m == 0:
-        return GModule(p, 1, {name: np.eye(1) for name in inst.gen_names})
-    gens = inst.generators(m)
-    actions = {name: permutation_matrix(np.asarray(g.vertex_perm(m)))
-               for name, g in zip(inst.gen_names, gens)}
-    return GModule(p, p**m, actions)
+        return GModule(inst.p, 1, {name: [0] for name in inst.gen_names})
+    return GModule(inst.p, inst.p**m,
+                   {name: g.vertex_perm(m)
+                    for name, g in zip(inst.gen_names, inst.generators(m))})
+
+
+def _word_perm(mod: GModule, word) -> np.ndarray:
+    """The permutation of a word in the generators, applied left to right
+    (psi-word exponents are reduced mod p, so none is negative)."""
+    out = np.arange(mod.dim)
+    for name, e in word:
+        for _ in range(e):
+            out = mod.perms[name][out]
+    return out
 
 
 def twisted_sum(v: GModule, inst) -> GModule:
     """psi-twisted p-fold direct sum: a permutes the p blocks cyclically,
-    each directed generator acts block-diagonally through its psi word."""
+    each directed generator acts block by block through its psi word."""
     p = inst.p
     d = v.dim
     words = inst.psi_words()
-    cyc = permutation_matrix((np.arange(p) + 1) % p)  # block i -> block i+1
-    actions: dict[str, np.ndarray] = {
-        "a": np.kron(cyc, np.eye(d, dtype=np.int64))}
+    perms = {"a": (np.arange(p * d) + d) % (p * d)}   # block i -> block i+1
     for name in inst.gen_names:
-        if name == "a":
-            continue
-        blocks = [v.word_matrix(w) for w in words[name]]
-        mat = np.zeros((p * d, p * d), dtype=np.int64)
-        for c, blk in enumerate(blocks):
-            mat[c * d:(c + 1) * d, c * d:(c + 1) * d] = blk
-        actions[name] = mat
-    return GModule(p, p * d, actions)
+        if name != "a":
+            perms[name] = np.concatenate([c * d + _word_perm(v, w)
+                                          for c, w in enumerate(words[name])])
+    return GModule(p, p * d, perms)
 
 
 def iterated_twisted_sum(inst, m: int) -> GModule:
@@ -171,9 +153,13 @@ def tuple_from_rank(rank: int, p: int, m: int) -> IndexTuple:
 
 @lru_cache(maxsize=None)
 def _a_nilpotent_power(p: int, k: int) -> np.ndarray:
-    """(A - I)^k for the p-cycle permutation matrix A on level 1."""
-    a_mat = permutation_matrix((np.arange(p) + 1) % p)
-    return _matrix_power((a_mat - np.eye(p, dtype=np.int64)) % p, k, p)
+    """(A - I)^k for the p-cycle permutation matrix A on level 1, k < p.
+
+    A^j moves coordinate i to i + j, so row 0 is the binomial row
+    sum_j C(k, j) (-1)^(k-j) e_j and row i is row 0 shifted by i."""
+    row = np.zeros(p, dtype=np.int64)
+    row[:k + 1] = [comb(k, j) * (-1)**(k - j) % p for j in range(k + 1)]
+    return row[(np.arange(p) - np.arange(p)[:, None]) % p]
 
 
 @lru_cache(maxsize=None)
@@ -235,10 +221,10 @@ def submodule_closure(seed: FpSubspace, mod: GModule) -> FpSubspace:
     of each new batch of basis vectors under the generators are reduced
     together, and the nonzero residues grow one echelon basis."""
     basis = seed.echelon()
-    actions = mod.action_list()
     frontier = basis.rows
     while len(frontier):
-        images = basis.reduce(np.concatenate([frontier @ mat for mat in actions]))
+        images = basis.reduce(np.concatenate([mod.act(frontier, k)
+                                              for k in mod.perms]))
         new_rows = []
         for res in images[images.any(axis=1)]:
             if new_rows:        # the basis grew since the batch was reduced
@@ -254,12 +240,9 @@ def submodule_closure(seed: FpSubspace, mod: GModule) -> FpSubspace:
 def commutator_subspace(u: FpSubspace, mod: GModule) -> FpSubspace:
     """[U, G]: the span of u(g-1) over basis vectors and generators, closed
     under the action (U must be invariant)."""
-    rows = []
-    for row in u.rows:
-        for mat in mod.action_list():
-            rows.append((row @ mat - row) % mod.p)
-    seed = FpSubspace(mod.p, u.ambient, rows if rows else None)
-    return submodule_closure(seed, mod)
+    rows = u.rows.astype(np.int64)
+    seed = np.concatenate([mod.act(rows, k) - rows for k in mod.perms])
+    return submodule_closure(FpSubspace(mod.p, u.ambient, seed % mod.p), mod)
 
 
 def uniserial_chain(u: FpSubspace, mod: GModule):

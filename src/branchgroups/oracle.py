@@ -10,7 +10,7 @@ import numpy as np
 from .engine import ResourceGuardError
 from .gmodules import (GModule, layer_preimage, submodule_closure,
                        wm_module)
-from .linalg import FpSubspace
+from .linalg import FpSubspace, full_space
 from .trees import Portrait
 
 
@@ -67,24 +67,26 @@ def projective_points(p: int, dim: int) -> Iterable[tuple[int, ...]]:
             yield (0,) * lead + (1,) + rest
 
 
-def brute_submodules(actions: Sequence[np.ndarray], p: int,
-                     cap_count: int = 20000) -> list[FpSubspace]:
-    """All closures of single vectors, deduplicated and sorted by dimension.
-
-    closure(c v) = closure(v) for c != 0, so one vector per projective
-    class is closed.  When every submodule is cyclic this is the full
-    submodule list (excluding the zero space).
-    """
-    dim = actions[0].shape[0]
-    if p**dim > cap_count:
-        raise ResourceGuardError(f"p^dim = {p**dim} exceeds cap {cap_count}")
-    mod = GModule(p, dim, dict(enumerate(actions)))
+def _cyclic_closures(space: FpSubspace, mod: GModule) -> list[FpSubspace]:
+    """The distinct closures of single vectors of `space`, sorted by
+    dimension.  closure(c v) = closure(v) for c != 0, so one vector per
+    projective class of the space is closed."""
     found: dict[bytes, FpSubspace] = {}
-    for coeffs in projective_points(p, dim):
-        vec = np.array(coeffs, dtype=np.int64)
-        sp = submodule_closure(FpSubspace(p, dim, [vec]), mod)
+    for coeffs in projective_points(mod.p, space.dim):
+        vec = (np.array(coeffs, dtype=np.int64) @ space.rows) % mod.p
+        sp = submodule_closure(FpSubspace(mod.p, mod.dim, [vec]), mod)
         found.setdefault(sp.key(), sp)
     return sorted(found.values(), key=lambda s: (s.dim, s.key()))
+
+
+def brute_submodules(mod: GModule, cap_count: int = 20000) -> list[FpSubspace]:
+    """All closures of single vectors of the module, deduplicated and
+    sorted by dimension.  When every submodule is cyclic this is the full
+    submodule list (excluding the zero space)."""
+    if mod.p**mod.dim > cap_count:
+        raise ResourceGuardError(
+            f"p^dim = {mod.p**mod.dim} exceeds cap {cap_count}")
+    return _cyclic_closures(full_space(mod.p, mod.dim), mod)
 
 
 def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
@@ -95,9 +97,8 @@ def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
     by conjugation, and returns the subgroups sorted by order; the chain
     theorem predicts a totally ordered list of t(m)+1 of them.
     """
-    u = g_n.image_in_wm(m)
-    actions = wm_module(inst, m).action_list()
-    spaces = brute_invariant_subspaces_within(u, actions, cap_dim=cap_dim)
+    spaces = brute_invariant_subspaces_within(
+        g_n.image_in_wm(m), wm_module(inst, m), cap_dim=cap_dim)
     out = []
     for space in spaces:
         sub = layer_preimage(g_n, m, space)
@@ -109,8 +110,7 @@ def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
     return out
 
 
-def brute_invariant_subspaces_within(space: FpSubspace,
-                                     actions: Sequence[np.ndarray],
+def brute_invariant_subspaces_within(space: FpSubspace, mod: GModule,
                                      cap_dim: int = 6) -> list[FpSubspace]:
     """All invariant subspaces of an invariant `space`, by closing one
     vector per projective class of the space (cyclic closures) and then
@@ -120,15 +120,9 @@ def brute_invariant_subspaces_within(space: FpSubspace,
     subspace is a sum of cyclic ones (always true) and the vector count
     p^dim is capped.
     """
-    p = space.p
     if space.dim > cap_dim:
         raise ResourceGuardError(f"dim {space.dim} exceeds cap {cap_dim}")
-    mod = GModule(p, space.ambient, dict(enumerate(actions)))
-    cyclic: dict[bytes, FpSubspace] = {}
-    for coeffs in projective_points(p, space.dim):
-        vec = (np.array(coeffs, dtype=np.int64) @ space.rows) % p
-        sp = submodule_closure(FpSubspace(p, space.ambient, [vec]), mod)
-        cyclic.setdefault(sp.key(), sp)
+    cyclic = {sp.key(): sp for sp in _cyclic_closures(space, mod)}
     # close the set of cyclic submodules under pairwise sums
     all_spaces: dict[bytes, FpSubspace] = dict(cyclic)
     frontier = list(cyclic.values())
@@ -141,6 +135,6 @@ def brute_invariant_subspaces_within(space: FpSubspace,
                     all_spaces[u.key()] = u
                     nxt.append(u)
         frontier = nxt
-    zero = FpSubspace(p, space.ambient)
+    zero = FpSubspace(mod.p, mod.dim)
     out = [zero] + sorted(all_spaces.values(), key=lambda s: (s.dim, s.key()))
     return out

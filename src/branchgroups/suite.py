@@ -83,6 +83,11 @@ def _skip(name, inst, depth, reason, **details) -> VerificationReport:
 
 # -- group context ------------------------------------------------------------
 
+# Members of the normal family that effective-csp and width-rank test.
+FAMILY_SIZE = 20
+# Sampled St(m) elements per level in fg-lemma clause (b).
+FG_LINK_SAMPLES = 3
+
 
 class GroupContext:
     """Shared cache of quotients, commutator subgroups and series for one
@@ -92,7 +97,7 @@ class GroupContext:
         self.inst = inst
         self._quotients: dict[int, Subgroup] = {}
         self._commutators: dict[tuple[Subgroup, Subgroup, int], Subgroup] = {}
-        self._families: dict[tuple[int, int, int], list] = {}
+        self._families: dict[tuple[int, int], list] = {}
         self._sunic_k: dict[int, Subgroup] = {}
         self._n_g: dict[int, int | None] = {}
 
@@ -155,10 +160,10 @@ class GroupContext:
                     break
         return self._n_g[n]
 
-    def normal_family(self, n: int, seed: int, size: int = 20) -> list["FamilyMember"]:
-        key = (n, seed, size)
+    def normal_family(self, n: int, seed: int) -> list["FamilyMember"]:
+        key = (n, seed)
         if key not in self._families:
-            self._families[key] = _build_normal_family(self, n, seed, size)
+            self._families[key] = _build_normal_family(self, n, seed)
         return self._families[key]
 
 
@@ -185,8 +190,8 @@ def _random_word(rng: SplitMix64, gens: list[Portrait], length: int) -> Portrait
     return out
 
 
-def _build_normal_family(ctx: GroupContext, n: int, seed: int,
-                         size: int) -> list[FamilyMember]:
+def _build_normal_family(ctx: GroupContext, n: int,
+                         seed: int) -> list[FamilyMember]:
     g = ctx.quotient(n)
     members: list[FamilyMember] = [FamilyMember("G", g)]
     for m in range(1, n):
@@ -213,14 +218,14 @@ def _build_normal_family(ctx: GroupContext, n: int, seed: int,
     rng = SplitMix64(seed)
     gens = g.generating_set()
     previous: Portrait | None = None
-    while len(members) < size:
+    while len(members) < FAMILY_SIZE:
         w = _random_word(rng, gens, 4 + rng.below(5))
         if w.is_identity():
             continue
         idx = len(members)
         members.append(FamilyMember(
             f"ncl{idx}", normal_closure([w], g, name=f"ncl{idx}")))
-        if previous is not None and len(members) < size:
+        if previous is not None and len(members) < FAMILY_SIZE:
             prod = previous * w
             if not prod.is_identity():
                 members.append(FamilyMember(
@@ -293,8 +298,8 @@ def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
 # -- individual checks ----------------------------------------------------------
 
 
-def verify_effective_csp(ctx: GroupContext, n: int, seed: int,
-                         family_size: int = 20) -> VerificationReport:
+def verify_effective_csp(ctx: GroupContext, n: int,
+                         seed: int) -> VerificationReport:
     """St(m + d) <= [N, G] over a family of normal subgroups (Thm 1.1 shape,
     with the Sunic offsets for that family)."""
     inst = ctx.inst
@@ -302,7 +307,7 @@ def verify_effective_csp(ctx: GroupContext, n: int, seed: int,
     if offset is None:
         return _skip("effective-csp", inst, n, offset_label)
     g = ctx.quotient(n)
-    members = ctx.normal_family(n, seed, family_size)
+    members = ctx.normal_family(n, seed)
     results = {}
     witness = None
     status = "pass"
@@ -434,8 +439,8 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
         details={"inner": label, "members": results}, witness=witness)
 
 
-def verify_fg_lemma(ctx: GroupContext, n: int, seed: int,
-                    samples: int = 3) -> VerificationReport:
+def verify_fg_lemma(ctx: GroupContext, n: int,
+                    seed: int) -> VerificationReport:
     """The Fabrykowski-Gupta structure lemma, all three clauses:
     (a1) G^(m) = St(m); (a2) psi_{m-1}(St(m)) = G' x ... x G';
     (b) the coordinate-link congruence for sampled stabilizer elements.
@@ -478,7 +483,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int, seed: int,
         if not st_gens:
             continue
         ok_all = True
-        for _ in range(samples):
+        for _ in range(FG_LINK_SAMPLES):
             x = _random_word(rng, st_gens, 2 + rng.below(3))
             if not _coordinate_link_holds(ctx, n, m, x):
                 ok_all = False
@@ -605,8 +610,8 @@ def _chain_hypothesis(inst) -> bool:
     return any(sum(vec) % inst.p for _, _, vec in inst.directed)
 
 
-def verify_width_and_rank(ctx: GroupContext, n: int, seed: int,
-                          family_size: int = 20) -> VerificationReport:
+def verify_width_and_rank(ctx: GroupContext, n: int,
+                          seed: int) -> VerificationReport:
     """log_p |N : [N,G]| and the normal-generator count of N over a family,
     against the family-specific bound; FG additionally attains width 2."""
     inst = ctx.inst
@@ -617,7 +622,7 @@ def verify_width_and_rank(ctx: GroupContext, n: int, seed: int,
     if bound is None:
         return _skip("width-rank", inst, n, rule)
     g = ctx.quotient(n)
-    members = ctx.normal_family(n, seed, family_size)
+    members = ctx.normal_family(n, seed)
     results = {}
     status = "pass"
     witness = None

@@ -147,31 +147,69 @@ def test_usage_error_exit():
     assert run(["quotient", "--depth", "2"]) == EXIT_USAGE  # no spec/preset
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["quotient", "--preset", "fg3", "--depth", "0"], "--depth"),
+    (["quotient", "--preset", "fg3", "--depth", "-1"], "--depth"),
+    (["stab-dims", "--preset", "fg3", "--depth", "0"], "--depth"),
+    (["chain", "--preset", "fg3", "--level", "1", "--depth", "0"], "--depth"),
+    (["chain", "--preset", "fg3", "--level", "5", "--depth", "3"], "--level"),
+    (["chain", "--preset", "fg3", "--level", "0", "--depth", "3"], "--level"),
+    (["oracle", "normal-between", "--preset", "fg3", "--level", "3",
+      "--depth", "2"], "--level"),
+    (["oracle", "submodules", "--preset", "fg3", "--level", "0"], "--level"),
+    (["verify", "all", "--preset", "sunic-grigorchuk", "--depth", "1"],
+     "--depth"),
+    (["verify", "all", "--preset", "appb-p5", "--depth", "1"], "--depth"),
+    (["verify", "all", "--preset", "fg3", "--depth", "1"], "--depth"),
+    (["verify", "chain", "--preset", "fg3", "--depth", "1"], "--depth"),
+])
+def test_out_of_range_depth_or_level_exit_code(argv, flag, capsys):
+    # exit 1 is reserved for a falsification witness
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: " + flag)
+
+
 # -- golden reports --------------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("name, argv, code", [
-    ("all-fg3-d3", ["all", "--preset", "fg3", "--depth", "3"], EXIT_FAIL),
-    ("all-gs3-d3", ["all", "--preset", "gs3", "--depth", "3"], EXIT_PASS),
-    ("all-fg5-d2", ["all", "--preset", "fg5", "--depth", "2"], EXIT_PASS),
-    ("all-sunic-grigorchuk", ["all", "--preset", "sunic-grigorchuk"],
+    ("all-fg3-d3", ["verify", "all", "--preset", "fg3", "--depth", "3"],
+     EXIT_FAIL),
+    ("all-gs3-d3", ["verify", "all", "--preset", "gs3", "--depth", "3"],
      EXIT_PASS),
-    ("all-appb-p5-d3", ["all", "--preset", "appb-p5", "--depth", "3"],
+    ("all-fg5-d2", ["verify", "all", "--preset", "fg5", "--depth", "2"],
+     EXIT_PASS),
+    ("all-sunic-grigorchuk", ["verify", "all", "--preset", "sunic-grigorchuk"],
+     EXIT_PASS),
+    ("all-appb-p5-d3", ["verify", "all", "--preset", "appb-p5", "--depth", "3"],
      EXIT_PASS),
     # the GGS group on (0,1,1,0) branches over gamma_3: ggs-strong's
     # gamma3' branch
-    ("ggs-strong-ggs5-d3", ["ggs-strong", "--spec", "SPEC", "--depth", "3"],
+    ("ggs-strong-ggs5-d3",
+     ["verify", "ggs-strong", "--spec", "SPEC", "--depth", "3"], EXIT_PASS),
+    # the module layer: chain bases, the submodule census, the psi-twisted
+    # cross-check and the brute normal-subgroup census
+    ("chain-fg3-l2-d4",
+     ["chain", "--preset", "fg3", "--level", "2", "--depth", "4"], EXIT_PASS),
+    ("oracle-submodules-fg3-l2",
+     ["oracle", "submodules", "--preset", "fg3", "--level", "2"], EXIT_PASS),
+    ("oracle-twisted-sunic-grigorchuk-l4",
+     ["oracle", "twisted", "--preset", "sunic-grigorchuk", "--level", "4"],
+     EXIT_PASS),
+    ("oracle-normal-between-fg3-l1",
+     ["oracle", "normal-between", "--preset", "fg3", "--level", "1"],
      EXIT_PASS),
 ])
 def test_golden_reports(name, argv, code, tmp_path, capsys):
-    """verify reports (stdout, stderr, exit code) equal the committed
+    """CLI output (stdout, stderr, exit code) equals the committed
     references byte for byte."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"type": "ggs", "p": 5, "vector": [0, 1, 1, 0]}))
     argv = [str(spec) if a == "SPEC" else a for a in argv]
-    assert run(["verify"] + argv) == code
+    assert run(argv) == code
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from branchgroups.catalog import fabrykowski_gupta, make_ggs, make_sunic, preset
-from branchgroups.gmodules import (canonical_generator_vec, commutator_subspace,
+from branchgroups.gmodules import (GModule, _a_nilpotent_power,
+                                   canonical_generator_vec, commutator_subspace,
                                    compute_rm, first_non_normal_layer,
                                    is_sentinel,
                                    iterated_twisted_sum, layer_preimage,
@@ -91,21 +92,63 @@ def test_level_two_chain_modules_are_submodules(p):
 
 # -- modules -------------------------------------------------------------------
 
+def permutation_matrix(perm) -> np.ndarray:
+    """Dense reference form of a coordinate permutation: row i has its 1
+    in column perm[i], so v @ matrix moves v[i] to perm[i]."""
+    n = len(perm)
+    mat = np.zeros((n, n), dtype=np.int64)
+    mat[np.arange(n), perm] = 1
+    return mat
+
+
 def test_wm_actions_are_permutations():
     fg = fabrykowski_gupta(3)
     for m in (1, 2):
         mod = wm_module(fg, m)
-        for mat in mod.action_list():
-            assert np.array_equal(mat.sum(axis=0), np.ones(3**m))
-            assert np.array_equal(mat.sum(axis=1), np.ones(3**m))
+        for perm in mod.perms.values():
+            assert sorted(perm) == list(range(3**m))
+
+
+@pytest.mark.parametrize("inst,levels", [
+    (preset("fg3"), (1, 2, 3)), (preset("gs3"), (1, 2, 3)),
+    (preset("sunic-grigorchuk"), (1, 2, 3, 4)), (fabrykowski_gupta(17), (2,))],
+    ids=["fg3", "gs3", "grigorchuk", "fg17"])
+def test_wm_action_matches_dense_permutation_matrix(inst, levels):
+    rng = np.random.default_rng(7)
+    for m in levels:
+        mod = wm_module(inst, m)
+        rows = rng.integers(0, inst.p, size=(5, mod.dim))
+        for name, g in zip(inst.gen_names, inst.generators(m)):
+            dense = permutation_matrix(g.vertex_perm(m))
+            assert np.array_equal(mod.act(rows, name), rows @ dense % inst.p)
+            assert np.array_equal(mod.act(rows[0], name),
+                                  rows[0] @ dense % inst.p)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 3], [-1, 0, 1],
+                                  np.eye(3, dtype=np.int64)])
+def test_gmodule_rejects_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        GModule(3, 3, {"a": perm})
+
+
+def test_a_nilpotent_power_matches_dense():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61):
+        a_minus_i = (permutation_matrix((np.arange(p) + 1) % p)
+                     - np.eye(p, dtype=np.int64)) % p
+        dense = np.eye(p, dtype=np.int64)
+        for k in range(p):
+            assert np.array_equal(_a_nilpotent_power(p, k), dense), (p, k)
+            dense = dense @ a_minus_i % p
 
 
 def test_constant_vector_fixed():
     fg = fabrykowski_gupta(3)
     mod = wm_module(fg, 2)
     ones = np.ones(9, dtype=np.int64)
-    for mat in mod.action_list():
-        assert np.array_equal(ones @ mat % 3, ones)
+    for name in mod.perms:
+        assert np.array_equal(mod.act(ones, name), ones)
 
 
 @pytest.mark.parametrize("name,mmax", [("fg3", 3), ("gs3", 2),
@@ -115,9 +158,9 @@ def test_twisted_iterate_matches_permutation_module(name, mmax):
     for m in range(1, mmax + 1):
         tw = iterated_twisted_sum(inst, m)
         wm = wm_module(inst, m)
-        for k in wm.actions:
-            assert np.array_equal(tw.actions[k] % inst.p,
-                                  wm.actions[k] % inst.p)
+        assert tw.perms.keys() == wm.perms.keys()
+        for k in wm.perms:
+            assert np.array_equal(tw.perms[k], wm.perms[k])
 
 
 def test_twisted_dim_scales_by_p():

@@ -80,10 +80,9 @@ def test_section_subgroup_matches_bfs(name, depth, v, cyclic):
     assert all(sec.contains(y) for y in images.values())
 
 
-def closures_of_every_vector(actions, p):
+def closures_of_every_vector(mod):
     """The census without projective deduplication: every nonzero vector."""
-    dim = actions[0].shape[0]
-    mod = GModule(p, dim, dict(enumerate(actions)))
+    p, dim = mod.p, mod.dim
     found = {}
     for coeffs in itertools.product(range(p), repeat=dim):
         if any(coeffs):
@@ -102,30 +101,28 @@ def test_projective_points_cover_each_line_once(p, dim):
 
 @pytest.mark.parametrize("p,level", [(5, 1), pytest.param(3, 2, marks=pytest.mark.slow)])
 def test_projective_census_matches_every_vector(p, level):
-    actions = wm_module(fabrykowski_gupta(p), level).action_list()
-    projective = brute_submodules(actions, p)
+    mod = wm_module(fabrykowski_gupta(p), level)
+    projective = brute_submodules(mod)
     assert ([s.key() for s in projective]
-            == [s.key() for s in closures_of_every_vector(actions, p)])
+            == [s.key() for s in closures_of_every_vector(mod)])
 
 
 def test_brute_submodules_w1():
     mod = wm_module(fabrykowski_gupta(3), 1)
-    subs = brute_submodules(mod.action_list(), 3)
+    subs = brute_submodules(mod)
     assert [s.dim for s in subs] == [1, 2, 3]
 
 
 def test_brute_submodules_trivial_module():
-    from branchgroups.gmodules import GModule
-    import numpy as np
-    mod = GModule(3, 1, {"a": np.eye(1)})
-    subs = brute_submodules(mod.action_list(), 3)
+    mod = GModule(3, 1, {"a": [0]})
+    subs = brute_submodules(mod)
     assert [s.dim for s in subs] == [1]
 
 
 @pytest.mark.slow
 def test_brute_submodules_w2_census():
     mod = wm_module(fabrykowski_gupta(3), 2)
-    subs = brute_submodules(mod.action_list(), 3)
+    subs = brute_submodules(mod)
     assert len(subs) == 9
     expected = {vj_basis(3, j).key()
                 for j in itertools.product((1, 2, 3), repeat=2)}
@@ -162,7 +159,7 @@ def test_invariant_subspace_enumeration_matches_chain(fg3_ctx):
     g = fg3_ctx.quotient(3)
     u = g.image_in_wm(2)
     mod = wm_module(fg3_ctx.inst, 2)
-    spaces = brute_invariant_subspaces_within(u, mod.action_list())
+    spaces = brute_invariant_subspaces_within(u, mod)
     assert [s.dim for s in spaces] == list(range(7))  # the 0..t(2) chain
     for small, big in zip(spaces, spaces[1:]):
         assert big.contains(small)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from branchgroups import engine
 from branchgroups.catalog import (fabrykowski_gupta, make_ggs, make_multi_egs,
                                   make_multi_ggs, make_sunic, preset)
+from branchgroups.cli import EXIT_GUARD, run
 from branchgroups.suite import (GroupContext, SplitMix64, branch_subgroup,
                                 csp_offset, run_all, run_check,
                                 verify_profinite_distinction)
@@ -52,6 +54,17 @@ def test_normal_family_size_and_determinism(fg3_ctx):
     assert names == [m.name for m in fam2]
     for a, b in zip(fam, fam2):
         assert a.subgroup.order_exponent == b.subgroup.order_exponent
+
+
+def test_pcgs_length_guard(monkeypatch, capsys):
+    # G_3(fg3) has order 3^10, so its pcgs outgrows a cap of 5 elements; a
+    # fresh context, as a shared one may hold the quotient already
+    monkeypatch.setattr(engine, "MAX_STRONG_GENS", 5)
+    rep = run_check(GroupContext(preset("fg3")), "effective-csp", depth=3)
+    assert rep.status == "skipped"
+    assert rep.details["reason"].startswith("resource guard")
+    assert run(["quotient", "--preset", "fg3", "--depth", "3"]) == EXIT_GUARD
+    assert capsys.readouterr().err.startswith("resource guard")
 
 
 def test_commutator_terms_built_once(fg3_ctx):
