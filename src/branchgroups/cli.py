@@ -270,11 +270,17 @@ def cmd_oracle(args) -> int:
 def _oracle_replay(args) -> int:
     """Re-check the witnesses in a report file with independent machinery."""
     data = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    _expect(isinstance(data, dict), "", "report must be a JSON object")
+    _expect("group" in data, "/group", "report carries no group spec")
     inst = instance_from_dict(data["group"])
+    checks = data.get("checks")
+    _expect(isinstance(checks, list)
+            and all(isinstance(c, dict) for c in checks), "/checks",
+            "expected a list of check objects")
     confirmed, unsupported = 0, 0
-    for check in data["checks"]:
+    for check in checks:
         wit = check.get("witness")
-        if check["status"] != "fail" or not wit:
+        if check.get("status") != "fail" or not wit:
             continue
         if wit.get("kind") == "non-membership" and wit.get("element"):
             depth = len_digits_to_depth(inst.p, wit["element"])
@@ -324,6 +330,8 @@ def _resolve_flags(args) -> str | None:
             args.level = 1 if between else 2
         if args.depth is None:
             args.depth = args.level + 2 if between else 2
+    if args.command == "oracle" and args.which == "replay" and not args.report:
+        return "--report is required for oracle replay"
     depth, level = getattr(args, "depth", None), getattr(args, "level", None)
     least = 2 if args.command in ("verify", "report") else 1
     if depth is not None and depth < least:

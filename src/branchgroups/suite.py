@@ -76,9 +76,51 @@ class VerificationReport:
                 "witness": self.witness, "millis": self.millis}
 
 
-def _skip(name, inst, depth, reason, **details) -> VerificationReport:
+def _skip(name, inst, depth, reason, witness=None,
+          **details) -> VerificationReport:
     return VerificationReport(name, inst.spec_dict(), depth, "skipped",
-                              details={"reason": reason, **details})
+                              details={"reason": reason, **details},
+                              witness=witness)
+
+
+class _Verdict:
+    """Details, status and witness of one check, filled clause by clause.
+
+    A failing clause fails the check; the witness is the one of the first
+    failing clause that offers one, built only then (witness is a
+    zero-argument callable).
+    """
+
+    def __init__(self, **details):
+        self.details = details
+        self.status = "pass"
+        self.witness: dict | None = None
+
+    def record(self, key: str, ok: bool, text=None,
+               witness: Callable[[], dict] | None = None,
+               table: str | None = None) -> bool:
+        """Write the clause outcome (text, default "pass"/"fail") under key,
+        in the sub-table `table` if given; returns ok."""
+        target = self.details if table is None else self.details[table]
+        target[key] = text if text is not None else ("pass" if ok else "fail")
+        if not ok:
+            self.status = "fail"
+            if self.witness is None and witness is not None:
+                self.witness = witness()
+        return ok
+
+    def report(self, name: str, inst, n: int,
+               one_sided: bool) -> VerificationReport:
+        return VerificationReport(name, inst.spec_dict(), n, self.status,
+                                  one_sided=one_sided, details=self.details,
+                                  witness=self.witness)
+
+
+def _non_membership(sub: Subgroup, elem: Portrait | None, **extra) -> dict:
+    """The witness `oracle replay` re-checks: elem is not in sub."""
+    return {"kind": "non-membership", **extra,
+            "element": None if elem is None else elem.digits(),
+            "subgroup_gens": [x.digits() for x in sub.generating_set()]}
 
 
 # -- group context ------------------------------------------------------------
@@ -240,6 +282,15 @@ def _build_normal_family(ctx: GroupContext, n: int,
 # -- classification helpers ----------------------------------------------------
 
 
+def _branch_gamma(inst) -> int | None:
+    """k with the group regular branch over gamma_k (gamma_2 = G'), or None
+    when it is not regular branch over a lower central term."""
+    if isinstance(inst, SunicInstance):
+        return 2 if inst.p % 2 else None
+    return {BranchType.OVER_DERIVED: 2,
+            BranchType.OVER_GAMMA3: 3}.get(branch_type(inst))
+
+
 def csp_offset(inst, n_g: int | None = None) -> tuple[int | None, str]:
     """Effective congruence offset d with St(m+d) <= [N,G], per family."""
     if isinstance(inst, SunicInstance):
@@ -250,18 +301,18 @@ def csp_offset(inst, n_g: int | None = None) -> tuple[int | None, str]:
                 return None, "n_G required for p=2"
             return inst.r + n_g + 3, "sunic p=2: r+n_G+3"
         return inst.r + 3, "sunic odd p: r+3"
-    bt = branch_type(inst)
-    if bt is BranchType.OVER_DERIVED:
+    k = _branch_gamma(inst)
+    if k == 2:
         if is_fabrykowski_gupta(inst):
             return 2, "fabrykowski-gupta: 2"
         if is_ggs(inst):
             return 3, "ggs over derived: 3"
         return r_dot(inst) + 3, "multi-egs over derived: rdot+3"
-    if bt is BranchType.OVER_GAMMA3:
+    if k == 3:
         if is_ggs(inst):
             return 4, "ggs over gamma3: 4"
         return 7, "multi-egs over gamma3: 7"
-    return None, f"branch type {bt.value}: no effective offset"
+    return None, f"branch type {branch_type(inst).value}: no effective offset"
 
 
 def _family_offset(ctx: GroupContext,
@@ -281,18 +332,20 @@ def _family_offset(ctx: GroupContext,
 def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
     """The subgroup K the group regular-branches over, in the depth-n quotient."""
     inst = ctx.inst
-    if isinstance(inst, SunicInstance):
-        if not inst.is_regular_branch():
-            return None
-        if inst.p == 2:
-            return ctx.sunic_k(n)
-        return ctx.derived(n)
-    bt = branch_type(inst)
-    if bt is BranchType.OVER_DERIVED:
-        return ctx.derived(n)
-    if bt is BranchType.OVER_GAMMA3:
-        return ctx.gamma(3, n)
-    return None
+    if isinstance(inst, SunicInstance) and inst.p == 2:
+        return ctx.sunic_k(n) if inst.is_regular_branch() else None
+    k = _branch_gamma(inst)
+    return None if k is None else ctx.gamma(k, n)
+
+
+def _embedding(k: Subgroup, level: int, ng: Subgroup,
+               trivial_text: str) -> tuple[str, tuple[int, Portrait] | None]:
+    """The clause psi_level^{-1}(K x ... x K) <= [N, G]: its text and the
+    first missing (coordinate, element), None when it holds."""
+    if k.is_trivial():
+        return trivial_text, None
+    missing = first_missing_embedding(k.generating_set(), level, ng)
+    return ("pass" if missing is None else "fail"), missing
 
 
 # -- individual checks ----------------------------------------------------------
@@ -301,63 +354,50 @@ def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
 def verify_effective_csp(ctx: GroupContext, n: int,
                          seed: int) -> VerificationReport:
     """St(m + d) <= [N, G] over a family of normal subgroups (Thm 1.1 shape,
-    with the Sunic offsets for that family)."""
+    with the Sunic offsets for that family), and with it the coarse bound
+    psi_{m+1}^{-1}(K' x ... x K') <= [N, G]."""
     inst = ctx.inst
     offset, offset_label, _ = _family_offset(ctx, n)
     if offset is None:
         return _skip("effective-csp", inst, n, offset_label)
     g = ctx.quotient(n)
     members = ctx.normal_family(n, seed)
-    results = {}
-    witness = None
-    status = "pass"
+    v = _Verdict(offset=offset, offset_rule=offset_label,
+                 family_size=len(members), members={})
     for mem in members:
         if mem.subgroup.is_trivial():
-            results[mem.name] = "skipped: trivial"
+            v.record(mem.name, True, "skipped: trivial", table="members")
             continue
         m = mem.subgroup.max_stab_depth()
         if m + offset > n:
-            results[mem.name] = f"skipped: m={m}, depth<{m + offset}"
+            v.record(mem.name, True, f"skipped: m={m}, depth<{m + offset}",
+                     table="members")
             continue
         if m + offset == n:
-            results[mem.name] = f"pass: m={m}, target St({n}) trivial"
+            v.record(mem.name, True, f"pass: m={m}, target St({n}) trivial",
+                     table="members")
             continue
         ng = mem.ng(ctx, n)
-        target = g.stabilizer(m + offset)
-        missing = ng.first_non_member(target.generating_set())
-        if missing is not None:
-            status = "fail"
-            results[mem.name] = f"fail: m={m}"
-            witness = {"kind": "non-membership", "member": mem.name, "m": m,
-                       "offset": offset, "element": missing[1].digits(),
-                       "subgroup_gens": [x.digits()
-                                         for x in ng.generating_set()]}
+        missing = ng.first_non_member(g.stabilizer(m + offset).generating_set())
+        if not v.record(
+                mem.name, missing is None,
+                f"{'pass' if missing is None else 'fail'}: m={m}",
+                witness=lambda: _non_membership(ng, missing[1], member=mem.name,
+                                                m=m, offset=offset),
+                table="members"):
             break
-        results[mem.name] = f"pass: m={m}"
-        fallback = _remark_fallback(ctx, n, mem, m)
-        if fallback is not None:
-            results[mem.name + "/K'-fallback"] = fallback
-    return VerificationReport(
-        "effective-csp", inst.spec_dict(), n, status, one_sided=True,
-        details={"offset": offset, "offset_rule": offset_label,
-                 "family_size": len(members), "members": results},
-        witness=witness)
-
-
-def _remark_fallback(ctx: GroupContext, n: int, mem: FamilyMember,
-                     m: int) -> str | None:
-    """The coarse bound psi_{m+1}^{-1}(K' x ... x K') <= [N,G]; must hold
-    whenever the sharper offset clause does."""
-    if m + 1 >= n:
-        return None
-    kprime = ctx.branch_derived(n - m - 1)
-    if kprime is None:
-        return None
-    if kprime.is_trivial():
-        return "pass: K' trivial at this depth"
-    missing = first_missing_embedding(kprime.generating_set(), m + 1,
-                                      mem.ng(ctx, n))
-    return "pass" if missing is None else f"fail at coordinate {missing[0]}"
+        kprime = ctx.branch_derived(n - m - 1) if m + 1 < n else None
+        if kprime is None:
+            continue
+        text, miss = _embedding(kprime, m + 1, ng,
+                                "pass: K' trivial at this depth")
+        name = mem.name + "/K'-fallback"
+        v.record(name, miss is None,
+                 text if miss is None else f"fail at coordinate {miss[0]}",
+                 witness=lambda: _non_membership(ng, miss[1], member=name,
+                                                 coordinate=miss[0]),
+                 table="members")
+    return v.report("effective-csp", inst, n, one_sided=True)
 
 
 def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
@@ -366,39 +406,28 @@ def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
         return _skip("branching", inst, n, "multi-EGS groups only")
-    bt = branch_type(inst)
-    if bt is BranchType.OVER_DERIVED:
-        gamma_k = 3
-    elif bt is BranchType.OVER_GAMMA3:
-        gamma_k = 4
-    else:
-        return _skip("branching", inst, n, f"branch type {bt.value}")
-    members = [mem for mem in ctx.normal_family(n, seed)
-               if mem.name in ("G", "St(1)")]
-    results = {}
-    status = "pass"
-    witness = None
-    for mem in members:
+    k = _branch_gamma(inst)
+    if k is None:
+        return _skip("branching", inst, n,
+                     f"branch type {branch_type(inst).value}")
+    v = _Verdict(gamma=k + 1, members={})
+    for mem in ctx.normal_family(n, seed):
+        if mem.name not in ("G", "St(1)"):
+            continue
         m = 0 if mem.name == "G" else 1
         if n - m - 1 < 1:
-            results[mem.name] = "skipped: depth"
+            v.record(mem.name, True, "skipped: depth", table="members")
             continue
-        gam = ctx.gamma(gamma_k, n - m - 1)
-        if gam.is_trivial():
-            results[mem.name] = f"pass: gamma_{gamma_k} trivial at depth {n - m - 1}"
-            continue
-        missing = first_missing_embedding(gam.generating_set(), m + 1,
-                                          mem.ng(ctx, n))
-        results[mem.name] = "pass" if missing is None else "fail"
-        if missing is not None:
-            idx, x = missing
-            witness = {"member": mem.name, "coordinate": idx,
-                       "element": x.digits()}
-            status = "fail"
+        text, missing = _embedding(
+            ctx.gamma(k + 1, n - m - 1), m + 1, mem.ng(ctx, n),
+            f"pass: gamma_{k + 1} trivial at depth {n - m - 1}")
+        if not v.record(mem.name, missing is None, text,
+                        witness=lambda: {"member": mem.name,
+                                         "coordinate": missing[0],
+                                         "element": missing[1].digits()},
+                        table="members"):
             break
-    return VerificationReport(
-        "branching", inst.spec_dict(), n, status, one_sided=True,
-        details={"gamma": gamma_k, "members": results}, witness=witness)
+    return v.report("branching", inst, n, one_sided=True)
 
 
 def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
@@ -407,36 +436,27 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance) or not is_ggs(inst):
         return _skip("ggs-strong", inst, n, "GGS groups only")
-    bt = branch_type(inst)
-    if bt is BranchType.OVER_DERIVED:
-        label = "G''"
-    elif bt is BranchType.OVER_GAMMA3:
-        label = "gamma3'"
-    else:
-        return _skip("ggs-strong", inst, n, f"branch type {bt.value}")
-    results = {}
-    status = "pass"
-    witness = None
+    k = _branch_gamma(inst)
+    if k is None:
+        return _skip("ggs-strong", inst, n,
+                     f"branch type {branch_type(inst).value}")
+    label = {2: "G''", 3: "gamma3'"}[k]
+    v = _Verdict(inner=label, members={})
     for mem in ctx.normal_family(n, seed):
         if mem.subgroup.is_trivial() or mem.name.startswith("ncl"):
             continue
         m = mem.subgroup.max_stab_depth()
         if m >= n - 1:
             continue
-        k = ctx.branch_derived(n - m)     # K' for K = G' or gamma_3
-        if k.is_trivial():
-            results[mem.name] = f"pass: {label} trivial at depth {n - m}"
-            continue
-        missing = first_missing_embedding(k.generating_set(), m,
-                                          mem.ng(ctx, n))
-        results[mem.name] = "pass" if missing is None else "fail"
-        if missing is not None:
-            witness = {"member": mem.name, "coordinate": missing[0]}
-            status = "fail"
+        text, missing = _embedding(ctx.branch_derived(n - m), m,
+                                   mem.ng(ctx, n),
+                                   f"pass: {label} trivial at depth {n - m}")
+        if not v.record(mem.name, missing is None, text,
+                        witness=lambda: {"member": mem.name,
+                                         "coordinate": missing[0]},
+                        table="members"):
             break
-    return VerificationReport(
-        "ggs-strong", inst.spec_dict(), n, status, one_sided=True,
-        details={"inner": label, "members": results}, witness=witness)
+    return v.report("ggs-strong", inst, n, one_sided=True)
 
 
 def verify_fg_lemma(ctx: GroupContext, n: int,
@@ -451,49 +471,35 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
     if not (isinstance(inst, MultiEGSInstance) and is_fabrykowski_gupta(inst)):
         return _skip("fg-lemma", inst, n, "Fabrykowski-Gupta preset only")
     g = ctx.quotient(n)
-    details: dict = {}
-    witness = None
-    status = "pass"
+    v = _Verdict()
     for m in range(2, n):
         st = g.stabilizer(m)
         dm = ctx.derived(n, m)
-        ok = dm.order_exponent == st.order_exponent and dm.is_subgroup_of(st)
-        details[f"a1:G^({m})=St({m})"] = "pass" if ok else "fail"
-        if not ok:
-            status = "fail"
-            if witness is None:
-                missing = dm.first_non_member(st.generating_set())
-                witness = {
-                    "kind": "non-membership",
-                    "clause": f"G^({m})=St({m})",
-                    "derived_exponent": dm.order_exponent,
-                    "stab_exponent": st.order_exponent,
-                    "element": (missing[1].digits() if missing is not None
-                                else None),
-                    "subgroup_gens": [x.digits()
-                                      for x in dm.generating_set()]}
+
+        def a1_witness():
+            missing = dm.first_non_member(st.generating_set())
+            return _non_membership(
+                dm, None if missing is None else missing[1],
+                clause=f"G^({m})=St({m})", derived_exponent=dm.order_exponent,
+                stab_exponent=st.order_exponent)
+
+        v.record(f"a1:G^({m})=St({m})",
+                 dm.order_exponent == st.order_exponent
+                 and dm.is_subgroup_of(st), witness=a1_witness)
     for m in range(2, n):
-        details[f"a2:psi(St({m}))=G'x..xG'"] = (
-            "pass" if _check_psi_st_product(ctx, n, m) else "fail")
-        if details[f"a2:psi(St({m}))=G'x..xG'"] == "fail":
-            status = "fail"
+        v.record(f"a2:psi(St({m}))=G'x..xG'", _check_psi_st_product(ctx, n, m))
     rng = SplitMix64(seed)
     for m in range(1, n - 1):
         st_gens = g.stabilizer(m).generating_set()
         if not st_gens:
             continue
-        ok_all = True
-        for _ in range(FG_LINK_SAMPLES):
-            x = _random_word(rng, st_gens, 2 + rng.below(3))
-            if not _coordinate_link_holds(ctx, n, m, x):
-                ok_all = False
-                witness = witness or {"clause": f"b:m={m}",
-                                      "element": x.digits()}
-        details[f"b:coordinate-link m={m}"] = "pass" if ok_all else "fail"
-        if not ok_all:
-            status = "fail"
-    return VerificationReport("fg-lemma", inst.spec_dict(), n, status,
-                              one_sided=False, details=details, witness=witness)
+        samples = [_random_word(rng, st_gens, 2 + rng.below(3))
+                   for _ in range(FG_LINK_SAMPLES)]
+        bad = [x for x in samples if not _coordinate_link_holds(ctx, n, m, x)]
+        v.record(f"b:coordinate-link m={m}", not bad,
+                 witness=lambda: {"clause": f"b:m={m}",
+                                  "element": bad[0].digits()})
+    return v.report("fg-lemma", inst, n, one_sided=False)
 
 
 def _check_psi_st_product(ctx: GroupContext, n: int, m: int) -> bool:
@@ -536,72 +542,54 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
     the preimages of all chain layers are normal, and the closed forms for
     t(m) hold for non-torsion regular-branch GGS groups."""
     inst = ctx.inst
-    hyp = _chain_hypothesis(inst)
     g = ctx.quotient(n)
     if levels is None:
         levels = list(range(1, n))
-    details: dict = {}
-    status = "pass"
-    witness = None
+    v = _Verdict()
     tvals = {}
     for m in levels:
         mod = wm_module(inst, m)
         u = g.image_in_wm(m)
         tvals[m] = u.dim
-        chain, bad_layer = uniserial_chain(u, mod)
-        if bad_layer is not None:
-            details[f"chain m={m}"] = f"fail: {bad_layer['reason']}"
-            status = "fail"
-            witness = witness or {"level": m, **bad_layer,
-                                  "upper_basis": chain[-2].basis_digits()
-                                  if len(chain) >= 2 else []}
+        chain, bad = uniserial_chain(u, mod)
+        if not v.record(
+                f"chain m={m}", bad is None,
+                f"pass: length {len(chain) - 1}" if bad is None
+                else f"fail: {bad['reason']}",
+                witness=lambda: {"level": m, **bad,
+                                 "upper_basis": chain[-2].basis_digits()
+                                 if len(chain) >= 2 else []}):
             continue
-        details[f"chain m={m}"] = f"pass: length {len(chain) - 1}"
         rm = compute_rm(g, m)
-        details[f"image=V_j m={m}"] = (
-            f"pass: j_max={rm['j_max']}" if rm["match"] else "fail")
-        if not rm["match"]:
-            status = "fail"
-            witness = witness or {"level": m, **rm.get("witness", {})}
-        normal_ok = first_non_normal_layer(g, m, chain) is None
-        details[f"preimages normal m={m}"] = "pass" if normal_ok else "fail"
-        if not normal_ok:
-            status = "fail"
+        v.record(f"image=V_j m={m}", rm["match"],
+                 f"pass: j_max={rm['j_max']}" if rm["match"] else "fail",
+                 witness=lambda: {"level": m, **rm.get("witness", {})})
+        v.record(f"preimages normal m={m}",
+                 first_non_normal_layer(g, m, chain) is None)
     # closed forms and the two index inequalities
     if (isinstance(inst, MultiEGSInstance) and is_ggs(inst)
-            and not is_torsion(inst)
-            and branch_type(inst) is BranchType.OVER_DERIVED):
+            and not is_torsion(inst) and _branch_gamma(inst) == 2):
         p = ctx.p
-        expect = {m: (p if m == 1 else (p - 1) * p**(m - 1)) for m in levels}
-        ok = all(tvals[m] == expect[m] for m in levels)
-        details["closed-form t(m)"] = "pass" if ok else f"fail: {tvals}"
-        if not ok:
-            status = "fail"
+        ok = all(tvals[m] == (p if m == 1 else (p - 1) * p**(m - 1))
+                 for m in levels)
+        v.record("closed-form t(m)", ok, "pass" if ok else f"fail: {tvals}")
     else:
-        details["closed-form t(m)"] = "skipped: hypothesis (non-torsion branch GGS)"
+        v.record("closed-form t(m)", True,
+                 "skipped: hypothesis (non-torsion branch GGS)")
     if isinstance(inst, MultiEGSInstance):
-        for m in levels:
-            if m - 1 in tvals:
-                if tvals[m] > ctx.p * tvals[m - 1]:
-                    details[f"t({m})<=p*t({m - 1})"] = "fail"
-                    status = "fail"
-            if m + 1 in tvals:
-                if tvals[m] > ctx.p * tvals[m + 1]:
-                    details[f"t({m})<=p*t({m + 1})"] = "fail"
-                    status = "fail"
-        details.setdefault("index-inequalities", "pass")
-    details["t"] = {str(m): tvals[m] for m in levels}
-    details["characteristic"] = "assumed, not checked (out of scope)"
-    if not hyp:
-        return VerificationReport(
-            "chain", inst.spec_dict(), n, "skipped", one_sided=False,
-            details={"reason": "outside the chain-theorem hypothesis "
-                               "(needs a directed generator with nonzero "
-                               "vector sum, or a Sunic group)",
-                     "informational": details},
-            witness=witness)
-    return VerificationReport("chain", inst.spec_dict(), n, status,
-                              one_sided=False, details=details, witness=witness)
+        broken = [f"t({m})<=p*t({k})" for m in levels for k in (m - 1, m + 1)
+                  if k in tvals and tvals[m] > ctx.p * tvals[k]]
+        for key in broken:
+            v.record(key, False)
+        v.record("index-inequalities", not broken)
+    v.details["t"] = {str(m): tvals[m] for m in levels}
+    v.details["characteristic"] = "assumed, not checked (out of scope)"
+    if not _chain_hypothesis(inst):
+        return _skip("chain", inst, n, "outside the chain-theorem hypothesis "
+                                       "(needs a directed generator with nonzero "
+                                       "vector sum, or a Sunic group)",
+                     witness=v.witness, informational=v.details)
+    return v.report("chain", inst, n, one_sided=False)
 
 
 def _chain_hypothesis(inst) -> bool:
@@ -622,12 +610,8 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
     if bound is None:
         return _skip("width-rank", inst, n, rule)
     g = ctx.quotient(n)
-    members = ctx.normal_family(n, seed)
-    results = {}
-    status = "pass"
-    witness = None
-    attained = 0
-    for mem in members:
+    v = _Verdict(bound=bound, rule=rule, members={})
+    for mem in ctx.normal_family(n, seed):
         sub = mem.subgroup
         if sub.is_trivial():
             continue
@@ -636,24 +620,20 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
         pth = Subgroup(ctx.p, n,
                        ng.generating_set() + [x**ctx.p for x in sub.generating_set()])
         d_normal = sub.order_exponent - pth.order_exponent
-        results[mem.name] = {"width": width, "d": d_normal}
-        attained = max(attained, width)
-        if width > bound or d_normal > bound:
-            status = "fail"
-            witness = {"member": mem.name, "width": width, "d": d_normal,
-                       "bound": bound}
-    details = {"bound": bound, "rule": rule, "members": results,
-               "max_width_seen": attained}
+        v.record(mem.name, width <= bound and d_normal <= bound,
+                 {"width": width, "d": d_normal},
+                 witness=lambda: {"member": mem.name, "width": width,
+                                  "d": d_normal, "bound": bound},
+                 table="members")
+    v.details["max_width_seen"] = max(
+        (r["width"] for r in v.details["members"].values()), default=0)
     if isinstance(inst, MultiEGSInstance) and is_fabrykowski_gupta(inst):
         g_width = g.order_exponent - ctx.derived(n).order_exponent
-        details["attainment(N=G)"] = g_width
-        if g_width != 2:
-            status = "fail"
-            witness = witness or {"attainment": g_width}
+        v.record("attainment(N=G)", g_width == 2, g_width,
+                 witness=lambda: {"attainment": g_width})
     if n_g is not None:
-        details["n_G"] = n_g
-    return VerificationReport("width-rank", inst.spec_dict(), n, status,
-                              one_sided=True, details=details, witness=witness)
+        v.details["n_G"] = n_g
+    return v.report("width-rank", inst, n, one_sided=True)
 
 
 def verify_congruence_equiv(ctx: GroupContext, n: int) -> VerificationReport:
@@ -662,7 +642,7 @@ def verify_congruence_equiv(ctx: GroupContext, n: int) -> VerificationReport:
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
         return _skip("congruence-equiv", inst, n, "multi-EGS groups only")
-    if branch_type(inst) is not BranchType.OVER_DERIVED:
+    if _branch_gamma(inst) != 2:
         return _skip("congruence-equiv", inst, n,
                      "requires regular branch over the derived subgroup")
     vecs = [tuple(int(x) for x in row) for row in inst.concatenated_vectors()]
@@ -673,13 +653,10 @@ def verify_congruence_equiv(ctx: GroupContext, n: int) -> VerificationReport:
     h_inst = catalog.make_multi_ggs(ctx.p, vecs)
     g = ctx.quotient(n)
     h = group_of(h_inst, n, name="H_n")
-    ok = g.is_subgroup_of(h) and h.is_subgroup_of(g)
-    details = {"companion": h_inst.spec_dict(),
-               "orders": [g.order_exponent, h.order_exponent]}
-    return VerificationReport(
-        "congruence-equiv", inst.spec_dict(), n, "pass" if ok else "fail",
-        one_sided=False, details=details,
-        witness=None if ok else details)
+    v = _Verdict(companion=h_inst.spec_dict())
+    v.record("orders", g.is_subgroup_of(h) and h.is_subgroup_of(g),
+             [g.order_exponent, h.order_exponent], witness=lambda: v.details)
+    return v.report("congruence-equiv", inst, n, one_sided=False)
 
 
 def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
@@ -690,11 +667,8 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
     if not isinstance(inst, MultiEGSInstance) or catalog.appb_shape(inst) is None:
         return _skip("appb", inst, n, "requires the multi-ray single-vector "
                                       "symmetric non-constant shape")
-    details: dict = {}
-    status = "pass"
-    witness = None
     words = catalog.appb_d_words(inst)
-    details["d_word_count"] = len(words)
+    v = _Verdict(d_word_count=len(words))
     g = ctx.quotient(n)
     gam3 = ctx.gamma(3, n)
     d_seeds = [evaluate_word(inst, w, n) for w in words]
@@ -707,34 +681,22 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
                                     for w in words) if not x.is_identity()],
                        ctx.quotient(n - 1)),
         ctx.gamma(3, n - 1))
-    rb = is_regular_branch_over(g, ctx.quotient(n - 1), b_sub,
-                                shallow_b.generating_set())
-    details["regular-branch-over-B"] = "pass" if rb else "fail"
-    if not rb:
-        status = "fail"
+    v.record("regular-branch-over-B",
+             is_regular_branch_over(g, ctx.quotient(n - 1), b_sub,
+                                    shallow_b.generating_set()))
     if n >= 6:
-        st5 = g.stabilizer(5)
-        ok = st5.is_subgroup_of(b_sub)
-        details["St(5)<=B"] = "pass" if ok else "fail"
-        if not ok:
-            status = "fail"
+        v.record("St(5)<=B", g.stabilizer(5).is_subgroup_of(b_sub))
     else:
-        details["St(5)<=B"] = "skipped: needs depth >= 6"
+        v.record("St(5)<=B", True, "skipped: needs depth >= 6")
     for k in range(1, n):
-        gs = join(gam3, g.stabilizer(k))
-        ok = b_sub.is_subgroup_of(gs)
-        details[f"B<=gamma3*St({k})"] = "pass" if ok else "fail"
-        if not ok:
-            status = "fail"
-            witness = witness or {"clause": f"B<=gamma3*St({k})"}
+        v.record(f"B<=gamma3*St({k})",
+                 b_sub.is_subgroup_of(join(gam3, g.stabilizer(k))),
+                 witness=lambda: {"clause": f"B<=gamma3*St({k})"})
     if n >= 3:
         d3 = min_generators(ctx.quotient(3))
-        details["min_generators(G_3)"] = d3
-        if d3 != 3:
-            status = "fail"
-            witness = witness or {"clause": "min_generators(G_3)", "value": d3}
-    return VerificationReport("appb", inst.spec_dict(), n, status,
-                              one_sided=True, details=details, witness=witness)
+        v.record("min_generators(G_3)", d3 == 3, d3,
+                 witness=lambda: {"clause": "min_generators(G_3)", "value": d3})
+    return v.report("appb", inst, n, one_sided=True)
 
 
 def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
@@ -746,80 +708,52 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
     if not inst.is_regular_branch():
         return _skip("sunic", inst, n,
                      "(p,r)=(2,1) is infinite dihedral, not regular branch")
-    details: dict = {}
-    status = "pass"
-    witness = None
+    v = _Verdict()
     p, r = inst.p, inst.r
     g = ctx.quotient(n)
     # regular branch over K
     k_n = branch_subgroup(ctx, n)
     k_gens_shallow = branch_subgroup(ctx, n - 1).generating_set()
-    rb = is_regular_branch_over(g, ctx.quotient(n - 1), k_n, k_gens_shallow)
-    details["regular-branch-over-K"] = "pass" if rb else "fail"
-    if not rb:
-        status = "fail"
-        witness = {"clause": "regular-branch-over-K"}
+    v.record("regular-branch-over-K",
+             is_regular_branch_over(g, ctx.quotient(n - 1), k_n,
+                                    k_gens_shallow),
+             witness=lambda: {"clause": "regular-branch-over-K"})
     # super strongly fractal (depth-capped)
     ssf_depth = min(n, 4)
-    quotients = [ctx.quotient(d) for d in range(1, ssf_depth + 1)]
-    ssf = is_super_strongly_fractal(quotients)
-    details[f"super-strongly-fractal(n<={ssf_depth})"] = "pass" if ssf else "fail"
-    if not ssf:
-        status = "fail"
+    v.record(f"super-strongly-fractal(n<={ssf_depth})",
+             is_super_strongly_fractal([ctx.quotient(d)
+                                        for d in range(1, ssf_depth + 1)]))
     if p == 2 and n >= 3:
-        sec = g.stabilizer(2).section_subgroup((2, 2))
-        full = ctx.quotient(n - 2)
-        ok = sec.equal(full)
-        details["phi_22(St(2))=G"] = "pass" if ok else "fail"
-        if not ok:
-            status = "fail"
+        v.record("phi_22(St(2))=G", g.stabilizer(2).section_subgroup(
+            (2, 2)).equal(ctx.quotient(n - 2)))
     if p % 2 == 1:
-        der = ctx.derived(n)
-        details["psi(G') subdirect"] = (
-            "pass" if is_subdirect_in_product(der, 1, ctx.quotient(n - 1))
-            else "fail")
-        if details["psi(G') subdirect"] == "fail":
-            status = "fail"
+        v.record("psi(G') subdirect", is_subdirect_in_product(
+            ctx.derived(n), 1, ctx.quotient(n - 1)))
     # R_m pattern
     for m in range(1, n):
         rm = compute_rm(g, m)
         t = rm["t"]
         if m <= r:
-            ok = t == p**m
-            details[f"R_{m}={{1..p}}^{m}"] = "pass" if ok else f"fail: t={t}"
+            key, ok = f"R_{m}={{1..p}}^{m}", t == p**m
         else:
-            ok = t >= (p - 1) * p**(m - 1) and rm["match"]
-            details[f"R_{m}>=lower-bound"] = "pass" if ok else f"fail: t={t}"
-        if not ok:
-            status = "fail"
-            witness = witness or {"clause": f"R_{m}", "t": t}
+            key, ok = (f"R_{m}>=lower-bound",
+                       t >= (p - 1) * p**(m - 1) and rm["match"])
+        v.record(key, ok, "pass" if ok else f"fail: t={t}",
+                 witness=lambda: {"clause": f"R_{m}", "t": t})
     n_g = None
     if p == 2:
         n_g = ctx.n_g(n)
-        details["n_G"] = n_g if n_g is not None else "not found within depth"
+        v.details["n_G"] = n_g if n_g is not None else "not found within depth"
     # stabilizer inclusions (depth permitting)
-    if p % 2 == 1:
-        need = r + 3
+    if p % 2 == 1 or n_g is not None:
+        need, label = (r + 3, "G''") if p % 2 == 1 else (r + n_g + 2, "K'")
+        key = f"St({need})<={label}"
         if n > need:
-            gpp = ctx.derived(n, 2)
-            ok = g.stabilizer(need).is_subgroup_of(gpp)
-            details[f"St({need})<=G''"] = "pass" if ok else "fail"
-            if not ok:
-                status = "fail"
+            v.record(key, g.stabilizer(need).is_subgroup_of(
+                ctx.branch_derived(n)))
         else:
-            details[f"St({r + 3})<=G''"] = "skipped: needs depth > " + str(need)
-    elif n_g is not None:
-        need = r + n_g + 2
-        if n > need:
-            kp = ctx.branch_derived(n)
-            ok = g.stabilizer(need).is_subgroup_of(kp)
-            details[f"St({need})<=K'"] = "pass" if ok else "fail"
-            if not ok:
-                status = "fail"
-        else:
-            details[f"St({need})<=K'"] = f"skipped: needs depth > {need}"
-    return VerificationReport("sunic", inst.spec_dict(), n, status,
-                              one_sided=True, details=details, witness=witness)
+            v.record(key, True, f"skipped: needs depth > {need}")
+    return v.report("sunic", inst, n, one_sided=True)
 
 
 def verify_generator_counts(ctx: GroupContext, n: int | None = None
@@ -829,7 +763,7 @@ def verify_generator_counts(ctx: GroupContext, n: int | None = None
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
         return _skip("generator-count", inst, n or 0, "multi-EGS groups only")
-    if branch_type(inst) is not BranchType.OVER_DERIVED:
+    if _branch_gamma(inst) != 2:
         return _skip("generator-count", inst, n or 0,
                      "requires regular branch over the derived subgroup")
     rd = r_dot(inst)
@@ -838,12 +772,10 @@ def verify_generator_counts(ctx: GroupContext, n: int | None = None
         return _skip("generator-count", inst, depth,
                      f"needs depth >= rdot+1 = {rd + 1}")
     d = min_generators(ctx.quotient(depth))
-    ok = d == 1 + rd
-    return VerificationReport(
-        "generator-count", inst.spec_dict(), depth,
-        "pass" if ok else "fail", one_sided=False,
-        details={"rdot": rd, "min_generators": d, "expected": 1 + rd},
-        witness=None if ok else {"min_generators": d, "expected": 1 + rd})
+    v = _Verdict(rdot=rd, expected=1 + rd)
+    v.record("min_generators", d == 1 + rd, d,
+             witness=lambda: {"min_generators": d, "expected": 1 + rd})
+    return v.report("generator-count", inst, depth, one_sided=False)
 
 
 def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
@@ -853,20 +785,19 @@ def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
     gi, hi = ctx_g.inst, ctx_h.inst
     for inst in (gi, hi):
         if not (isinstance(inst, MultiEGSInstance)
-                and branch_type(inst) is BranchType.OVER_DERIVED
-                and has_csp(inst)):
+                and _branch_gamma(inst) == 2 and has_csp(inst)):
             return _skip("profinite-pair", inst, 0,
                          "both groups must branch over the derived subgroup "
                          "and have the congruence subgroup property")
     rg, rh = r_dot(gi), r_dot(hi)
     dg = min_generators(ctx_g.quotient(rg + 1))
     dh = min_generators(ctx_h.quotient(rh + 1))
-    ok = (dg == 1 + rg) and (dh == 1 + rh) and dg != dh
+    v = _Verdict(rank_G=dg)
+    v.record("rank_H", dg == 1 + rg and dh == 1 + rh and dg != dh, dh,
+             witness=lambda: dict(v.details))
     return VerificationReport(
         "profinite-pair", {"G": gi.spec_dict(), "H": hi.spec_dict()},
-        max(rg, rh) + 1, "pass" if ok else "fail", one_sided=False,
-        details={"rank_G": dg, "rank_H": dh},
-        witness=None if ok else {"rank_G": dg, "rank_H": dh})
+        max(rg, rh) + 1, v.status, details=v.details, witness=v.witness)
 
 
 # -- registry -----------------------------------------------------------------

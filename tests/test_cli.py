@@ -138,6 +138,24 @@ def test_oracle_replay_reads_letter_digits(tmp_path, capsys):
     assert "hand-made: witness CONFIRMED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("report", [
+    None,                              # no --report at all
+    {"type": "fg", "p": 3},            # a spec, not a report
+    [],                                # not an object
+])
+def test_oracle_replay_bad_input_exit_code(report, tmp_path, capsys):
+    # exit 1 would claim a witness was found
+    argv = ["oracle", "replay"]
+    if report is not None:
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        argv += ["--report", str(path)]
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(("usage error: --report",
+                                         "spec error: "))
+
+
 def test_entries_reduced_mod_p():
     inst = instance_from_dict({"type": "ggs", "p": 3, "vector": [4, -1]})
     assert inst.families[0][0] == (1, 2)
@@ -173,6 +191,10 @@ def test_out_of_range_depth_or_level_exit_code(argv, flag, capsys):
 # -- golden reports --------------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
+# the p=5 GGS group on (0,1,1,0) and the p=3 Sunic group with coefficients
+# (alpha_0, alpha_1) = (1, 1)
+GGS5 = {"type": "ggs", "p": 5, "vector": [0, 1, 1, 0]}
+SUNIC3 = {"type": "sunic", "p": 3, "poly": [1, 1]}
 
 
 @pytest.mark.parametrize("name, argv, code", [
@@ -189,7 +211,7 @@ GOLDEN = Path(__file__).parent / "golden"
     # the GGS group on (0,1,1,0) branches over gamma_3: ggs-strong's
     # gamma3' branch
     ("ggs-strong-ggs5-d3",
-     ["verify", "ggs-strong", "--spec", "SPEC", "--depth", "3"], EXIT_PASS),
+     ["verify", "ggs-strong", "--spec", GGS5, "--depth", "3"], EXIT_PASS),
     # the module layer: chain bases, the submodule census, the psi-twisted
     # cross-check and the brute normal-subgroup census
     ("chain-fg3-l2-d4",
@@ -202,13 +224,21 @@ GOLDEN = Path(__file__).parent / "golden"
     ("oracle-normal-between-fg3-l1",
      ["oracle", "normal-between", "--preset", "fg3", "--level", "1"],
      EXIT_PASS),
+    # multi-EGS over the derived subgroup: the rdot+3 offset
+    ("all-remark-group-d3",
+     ["verify", "all", "--preset", "remark-group", "--depth", "3"], EXIT_PASS),
+    # odd-p Sunic: psi(G') subdirect and the St(r+3)<=G'' depth skip
+    ("all-sunic3-d4",
+     ["verify", "all", "--spec", SUNIC3, "--depth", "4"], EXIT_PASS),
 ])
 def test_golden_reports(name, argv, code, tmp_path, capsys):
     """CLI output (stdout, stderr, exit code) equals the committed
     references byte for byte."""
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"type": "ggs", "p": 5, "vector": [0, 1, 1, 0]}))
-    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    for a in argv:
+        if isinstance(a, dict):
+            spec.write_text(json.dumps(a))
+    argv = [str(spec) if isinstance(a, dict) else a for a in argv]
     assert run(argv) == code
     out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")

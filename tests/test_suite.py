@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from branchgroups import engine
+from branchgroups import engine, suite
 from branchgroups.catalog import (fabrykowski_gupta, make_ggs, make_multi_egs,
                                   make_multi_ggs, make_sunic, preset)
 from branchgroups.cli import EXIT_GUARD, run
-from branchgroups.suite import (GroupContext, SplitMix64, branch_subgroup,
-                                csp_offset, run_all, run_check,
-                                verify_profinite_distinction)
+from branchgroups.gmodules import tuple_from_rank, vj_basis
+from branchgroups.suite import (GroupContext, SplitMix64, _Verdict,
+                                branch_subgroup, csp_offset, run_all,
+                                run_check, verify_profinite_distinction)
 
 
 def report_json(report):
@@ -76,6 +77,27 @@ def test_commutator_terms_built_once(fg3_ctx):
     assert members["gamma2"].ng(fg3_ctx, 3) is fg3_ctx.gamma(3, 3)
 
 
+def test_verdict_keeps_first_witness_and_builds_it_on_failure_only():
+    built = []
+
+    def witness(clause):
+        def build():
+            built.append(clause)
+            return {"clause": clause}
+        return build
+
+    v = _Verdict(members={})
+    assert v.record("a", True, witness=witness("a"))
+    assert not v.record("b", False, witness=witness("b"))
+    assert not v.record("c", False, "fail: late", witness=witness("c"),
+                        table="members")
+    rep = v.report("demo", fabrykowski_gupta(3), 2, one_sided=True)
+    assert built == ["b"]
+    assert rep.status == "fail" and rep.witness == {"clause": "b"}
+    assert rep.details == {"a": "pass", "b": "fail",
+                           "members": {"c": "fail: late"}}
+
+
 # -- the individual checks ---------------------------------------------------------
 
 def test_effective_csp_fg3_small(fg3_ctx):
@@ -83,6 +105,19 @@ def test_effective_csp_fg3_small(fg3_ctx):
     assert rep.status == "pass"
     assert rep.one_sided
     assert rep.details["offset"] == 2
+
+
+def test_effective_csp_fallback_miss_fails_the_check(fg3_ctx, monkeypatch):
+    # every psi^-1(K' x ... x K') <= [N, G] embedding reports a miss
+    monkeypatch.setattr(suite, "first_missing_embedding",
+                        lambda gens, level, sub: (0, gens[0]))
+    rep = run_check(fg3_ctx, "effective-csp", depth=4, seed=1)
+    fallbacks = {k: t for k, t in rep.details["members"].items()
+                 if k.endswith("/K'-fallback")}
+    assert "fail at coordinate 0" in fallbacks.values()
+    assert rep.status == "fail"
+    assert rep.witness["kind"] == "non-membership"
+    assert rep.witness["member"] in fallbacks
 
 
 def test_effective_csp_skips_for_script_g():
@@ -129,6 +164,22 @@ def test_chain_theorem_fg3(fg3_ctx):
     assert rep.status == "pass"
     assert rep.details["t"] == {"1": 3, "2": 6, "3": 18}
     assert rep.details["closed-form t(m)"] == "pass"
+
+
+def test_chain_index_inequalities_report_a_broken_one(monkeypatch):
+    # shrink the level-1 image to V_0 so that t(1) = 1 and t(2) = 6 > 3 t(1)
+    image_in_wm = engine.Subgroup.image_in_wm
+
+    def shrunk(self, m):
+        return (vj_basis(self.p, tuple_from_rank(0, self.p, 1)) if m == 1
+                else image_in_wm(self, m))
+
+    monkeypatch.setattr(engine.Subgroup, "image_in_wm", shrunk)
+    rep = run_check(GroupContext(fabrykowski_gupta(3)), "chain", depth=4)
+    assert rep.details["t"]["1"] == 1
+    assert rep.details["t(2)<=p*t(1)"] == "fail"
+    assert rep.details["index-inequalities"] == "fail"
+    assert rep.status == "fail"
 
 
 def test_chain_theorem_gs3_is_informational(gs3_ctx):
