@@ -278,16 +278,18 @@ def _oracle_replay(args) -> int:
             and all(isinstance(c, dict) for c in checks), "/checks",
             "expected a list of check objects")
     confirmed, unsupported = 0, 0
-    for check in checks:
+    for i, check in enumerate(checks):
         wit = check.get("witness")
         if check.get("status") != "fail" or not wit:
             continue
+        at = f"/checks/{i}"
+        _expect(isinstance(wit, dict), f"{at}/witness",
+                "expected a witness object")
+        _expect(isinstance(check.get("name"), str), f"{at}/name",
+                "expected a check name")
         if wit.get("kind") == "non-membership" and wit.get("element"):
-            depth = len_digits_to_depth(inst.p, wit["element"])
-            gens = [Portrait.from_digits(inst.p, depth, d)
-                    for d in wit["subgroup_gens"]]
-            elem = Portrait.from_digits(inst.p, depth, wit["element"])
-            sub = Subgroup(inst.p, depth, gens)
+            elem, gens = _witness_portraits(inst.p, wit, f"{at}/witness")
+            sub = Subgroup(inst.p, elem.depth, gens)
             in_chain = sub.contains(elem)
             verdict = not in_chain
             if sub.order_exponent <= args.cap:
@@ -303,6 +305,24 @@ def _oracle_replay(args) -> int:
     print(json.dumps({"confirmed": confirmed, "unreplayed": unsupported},
                      sort_keys=True))
     return EXIT_PASS if unsupported == 0 else EXIT_FAIL
+
+
+def _witness_portraits(p: int, wit: dict, at: str):
+    """The element and subgroup generators of a non-membership witness;
+    SpecError unless they are label strings of one tree's length."""
+    elem = wit["element"]
+    _expect(isinstance(elem, str), f"{at}/element", "expected a label string")
+    gens = wit.get("subgroup_gens")
+    _expect(isinstance(gens, list)
+            and all(isinstance(g, str) and len(g) == len(elem) for g in gens),
+            f"{at}/subgroup_gens",
+            "expected a list of label strings of the element's length")
+    depth = len_digits_to_depth(p, elem)
+    try:
+        return (Portrait.from_digits(p, depth, elem),
+                [Portrait.from_digits(p, depth, g) for g in gens])
+    except ValueError as exc:
+        raise SpecError(f"{at}: {exc}") from exc
 
 
 def len_digits_to_depth(p: int, digits: str) -> int:

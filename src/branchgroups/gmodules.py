@@ -202,39 +202,50 @@ def vj_basis(p: int, j: IndexTuple) -> FpSubspace:
         return FpSubspace(p, ambient)
     if m == 1:
         return FpSubspace(p, p, _a_nilpotent_power(p, p - j[0]))
-    lower = vj_basis(p, predecessor(j[:-1], p))
-    d = p**(m - 1)
+    lower = vj_basis(p, predecessor(j[:-1], p)).echelon()
     # the block sum of V_{(j')-} is already in echelon form
-    basis = Echelon(p, ambient, np.kron(np.eye(p, dtype=np.int64), lower.rows),
-                    [i * d + c for i in range(p) for c in lower.pivots])
+    basis = Echelon(p, ambient)
+    basis.bases[0] = np.kron(np.eye(p, dtype=np.int64), lower.bases[0])
     w_prefix = canonical_generator_vec(p, j[:-1])
-    for coeff_row in vj_basis(p, (j[-1],)).rows:
-        basis.add(_block_multiples(coeff_row, w_prefix, p))
+    basis.add_span([_block_multiples(coeff_row, w_prefix, p)
+                    for coeff_row in vj_basis(p, (j[-1],)).rows])
     return basis.subspace()
 
 
 # -- closures ---------------------------------------------------------------
 
 
-def submodule_closure(seed: FpSubspace, mod: GModule) -> FpSubspace:
-    """Smallest action-invariant subspace containing the seed: the images
-    of each new batch of basis vectors under the generators are reduced
-    together, and the nonzero residues grow one echelon basis."""
-    basis = seed.echelon()
-    frontier = basis.rows
-    while len(frontier):
-        images = basis.reduce(np.concatenate([mod.act(frontier, k)
-                                              for k in mod.perms]))
-        new_rows = []
-        for res in images[images.any(axis=1)]:
-            if new_rows:        # the basis grew since the batch was reduced
-                res = basis.reduce(res)
-                if not res.any():
-                    continue
-            basis.insert(res)
-            new_rows.append(res)
-        frontier = np.array(new_rows, dtype=np.int64).reshape(-1, mod.dim)
-    return basis.subspace()
+def submodule_closure(seeds: Echelon | FpSubspace,
+                      mod: GModule) -> Echelon | FpSubspace:
+    """Smallest action-invariant subspace containing each seed.
+
+    `seeds` is an Echelon stack, closed in place and returned, or one
+    FpSubspace, closed as a stack of one and returned as an FpSubspace.
+    Each round applies the generators to the frontier of every open basis
+    (at first its seed rows, then the rows it gained in the last round),
+    reduces all images in one product and inserts candidate j of every
+    open basis at once; a basis leaves the stack when a round adds nothing.
+    """
+    if isinstance(seeds, FpSubspace):
+        return submodule_closure(seeds.echelon(), mod).subspace()
+    work, live = seeds, np.arange(len(seeds.bases))
+    pivots = np.diagonal(seeds.bases, axis1=1, axis2=2).any(axis=0)
+    frontier = seeds.bases[:, pivots]
+    while live.size:
+        images = work.reduce(np.concatenate([mod.act(frontier, k)
+                                             for k in mod.perms], axis=1))
+        images = images[:, images.any(axis=(0, 2))]
+        for j in range(images.shape[1]):
+            if j:               # the bases grew since the batch was reduced
+                images[:, j] = work.reduce(images[:, j])
+            work.insert(images[:, j])
+        grew = images.any(axis=(1, 2))
+        if not grew.all():      # finished bases go back into the stack
+            seeds.bases[live[~grew]] = work.bases[~grew]
+            live, images = live[grew], images[grew]
+            work = work.take(grew)
+        frontier = images[:, images.any(axis=(0, 2))]
+    return seeds
 
 
 def commutator_subspace(u: FpSubspace, mod: GModule) -> FpSubspace:

@@ -10,7 +10,7 @@ import numpy as np
 from .engine import ResourceGuardError
 from .gmodules import (GModule, layer_preimage, submodule_closure,
                        wm_module)
-from .linalg import FpSubspace, full_space
+from .linalg import Echelon, FpSubspace, full_space
 from .trees import Portrait
 
 
@@ -70,12 +70,21 @@ def projective_points(p: int, dim: int) -> Iterable[tuple[int, ...]]:
 def _cyclic_closures(space: FpSubspace, mod: GModule) -> list[FpSubspace]:
     """The distinct closures of single vectors of `space`, sorted by
     dimension.  closure(c v) = closure(v) for c != 0, so one vector per
-    projective class of the space is closed."""
+    projective class of the space is closed.  The classes are closed in
+    stacks of about 4096 / d^2 seeds, so a stack of square d x d bases
+    stays small, and deduplicated by their canonical square bases."""
+    p, d = mod.p, mod.dim
+    rows = space.rows.astype(np.int64)
+    points = projective_points(p, space.dim)
     found: dict[bytes, FpSubspace] = {}
-    for coeffs in projective_points(mod.p, space.dim):
-        vec = (np.array(coeffs, dtype=np.int64) @ space.rows) % mod.p
-        sp = submodule_closure(FpSubspace(mod.p, mod.dim, [vec]), mod)
-        found.setdefault(sp.key(), sp)
+    while block := list(itertools.islice(points, max(1, 4096 // d**2))):
+        stack = Echelon(p, d, len(block))
+        stack.add(np.array(block, dtype=np.int64) @ rows)
+        submodule_closure(stack, mod)
+        for k, basis in enumerate(stack.bases):
+            key = basis.tobytes()
+            if key not in found:
+                found[key] = stack.subspace(k)
     return sorted(found.values(), key=lambda s: (s.dim, s.key()))
 
 

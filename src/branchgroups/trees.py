@@ -249,6 +249,11 @@ class Portrait:
 
     @staticmethod
     def from_digits(p: int, depth: int, digits: str) -> "Portrait":
+        """The inverse of digits(); raises ValueError for a letter that is
+        not the DIGITS symbol of a label below p."""
+        bad = [c for c in digits if c not in DIGITS[:p]]
+        if bad:
+            raise ValueError(f"{bad[0]!r} is not a label below p = {p}")
         return Portrait.from_labels(
             p, depth, np.array([DIGITS.index(c) for c in digits],
                                dtype=_LABEL_DTYPE))

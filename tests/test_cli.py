@@ -138,10 +138,27 @@ def test_oracle_replay_reads_letter_digits(tmp_path, capsys):
     assert "hand-made: witness CONFIRMED" in capsys.readouterr().out
 
 
+def witness_report(**witness):
+    """A p = 3 report whose one failing check carries the given
+    non-membership witness (depth 2, so label strings have length 4)."""
+    return {"group": {"type": "fg", "p": 3}, "checks": [
+        {"name": "x", "status": "fail",
+         "witness": {"kind": "non-membership", **witness}}]}
+
+
 @pytest.mark.parametrize("report", [
     None,                              # no --report at all
     {"type": "fg", "p": 3},            # a spec, not a report
     [],                                # not an object
+    witness_report(element="0000"),    # no subgroup_gens
+    witness_report(element="0000", subgroup_gens="0000"),
+    witness_report(element="0000", subgroup_gens=["000"]),
+    witness_report(element="0000", subgroup_gens=[0]),
+    witness_report(element=12, subgroup_gens=[]),
+    witness_report(element="0z00", subgroup_gens=[]),   # label 35 >= p
+    witness_report(element="0000", subgroup_gens=["0300"]),
+    {"group": {"type": "fg", "p": 3},  # a failing check without a name
+     "checks": [{"status": "fail", "witness": {"kind": "other"}}]},
 ])
 def test_oracle_replay_bad_input_exit_code(report, tmp_path, capsys):
     # exit 1 would claim a witness was found

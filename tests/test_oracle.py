@@ -1,13 +1,18 @@
+import bisect
 import itertools
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki, preset
 from branchgroups.engine import ResourceGuardError, Subgroup, group_of
 from branchgroups.gmodules import (GModule, submodule_closure, vj_basis,
                                    wm_module)
-from branchgroups.linalg import FpSubspace
-from branchgroups.oracle import (bfs_elements, bfs_enumerate,
+from branchgroups.linalg import Echelon, FpSubspace
+from branchgroups.oracle import (_cyclic_closures, bfs_elements, bfs_enumerate,
                                  brute_invariant_subspaces_within,
                                  brute_normal_between, brute_submodules,
                                  projective_points)
@@ -80,15 +85,71 @@ def test_section_subgroup_matches_bfs(name, depth, v, cyclic):
     assert all(sec.contains(y) for y in images.values())
 
 
+class RowListEchelon:
+    """The earlier row-list echelon basis, kept as the reference for the
+    stacked square form: int64 rows in pivot order, each 1 at its own
+    pivot and 0 at every other pivot."""
+
+    def __init__(self, p, ambient):
+        self.p = p
+        self.rows = np.zeros((0, ambient), dtype=np.int64)
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        if self.pivots:
+            v = (v - v[..., self.pivots] @ self.rows) % self.p
+        return v
+
+    def insert(self, res):
+        p = self.p
+        c = int(res.nonzero()[0][0])
+        res = res * pow(int(res[c]), p - 2, p) % p
+        rows, col = self.rows, self.rows[:, c:c + 1]
+        if col.any():
+            rows = (rows - col * res) % p
+        k = bisect.bisect(self.pivots, c)
+        self.rows = np.concatenate([rows[:k], res[None], rows[k:]])
+        self.pivots.insert(k, c)
+
+
+def reference_closure(seed_rows, mod):
+    """The earlier one-seed submodule closure over RowListEchelon: (int8
+    rows, pivots) of the smallest invariant subspace containing the rows."""
+    basis = RowListEchelon(mod.p, mod.dim)
+    for row in seed_rows:
+        res = basis.reduce(row)
+        if res.any():
+            basis.insert(res)
+    frontier = basis.rows
+    while len(frontier):
+        images = basis.reduce(np.concatenate([mod.act(frontier, k)
+                                              for k in mod.perms]))
+        new_rows = []
+        for res in images[images.any(axis=1)]:
+            if new_rows:
+                res = basis.reduce(res)
+                if not res.any():
+                    continue
+            basis.insert(res)
+            new_rows.append(res)
+        frontier = np.array(new_rows, dtype=np.int64).reshape(-1, mod.dim)
+    return basis.rows.astype(np.int8), basis.pivots
+
+
+def sorted_keys(closures):
+    """Distinct int8 row bytes of (rows, pivots) pairs, by (dim, key)."""
+    return sorted({rows.tobytes(): len(rows) for rows, _ in closures}.items(),
+                  key=lambda kv: (kv[1], kv[0]))
+
+
 def closures_of_every_vector(mod):
-    """The census without projective deduplication: every nonzero vector."""
-    p, dim = mod.p, mod.dim
-    found = {}
-    for coeffs in itertools.product(range(p), repeat=dim):
-        if any(coeffs):
-            sp = submodule_closure(FpSubspace(p, dim, [coeffs]), mod)
-            found.setdefault(sp.key(), sp)
-    return sorted(found.values(), key=lambda s: (s.dim, s.key()))
+    """The census without projective deduplication: the reference closure
+    of every nonzero vector, as sorted (key, dim) pairs."""
+    return sorted_keys(reference_closure([coeffs], mod)
+                       for coeffs in itertools.product(range(mod.p),
+                                                       repeat=mod.dim)
+                       if any(coeffs))
 
 
 @pytest.mark.parametrize("p,dim", [(2, 4), (3, 3), (5, 2), (7, 1)])
@@ -103,8 +164,85 @@ def test_projective_points_cover_each_line_once(p, dim):
 def test_projective_census_matches_every_vector(p, level):
     mod = wm_module(fabrykowski_gupta(p), level)
     projective = brute_submodules(mod)
-    assert ([s.key() for s in projective]
-            == [s.key() for s in closures_of_every_vector(mod)])
+    assert ([(s.key(), s.dim) for s in projective]
+            == closures_of_every_vector(mod))
+
+
+MODULE_GROUPS = {"fg": fabrykowski_gupta, "gs": gupta_sidki,
+                 "grigorchuk": lambda p: preset("sunic-grigorchuk")}
+
+
+@lru_cache(maxsize=None)
+def small_module(family, p, level):
+    return wm_module(MODULE_GROUPS[family](p), level)
+
+
+@st.composite
+def modules(draw):
+    family, p = draw(st.sampled_from([("fg", 3), ("fg", 5), ("fg", 7),
+                                      ("gs", 3), ("gs", 5), ("gs", 7),
+                                      ("grigorchuk", 2)]))
+    return small_module(family, p, draw(st.sampled_from([1, 2])))
+
+
+@st.composite
+def seed_stacks(draw):
+    """(module, seeds): each seed is a list of rows over F_p, drawn as zero,
+    one or several random rows, a zero row or the whole space."""
+    mod = draw(modules())
+    p, d = mod.p, mod.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(["empty", "zero", "full", "rows"]))
+        if kind == "empty":
+            seeds.append(np.zeros((0, d), dtype=np.int64))
+        elif kind == "zero":
+            seeds.append(np.zeros((1, d), dtype=np.int64))
+        elif kind == "full":
+            seeds.append(np.eye(d, dtype=np.int64))
+        else:
+            seeds.append(rng.integers(0, p, (draw(st.integers(1, 3)), d)))
+    return mod, seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed_stacks())
+def test_stacked_closure_matches_reference_seed_by_seed(case):
+    mod, seeds = case
+    stack = Echelon(mod.p, mod.dim, len(seeds))
+    rows = np.zeros((len(seeds), max(len(s) for s in seeds), mod.dim),
+                    dtype=np.int64)
+    for k, seed in enumerate(seeds):
+        rows[k, :len(seed)] = seed
+    for r in range(rows.shape[1]):
+        stack.add(rows[:, r])
+    assert submodule_closure(stack, mod) is stack
+    for k, seed in enumerate(seeds):
+        got = stack.subspace(k)
+        want_rows, want_pivots = reference_closure(seed, mod)
+        assert got.rows.dtype == np.int8
+        assert np.array_equal(got.rows, want_rows)
+        assert got.pivots == want_pivots
+        assert got.key() == want_rows.tobytes()
+        # one seed alone, as an FpSubspace, closes the same way
+        assert submodule_closure(FpSubspace(mod.p, mod.dim, seed),
+                                 mod) == got
+
+
+@settings(max_examples=25, deadline=None)
+@given(modules(), st.data())
+def test_cyclic_closures_match_reference_across_blocks(mod, data):
+    # a space with more projective points than one stack of seeds holds
+    # (4096 // d^2 of them) is closed in several stacks
+    p, d = mod.p, mod.dim
+    dim = data.draw(st.integers(1, min(d, 5 if p <= 5 else 3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    space = FpSubspace(p, d, rng.integers(0, p, (dim, d)))
+    want = sorted_keys(
+        reference_closure([np.array(c, dtype=np.int64) @ space.rows], mod)
+        for c in projective_points(p, space.dim))
+    assert [(s.key(), s.dim) for s in _cyclic_closures(space, mod)] == want
 
 
 def test_brute_submodules_w1():

@@ -256,6 +256,14 @@ def test_digit_roundtrip_one_symbol_per_label(p):
     assert Portrait.from_digits(p, 2, f.digits()) == f
 
 
+@pytest.mark.parametrize("p, digits", [(3, "0z00"), (3, "0300"),
+                                       (3, "0-00"), (11, "0b" + "0" * 10)])
+def test_from_digits_rejects_labels_outside_the_field(p, digits):
+    # letter 35, the label p itself, a non-DIGITS letter, label 11 at p = 11
+    with pytest.raises(ValueError, match="not a label below"):
+        Portrait.from_digits(p, 2, digits)
+
+
 def test_vertex_index_roundtrip():
     for p in (2, 3, 5):
         for idx in range(p**2):
