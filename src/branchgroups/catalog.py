@@ -255,11 +255,11 @@ def make_sunic(p: int, coeffs) -> SunicInstance:
 
 def fabrykowski_gupta(p: int) -> MultiEGSInstance:
     """The Fabrykowski-Gupta group for any odd prime: vector (1, 0, ..., 0)."""
-    return make_ggs(p, (1,) + (0,) * (p - 2))
+    return make_ggs(check_prime(p, odd=True), (1,) + (0,) * (p - 2))
 
 
 def gupta_sidki(p: int) -> MultiEGSInstance:
-    return make_ggs(p, (1, p - 1) + (0,) * (p - 3))
+    return make_ggs(check_prime(p, odd=True), (1, p - 1) + (0,) * (p - 3))
 
 
 # -- classification predicates -------------------------------------------

@@ -14,14 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, oracle
-from .catalog import (BranchType, GroupInstance, MultiEGSInstance,
-                      SunicInstance, branch_type, has_csp, in_class_E,
-                      is_torsion, preset, r_dot)
+from .catalog import (GroupInstance, MultiEGSInstance, branch_type, has_csp,
+                      in_class_E, is_torsion, preset, r_dot)
 from .engine import ResourceGuardError, Subgroup, group_of
-from .gmodules import (compute_rm, iterated_twisted_sum, rm_tuples,
-                       tuple_from_rank, uniserial_chain, wm_module)
-from .linalg import FpSubspace
-from .suite import (CHECKS, GroupContext, default_depth, run_all, run_check,
+from .gmodules import (compute_rm, iterated_twisted_sum, tuple_from_rank,
+                       uniserial_chain, wm_module)
+from .suite import (CHECKS, GroupContext, run_all, run_check,
                     verify_profinite_distinction)
 from .trees import Portrait
 
@@ -337,8 +335,8 @@ def len_digits_to_depth(p: int, digits: str) -> int:
 
 
 def _resolve_flags(args) -> str | None:
-    """Fill in the oracles' default --level and --depth and check both
-    flags before any work starts; returns what is out of range, or None.
+    """Fill in the oracles' default --level and --depth and check them and
+    --cap before any work starts; returns what is out of range, or None.
 
     A level m needs the layer St(m)/St(m+1) of the depth-n quotient, so
     1 <= m <= n - 1 where a quotient is built; verify and report need
@@ -360,6 +358,9 @@ def _resolve_flags(args) -> str | None:
         return f"--level must be at least 1, got {level}"
     if (args.command == "chain" or between) and level >= depth:
         return f"--level must be below --depth, got {level} and {depth}"
+    cap = getattr(args, "cap", None)
+    if cap is not None and cap < 0:
+        return f"--cap must be at least 0, got {cap}"
     return None
 
 

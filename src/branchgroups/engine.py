@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import FpSubspace
 from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, _Tables, commutator,
-                    compose_rows, embed_at_vertex, extend_perm, parse_vertex,
+                    compose_rows, embed_at_vertex, parse_vertex,
                     vertex_from_local_index, vertex_local_index)
 
 
@@ -51,24 +51,21 @@ def _pivots(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return piv, lead
 
 
-def _stack(elems: Sequence[Portrait], t: _Tables, cut: bool = False
+def _stack(elems: Sequence[Portrait], t: _Tables
            ) -> tuple[np.ndarray, np.ndarray]:
-    """The labels and perms of elems as new 2-D arrays, one row each; cut
-    keeps only the perm entries that sifting reads (levels 1..depth-1)."""
-    width = t.ninner if cut else t.nperm
+    """The labels and perms of elems as new 2-D arrays, one row each."""
     if not elems:
         return (np.empty((0, t.nlabels), dtype=_LABEL_DTYPE),
-                np.empty((0, width), dtype=_PERM_DTYPE))
+                np.empty((0, t.nperm), dtype=_PERM_DTYPE))
     return (np.stack([f.lab for f in elems]),
-            np.stack([f.perm[:width] for f in elems]))
+            np.stack([f.perm for f in elems]))
 
 
 def _conjugate_rows(t: _Tables, x: tuple[np.ndarray, np.ndarray],
                     g: tuple[np.ndarray, np.ndarray],
                     g_inv: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """x^g = g^-1 x g on (lab, perm) pairs, each one portrait or a stack;
-    the perms come out as wide as g_inv's."""
+    """x^g = g^-1 x g on (lab, perm) pairs, each one portrait or a stack."""
     return compose_rows(t, *compose_rows(t, *g_inv, *x), *g)
 
 
@@ -111,12 +108,13 @@ class InducedPcgs:
 
         A residue's pivot holds no element; it is -1, and the residue the
         identity, iff the row is a member.  Each step clears the pivot of
-        every row that still has a stored element there.  perm may be cut
-        to its first nlabels - 1 entries, all that sifting reads.
+        every row that still has a stored element there.
         """
         t, p, slot = self._t, self.p, self._slot
+        # row s * p + e is power e of slot s; at depth 1 a perm row is
+        # empty, so its row count is taken from the labels
         tab_lab = self._lab.reshape(-1, t.nlabels)
-        tab_perm = self._perm.reshape(-1, t.nperm)
+        tab_perm = self._perm.reshape(len(tab_lab), t.nperm)
         piv, lead = _pivots(lab)
         todo = np.flatnonzero(slot[piv] >= 0)
         cur_lab, cur_perm, cur_piv, lead = (lab[todo], perm[todo],
@@ -139,7 +137,7 @@ class InducedPcgs:
 
     def members(self, elems: Sequence[Portrait]) -> np.ndarray:
         """Boolean array: which of elems lie in the group."""
-        return self.sift(*_stack(elems, self._t, cut=True)) < 0
+        return self.sift(*_stack(elems, self._t)) < 0
 
     def contains(self, f: Portrait) -> bool:
         return bool(self.members([f])[0])
@@ -159,7 +157,7 @@ class InducedPcgs:
         conj_rows = _stack(conjugators, t)
         conj_inv_rows = _stack([g.inverse() for g in conjugators], t)
         queue = [s for s in seeds if not s.is_identity()]
-        res_lab, res_perm = _stack(queue, t, cut=True)
+        res_lab, res_perm = _stack(queue, t)
         kept: list[Portrait] = []
         while queue:
             x, queue = queue[0], queue[1:]
@@ -173,7 +171,7 @@ class InducedPcgs:
             queue += [Portrait(p, depth, lab[j].copy(), perm[j].copy())
                       for j in range(len(lab))]
             res_lab = np.concatenate([res_lab, lab])
-            res_perm = np.concatenate([res_perm, perm[:, :t.ninner]])
+            res_perm = np.concatenate([res_perm, perm])
             outside = self.sift(res_lab, res_perm) >= 0
             if not outside.all():
                 queue = [y for y, out in zip(queue, outside) if out]
@@ -182,8 +180,8 @@ class InducedPcgs:
 
     def _add_residue(self, lab: np.ndarray, perm: np.ndarray) -> bool:
         """Insert the element whose rows are (lab, perm), or what an
-        earlier sift through this sequence left of them (perm cut as sift
-        allows), and re-close the sequence; the arrays are consumed.
+        earlier sift through this sequence left of them, and re-close the
+        sequence; the arrays are consumed.
         Returns True if the group grew.
 
         The queue is a stack of residues, LIFO.  After each insertion of
@@ -209,13 +207,13 @@ class InducedPcgs:
                     f"strong generator cap {MAX_STRONG_GENS} exceeded")
             i = int(piv[outside][-1])
             h = Portrait(p, self.depth, queue_lab[-1].copy(),
-                         extend_perm(t, queue_lab[-1], queue_perm[-1]))
+                         queue_perm[-1].copy())
             if h.lab[i] != 1:
                 h = h ** pow(int(h.lab[i]), -1, p)
             s = self._insert(i, h)
             tab_lab = self._lab.reshape(-1, t.nlabels)
-            tab_perm = self._perm.reshape(-1, t.nperm)
-            inv = (tab_lab[s * p + 1], tab_perm[s * p + 1, :t.ninner])
+            tab_perm = self._perm.reshape(len(tab_lab), t.nperm)
+            inv = (tab_lab[s * p + 1], tab_perm[s * p + 1])
             earlier = np.arange(s) * p
             # h^-p = h^-1 h^-(p-1), then [h, x] = h^-1 x^-1 h x
             power = compose_rows(t, *inv, tab_lab[s * p + p - 1],
@@ -369,7 +367,7 @@ class Subgroup:
         for g in ambient.generating_set():
             g_inv = g.inverse()
             conj = _conjugate_rows(t, xs, (g.lab, g.perm),
-                                   (g_inv.lab, g_inv.perm[:t.ninner]))
+                                   (g_inv.lab, g_inv.perm))
             if (self.pcgs.sift(*conj) >= 0).any():
                 return False
         return True

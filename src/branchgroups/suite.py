@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import catalog
 from .catalog import (BranchType, MultiEGSInstance, SunicInstance, branch_type,
                       evaluate_word, has_csp, is_fabrykowski_gupta, is_ggs,

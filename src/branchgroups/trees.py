@@ -4,8 +4,9 @@ Everything here lives in the Sylow pro-p subgroup of Aut T: each vertex
 label is a power a^e of the rooted cycle a = (1 2 ... p).  A depth-n
 portrait stores those exponents for the vertices of levels 0..n-1, in
 breadth-lex order, together with the induced permutation of the
-vertices of levels 1..n (kept so that composition is a handful of
-vectorised gathers instead of a tree walk).
+vertices of levels 1..n-1 (kept so that composition is a handful of
+vectorised gathers instead of a tree walk; the level-n images follow
+from it and the last labels, and are computed on demand).
 
 Conventions, fixed once and used everywhere downstream:
 
@@ -29,6 +30,8 @@ Vertex = tuple[int, ...]
 
 _LABEL_DTYPE = np.int8
 _PERM_DTYPE = np.int32
+# the level-0 "perm": the root is vertex 0 of its level and stays fixed
+_ROOT = np.zeros(1, dtype=_PERM_DTYPE)
 
 # Composition adds two int8 labels, so 2(p - 1) <= 127; digit strings
 # spend one symbol of DIGITS per label, and 62 symbols also cover p <= 61.
@@ -48,14 +51,15 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int, odd: bool = False) -> int:
-    """Validate a prime parameter; odd=True additionally rejects p=2."""
+    """Validate a prime parameter; odd=True additionally rejects p=2.  The
+    range comes first, so trial division never sees a huge p."""
+    if isinstance(p, int) and p > MAX_PRIME:
+        raise ValueError(f"p = {p} is outside the supported range "
+                         f"p <= {MAX_PRIME}")
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
     if odd and p == 2:
         raise ValueError("p must be an odd prime for this construction")
-    if p > MAX_PRIME:
-        raise ValueError(f"p = {p} is outside the supported range "
-                         f"p <= {MAX_PRIME}")
     return p
 
 
@@ -71,34 +75,23 @@ class _Tables:
     def __init__(self, p: int, depth: int):
         self.p = p
         self.depth = depth
-        # label positions cover levels 0..depth-1, perm positions levels 1..depth
+        # label positions cover levels 0..depth-1; perm position i - 1 names
+        # the vertex of label position i, so perms cover levels 1..depth-1
         self.label_off = [0]
         for m in range(depth):
             self.label_off.append(self.label_off[-1] + p**m)
         self.nlabels = self.label_off[-1]
-        self.perm_off = [0]
-        for m in range(1, depth + 1):
-            self.perm_off.append(self.perm_off[-1] + p**m)
-        self.nperm = self.perm_off[-1]
-        # perm entries of levels 1..depth-1: all that labels of a product read
-        self.ninner = max(self.nlabels - 1, 0)
+        self.nperm = max(self.nlabels - 1, 0)
 
-        # per perm position: offset of its level, and the local arange
+        # per perm position: perm offset of its level, and the local arange
         prm_off = np.empty(self.nperm, dtype=_PERM_DTYPE)
         local = np.empty(self.nperm, dtype=_PERM_DTYPE)
-        for m in range(1, depth + 1):
-            lo, hi = self.perm_off[m - 1], self.perm_off[m]
+        for m in range(1, depth):
+            lo, hi = self.label_off[m] - 1, self.label_off[m + 1] - 1
             prm_off[lo:hi] = lo
             local[lo:hi] = np.arange(hi - lo, dtype=_PERM_DTYPE)
         self.prm_off = prm_off
         self.local = local
-        # gather target for labels: positions 1..nlabels-1 are levels
-        # 1..depth-1 and align with perm positions 0..nlabels-2
-        g_lbl = np.empty(max(self.nlabels - 1, 0), dtype=_PERM_DTYPE)
-        for m in range(1, depth):
-            lo, hi = self.label_off[m], self.label_off[m + 1]
-            g_lbl[lo - 1:hi - 1] = lo
-        self.g_lbl = g_lbl
         # helpers for building perms level by level from labels
         self.tiled_x = [
             np.tile(np.arange(p, dtype=_PERM_DTYPE), p**m) for m in range(depth)
@@ -109,7 +102,8 @@ class _Tables:
         return slice(self.label_off[m], self.label_off[m + 1])
 
     def perm_slice(self, m: int) -> slice:
-        return slice(self.perm_off[m - 1], self.perm_off[m])
+        """Perm positions of the level-m vertices, 1 <= m <= depth - 1."""
+        return slice(self.label_off[m] - 1, self.label_off[m + 1] - 1)
 
 
 def compose_rows(t: _Tables, a_lab: np.ndarray, a_perm: np.ndarray,
@@ -121,42 +115,33 @@ def compose_rows(t: _Tables, a_lab: np.ndarray, a_perm: np.ndarray,
     Each factor is one portrait (1-D lab and perm) or a stack of them (2-D,
     one portrait per row).  Two stacks multiply row by row, and a single
     portrait multiplies every row of the other factor; with b_rows, row r
-    of a is multiplied by row b_rows[r] of the stack b.  a_perm may hold
-    only its first k >= nlabels - 1 entries (whole levels): labels read no
-    deeper, and the product's perm then has the same k entries.  The
-    results are new arrays.
+    of a is multiplied by row b_rows[r] of the stack b.  The results are
+    new arrays.
     """
-    lbl_idx = t.g_lbl + a_perm[..., :t.nlabels - 1]
-    prm_idx = t.prm_off[:a_perm.shape[-1]] + a_perm
+    # b's perm and labels below the root at the images of a's vertices
+    idx = t.prm_off + a_perm
     if b_lab.ndim == 1:
-        first = b_lab[:1]
-        gathered, perm = b_lab[lbl_idx], b_perm[prm_idx]
+        first, gathered, perm = b_lab[:1], b_lab[1:][idx], b_perm[idx]
     else:
         # flat gathers from the C-contiguous stack, one offset per row
         rows = (np.arange(len(b_lab)) if b_rows is None else b_rows)[:, None]
         off = rows * b_lab.shape[1]
         b_flat = b_lab.ravel()
-        first, gathered = b_flat[off], b_flat[lbl_idx + off]
-        perm = b_perm.ravel()[prm_idx + rows * b_perm.shape[1]]
+        first, gathered = b_flat[off], b_flat[idx + (off + 1)]
+        perm = b_perm.ravel()[idx + rows * b_perm.shape[1]]
     lab = np.concatenate([a_lab[..., :1] + first, a_lab[..., 1:] + gathered],
                          axis=-1)
     lab %= t.p
     return lab, perm
 
 
-def extend_perm(t: _Tables, lab: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """The whole perm of the portrait with labels lab, given its first
-    levels 1..k (k >= 0) in perm; each further level follows from the one
-    above and the labels."""
+def _next_level(t: _Tables, lab: np.ndarray, upper: np.ndarray,
+                m: int) -> np.ndarray:
+    """Local images of the level-(m+1) vertices under the portrait with
+    labels lab, from those of level m (upper; [0] for the root)."""
     p = t.p
-    k = t.perm_off.index(len(perm))
-    seg = perm[t.perm_slice(k)] if k else np.zeros(1, dtype=_PERM_DTYPE)
-    levels = [perm]
-    for m in range(k, t.depth):
-        lab_m = lab[t.label_slice(m)].astype(_PERM_DTYPE)
-        seg = np.repeat(seg * p, p) + (t.tiled_x[m] + np.repeat(lab_m, p)) % p
-        levels.append(seg)
-    return np.concatenate(levels)
+    lab_m = lab[t.label_slice(m)].astype(_PERM_DTYPE)
+    return np.repeat(upper * p, p) + (t.tiled_x[m] + np.repeat(lab_m, p)) % p
 
 
 def parse_vertex(v) -> Vertex:
@@ -210,8 +195,11 @@ class Portrait:
         lab = np.asarray(lab, dtype=_LABEL_DTYPE) % p
         if lab.shape != (t.nlabels,):
             raise ValueError(f"expected {t.nlabels} labels, got {lab.shape}")
-        return Portrait(p, depth, lab,
-                        extend_perm(t, lab, np.empty(0, dtype=_PERM_DTYPE)))
+        perm, upper = [t.local[:0]], _ROOT
+        for m in range(depth - 1):
+            upper = _next_level(t, lab, upper, m)
+            perm.append(upper)
+        return Portrait(p, depth, lab, np.concatenate(perm))
 
     @staticmethod
     def from_level_labels(p: int, levels: Sequence) -> "Portrait":
@@ -284,8 +272,7 @@ class Portrait:
         inv[t.prm_off + self.perm] = t.local
         lab = np.empty(t.nlabels, dtype=_LABEL_DTYPE)
         lab[0] = (-int(self.lab[0])) % self.p
-        if t.nlabels > 1:
-            lab[1:] = (-self.lab[t.g_lbl + inv[:t.nlabels - 1]]) % self.p
+        lab[1:] = (-self.lab[1:][t.prm_off + inv]) % self.p
         return Portrait(self.p, self.depth, lab, inv)
 
     def __pow__(self, n: int) -> "Portrait":
@@ -315,16 +302,19 @@ class Portrait:
             raise ValueError(f"vertex level {len(v)} exceeds depth {self.depth}")
         if not v:
             return v
-        t = self.tables
-        idx = vertex_local_index(v, self.p)
-        img = int(self.perm[t.perm_off[len(v) - 1] + idx])
+        img = int(self.vertex_perm(len(v))[vertex_local_index(v, self.p)])
         return vertex_from_local_index(self.p, len(v), img)
 
     def vertex_perm(self, m: int) -> np.ndarray:
-        """Local images of the level-m vertices, lex order (1 <= m <= depth)."""
+        """Local images of the level-m vertices, lex order (1 <= m <= depth);
+        the deepest level is not stored and is computed here."""
         if not 1 <= m <= self.depth:
             raise ValueError(f"level {m} out of range 1..{self.depth}")
-        return self.perm[self.tables.perm_slice(m)]
+        t = self.tables
+        if m < self.depth:
+            return self.perm[t.perm_slice(m)]
+        upper = self.perm[t.perm_slice(m - 1)] if m > 1 else _ROOT
+        return _next_level(t, self.lab, upper, m - 1)
 
     def label_at(self, v) -> int:
         v = parse_vertex(v)

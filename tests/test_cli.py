@@ -117,10 +117,16 @@ def test_bad_spec_exit_code(tmp_path):
 
 
 def test_prime_above_61_exit_code(tmp_path, capsys):
-    path = tmp_path / "fg67.json"
-    path.write_text(json.dumps({"type": "fg", "p": 67}))
-    assert run(["quotient", "--spec", str(path), "--depth", "2"]) == EXIT_USAGE
-    assert "p <= 61" in capsys.readouterr().err
+    path = tmp_path / "spec.json"
+    for spec, argv in [
+            ({"type": "fg", "p": 67}, ["quotient", "--depth", "2"]),
+            # 2^61 - 1: neither trial division up to its square root nor a
+            # defining vector of length p - 2 may come before the range check
+            ({"type": "sunic", "p": 2**61 - 1, "poly": [1, 1]}, ["info"]),
+            ({"type": "fg", "p": 2**61 - 1}, ["info"])]:
+        path.write_text(json.dumps(spec))
+        assert run(argv + ["--spec", str(path)]) == EXIT_USAGE
+        assert "p <= 61" in capsys.readouterr().err
 
 
 def test_oracle_replay_reads_letter_digits(tmp_path, capsys):
@@ -197,6 +203,9 @@ def test_usage_error_exit():
     (["verify", "all", "--preset", "appb-p5", "--depth", "1"], "--depth"),
     (["verify", "all", "--preset", "fg3", "--depth", "1"], "--depth"),
     (["verify", "chain", "--preset", "fg3", "--depth", "1"], "--depth"),
+    (["oracle", "bfs", "--preset", "fg3", "--depth", "2", "--cap", "-1"],
+     "--cap"),
+    (["oracle", "normal-between", "--preset", "fg3", "--cap", "-1"], "--cap"),
 ])
 def test_out_of_range_depth_or_level_exit_code(argv, flag, capsys):
     # exit 1 is reserved for a falsification witness

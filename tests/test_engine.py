@@ -3,7 +3,7 @@ import pytest
 
 from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
                                   make_multi_ggs, make_sunic, preset)
-from branchgroups.engine import (Subgroup, commutator_subgroup,
+from branchgroups.engine import (Subgroup, _stack, commutator_subgroup,
                                  frattini_subgroup, group_of,
                                  is_regular_branch_over,
                                  is_subdirect_in_product,
@@ -196,6 +196,22 @@ def test_normal_closure_matches_reference(preset_name, depth):
     assert ncl.pcgs._pivot_of == list(ref.powers)
     assert [h.digits() for h in ncl.pcgs.elements()] == [
         ref.powers[i][0].digits() for i in sorted(ref.powers)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_rows_hold_perms_of_levels_one_to_depth_minus_one(depth):
+    # depth 1 has an empty perm, which the power table must still reshape
+    inst = fabrykowski_gupta(3)
+    g = group_of(inst, depth)
+    pcgs = g.pcgs
+    width = pcgs._t.nlabels - 1
+    a, b = inst.generators(depth)
+    assert pcgs._perm.shape[1:] == (3, width)
+    assert _stack([a, b], pcgs._t)[1].shape == (2, width)
+    assert all(h.perm.shape == (width,) for h in pcgs.elements())
+    assert pcgs.members([a * b, b.inverse() * a]).all()
+    assert not Subgroup(3, depth, [b]).contains(a)
+    assert Subgroup(3, depth, [a]).is_normal_in(g) == (depth == 1)
 
 
 def test_pcgs_arrays_own_their_data(fg3_ctx):

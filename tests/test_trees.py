@@ -219,16 +219,32 @@ def test_compose_rows_matches_compose(stacks, seed):
     for (lab, perm), pairs in cases:
         pairs = list(pairs)
         assert lab.shape == (len(pairs), t.nlabels)
+        # one perm width: levels 1..depth-1, label positions 1..nlabels-1
+        assert perm.shape == (len(pairs), t.nlabels - 1)
         for row, (f, g) in enumerate(pairs):
             want = f.compose(g)
             assert np.array_equal(lab[row], want.lab)
             assert np.array_equal(perm[row], want.perm)
-    # a perm cut to levels 1..depth-1 gives the product's perm cut alike
-    lab, perm = compose_rows(t, f_lab, f_perm[:, :t.ninner], g_lab, g_perm)
-    for row, (f, g) in enumerate(zip(fs, gs)):
-        want = f.compose(g)
-        assert np.array_equal(lab[row], want.lab)
-        assert np.array_equal(perm[row], want.perm[:t.ninner])
+
+
+@settings(max_examples=60, deadline=None)
+@given(portraits(), st.data())
+def test_deepest_level_is_computed_on_demand(f, data):
+    # a portrait stores no level-depth images; vertex_perm and apply_vertex
+    # build them, and they must agree with the depth + 1 portrait that has
+    # f's labels and a zero last level (which stores them), and with a
+    # letter-by-letter walk: the letter below u moves by f's label at u
+    p, n = f.p, f.depth
+    assert f.perm.shape == (nlabels(p, n) - 1,)
+    deeper = Portrait.from_labels(
+        p, n + 1, np.concatenate([f.lab, np.zeros(p**n, dtype=f.lab.dtype)]))
+    assert np.array_equal(f.vertex_perm(n), deeper.vertex_perm(n))
+    for idx in data.draw(st.lists(st.integers(0, p**n - 1), max_size=6)):
+        v = vertex_from_local_index(p, n, idx)
+        walk = tuple((x - 1 + f.label_at(v[:k])) % p + 1
+                     for k, x in enumerate(v))
+        assert f.apply_vertex(v) == deeper.apply_vertex(v) == walk
+        assert f.vertex_perm(n)[idx] == vertex_local_index(walk, p)
 
 
 def test_commutator_definition():
