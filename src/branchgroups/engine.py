@@ -11,7 +11,8 @@ pivots, orders are pure p-powers (stored as p-exponents) and level
 stabilizers are tails of the sequence.
 
 A sequence supports incremental generator insertion, which is what the
-normal-closure and series computations lean on.
+normal-closure and series computations lean on; a subgroup known to
+contain a closed one extends a copy of its sequence.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .linalg import FpSubspace
-from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, _Tables, commutator,
-                    compose_rows, embed_at_vertex, parse_vertex,
+from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, _Tables, compose_rows,
+                    embed_at_vertex, inverse_rows, parse_vertex,
                     vertex_from_local_index, vertex_local_index)
 
 
@@ -59,6 +60,15 @@ def _stack(elems: Sequence[Portrait], t: _Tables
                 np.empty((0, t.nperm), dtype=_PERM_DTYPE))
     return (np.stack([f.lab for f in elems]),
             np.stack([f.perm for f in elems]))
+
+
+def _portraits(p: int, depth: int,
+               rows: tuple[np.ndarray, np.ndarray]) -> list[Portrait]:
+    """One portrait per row of the stack (lab, perm), each with its own
+    arrays."""
+    lab, perm = rows
+    return [Portrait(p, depth, lab[j].copy(), perm[j].copy())
+            for j in range(len(lab))]
 
 
 def _conjugate_rows(t: _Tables, x: tuple[np.ndarray, np.ndarray],
@@ -155,7 +165,7 @@ class InducedPcgs:
         """
         p, depth, t = self.p, self.depth, self._t
         conj_rows = _stack(conjugators, t)
-        conj_inv_rows = _stack([g.inverse() for g in conjugators], t)
+        conj_inv_rows = inverse_rows(t, *conj_rows)
         queue = [s for s in seeds if not s.is_identity()]
         res_lab, res_perm = _stack(queue, t)
         kept: list[Portrait] = []
@@ -168,8 +178,7 @@ class InducedPcgs:
             kept.append(x)
             lab, perm = _conjugate_rows(t, (x.lab, x.perm), conj_rows,
                                         conj_inv_rows)
-            queue += [Portrait(p, depth, lab[j].copy(), perm[j].copy())
-                      for j in range(len(lab))]
+            queue += _portraits(p, depth, (lab, perm))
             res_lab = np.concatenate([res_lab, lab])
             res_perm = np.concatenate([res_perm, perm])
             outside = self.sift(res_lab, res_perm) >= 0
@@ -213,17 +222,17 @@ class InducedPcgs:
             s = self._insert(i, h)
             tab_lab = self._lab.reshape(-1, t.nlabels)
             tab_perm = self._perm.reshape(len(tab_lab), t.nperm)
-            inv = (tab_lab[s * p + 1], tab_perm[s * p + 1])
             earlier = np.arange(s) * p
-            # h^-p = h^-1 h^-(p-1), then [h, x] = h^-1 x^-1 h x
-            power = compose_rows(t, *inv, tab_lab[s * p + p - 1],
-                                 tab_perm[s * p + p - 1])
-            comm = compose_rows(t, *inv, tab_lab, tab_perm, earlier + 1)
-            comm = compose_rows(t, *comm, tab_lab[s * p], tab_perm[s * p])
+            # h^-1 x^-1 for every earlier x, then h^-p = h^-1 h^-(p-1), in
+            # one gather; [h, x] = h^-1 x^-1 h x
+            lab, perm = compose_rows(t, tab_lab[s * p + 1],
+                                     tab_perm[s * p + 1], tab_lab, tab_perm,
+                                     np.append(earlier + 1, s * p + p - 1))
+            comm = compose_rows(t, lab[:-1], perm[:-1], tab_lab[s * p],
+                                tab_perm[s * p])
             comm = compose_rows(t, *comm, tab_lab, tab_perm, earlier)
-            queue_lab = np.concatenate([queue_lab[:-1], power[0][None],
-                                        comm[0]])
-            queue_perm = np.concatenate([queue_perm[:-1], power[1][None],
+            queue_lab = np.concatenate([queue_lab[:-1], lab[-1:], comm[0]])
+            queue_perm = np.concatenate([queue_perm[:-1], perm[-1:],
                                          comm[1]])
             grew = True
 
@@ -258,6 +267,11 @@ class InducedPcgs:
         return [Portrait(self.p, self.depth, self._lab[s, 0].copy(),
                          self._perm[s, 0].copy())
                 for s in self._slot[self.pivots()]]
+
+    def copy(self) -> "InducedPcgs":
+        """An independent copy, closed as it stands: inserting into it
+        leaves this sequence unchanged."""
+        return self.tail(0)
 
     def tail(self, start: int) -> "InducedPcgs":
         """The elements with pivot >= start: an induced pcgs of H ∩ G_start,
@@ -319,12 +333,26 @@ class Subgroup:
         self.gens = [g for g in gens if not g.is_identity()]
         self.name = name
         self._pcgs = pcgs
+        # (closed subgroup, extra generators) the pcgs is built from
+        self._grow: tuple[Subgroup, Sequence[Portrait]] | None = None
+
+    @classmethod
+    def extending(cls, base: "Subgroup", extra: Sequence[Portrait],
+                  gens: Iterable[Portrait], name: str = "") -> "Subgroup":
+        """The subgroup generated by gens, which must generate the same
+        group as base's generators and extra together.  Its pcgs, when
+        first needed, is a copy of base's with extra inserted."""
+        sub = cls(base.p, base.depth, gens, name=name)
+        sub._grow = (base, extra)
+        return sub
 
     @property
     def pcgs(self) -> InducedPcgs:
         if self._pcgs is None:
-            pcgs = InducedPcgs(self.p, self.depth)
-            pcgs.add_generators(self.gens)
+            base, extra = self._grow or (None, self.gens)
+            pcgs = (base.pcgs.copy() if base is not None
+                    else InducedPcgs(self.p, self.depth))
+            pcgs.add_generators(extra)
             self._pcgs = pcgs
         return self._pcgs
 
@@ -436,29 +464,78 @@ def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup,
     return Subgroup(ambient.p, ambient.depth, kept, name=name, pcgs=pcgs)
 
 
+def _commutators(xs: Sequence[Portrait], ys: Sequence[Portrait],
+                 i: np.ndarray, j: np.ndarray) -> list[Portrait]:
+    """[xs[i[r]], ys[j[r]]] = x^-1 y^-1 x y for every r (depth >= 1),
+    formed as stacks: one inverse per operand and three products."""
+    if not len(i):
+        return []
+    p, depth = xs[0].p, xs[0].depth
+    t = _Tables(p, depth)
+    x, y = _stack(xs, t), _stack(ys, t)
+    x_inv, y_inv = inverse_rows(t, *x), inverse_rows(t, *y)
+    rows = compose_rows(t, x_inv[0][i], x_inv[1][i], *y_inv, j)
+    rows = compose_rows(t, *rows, *x, i)
+    return _portraits(p, depth, compose_rows(t, *rows, *y, j))
+
+
+def commutator_seeds(xs: Sequence[Portrait],
+                     ys: Sequence[Portrait]) -> list[Portrait]:
+    """[x, y] for x in xs for y in ys, x-major (depth >= 1)."""
+    i, j = np.indices((len(xs), len(ys))).reshape(2, -1)
+    return _commutators(xs, ys, i, j)
+
+
+def powers_of(xs: Sequence[Portrait], e: int) -> list[Portrait]:
+    """x^e (e >= 1) for x in xs (depth >= 1), squaring the whole stack at
+    once."""
+    if not xs:
+        return []
+    p, depth = xs[0].p, xs[0].depth
+    t = _Tables(p, depth)
+    base, result = _stack(xs, t), None
+    while True:
+        if e & 1:
+            result = base if result is None else compose_rows(t, *result,
+                                                              *base)
+        e >>= 1
+        if not e:
+            return _portraits(p, depth, result)
+        base = compose_rows(t, *base, *base)
+
+
+def frattini_seeds(gens: Sequence[Portrait], p: int) -> list[Portrait]:
+    """[x_i, x_j] for i < j, then x^p for every generator x (depth >= 1)."""
+    i, j = np.triu_indices(len(gens), 1)
+    return _commutators(gens, gens, i, j) + powers_of(gens, p)
+
+
 def commutator_subgroup(a: Subgroup, b: Subgroup, ambient: Subgroup,
                         name: str = "") -> Subgroup:
     """Normal closure of the pairwise generator commutators; equals [A, B]
     whenever that subgroup is normal in the ambient group (true for every
     use in this package: [N, G], series terms, St(1)' and friends)."""
-    seeds = [commutator(x, y)
-             for x in a.generating_set() for y in b.generating_set()]
+    seeds = commutator_seeds(a.generating_set(), b.generating_set())
     return normal_closure(seeds, ambient, name=name)
 
 
 def join(a: Subgroup, b: Subgroup, name: str = "") -> Subgroup:
-    return Subgroup(a.p, a.depth, a.generating_set() + b.generating_set(),
-                    name=name)
+    """<A, B> on A's generators then B's; if either operand's pcgs is
+    built, the larger such one is extended by the other's generators."""
+    gens = a.generating_set() + b.generating_set()
+    built = [s for s in (a, b) if s._pcgs is not None]
+    if not built:
+        return Subgroup(a.p, a.depth, gens, name=name)
+    base = max(built, key=lambda s: s.order_exponent)
+    extra = (b if base is a else a).generating_set()
+    return Subgroup.extending(base, extra, gens, name=name)
 
 
 def frattini_subgroup(h: Subgroup) -> Subgroup:
     """Phi(H) = H' H^p for a finite p-group, via the normal closure in H of
     generator commutators and p-th powers."""
-    gens = h.generating_set()
-    seeds = [commutator(x, y) for i, x in enumerate(gens)
-             for y in gens[i + 1:]]
-    seeds += [x**h.p for x in gens]
-    return normal_closure(seeds, h, name="frattini")
+    return normal_closure(frattini_seeds(h.generating_set(), h.p), h,
+                          name="frattini")
 
 
 def min_generators(h: Subgroup) -> int:

@@ -339,11 +339,12 @@ def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
 
 def layer_preimage(g_n, m: int, space: FpSubspace, name: str = ""):
     """The subgroup N with St(m+1) <= N <= St(m) whose layer image is the
-    given invariant subspace: generated by representatives plus St(m+1)."""
+    given invariant subspace: generated by representatives plus St(m+1),
+    whose closed pcgs is extended by the representatives."""
     reps = layer_representatives(g_n, m, space.rows)
     st_next = g_n.stabilizer(m + 1)
-    return Subgroup(g_n.p, g_n.depth, reps + st_next.generating_set(),
-                    name=name or f"layer({m},dim{space.dim})")
+    return Subgroup.extending(st_next, reps, reps + st_next.generating_set(),
+                              name=name or f"layer({m},dim{space.dim})")
 
 
 def layer_conjugation(g_n, m: int) -> tuple[FpSubspace, list[np.ndarray]]:

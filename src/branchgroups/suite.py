@@ -26,7 +26,8 @@ from .catalog import (BranchType, MultiEGSInstance, SunicInstance, branch_type,
 from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
                      first_missing_embedding, group_of, is_regular_branch_over,
                      is_subdirect_in_product, is_super_strongly_fractal, join,
-                     min_generators, normal_closure, sections_within)
+                     min_generators, normal_closure, powers_of,
+                     sections_within)
 from .gmodules import (compute_rm, first_non_normal_layer, layer_preimage,
                        submodule_closure, tuple_from_rank, uniserial_chain,
                        vj_basis, wm_module)
@@ -615,8 +616,9 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
             continue
         ng = mem.ng(ctx, n)
         width = sub.order_exponent - ng.order_exponent
-        pth = Subgroup(ctx.p, n,
-                       ng.generating_set() + [x**ctx.p for x in sub.generating_set()])
+        p_powers = powers_of(sub.generating_set(), ctx.p)
+        pth = Subgroup.extending(ng, p_powers,
+                                 ng.generating_set() + p_powers)
         d_normal = sub.order_exponent - pth.order_exponent
         v.record(mem.name, width <= bound and d_normal <= bound,
                  {"width": width, "d": d_normal},

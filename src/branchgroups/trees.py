@@ -135,6 +135,25 @@ def compose_rows(t: _Tables, a_lab: np.ndarray, a_perm: np.ndarray,
     return lab, perm
 
 
+def inverse_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and perm of the inverse for depth >= 1, of one portrait (1-D
+    lab and perm) or of every row of a stack (2-D); new arrays.
+
+    The inverse perm undoes perm level by level, and the inverse's label at
+    u is minus the label at the vertex that u's inverse image names.
+    """
+    rows = np.arange(len(lab))[:, None] if lab.ndim == 2 else 0
+    inv = np.empty(perm.shape, dtype=_PERM_DTYPE)
+    inv.ravel()[t.prm_off + perm + rows * t.nperm] = t.local
+    out = np.empty(lab.shape, dtype=_LABEL_DTYPE)
+    out[..., :1] = lab[..., :1]
+    out[..., 1:] = lab.ravel()[t.prm_off + inv + (rows * t.nlabels + 1)]
+    np.negative(out, out=out)
+    out %= t.p
+    return out, inv
+
+
 def _next_level(t: _Tables, lab: np.ndarray, upper: np.ndarray,
                 m: int) -> np.ndarray:
     """Local images of the level-(m+1) vertices under the portrait with
@@ -267,13 +286,8 @@ class Portrait:
     def inverse(self) -> "Portrait":
         if self.depth == 0:
             return self
-        t = self.tables
-        inv = np.empty(t.nperm, dtype=_PERM_DTYPE)
-        inv[t.prm_off + self.perm] = t.local
-        lab = np.empty(t.nlabels, dtype=_LABEL_DTYPE)
-        lab[0] = (-int(self.lab[0])) % self.p
-        lab[1:] = (-self.lab[1:][t.prm_off + inv]) % self.p
-        return Portrait(self.p, self.depth, lab, inv)
+        return Portrait(self.p, self.depth,
+                        *inverse_rows(self.tables, self.lab, self.perm))
 
     def __pow__(self, n: int) -> "Portrait":
         if n < 0:

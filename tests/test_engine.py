@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
                                   make_multi_ggs, make_sunic, preset)
-from branchgroups.engine import (Subgroup, _stack, commutator_subgroup,
-                                 frattini_subgroup, group_of,
+from branchgroups.engine import (InducedPcgs, Subgroup, _stack,
+                                 commutator_seeds, commutator_subgroup,
+                                 frattini_seeds, frattini_subgroup, group_of,
                                  is_regular_branch_over,
                                  is_subdirect_in_product,
                                  is_super_strongly_fractal, join,
-                                 min_generators, normal_closure,
+                                 min_generators, normal_closure, powers_of,
                                  sections_within)
 from branchgroups.oracle import bfs_enumerate
 from branchgroups.trees import Portrait, commutator, rooted_a
@@ -226,6 +231,143 @@ def test_pcgs_arrays_own_their_data(fg3_ctx):
               + pcgs.vertex_stabilizer((2, 1))):
         arrays += [h.lab, h.perm]
     assert all(arr.base is None for arr in arrays)
+
+
+# -- extending a closed pcgs ------------------------------------------------
+
+EXTENSION_GROUPS = {"fg3": fabrykowski_gupta(3), "gs3": gupta_sidki(3),
+                    "grigorchuk": preset("sunic-grigorchuk")}
+
+
+def word(gens, letters):
+    """The product of gens[i]**e over the (i, e) in letters."""
+    x = Portrait.identity(gens[0].p, gens[0].depth)
+    for i, e in letters:
+        x = x * gens[int(i) % len(gens)] ** int(e)
+    return x
+
+
+def words(min_size=1):
+    letters = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)),
+                       min_size=1, max_size=6)
+    return st.lists(letters, min_size=min_size, max_size=3)
+
+
+@st.composite
+def extension_cases(draw):
+    """(G_n, base, extra, probes): base is the normal closure of random
+    words (or of the commutator of two), extra are random words and the
+    probes are random words and random Sylow elements."""
+    inst = EXTENSION_GROUPS[draw(st.sampled_from(sorted(EXTENSION_GROUPS)))]
+    depth = draw(st.integers(2, 4))
+    g = group_of(inst, depth)
+    gens = g.generating_set()
+    seeds = [word(gens, w) for w in draw(words(min_size=2))]
+    if draw(st.booleans()):
+        seeds = [commutator(seeds[0], seeds[1])]
+    base = normal_closure(seeds, g)
+    extra = [word(gens, w) for w in draw(words())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nlabels = gens[0].lab.size
+    probes = [word(gens, rng.integers(0, 4, (6, 2)) + [0, 1])
+              for _ in range(8)]
+    probes += [Portrait.from_labels(inst.p, depth,
+                                    rng.integers(0, inst.p, nlabels))
+               for _ in range(4)]
+    probes += extra + [x * y for x in base.generating_set()[:2]
+                       for y in extra]
+    return g, base, extra, probes
+
+
+def table_state(pcgs):
+    """Everything a closed pcgs holds: insertion order, stored rows and the
+    pivot -> slot index."""
+    k = pcgs.order_exponent
+    return (list(pcgs._pivot_of), pcgs._lab[:k].tobytes(),
+            pcgs._perm[:k].tobytes(), pcgs._slot.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(extension_cases())
+def test_extending_a_closed_pcgs_matches_building_from_scratch(case):
+    g, base, extra, probes = case
+    before = table_state(base.pcgs)
+    k = base.order_exponent
+    ext = Subgroup.extending(base, extra, base.generating_set() + extra)
+    with mock.patch.object(InducedPcgs, "_insert", autospec=True,
+                           side_effect=InducedPcgs._insert) as spy:
+        order = ext.order_exponent
+    assert spy.call_count == order - k                 # only the new pivots
+    assert table_state(base.pcgs) == before            # the base is untouched
+    scratch = Subgroup(g.p, g.depth, base.generating_set() + extra)
+    assert order == scratch.order_exponent
+    assert ext.pcgs.pivots() == scratch.pcgs.pivots()
+    assert ext.level_dims() == scratch.level_dims()
+    assert (ext.pcgs.members(probes).tolist()
+            == scratch.pcgs.members(probes).tolist())
+
+
+def test_join_extends_the_larger_built_operand(fg3_ctx):
+    g = fg3_ctx.quotient(4)
+    gam3, st2 = fg3_ctx.gamma(3, 4), g.stabilizer(2)
+    joined = join(gam3, st2, name="J")
+    assert joined.generating_set() == (gam3.generating_set()
+                                       + st2.generating_set())
+    big = max((gam3, st2), key=lambda s: s.order_exponent)
+    with mock.patch.object(InducedPcgs, "_insert", autospec=True,
+                           side_effect=InducedPcgs._insert) as spy:
+        order = joined.order_exponent
+    assert spy.call_count == order - big.order_exponent
+    assert joined.equal(Subgroup(3, 4, joined.generating_set()))
+    # with no pcgs built on either side, the join builds its own
+    a, b = g.generating_set()
+    fresh = join(Subgroup(3, 4, [a]), Subgroup(3, 4, [b]))
+    assert fresh.order_exponent == g.order_exponent
+
+
+# -- seeds formed as stacks --------------------------------------------------
+
+def rows_of(fs):
+    return [(f.digits(), f.perm.tobytes()) for f in fs]
+
+
+SEED_CASES = [("fg3", 4), ("fg5", 3), ("sunic-grigorchuk", 5), ("fg3", 1)]
+
+
+@pytest.mark.parametrize("preset_name,depth", SEED_CASES)
+def test_commutator_seeds_are_pairwise_commutators_in_order(preset_name,
+                                                            depth):
+    inst = preset(preset_name)
+    g = group_of(inst, depth)
+    gens = g.generating_set()
+    a, b = inst.generators(depth)[:2]
+    ncl = normal_closure([commutator(a, b) * b * a], g).generating_set()
+    for xs, ys in [(gens, gens), (ncl, gens), (gens, ncl[:1]), (ncl, [])]:
+        seeds = commutator_seeds(xs, ys)
+        assert rows_of(seeds) == rows_of([commutator(x, y)
+                                          for x in xs for y in ys])
+        assert all(s.lab.base is None and s.perm.base is None
+                   for s in seeds)
+    # the closure keeps the same generators, in the same order
+    want = normal_closure([commutator(x, y) for x in ncl for y in gens], g)
+    got = commutator_subgroup(Subgroup(g.p, depth, ncl), g, g)
+    assert rows_of(got.generating_set()) == rows_of(want.generating_set())
+    assert got.pcgs._pivot_of == want.pcgs._pivot_of
+
+
+@pytest.mark.parametrize("preset_name,depth", SEED_CASES)
+def test_frattini_seeds_match_the_generator_list(preset_name, depth):
+    g = group_of(preset(preset_name), depth)
+    gens = g.generating_set() + [x * y for x in g.generating_set()
+                                 for y in g.generating_set()]
+    gens = [x for x in gens if not x.is_identity()]
+    p = g.p
+    want = [commutator(x, y) for i, x in enumerate(gens)
+            for y in gens[i + 1:]] + [x**p for x in gens]
+    assert rows_of(frattini_seeds(gens, p)) == rows_of(want)
+    for e in range(1, 8):
+        assert rows_of(powers_of(gens, e)) == rows_of([x**e for x in gens])
+    assert powers_of([], p) == [] and frattini_seeds([], p) == []
 
 
 # -- membership ----------------------------------------------------------------

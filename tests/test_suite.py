@@ -195,6 +195,25 @@ def test_width_rank_fg3(fg3_ctx):
     assert rep.details["attainment(N=G)"] == 2
 
 
+@pytest.mark.parametrize("ctx_name,depth", [("fg3_ctx", 4),
+                                            ("grigorchuk_ctx", 5)])
+def test_width_rank_d_matches_from_scratch_referee(ctx_name, depth, request):
+    # the referee rebuilds <[N, G], x^p> from scratch for every member
+    ctx = request.getfixturevalue(ctx_name)
+    rep = run_check(ctx, "width-rank", depth=depth, seed=1)
+    reported = rep.details["members"]
+    family = [m for m in ctx.normal_family(depth, 1)
+              if not m.subgroup.is_trivial()]
+    assert sorted(reported) == sorted(m.name for m in family)
+    for mem in family:
+        sub = mem.subgroup
+        pth = engine.Subgroup(ctx.p, depth, mem.ng(ctx, depth).generating_set()
+                              + [x**ctx.p for x in sub.generating_set()])
+        assert reported[mem.name]["d"] == (sub.order_exponent
+                                           - pth.order_exponent), mem.name
+    assert reported["G"]["d"] == engine.min_generators(ctx.quotient(depth))
+
+
 def test_width_rank_gs3_gated(gs3_ctx):
     rep = run_check(gs3_ctx, "width-rank", depth=3, seed=0)
     assert rep.status == "skipped"

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki
 from branchgroups.trees import (Portrait, _Tables, assemble, commutator,
-                                compose_rows, embed_at_vertex, parse_vertex,
-                                rooted_a, vertex_from_local_index,
-                                vertex_local_index)
+                                compose_rows, embed_at_vertex, inverse_rows,
+                                parse_vertex, rooted_a,
+                                vertex_from_local_index, vertex_local_index)
 
 
 def nlabels(p, depth):
@@ -245,6 +245,25 @@ def test_deepest_level_is_computed_on_demand(f, data):
                      for k, x in enumerate(v))
         assert f.apply_vertex(v) == deeper.apply_vertex(v) == walk
         assert f.vertex_perm(n)[idx] == vertex_local_index(walk, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 61])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_inverse_rows_matches_inverse(p, depth):
+    # depth 1 has an empty perm
+    rng = np.random.default_rng(100 * p + depth)
+    t = _Tables(p, depth)
+    fs = [random_portrait(rng, p, depth) for _ in range(5)]
+    lab, perm = inverse_rows(t, *stacked(fs))
+    assert lab.shape == (5, t.nlabels) and perm.shape == (5, t.nperm)
+    for row, f in enumerate(fs):
+        want = f.inverse()
+        assert np.array_equal(lab[row], want.lab)
+        assert np.array_equal(perm[row], want.perm)
+        assert (f * Portrait(p, depth, lab[row], perm[row])).is_identity()
+        one_lab, one_perm = inverse_rows(t, f.lab, f.perm)
+        assert np.array_equal(one_lab, want.lab)
+        assert np.array_equal(one_perm, want.perm)
 
 
 def test_commutator_definition():
