@@ -24,8 +24,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .linalg import FpSubspace
-from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, _Tables, compose_rows,
-                    embed_at_vertex, inverse_rows, parse_vertex,
+from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, _Tables,
+                    commutator_rows, compose_rows, embed_at_vertex,
+                    inverse_rows, parse_vertex, power_rows,
                     vertex_from_local_index, vertex_local_index)
 
 
@@ -333,7 +334,8 @@ class Subgroup:
         self.gens = [g for g in gens if not g.is_identity()]
         self.name = name
         self._pcgs = pcgs
-        # (closed subgroup, extra generators) the pcgs is built from
+        # (closed subgroup, extra generators) the pcgs is built from; None
+        # once it is built
         self._grow: tuple[Subgroup, Sequence[Portrait]] | None = None
 
     @classmethod
@@ -353,7 +355,7 @@ class Subgroup:
             pcgs = (base.pcgs.copy() if base is not None
                     else InducedPcgs(self.p, self.depth))
             pcgs.add_generators(extra)
-            self._pcgs = pcgs
+            self._pcgs, self._grow = pcgs, None
         return self._pcgs
 
     @property
@@ -466,17 +468,13 @@ def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup,
 
 def _commutators(xs: Sequence[Portrait], ys: Sequence[Portrait],
                  i: np.ndarray, j: np.ndarray) -> list[Portrait]:
-    """[xs[i[r]], ys[j[r]]] = x^-1 y^-1 x y for every r (depth >= 1),
-    formed as stacks: one inverse per operand and three products."""
+    """[xs[i[r]], ys[j[r]]] for every r (depth >= 1), formed as stacks."""
     if not len(i):
         return []
     p, depth = xs[0].p, xs[0].depth
     t = _Tables(p, depth)
-    x, y = _stack(xs, t), _stack(ys, t)
-    x_inv, y_inv = inverse_rows(t, *x), inverse_rows(t, *y)
-    rows = compose_rows(t, x_inv[0][i], x_inv[1][i], *y_inv, j)
-    rows = compose_rows(t, *rows, *x, i)
-    return _portraits(p, depth, compose_rows(t, *rows, *y, j))
+    return _portraits(p, depth, commutator_rows(t, *_stack(xs, t),
+                                                *_stack(ys, t), i, j))
 
 
 def commutator_seeds(xs: Sequence[Portrait],
@@ -487,21 +485,13 @@ def commutator_seeds(xs: Sequence[Portrait],
 
 
 def powers_of(xs: Sequence[Portrait], e: int) -> list[Portrait]:
-    """x^e (e >= 1) for x in xs (depth >= 1), squaring the whole stack at
+    """x^e (e >= 0) for x in xs (depth >= 1), powering the whole stack at
     once."""
     if not xs:
         return []
     p, depth = xs[0].p, xs[0].depth
     t = _Tables(p, depth)
-    base, result = _stack(xs, t), None
-    while True:
-        if e & 1:
-            result = base if result is None else compose_rows(t, *result,
-                                                              *base)
-        e >>= 1
-        if not e:
-            return _portraits(p, depth, result)
-        base = compose_rows(t, *base, *base)
+    return _portraits(p, depth, power_rows(t, *_stack(xs, t), e))
 
 
 def frattini_seeds(gens: Sequence[Portrait], p: int) -> list[Portrait]:
@@ -520,15 +510,13 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, ambient: Subgroup,
 
 
 def join(a: Subgroup, b: Subgroup, name: str = "") -> Subgroup:
-    """<A, B> on A's generators then B's; if either operand's pcgs is
-    built, the larger such one is extended by the other's generators."""
-    gens = a.generating_set() + b.generating_set()
-    built = [s for s in (a, b) if s._pcgs is not None]
-    if not built:
-        return Subgroup(a.p, a.depth, gens, name=name)
-    base = max(built, key=lambda s: s.order_exponent)
+    """<A, B> on A's generators then B's; its pcgs extends the larger
+    operand's by the other's generators."""
+    base = max((a, b), key=lambda s: s.order_exponent)
     extra = (b if base is a else a).generating_set()
-    return Subgroup.extending(base, extra, gens, name=name)
+    return Subgroup.extending(base, extra,
+                              a.generating_set() + b.generating_set(),
+                              name=name)
 
 
 def frattini_subgroup(h: Subgroup) -> Subgroup:

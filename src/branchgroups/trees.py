@@ -154,6 +154,38 @@ def inverse_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray
     return out, inv
 
 
+def power_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray, e: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and perm of the e-th power (e >= 0) for depth >= 1, of one
+    portrait (1-D lab and perm) or of every row of a stack (2-D), by
+    square-and-multiply; new arrays."""
+    result = (np.zeros_like(lab), np.broadcast_to(t.local, perm.shape).copy())
+    while e:
+        if e & 1:
+            result = compose_rows(t, *result, lab, perm)
+        e >>= 1
+        if e:
+            lab, perm = compose_rows(t, lab, perm, lab, perm)
+    return result
+
+
+def commutator_rows(t: _Tables, x_lab: np.ndarray, x_perm: np.ndarray,
+                    y_lab: np.ndarray, y_perm: np.ndarray,
+                    i: np.ndarray | None = None, j: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and perm of [x, y] = x^-1 y^-1 x y for depth >= 1: of one
+    pair (1-D), of two stacks row by row (2-D), or with index arrays i and
+    j, of row i[r] of x with row j[r] of y for every r.  One inverse per
+    operand and three products; new arrays."""
+    x_inv_lab, x_inv_perm = inverse_rows(t, x_lab, x_perm)
+    if i is not None:
+        x_inv_lab, x_inv_perm = x_inv_lab[i], x_inv_perm[i]
+    rows = compose_rows(t, x_inv_lab, x_inv_perm,
+                        *inverse_rows(t, y_lab, y_perm), j)
+    rows = compose_rows(t, *rows, x_lab, x_perm, i)
+    return compose_rows(t, *rows, y_lab, y_perm, j)
+
+
 def _next_level(t: _Tables, lab: np.ndarray, upper: np.ndarray,
                 m: int) -> np.ndarray:
     """Local images of the level-(m+1) vertices under the portrait with
@@ -292,15 +324,10 @@ class Portrait:
     def __pow__(self, n: int) -> "Portrait":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Portrait.identity(self.p, self.depth)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if self.depth == 0:
+            return self
+        return Portrait(self.p, self.depth,
+                        *power_rows(self.tables, self.lab, self.perm, n))
 
     def conjugate(self, g: "Portrait", g_inv: "Portrait" | None = None) -> "Portrait":
         """self^g = g^-1 * self * g."""
@@ -439,7 +466,10 @@ def embed_at_vertex(c: Portrait, v, depth: int) -> Portrait:
 
 def commutator(x: Portrait, y: Portrait) -> Portrait:
     """[x, y] = x^-1 y^-1 x y (left-normed convention upstream)."""
-    return x.inverse() * y.inverse() * x * y
+    if x.depth == 0:
+        return x
+    return Portrait(x.p, x.depth, *commutator_rows(x.tables, x.lab, x.perm,
+                                                   y.lab, y.perm))
 
 
 def compose_all(factors: Iterable[Portrait], p: int, depth: int) -> Portrait:

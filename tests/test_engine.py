@@ -16,7 +16,7 @@ from branchgroups.engine import (InducedPcgs, Subgroup, _stack,
                                  min_generators, normal_closure, powers_of,
                                  sections_within)
 from branchgroups.oracle import bfs_enumerate
-from branchgroups.trees import Portrait, commutator, rooted_a
+from branchgroups.trees import Portrait, commutator, compose_all, rooted_a
 
 
 # -- orders against the BFS oracle (the oracle is the referee) ---------------
@@ -307,7 +307,7 @@ def test_extending_a_closed_pcgs_matches_building_from_scratch(case):
             == scratch.pcgs.members(probes).tolist())
 
 
-def test_join_extends_the_larger_built_operand(fg3_ctx):
+def test_join_extends_the_larger_operand(fg3_ctx):
     g = fg3_ctx.quotient(4)
     gam3, st2 = fg3_ctx.gamma(3, 4), g.stabilizer(2)
     joined = join(gam3, st2, name="J")
@@ -319,10 +319,10 @@ def test_join_extends_the_larger_built_operand(fg3_ctx):
         order = joined.order_exponent
     assert spy.call_count == order - big.order_exponent
     assert joined.equal(Subgroup(3, 4, joined.generating_set()))
-    # with no pcgs built on either side, the join builds its own
+    assert joined._grow is None                         # dropped once built
     a, b = g.generating_set()
-    fresh = join(Subgroup(3, 4, [a]), Subgroup(3, 4, [b]))
-    assert fresh.order_exponent == g.order_exponent
+    small = join(Subgroup(3, 4, [a]), Subgroup(3, 4, [b]))
+    assert small.order_exponent == g.order_exponent
 
 
 # -- seeds formed as stacks --------------------------------------------------
@@ -344,7 +344,7 @@ def test_commutator_seeds_are_pairwise_commutators_in_order(preset_name,
     ncl = normal_closure([commutator(a, b) * b * a], g).generating_set()
     for xs, ys in [(gens, gens), (ncl, gens), (gens, ncl[:1]), (ncl, [])]:
         seeds = commutator_seeds(xs, ys)
-        assert rows_of(seeds) == rows_of([commutator(x, y)
+        assert rows_of(seeds) == rows_of([x.inverse() * y.inverse() * x * y
                                           for x in xs for y in ys])
         assert all(s.lab.base is None and s.perm.base is None
                    for s in seeds)
@@ -362,11 +362,13 @@ def test_frattini_seeds_match_the_generator_list(preset_name, depth):
                                  for y in g.generating_set()]
     gens = [x for x in gens if not x.is_identity()]
     p = g.p
-    want = [commutator(x, y) for i, x in enumerate(gens)
-            for y in gens[i + 1:]] + [x**p for x in gens]
+    want = [x.inverse() * y.inverse() * x * y for i, x in enumerate(gens)
+            for y in gens[i + 1:]] + [compose_all([x] * p, p, depth)
+                                      for x in gens]
     assert rows_of(frattini_seeds(gens, p)) == rows_of(want)
-    for e in range(1, 8):
-        assert rows_of(powers_of(gens, e)) == rows_of([x**e for x in gens])
+    for e in range(8):
+        assert rows_of(powers_of(gens, e)) == rows_of(
+            [compose_all([x] * e, p, depth) for x in gens])
     assert powers_of([], p) == [] and frattini_seeds([], p) == []
 
 

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki
 from branchgroups.trees import (Portrait, _Tables, assemble, commutator,
-                                compose_rows, embed_at_vertex, inverse_rows,
-                                parse_vertex, rooted_a,
-                                vertex_from_local_index, vertex_local_index)
+                                commutator_rows, compose_all, compose_rows,
+                                embed_at_vertex, inverse_rows, parse_vertex,
+                                power_rows, rooted_a, vertex_from_local_index,
+                                vertex_local_index)
 
 
 def nlabels(p, depth):
@@ -264,6 +265,31 @@ def test_inverse_rows_matches_inverse(p, depth):
         one_lab, one_perm = inverse_rows(t, f.lab, f.perm)
         assert np.array_equal(one_lab, want.lab)
         assert np.array_equal(one_perm, want.perm)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_power_and_commutator_rows_match_products(p, depth):
+    # the reference is plain composition, one portrait at a time
+    rng = np.random.default_rng(10 * p + depth)
+    t = _Tables(p, depth)
+    fs = [random_portrait(rng, p, depth) for _ in range(4)]
+    for e in range(2 * p + 2):
+        lab, perm = power_rows(t, *stacked(fs), e)
+        for row, f in enumerate(fs):
+            want = compose_all([f] * e, p, depth)
+            assert np.array_equal(lab[row], want.lab)
+            assert np.array_equal(perm[row], want.perm)
+            assert f**e == want
+    i, j = np.array([0, 0, 3, 2, 1]), np.array([1, 2, 0, 2, 3])
+    lab, perm = commutator_rows(t, *stacked(fs), *stacked(fs), i, j)
+    for row, (x, y) in enumerate((fs[a], fs[b]) for a, b in zip(i, j)):
+        want = x.inverse() * y.inverse() * x * y
+        assert np.array_equal(lab[row], want.lab)
+        assert np.array_equal(perm[row], want.perm)
+    lab, perm = commutator_rows(t, *stacked(fs[:2]), *stacked(fs[2:]))
+    assert [Portrait(p, depth, lab[r], perm[r]) for r in range(2)] == [
+        commutator(fs[0], fs[2]), commutator(fs[1], fs[3])]
 
 
 def test_commutator_definition():
