@@ -21,7 +21,7 @@ from .gmodules import (compute_rm, iterated_twisted_sum, tuple_from_rank,
                        uniserial_chain, wm_module)
 from .suite import (CHECKS, GroupContext, run_all, run_check,
                     verify_profinite_distinction)
-from .trees import Portrait
+from .trees import Portrait, check_depth
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
 
@@ -176,8 +176,18 @@ def _report_payload(inst, reports, depth, seed) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def _load_checked(args) -> GroupInstance:
+    """The instance for verify and report.  A --depth past the tree-size
+    guard exits 3 here, where run_check would report every check as
+    skipped."""
     inst = load_instance(args)
+    if args.depth is not None:
+        check_depth(inst.p, args.depth)
+    return inst
+
+
+def cmd_verify(args) -> int:
+    inst = _load_checked(args)
     ctx = GroupContext(inst)
     if args.check == "all":
         reports = run_all(ctx, depth=args.depth, seed=args.seed,
@@ -210,7 +220,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    inst = load_instance(args)
+    inst = _load_checked(args)
     ctx = GroupContext(inst)
     reports = run_all(ctx, depth=args.depth, seed=args.seed,
                       timings=args.timings)
@@ -252,12 +262,8 @@ def cmd_oracle(args) -> int:
         return EXIT_PASS if ok else EXIT_FAIL
     if args.which == "normal-between":
         g = group_of(inst, depth)
-        try:
-            subs = oracle.brute_invariant_subspaces_within(
-                g.image_in_wm(level), wm_module(inst, level), cap_dim=args.cap)
-        except ResourceGuardError as exc:
-            print(json.dumps({"status": "skipped", "reason": str(exc)}))
-            return EXIT_GUARD
+        subs = oracle.brute_invariant_subspaces_within(
+            g.image_in_wm(level), wm_module(inst, level), cap_dim=args.cap)
         print(json.dumps({"level": level, "depth": depth,
                           "subgroup_count": len(subs),
                           "dims": [s.dim for s in subs]}, sort_keys=True))

@@ -24,14 +24,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .linalg import FpSubspace
-from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, _Tables,
-                    commutator_rows, compose_rows, embed_at_vertex,
+from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, ResourceGuardError,
+                    _Tables, commutator_rows, compose_rows, embed_at_vertex,
                     inverse_rows, parse_vertex, power_rows,
                     vertex_from_local_index, vertex_local_index)
-
-
-class ResourceGuardError(RuntimeError):
-    """A configured computation cap was exceeded."""
 
 
 # Most elements an induced pcgs may hold before the resource guard trips.

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,43 +57,129 @@ def bfs_enumerate(gens: Sequence[Portrait], cap_exp: int = 12) -> tuple[int, int
     return count, exp
 
 
-def projective_points(p: int, dim: int) -> Iterable[tuple[int, ...]]:
-    """One coefficient vector per line of F_p^dim: the first nonzero
-    coefficient is 1, so every nonzero vector is a unique scalar multiple
-    of exactly one of the (p^dim - 1)/(p - 1) vectors yielded."""
-    for lead in range(dim):
-        for rest in itertools.product(range(p), repeat=dim - lead - 1):
-            yield (0,) * lead + (1,) + rest
+# Most coefficient vectors, p^k for a k-dimensional space, that the census
+# indexes: it holds one int32 code array per generator
+MAX_CENSUS_VECTORS = 2**20
+# Codes whose coefficient vectors are formed at once while the image
+# arrays are built
+_CODE_CHUNK = 2**10
+
+
+def _log_floor(p: int, cap: int) -> int:
+    """The largest e with p^e <= cap (-1 for cap < 1), in integers, so a
+    dimension is compared with a cap without forming p^dim."""
+    e, power = -1, 1
+    while power <= cap:
+        e, power = e + 1, power * p
+    return e
+
+
+def _primitive_root(p: int) -> int:
+    """A generator of the multiplicative group F_p^*, for p > 2."""
+    return next(r for r in range(2, p)
+                if all(pow(r, (p - 1) // q, p) != 1
+                       for q in range(2, p) if (p - 1) % q == 0))
+
+
+def _digits(codes: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The coefficient vectors of integer codes, one row per code, most
+    significant digit first."""
+    return codes[:, None] // p ** np.arange(k - 1, -1, -1) % p
+
+
+def _class_representatives(space: FpSubspace, mod: GModule) -> np.ndarray:
+    """The codes of one nonzero vector per class of the census of `space`.
+
+    A vector of the k-dimensional space is indexed by the code of its
+    coefficient vector, 0 .. p^k - 1.  The classes are those of the
+    relation generated by v ~ c v (c != 0) and v ~ v.g for each generator
+    g where v.g stays in the space.  One int32 image array per generator,
+    plus multiplication by a primitive root for p > 2, is built in chunks
+    of _CODE_CHUNK codes; each code is labelled by the least code it
+    reaches, in rounds of minima over the images with pointer jumping,
+    and the codes that are their own label are returned.  A code that is
+    not its own label reaches its label, which is.
+    """
+    p, k = mod.p, space.dim
+    n = p**k
+    rows = space.rows.astype(np.int64)
+    weights = p ** np.arange(k - 1, -1, -1)
+    # per move: the coordinates of the basis rows' images in the space and
+    # the nonzero columns of their residues off it (none when the space is
+    # invariant under the move)
+    moves = []
+    for name in mod.perms:
+        moved = mod.act(rows, name)
+        coords = moved[:, space.pivots]
+        off = (moved - coords @ rows) % p
+        moves.append((coords, off[:, off.any(axis=0)]))
+    if p > 2:
+        moves.append((_primitive_root(p) * np.eye(k, dtype=np.int64),
+                      np.zeros((k, 0), dtype=np.int64)))
+    images = [np.empty(n, dtype=np.int32) for _ in moves]
+    for start in range(0, n, _CODE_CHUNK):
+        codes = np.arange(start, min(n, start + _CODE_CHUNK))
+        coeffs = _digits(codes, p, k)
+        for image, (coords, off) in zip(images, moves):
+            out = coeffs @ coords % p @ weights
+            if off.size:        # a vector leaving the space is not moved
+                out = np.where((coeffs @ off % p).any(axis=1), codes, out)
+            image[start:start + len(codes)] = out
+    lab = np.arange(n, dtype=np.int32)
+    while True:
+        nxt = lab.copy()
+        for image in images:
+            np.minimum(nxt, lab[image], out=nxt)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, lab):
+            break
+        lab = nxt
+    return np.flatnonzero(lab == np.arange(n, dtype=np.int32))[1:]
 
 
 def _cyclic_closures(space: FpSubspace, mod: GModule) -> list[FpSubspace]:
     """The distinct closures of single vectors of `space`, sorted by
-    dimension.  closure(c v) = closure(v) for c != 0, so one vector per
-    projective class of the space is closed.  The classes are closed in
-    stacks of about 4096 / d^2 seeds, so a stack of square d x d bases
-    stays small, and deduplicated by their canonical square bases."""
-    p, d = mod.p, mod.dim
+    dimension and key.
+
+    closure(c v) = closure(v) for c != 0, and closure(v.g) = closure(v)
+    for each generator g, as the closure is invariant; so one vector is
+    closed per class of the relation these moves generate
+    (`_class_representatives`).  The vectors are closed in stacks of about
+    4096 / d^2 seeds, so a stack of square d x d bases stays small, and
+    deduplicated by their canonical square bases.  Raises
+    ResourceGuardError, before anything is allocated, when the space has
+    more than MAX_CENSUS_VECTORS vectors.
+    """
+    p, d, k = mod.p, mod.dim, space.dim
+    if k > _log_floor(p, MAX_CENSUS_VECTORS):
+        raise ResourceGuardError(
+            f"census of p^k = {p}^{k} vectors exceeds the limit "
+            f"{MAX_CENSUS_VECTORS}")
+    reps = _class_representatives(space, mod)
     rows = space.rows.astype(np.int64)
-    points = projective_points(p, space.dim)
     found: dict[bytes, FpSubspace] = {}
-    while block := list(itertools.islice(points, max(1, 4096 // d**2))):
+    step = max(1, 4096 // d**2)
+    for start in range(0, len(reps), step):
+        block = _digits(reps[start:start + step], p, k) @ rows
         stack = Echelon(p, d, len(block))
-        stack.add(np.array(block, dtype=np.int64) @ rows)
+        stack.add(block)
         submodule_closure(stack, mod)
-        for k, basis in enumerate(stack.bases):
+        for j, basis in enumerate(stack.bases):
             key = basis.tobytes()
             if key not in found:
-                found[key] = stack.subspace(k)
+                found[key] = stack.subspace(j)
     return sorted(found.values(), key=lambda s: (s.dim, s.key()))
 
 
 def brute_submodules(mod: GModule, cap_count: int = 20000) -> list[FpSubspace]:
-    """All closures of single vectors of the module, deduplicated and
-    sorted by dimension.  When every submodule is cyclic this is the full
-    submodule list (excluding the zero space)."""
-    if mod.p**mod.dim > cap_count:
+    """All closures of single vectors of the module, one per class of the
+    census (`_cyclic_closures`), deduplicated and sorted by dimension.
+    When every submodule is cyclic this is the full submodule list
+    (excluding the zero space).  Raises ResourceGuardError when p^dim
+    exceeds cap_count, compared without forming p^dim."""
+    if mod.dim > _log_floor(mod.p, cap_count):
         raise ResourceGuardError(
-            f"p^dim = {mod.p**mod.dim} exceeds cap {cap_count}")
+            f"p^dim = {mod.p}^{mod.dim} exceeds cap {cap_count}")
     return _cyclic_closures(full_space(mod.p, mod.dim), mod)
 
 
@@ -122,12 +207,13 @@ def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
 def brute_invariant_subspaces_within(space: FpSubspace, mod: GModule,
                                      cap_dim: int = 6) -> list[FpSubspace]:
     """All invariant subspaces of an invariant `space`, by closing one
-    vector per projective class of the space (cyclic closures) and then
+    vector per class of the census (`_cyclic_closures`: scalar multiples
+    and generator images of a vector have the same closure) and then
     summing closures.
 
-    Sound because in the cases this referee is used for, every invariant
-    subspace is a sum of cyclic ones (always true) and the vector count
-    p^dim is capped.
+    Sound because every invariant subspace is a sum of cyclic ones.  Raises
+    ResourceGuardError when dim exceeds cap_dim or, before the census
+    allocates, when p^dim exceeds MAX_CENSUS_VECTORS.
     """
     if space.dim > cap_dim:
         raise ResourceGuardError(f"dim {space.dim} exceeds cap {cap_dim}")

@@ -63,9 +63,31 @@ def check_prime(p: int, odd: bool = False) -> int:
     return p
 
 
+class ResourceGuardError(RuntimeError):
+    """A configured computation cap was exceeded."""
+
+
 def to_digits(labels) -> str:
     """Label values in 0..p-1 as one DIGITS symbol each."""
     return "".join(DIGITS[int(x)] for x in labels)
+
+
+# Most labels (vertices of levels 0..depth-1) a portrait may hold: depth
+# 20 at p = 2, 13 at p = 3, 4 at p = 61
+MAX_TREE_LABELS = 2**20
+
+
+def check_depth(p: int, depth: int) -> None:
+    """Raise ResourceGuardError when a depth-`depth` portrait over p would
+    hold more than MAX_TREE_LABELS labels; the levels are counted one at a
+    time, so a huge depth costs no more than the levels below the limit."""
+    labels, level = 0, 1
+    for _ in range(depth):
+        labels, level = labels + level, level * p
+        if labels > MAX_TREE_LABELS:
+            raise ResourceGuardError(
+                f"a depth-{depth} tree at p = {p} has more than "
+                f"{MAX_TREE_LABELS} vertex labels")
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +95,7 @@ class _Tables:
     """Static index tables shared by all portraits of one (p, depth)."""
 
     def __init__(self, p: int, depth: int):
+        check_depth(p, depth)
         self.p = p
         self.depth = depth
         # label positions cover levels 0..depth-1; perm position i - 1 names

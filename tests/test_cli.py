@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from branchgroups.catalog import fabrykowski_gupta
-from branchgroups.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, SpecError,
-                              instance_from_dict, run)
+from branchgroups.cli import (EXIT_FAIL, EXIT_GUARD, EXIT_PASS, EXIT_USAGE,
+                              SpecError, instance_from_dict, run)
 
 
 def test_info_preset(capsys):
@@ -212,6 +212,44 @@ def test_out_of_range_depth_or_level_exit_code(argv, flag, capsys):
     assert run(argv) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error: " + flag)
+
+
+def assert_guard_line(capsys):
+    """Nothing on stdout and one `resource guard:` line on stderr."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource guard: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # W_9(fg3) has 3^19683 vectors, a number past int's 4300-digit str limit
+    ["oracle", "submodules", "--preset", "fg3", "--level", "9"],
+    # the layer image of St(1) is all of W_1(fg11): 11^11 vectors, within
+    # the default --cap 12 on its dimension
+    ["oracle", "normal-between", "--spec", {"type": "fg", "p": 11},
+     "--level", "1", "--depth", "3"],
+])
+def test_census_guard_exit_code(argv, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    for a in argv:
+        if isinstance(a, dict):
+            spec.write_text(json.dumps(a))
+    assert run([str(spec) if isinstance(a, dict) else a
+                for a in argv]) == EXIT_GUARD
+    assert_guard_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "submodules", "--preset", "fg3", "--level", "30"],
+    ["oracle", "normal-between", "--preset", "fg3", "--level", "1",
+     "--depth", "30"],
+    ["verify", "chain", "--preset", "fg3", "--depth", "30"],
+])
+def test_tree_size_guard_exit_code(argv, capsys):
+    # a depth-30 ternary tree has (3^30 - 1)/2 vertices: refused before any
+    # portrait table is allocated
+    assert run(argv) == EXIT_GUARD
+    assert_guard_line(capsys)
 
 
 # -- golden reports --------------------------------------------------------------

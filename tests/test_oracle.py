@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchgroups import oracle
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki, preset
 from branchgroups.engine import ResourceGuardError, Subgroup, group_of
 from branchgroups.gmodules import (GModule, submodule_closure, vj_basis,
                                    wm_module)
-from branchgroups.linalg import Echelon, FpSubspace
+from branchgroups.linalg import Echelon, FpSubspace, full_space
 from branchgroups.oracle import (_cyclic_closures, bfs_elements, bfs_enumerate,
                                  brute_invariant_subspaces_within,
-                                 brute_normal_between, brute_submodules,
-                                 projective_points)
+                                 brute_normal_between, brute_submodules)
 from branchgroups.trees import rooted_a
 
 
@@ -143,6 +143,15 @@ def sorted_keys(closures):
                   key=lambda kv: (kv[1], kv[0]))
 
 
+def projective_points(p, dim):
+    """One coefficient vector per line of F_p^dim: the first nonzero
+    coefficient is 1, so every nonzero vector is a unique scalar multiple
+    of exactly one of the (p^dim - 1)/(p - 1) vectors yielded."""
+    for lead in range(dim):
+        for rest in itertools.product(range(p), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + rest
+
+
 def closures_of_every_vector(mod):
     """The census without projective deduplication: the reference closure
     of every nonzero vector, as sorted (key, dim) pairs."""
@@ -177,11 +186,18 @@ def small_module(family, p, level):
     return wm_module(MODULE_GROUPS[family](p), level)
 
 
+# every vector spans its own closure: 364 lines of F_3^6, so the census of
+# the whole space closes more seeds than one stack (4096 // 36 = 113) holds
+TRIVIAL_ACTION = GModule(3, 6, {"a": range(6)})
+
+
 @st.composite
 def modules(draw):
     family, p = draw(st.sampled_from([("fg", 3), ("fg", 5), ("fg", 7),
                                       ("gs", 3), ("gs", 5), ("gs", 7),
-                                      ("grigorchuk", 2)]))
+                                      ("grigorchuk", 2), ("trivial", 3)]))
+    if family == "trivial":
+        return TRIVIAL_ACTION
     return small_module(family, p, draw(st.sampled_from([1, 2])))
 
 
@@ -233,16 +249,59 @@ def test_stacked_closure_matches_reference_seed_by_seed(case):
 @settings(max_examples=25, deadline=None)
 @given(modules(), st.data())
 def test_cyclic_closures_match_reference_across_blocks(mod, data):
-    # a space with more projective points than one stack of seeds holds
-    # (4096 // d^2 of them) is closed in several stacks
+    # a census with more classes than one stack of seeds holds (4096 // d^2
+    # of them) is closed in several stacks; a random space is rarely
+    # invariant, so some images leave it, while every image stays in the
+    # whole space, drawn where its vectors are few
     p, d = mod.p, mod.dim
-    dim = data.draw(st.integers(1, min(d, 5 if p <= 5 else 3)))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    space = FpSubspace(p, d, rng.integers(0, p, (dim, d)))
+    if p**d <= 729 and data.draw(st.booleans()):
+        space = full_space(p, d)
+    else:
+        dim = data.draw(st.integers(1, min(d, 5 if p <= 5 else 3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        space = FpSubspace(p, d, rng.integers(0, p, (dim, d)))
     want = sorted_keys(
         reference_closure([np.array(c, dtype=np.int64) @ space.rows], mod)
         for c in projective_points(p, space.dim))
     assert [(s.key(), s.dim) for s in _cyclic_closures(space, mod)] == want
+
+
+def orbit_count(mod):
+    """Orbits of the generators and the scalars on the nonzero vectors of
+    the module, by a plain search over tuples."""
+    p, count, seen = mod.p, 0, set()
+    for vec in itertools.product(range(p), repeat=mod.dim):
+        if not any(vec) or vec in seen:
+            continue
+        count += 1
+        seen.add(vec)
+        frontier = [vec]
+        while frontier:
+            arr = np.array(frontier.pop())
+            for w in ([c * arr % p for c in range(2, p)]
+                      + [mod.act(arr, k) for k in mod.perms]):
+                if tuple(w) not in seen:
+                    seen.add(tuple(w))
+                    frontier.append(tuple(w))
+    return count
+
+
+@pytest.mark.parametrize("mod", [
+    wm_module(fabrykowski_gupta(3), 2), wm_module(gupta_sidki(3), 1),
+    wm_module(preset("sunic-grigorchuk"), 2), TRIVIAL_ACTION],
+    ids=["fg3-W2", "gs3-W1", "grigorchuk-W2", "trivial"])
+def test_census_closes_one_seed_per_orbit(mod, monkeypatch):
+    # the whole module is invariant, so the classes of the census are the
+    # orbits of <G, F_p^*>: W_2(fg3) has 225 of them against 9841 lines
+    seeds = []
+
+    def counting(stack, module):
+        seeds.append(len(stack.bases))
+        return submodule_closure(stack, module)
+
+    monkeypatch.setattr(oracle, "submodule_closure", counting)
+    brute_submodules(mod)
+    assert sum(seeds) == orbit_count(mod)
 
 
 def test_brute_submodules_w1():
