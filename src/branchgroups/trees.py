@@ -63,13 +63,13 @@ def check_prime(p: int, odd: bool = False) -> int:
     return p
 
 
-class ResourceGuardError(RuntimeError):
-    """A configured computation cap was exceeded."""
-
-
 def to_digits(labels) -> str:
     """Label values in 0..p-1 as one DIGITS symbol each."""
     return "".join(DIGITS[int(x)] for x in labels)
+
+
+class ResourceGuardError(RuntimeError):
+    """A configured computation cap was exceeded."""
 
 
 # Most labels (vertices of levels 0..depth-1) a portrait may hold: depth
