@@ -9,7 +9,7 @@ import numpy as np
 from .engine import ResourceGuardError
 from .gmodules import (GModule, layer_preimage, submodule_closure,
                        wm_module)
-from .linalg import Echelon, FpSubspace, full_space
+from .linalg import Echelon, FpSubspace, _inverses, full_space
 from .trees import Portrait
 
 
@@ -62,7 +62,7 @@ def bfs_enumerate(gens: Sequence[Portrait], cap_exp: int = 12) -> tuple[int, int
 MAX_CENSUS_VECTORS = 2**20
 # Codes whose coefficient vectors are formed at once while the image
 # arrays are built
-_CODE_CHUNK = 2**10
+_CODE_CHUNK = 2**8
 
 
 def _log_floor(p: int, cap: int) -> int:
@@ -74,17 +74,10 @@ def _log_floor(p: int, cap: int) -> int:
     return e
 
 
-def _primitive_root(p: int) -> int:
-    """A generator of the multiplicative group F_p^*, for p > 2."""
-    return next(r for r in range(2, p)
-                if all(pow(r, (p - 1) // q, p) != 1
-                       for q in range(2, p) if (p - 1) % q == 0))
-
-
 def _digits(codes: np.ndarray, p: int, k: int) -> np.ndarray:
     """The coefficient vectors of integer codes, one row per code, most
     significant digit first."""
-    return codes[:, None] // p ** np.arange(k - 1, -1, -1) % p
+    return np.stack(np.unravel_index(codes, (p,) * k), axis=1)
 
 
 def _class_representatives(space: FpSubspace, mod: GModule) -> np.ndarray:
@@ -93,47 +86,49 @@ def _class_representatives(space: FpSubspace, mod: GModule) -> np.ndarray:
     A vector of the k-dimensional space is indexed by the code of its
     coefficient vector, 0 .. p^k - 1.  The classes are those of the
     relation generated by v ~ c v (c != 0) and v ~ v.g for each generator
-    g where v.g stays in the space.  One int32 image array per generator,
-    plus multiplication by a primitive root for p > 2, is built in chunks
-    of _CODE_CHUNK codes; each code is labelled by the least code it
-    reaches, in rounds of minima over the images with pointer jumping,
+    g where v.g stays in the space.  Each code starts labelled by its
+    greatest multiple, the one with leading coefficient p - 1, and one
+    int32 image array per generator is built, both in chunks of
+    _CODE_CHUNK codes.  Rounds of maxima over the images, with pointer
+    jumping, then label each code by the greatest code it reaches
+    (multiples commute with the action, so multiples keep equal labels),
     and the codes that are their own label are returned.  A code that is
-    not its own label reaches its label, which is.
+    not its own label reaches its label, which is.  The greatest code of
+    most classes has a nonzero first coefficient, so stacks of these seeds
+    share their first pivots and close a narrow frontier.
     """
     p, k = mod.p, space.dim
     n = p**k
     rows = space.rows.astype(np.int64)
-    weights = p ** np.arange(k - 1, -1, -1)
-    # per move: the coordinates of the basis rows' images in the space and
-    # the nonzero columns of their residues off it (none when the space is
-    # invariant under the move)
+    weights = np.array([p**e for e in range(k - 1, -1, -1)])
+    # per generator: the coordinates of the basis rows' images in the space
+    # and the nonzero columns of their residues off it (none when the space
+    # is invariant)
     moves = []
     for name in mod.perms:
         moved = mod.act(rows, name)
         coords = moved[:, space.pivots]
         off = (moved - coords @ rows) % p
         moves.append((coords, off[:, off.any(axis=0)]))
-    if p > 2:
-        moves.append((_primitive_root(p) * np.eye(k, dtype=np.int64),
-                      np.zeros((k, 0), dtype=np.int64)))
+    lab = np.empty(n, dtype=np.int32)
     images = [np.empty(n, dtype=np.int32) for _ in moves]
     for start in range(0, n, _CODE_CHUNK):
         codes = np.arange(start, min(n, start + _CODE_CHUNK))
         coeffs = _digits(codes, p, k)
+        lead = coeffs[np.arange(len(codes)), (coeffs != 0).argmax(axis=1)]
+        scale = (p - 1) * _inverses(p)[lead, None]
+        lab[start:start + len(codes)] = coeffs * scale % p @ weights
         for image, (coords, off) in zip(images, moves):
             out = coeffs @ coords % p @ weights
             if off.size:        # a vector leaving the space is not moved
                 out = np.where((coeffs @ off % p).any(axis=1), codes, out)
             image[start:start + len(codes)] = out
-    lab = np.arange(n, dtype=np.int32)
-    while True:
-        nxt = lab.copy()
+    # labels only rise, so a round that keeps their sum changed none
+    total = -1
+    while total != (total := lab.sum()):
         for image in images:
-            np.minimum(nxt, lab[image], out=nxt)
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, lab):
-            break
-        lab = nxt
+            np.maximum(lab, lab[image], out=lab)
+        lab = lab[lab]
     return np.flatnonzero(lab == np.arange(n, dtype=np.int32))[1:]
 
 
@@ -155,6 +150,8 @@ def _cyclic_closures(space: FpSubspace, mod: GModule) -> list[FpSubspace]:
         raise ResourceGuardError(
             f"census of p^k = {p}^{k} vectors exceeds the limit "
             f"{MAX_CENSUS_VECTORS}")
+    if not k:           # the zero space has no nonzero vector
+        return []
     reps = _class_representatives(space, mod)
     rows = space.rows.astype(np.int64)
     found: dict[bytes, FpSubspace] = {}
