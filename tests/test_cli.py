@@ -294,6 +294,12 @@ SUNIC3 = {"type": "sunic", "p": 3, "poly": [1, 1]}
     # odd-p Sunic: psi(G') subdirect and the St(r+3)<=G'' depth skip
     ("all-sunic3-d4",
      ["verify", "all", "--spec", SUNIC3, "--depth", "4"], EXIT_PASS),
+    # the inputs perfbench times: the fg-lemma witness prints pcgs digits
+    ("all-fg3-d4", ["verify", "all", "--preset", "fg3", "--depth", "4"],
+     EXIT_FAIL),
+    ("all-sunic-grigorchuk-d6",
+     ["verify", "all", "--preset", "sunic-grigorchuk", "--depth", "6"],
+     EXIT_PASS),
 ])
 def test_golden_reports(name, argv, code, tmp_path, capsys):
     """CLI output (stdout, stderr, exit code) equals the committed
