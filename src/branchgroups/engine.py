@@ -54,7 +54,7 @@ def _stack(elems: Sequence[Portrait], t: _Tables
     """The labels and perms of elems as new 2-D arrays, one row each."""
     if not elems:
         return (np.empty((0, t.nlabels), dtype=_LABEL_DTYPE),
-                np.empty((0, t.nperm), dtype=_PERM_DTYPE))
+                np.empty((0, t.nlabels), dtype=_PERM_DTYPE))
     return (np.stack([f.lab for f in elems]),
             np.stack([f.perm for f in elems]))
 
@@ -104,7 +104,7 @@ class InducedPcgs:
         self._t = t = _Tables(p, depth)
         # slots in insertion order; capacity beyond len(_pivot_of) is unused
         self._lab = np.empty((0, p, t.nlabels), dtype=_LABEL_DTYPE)
-        self._perm = np.empty((0, p, t.nperm), dtype=_PERM_DTYPE)
+        self._perm = np.empty((0, p, t.nlabels), dtype=_PERM_DTYPE)
         self._pivot_of: list[int] = []
         # pivot -> slot, -1 if none; the extra last entry answers pivot -1
         self._slot = np.full(t.nlabels + 1, -1)
@@ -118,10 +118,7 @@ class InducedPcgs:
         every row that still has a stored element there.
         """
         t, p, slot = self._t, self.p, self._slot
-        # row s * p + e is power e of slot s; at depth 1 a perm row is
-        # empty, so its row count is taken from the labels
-        tab_lab = self._lab.reshape(-1, t.nlabels)
-        tab_perm = self._perm.reshape(len(tab_lab), t.nperm)
+        tab_lab, tab_perm = self._table()
         piv, lead = _pivots(lab)
         todo = np.flatnonzero(slot[piv] >= 0)
         cur_lab, cur_perm, cur_piv, lead = (lab[todo], perm[todo],
@@ -182,6 +179,10 @@ class InducedPcgs:
             if not outside.all():
                 queue = [y for y, out in zip(queue, outside) if out]
                 res_lab, res_perm = res_lab[outside], res_perm[outside]
+        # a closed sequence keeps no spare slots: cached subgroups hold
+        # their tables for the rest of the run
+        n = len(self._pivot_of)
+        self._lab, self._perm = self._lab[:n].copy(), self._perm[:n].copy()
         return kept
 
     def _add_residue(self, lab: np.ndarray, perm: np.ndarray) -> bool:
@@ -217,8 +218,7 @@ class InducedPcgs:
             if h.lab[i] != 1:
                 h = h ** pow(int(h.lab[i]), -1, p)
             s = self._insert(i, h)
-            tab_lab = self._lab.reshape(-1, t.nlabels)
-            tab_perm = self._perm.reshape(len(tab_lab), t.nperm)
+            tab_lab, tab_perm = self._table()
             earlier = np.arange(s) * p
             # h^-1 x^-1 for every earlier x, then h^-p = h^-1 h^-(p-1), in
             # one gather; [h, x] = h^-1 x^-1 h x
@@ -232,6 +232,12 @@ class InducedPcgs:
             queue_perm = np.concatenate([queue_perm[:-1], perm[-1:],
                                          comm[1]])
             grew = True
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The power table as one stack: row s * p + e is power e of slot
+        s."""
+        n = self._t.nlabels
+        return self._lab.reshape(-1, n), self._perm.reshape(-1, n)
 
     def _insert(self, pivot: int, h: Portrait) -> int:
         """Store h (leading label 1 at pivot) and its inverse powers in a

@@ -3,10 +3,12 @@
 Everything here lives in the Sylow pro-p subgroup of Aut T: each vertex
 label is a power a^e of the rooted cycle a = (1 2 ... p).  A depth-n
 portrait stores those exponents for the vertices of levels 0..n-1, in
-breadth-lex order, together with the induced permutation of the
-vertices of levels 1..n-1 (kept so that composition is a handful of
-vectorised gathers instead of a tree walk; the level-n images follow
-from it and the last labels, and are computed on demand).
+breadth-lex order, together with the induced permutation of the same
+vertices, as label positions: entry i is the label position of the image
+of the vertex at position i, so entry 0 (the root) is 0.  Composition is
+then two gathers and one addition instead of a tree walk; the level-n
+images follow from the level-(n-1) ones and the last labels, and are
+computed on demand.
 
 Conventions, fixed once and used everywhere downstream:
 
@@ -30,8 +32,6 @@ Vertex = tuple[int, ...]
 
 _LABEL_DTYPE = np.int8
 _PERM_DTYPE = np.int32
-# the level-0 "perm": the root is vertex 0 of its level and stays fixed
-_ROOT = np.zeros(1, dtype=_PERM_DTYPE)
 
 # Composition adds two int8 labels, so 2(p - 1) <= 127; digit strings
 # spend one symbol of DIGITS per label, and 62 symbols also cover p <= 61.
@@ -98,23 +98,13 @@ class _Tables:
         check_depth(p, depth)
         self.p = p
         self.depth = depth
-        # label positions cover levels 0..depth-1; perm position i - 1 names
-        # the vertex of label position i, so perms cover levels 1..depth-1
+        # label positions, and so perm entries, cover levels 0..depth-1
         self.label_off = [0]
         for m in range(depth):
             self.label_off.append(self.label_off[-1] + p**m)
         self.nlabels = self.label_off[-1]
-        self.nperm = max(self.nlabels - 1, 0)
-
-        # per perm position: perm offset of its level, and the local arange
-        prm_off = np.empty(self.nperm, dtype=_PERM_DTYPE)
-        local = np.empty(self.nperm, dtype=_PERM_DTYPE)
-        for m in range(1, depth):
-            lo, hi = self.label_off[m] - 1, self.label_off[m + 1] - 1
-            prm_off[lo:hi] = lo
-            local[lo:hi] = np.arange(hi - lo, dtype=_PERM_DTYPE)
-        self.prm_off = prm_off
-        self.local = local
+        # the identity's perm
+        self.ident = np.arange(self.nlabels, dtype=_PERM_DTYPE)
         # helpers for building perms level by level from labels
         self.tiled_x = [
             np.tile(np.arange(p, dtype=_PERM_DTYPE), p**m) for m in range(depth)
@@ -123,10 +113,6 @@ class _Tables:
     # hashable-by-identity is what lru_cache on the class gives us
     def label_slice(self, m: int) -> slice:
         return slice(self.label_off[m], self.label_off[m + 1])
-
-    def perm_slice(self, m: int) -> slice:
-        """Perm positions of the level-m vertices, 1 <= m <= depth - 1."""
-        return slice(self.label_off[m] - 1, self.label_off[m + 1] - 1)
 
 
 def compose_rows(t: _Tables, a_lab: np.ndarray, a_perm: np.ndarray,
@@ -141,21 +127,16 @@ def compose_rows(t: _Tables, a_lab: np.ndarray, a_perm: np.ndarray,
     of a is multiplied by row b_rows[r] of the stack b.  The results are
     new arrays.
     """
-    # b's perm and labels below the root at the images of a's vertices
-    idx = t.prm_off + a_perm
-    if b_lab.ndim == 1:
-        first, gathered, perm = b_lab[:1], b_lab[1:][idx], b_perm[idx]
-    else:
-        # flat gathers from the C-contiguous stack, one offset per row
-        rows = (np.arange(len(b_lab)) if b_rows is None else b_rows)[:, None]
-        off = rows * b_lab.shape[1]
-        b_flat = b_lab.ravel()
-        first, gathered = b_flat[off], b_flat[idx + (off + 1)]
-        perm = b_perm.ravel()[idx + rows * b_perm.shape[1]]
-    lab = np.concatenate([a_lab[..., :1] + first, a_lab[..., 1:] + gathered],
-                         axis=-1)
+    # b's labels and perm at the images of a's vertices; a stack is read by
+    # flat gathers, one row offset per row
+    idx = a_perm
+    if b_lab.ndim == 2:
+        rows = np.arange(len(b_lab)) if b_rows is None else b_rows
+        idx = a_perm + (rows * t.nlabels)[:, None]
+    lab = b_lab.ravel()[idx]
+    lab += a_lab
     lab %= t.p
-    return lab, perm
+    return lab, b_perm.ravel()[idx]
 
 
 def inverse_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray
@@ -163,15 +144,13 @@ def inverse_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray
     """Labels and perm of the inverse for depth >= 1, of one portrait (1-D
     lab and perm) or of every row of a stack (2-D); new arrays.
 
-    The inverse perm undoes perm level by level, and the inverse's label at
-    u is minus the label at the vertex that u's inverse image names.
+    The inverse perm is one scatter of the identity's through perm, and the
+    inverse's label at u is minus the label at u's inverse image.
     """
-    rows = np.arange(len(lab))[:, None] if lab.ndim == 2 else 0
+    off = np.arange(len(lab))[:, None] * t.nlabels if lab.ndim == 2 else 0
     inv = np.empty(perm.shape, dtype=_PERM_DTYPE)
-    inv.ravel()[t.prm_off + perm + rows * t.nperm] = t.local
-    out = np.empty(lab.shape, dtype=_LABEL_DTYPE)
-    out[..., :1] = lab[..., :1]
-    out[..., 1:] = lab.ravel()[t.prm_off + inv + (rows * t.nlabels + 1)]
+    inv.ravel()[perm + off] = t.ident
+    out = lab.ravel()[inv + off]
     np.negative(out, out=out)
     out %= t.p
     return out, inv
@@ -182,7 +161,7 @@ def power_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray, e: int
     """Labels and perm of the e-th power (e >= 0) for depth >= 1, of one
     portrait (1-D lab and perm) or of every row of a stack (2-D), by
     square-and-multiply; new arrays."""
-    result = (np.zeros_like(lab), np.broadcast_to(t.local, perm.shape).copy())
+    result = (np.zeros_like(lab), np.broadcast_to(t.ident, perm.shape).copy())
     while e:
         if e & 1:
             result = compose_rows(t, *result, lab, perm)
@@ -212,7 +191,7 @@ def commutator_rows(t: _Tables, x_lab: np.ndarray, x_perm: np.ndarray,
 def _next_level(t: _Tables, lab: np.ndarray, upper: np.ndarray,
                 m: int) -> np.ndarray:
     """Local images of the level-(m+1) vertices under the portrait with
-    labels lab, from those of level m (upper; [0] for the root)."""
+    labels lab, from the local images upper of the level-m vertices."""
     p = t.p
     lab_m = lab[t.label_slice(m)].astype(_PERM_DTYPE)
     return np.repeat(upper * p, p) + (t.tiled_x[m] + np.repeat(lab_m, p)) % p
@@ -261,7 +240,7 @@ class Portrait:
     def identity(p: int, depth: int) -> "Portrait":
         t = _Tables(p, depth)
         return Portrait(p, depth, np.zeros(t.nlabels, dtype=_LABEL_DTYPE),
-                        t.local.copy())
+                        t.ident.copy())
 
     @staticmethod
     def from_labels(p: int, depth: int, lab: np.ndarray) -> "Portrait":
@@ -269,10 +248,11 @@ class Portrait:
         lab = np.asarray(lab, dtype=_LABEL_DTYPE) % p
         if lab.shape != (t.nlabels,):
             raise ValueError(f"expected {t.nlabels} labels, got {lab.shape}")
-        perm, upper = [t.local[:0]], _ROOT
+        upper = t.ident[:1]           # the root's local image; empty at depth 0
+        perm = [upper]
         for m in range(depth - 1):
             upper = _next_level(t, lab, upper, m)
-            perm.append(upper)
+            perm.append(upper + t.label_off[m + 1])
         return Portrait(p, depth, lab, np.concatenate(perm))
 
     @staticmethod
@@ -376,8 +356,8 @@ class Portrait:
             raise ValueError(f"level {m} out of range 1..{self.depth}")
         t = self.tables
         if m < self.depth:
-            return self.perm[t.perm_slice(m)]
-        upper = self.perm[t.perm_slice(m - 1)] if m > 1 else _ROOT
+            return self.perm[t.label_slice(m)] - t.label_off[m]
+        upper = self.perm[t.label_slice(m - 1)] - t.label_off[m - 1]
         return _next_level(t, self.lab, upper, m - 1)
 
     def label_at(self, v) -> int:
@@ -437,7 +417,7 @@ class Portrait:
             return self
         td = _Tables(self.p, depth)
         return Portrait(self.p, depth, self.lab[:td.nlabels].copy(),
-                        self.perm[:td.nperm].copy())
+                        self.perm[:td.nlabels].copy())
 
 
 def rooted_a(p: int, depth: int, exponent: int = 1) -> Portrait:

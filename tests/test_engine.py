@@ -204,16 +204,24 @@ def test_normal_closure_matches_reference(preset_name, depth):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_rows_hold_perms_of_levels_one_to_depth_minus_one(depth):
-    # depth 1 has an empty perm, which the power table must still reshape
+def test_rows_hold_label_positions_of_every_stored_level(depth):
+    # one perm entry per label position, the root's included; each level's
+    # entries are a permutation of that level's label positions
     inst = fabrykowski_gupta(3)
     g = group_of(inst, depth)
     pcgs = g.pcgs
-    width = pcgs._t.nlabels - 1
+    t = pcgs._t
+    width = t.nlabels
     a, b = inst.generators(depth)
     assert pcgs._perm.shape[1:] == (3, width)
-    assert _stack([a, b], pcgs._t)[1].shape == (2, width)
+    assert _stack([a, b], t)[1].shape == (2, width)
     assert all(h.perm.shape == (width,) for h in pcgs.elements())
+    # a closed sequence keeps no spare slots
+    assert len(pcgs._lab) == len(pcgs._perm) == pcgs.order_exponent
+    for perm in [pcgs._perm.reshape(-1, width), _stack([a, b], t)[1]]:
+        assert (perm[:, 0] == 0).all()
+        for lo, hi in zip(t.label_off, t.label_off[1:]):
+            assert (np.sort(perm[:, lo:hi]) == np.arange(lo, hi)).all()
     assert pcgs.members([a * b, b.inverse() * a]).all()
     assert not Subgroup(3, depth, [b]).contains(a)
     assert Subgroup(3, depth, [a]).is_normal_in(g) == (depth == 1)

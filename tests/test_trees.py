@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,18 @@ def nlabels(p, depth):
 
 def random_portrait(rng, p, depth):
     return Portrait.from_labels(p, depth, rng.integers(0, p, nlabels(p, depth)))
+
+
+def assert_label_positions(t, perm):
+    """Every row of perm (one portrait or a stack) has one entry per label
+    position, fixes the root, and maps each level's label positions onto
+    themselves."""
+    assert perm.shape[-1] == t.nlabels
+    for row in np.atleast_2d(perm):
+        assert row[0] == 0
+        for m in range(t.depth):
+            lo, hi = t.label_off[m], t.label_off[m + 1]
+            assert sorted(row[lo:hi]) == list(range(lo, hi))
 
 
 # -- rooted automorphism -----------------------------------------------------
@@ -220,8 +234,9 @@ def test_compose_rows_matches_compose(stacks, seed):
     for (lab, perm), pairs in cases:
         pairs = list(pairs)
         assert lab.shape == (len(pairs), t.nlabels)
-        # one perm width: levels 1..depth-1, label positions 1..nlabels-1
-        assert perm.shape == (len(pairs), t.nlabels - 1)
+        # one perm entry per label position, levels 0..depth-1
+        assert perm.shape == (len(pairs), t.nlabels)
+        assert_label_positions(t, perm)
         for row, (f, g) in enumerate(pairs):
             want = f.compose(g)
             assert np.array_equal(lab[row], want.lab)
@@ -236,7 +251,8 @@ def test_deepest_level_is_computed_on_demand(f, data):
     # f's labels and a zero last level (which stores them), and with a
     # letter-by-letter walk: the letter below u moves by f's label at u
     p, n = f.p, f.depth
-    assert f.perm.shape == (nlabels(p, n) - 1,)
+    assert f.perm.shape == (nlabels(p, n),)
+    assert_label_positions(f.tables, f.perm)
     deeper = Portrait.from_labels(
         p, n + 1, np.concatenate([f.lab, np.zeros(p**n, dtype=f.lab.dtype)]))
     assert np.array_equal(f.vertex_perm(n), deeper.vertex_perm(n))
@@ -251,12 +267,12 @@ def test_deepest_level_is_computed_on_demand(f, data):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 61])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_inverse_rows_matches_inverse(p, depth):
-    # depth 1 has an empty perm
+    # at depth 1 a perm is the root's entry alone
     rng = np.random.default_rng(100 * p + depth)
     t = _Tables(p, depth)
     fs = [random_portrait(rng, p, depth) for _ in range(5)]
     lab, perm = inverse_rows(t, *stacked(fs))
-    assert lab.shape == (5, t.nlabels) and perm.shape == (5, t.nperm)
+    assert lab.shape == (5, t.nlabels) and perm.shape == (5, t.nlabels)
     for row, f in enumerate(fs):
         want = f.inverse()
         assert np.array_equal(lab[row], want.lab)
@@ -290,6 +306,99 @@ def test_power_and_commutator_rows_match_products(p, depth):
     lab, perm = commutator_rows(t, *stacked(fs[:2]), *stacked(fs[2:]))
     assert [Portrait(p, depth, lab[r], perm[r]) for r in range(2)] == [
         commutator(fs[0], fs[2]), commutator(fs[1], fs[3])]
+
+
+# -- a reference that reads labels alone ---------------------------------------
+
+class LabelWalk:
+    """Portraits over p at one depth as plain label lists, acted on by a
+    letter-by-letter walk that never reads a stored perm: the letter x
+    below u goes to x + eps(u) mod p, and eps_{fg}(u) = eps_f(u) +
+    eps_g(u^f).  Vertices are tuples of letters 0..p-1; product() lists
+    each level in lex order, so the stored vertices come out in label
+    position order."""
+
+    def __init__(self, p, depth):
+        self.p, self.depth = p, depth
+        self.vertices = [v for m in range(depth)
+                         for v in product(range(p), repeat=m)]
+        self.pos = {v: i for i, v in enumerate(self.vertices)}
+
+    def image(self, lab, v):
+        return tuple((x + lab[self.pos[v[:k]]]) % self.p
+                     for k, x in enumerate(v))
+
+    def perm(self, lab):
+        """The label position of every stored vertex's image."""
+        return [self.pos[self.image(lab, v)] for v in self.vertices]
+
+    def level_images(self, lab, m):
+        """Local indices of the images of the level-m vertices."""
+        return [sum(x * self.p**(m - 1 - k)
+                    for k, x in enumerate(self.image(lab, v)))
+                for v in product(range(self.p), repeat=m)]
+
+    def compose(self, f, g):
+        return [(f[i] + g[self.pos[self.image(f, v)]]) % self.p
+                for i, v in enumerate(self.vertices)]
+
+    def inverse(self, f):
+        pre = {self.image(f, v): v for v in self.vertices}
+        return [-f[self.pos[pre[v]]] % self.p for v in self.vertices]
+
+
+@st.composite
+def label_lists(draw):
+    """p in {2, 3, 5, 61} (61 the largest supported prime) with a depth,
+    and two lists of 1-3 label lists each."""
+    p = draw(st.sampled_from([2, 3, 5, 61]))
+    depth = draw(st.integers(1, {2: 4, 3: 3, 5: 3, 61: 2}[p]))
+    rows = draw(st.integers(1, 3))
+    labels = st.lists(st.integers(0, p - 1), min_size=nlabels(p, depth),
+                      max_size=nlabels(p, depth))
+    return p, depth, [[draw(labels) for _ in range(rows)] for _ in range(2)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(label_lists(), st.integers(0, 3))
+def test_rows_match_a_walk_over_labels(case, seed):
+    p, depth, (fs, gs) = case
+    t, walk = _Tables(p, depth), LabelWalk(p, depth)
+    for f in fs + gs:
+        x = Portrait.from_labels(p, depth, np.array(f))
+        assert x.perm.tolist() == walk.perm(f)
+        for m in range(1, depth + 1):
+            assert x.vertex_perm(m).tolist() == walk.level_images(f, m)
+        for d in range(depth):
+            assert x.truncate(d).perm.tolist() == LabelWalk(p, d).perm(
+                f[:nlabels(p, d)])
+    f_lab, f_perm = stacked([Portrait.from_labels(p, depth, np.array(f))
+                             for f in fs])
+    g_lab, g_perm = stacked([Portrait.from_labels(p, depth, np.array(g))
+                             for g in gs])
+    pick = np.random.default_rng(seed).integers(0, len(gs), len(fs))
+    cases = [  # (result, factor label lists row by row)
+        (compose_rows(t, f_lab[0], f_perm[0], g_lab[0], g_perm[0]),
+         [(fs[0], gs[0])]),
+        (compose_rows(t, f_lab[:1], f_perm[:1], g_lab[-1:], g_perm[-1:]),
+         [(fs[0], gs[-1])]),
+        (compose_rows(t, f_lab[0], f_perm[0], g_lab, g_perm),
+         [(fs[0], g) for g in gs]),
+        (compose_rows(t, f_lab, f_perm, g_lab[0], g_perm[0]),
+         [(f, gs[0]) for f in fs]),
+        (compose_rows(t, f_lab, f_perm, g_lab, g_perm),
+         list(zip(fs, gs))),
+        (compose_rows(t, f_lab, f_perm, g_lab, g_perm, pick),
+         [(f, gs[j]) for f, j in zip(fs, pick)])]
+    for (lab, perm), pairs in cases:
+        want = [walk.compose(f, g) for f, g in pairs]
+        assert np.atleast_2d(lab).tolist() == want
+        assert np.atleast_2d(perm).tolist() == [walk.perm(w) for w in want]
+    for (lab, perm), rows in [(inverse_rows(t, f_lab[0], f_perm[0]), fs[:1]),
+                              (inverse_rows(t, f_lab, f_perm), fs)]:
+        want = [walk.inverse(f) for f in rows]
+        assert np.atleast_2d(lab).tolist() == want
+        assert np.atleast_2d(perm).tolist() == [walk.perm(w) for w in want]
 
 
 def test_commutator_definition():
