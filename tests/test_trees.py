@@ -319,7 +319,7 @@ class LabelWalk:
     position order."""
 
     def __init__(self, p, depth):
-        self.p, self.depth = p, depth
+        self.p = p
         self.vertices = [v for m in range(depth)
                          for v in product(range(p), repeat=m)]
         self.pos = {v: i for i, v in enumerate(self.vertices)}
@@ -364,18 +364,16 @@ def label_lists(draw):
 def test_rows_match_a_walk_over_labels(case, seed):
     p, depth, (fs, gs) = case
     t, walk = _Tables(p, depth), LabelWalk(p, depth)
-    for f in fs + gs:
-        x = Portrait.from_labels(p, depth, np.array(f))
+    xs = [Portrait.from_labels(p, depth, np.array(f)) for f in fs + gs]
+    for f, x in zip(fs + gs, xs):
         assert x.perm.tolist() == walk.perm(f)
         for m in range(1, depth + 1):
             assert x.vertex_perm(m).tolist() == walk.level_images(f, m)
         for d in range(depth):
             assert x.truncate(d).perm.tolist() == LabelWalk(p, d).perm(
                 f[:nlabels(p, d)])
-    f_lab, f_perm = stacked([Portrait.from_labels(p, depth, np.array(f))
-                             for f in fs])
-    g_lab, g_perm = stacked([Portrait.from_labels(p, depth, np.array(g))
-                             for g in gs])
+    f_lab, f_perm = stacked(xs[:len(fs)])
+    g_lab, g_perm = stacked(xs[len(fs):])
     pick = np.random.default_rng(seed).integers(0, len(gs), len(fs))
     cases = [  # (result, factor label lists row by row)
         (compose_rows(t, f_lab[0], f_perm[0], g_lab[0], g_perm[0]),
