@@ -12,7 +12,10 @@ stabilizers are tails of the sequence.
 
 A sequence supports incremental generator insertion, which is what the
 normal-closure and series computations lean on; a subgroup known to
-contain a closed one extends a copy of its sequence.
+contain a closed one extends a copy of its sequence.  Insertion, closure
+and normal closure are one loop over one stack of residues: the waiting
+seeds at the bottom, the rows of h^-p and [h, x] for each newly stored h
+on top, the whole stack sifted in place after every insertion.
 """
 
 from __future__ import annotations
@@ -38,15 +41,12 @@ MAX_STRONG_GENS = 4096
 SIFT_BATCH = 256
 
 
-def _pivots(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first nonzero position (-1 for a zero row) and the label
-    there."""
+def _pivots(lab: np.ndarray) -> np.ndarray:
+    """Each row's first nonzero position, -1 for a zero row."""
     if not lab.shape[1]:
-        return np.full(len(lab), -1), np.zeros(len(lab), dtype=lab.dtype)
-    piv = (lab != 0).argmax(axis=1)
-    lead = lab[np.arange(len(lab)), piv]
-    piv[lead == 0] = -1
-    return piv, lead
+        return np.full(len(lab), -1)
+    nonzero = lab != 0
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
 
 
 def _stack(elems: Sequence[Portrait], t: _Tables
@@ -115,28 +115,20 @@ class InducedPcgs:
 
         A residue's pivot holds no element; it is -1, and the residue the
         identity, iff the row is a member.  Each step clears the pivot of
-        every row that still has a stored element there.
+        every live row, one with a stored element at its pivot.
         """
         t, p, slot = self._t, self.p, self._slot
         tab_lab, tab_perm = self._table()
-        piv, lead = _pivots(lab)
-        todo = np.flatnonzero(slot[piv] >= 0)
-        cur_lab, cur_perm, cur_piv, lead = (lab[todo], perm[todo],
-                                            piv[todo], lead[todo])
-        while todo.size:
-            cur_lab, cur_perm = compose_rows(
-                t, cur_lab, cur_perm, tab_lab, tab_perm,
-                slot[cur_piv] * p + lead)
-            cur_piv, lead = _pivots(cur_lab)
-            more = slot[cur_piv] >= 0
-            if not more.all():
-                done = ~more
-                stop = todo[done]
-                lab[stop], perm[stop], piv[stop] = (
-                    cur_lab[done], cur_perm[done], cur_piv[done])
-                todo, cur_lab, cur_perm, cur_piv, lead = (
-                    todo[more], cur_lab[more], cur_perm[more], cur_piv[more],
-                    lead[more])
+        piv = _pivots(lab)
+        live = np.flatnonzero(slot[piv] >= 0)
+        while live.size:
+            at = piv[live]
+            step_lab, step_perm = compose_rows(
+                t, lab[live], perm[live], tab_lab, tab_perm,
+                slot[at] * p + lab[live, at])
+            lab[live], perm[live] = step_lab, step_perm
+            piv[live] = at = _pivots(step_lab)
+            live = live[slot[at] >= 0]
         return piv
 
     def members(self, elems: Sequence[Portrait]) -> np.ndarray:
@@ -150,88 +142,76 @@ class InducedPcgs:
                        conjugators: Sequence[Portrait] = ()
                        ) -> list[Portrait]:
         """Insert each seed in turn (if new) and re-close the sequence;
-        after each element that grows the group, do the same for its
-        conjugates by every conjugator, queued FIFO behind the rest.
-        Returns the elements that grew the group.
+        after each seed that grows the group, do the same for its
+        conjugates by every conjugator, queued FIFO behind the other seeds.
+        Returns the seeds that grew the group.
 
-        The residues of all waiting elements are sifted as one batch after
-        each growth, and members, which could add nothing, leave the queue.
+        All waiting work is one stack of residues.  The seeds sit at the
+        bottom, next seed topmost, with their own rows kept beside them;
+        after each insertion of some h, the rows of h^-p and of [h, x] for
+        every earlier x are pushed on top.  Each step sifts the whole stack
+        in place and drops the members.  Stored elements are never
+        replaced, so every other residue is then the one its element would
+        leave if sifted afresh, and the top row is inserted as it stands:
+        the order of insertions is that of closing each element whole, LIFO,
+        before the next seed is taken.
         """
-        p, depth, t = self.p, self.depth, self._t
-        conj_rows = _stack(conjugators, t)
-        conj_inv_rows = inverse_rows(t, *conj_rows)
-        queue = [s for s in seeds if not s.is_identity()]
-        res_lab, res_perm = _stack(queue, t)
+        p, t = self.p, self._t
+        conj = _stack(conjugators, t)
+        conj_inv = inverse_rows(t, *conj)
+        seed_lab, seed_perm = _stack(list(seeds)[::-1], t)
+        lab, perm = seed_lab.copy(), seed_perm.copy()
         kept: list[Portrait] = []
-        while queue:
-            x, queue = queue[0], queue[1:]
-            grew = self._add_residue(res_lab[0].copy(), res_perm[0].copy())
-            res_lab, res_perm = res_lab[1:], res_perm[1:]
-            if not grew:
-                continue
-            kept.append(x)
-            lab, perm = _conjugate_rows(t, (x.lab, x.perm), conj_rows,
-                                        conj_inv_rows)
-            queue += _portraits(p, depth, (lab, perm))
-            res_lab = np.concatenate([res_lab, lab])
-            res_perm = np.concatenate([res_perm, perm])
-            outside = self.sift(res_lab, res_perm) >= 0
+        while True:
+            piv = self.sift(lab, perm)
+            outside = piv >= 0
             if not outside.all():
-                queue = [y for y, out in zip(queue, outside) if out]
-                res_lab, res_perm = res_lab[outside], res_perm[outside]
+                seeds_out = outside[:len(seed_lab)]
+                seed_lab, seed_perm = seed_lab[seeds_out], seed_perm[seeds_out]
+                lab, perm, piv = lab[outside], perm[outside], piv[outside]
+            if not len(lab):
+                break
+            if len(self._pivot_of) >= MAX_STRONG_GENS:
+                raise ResourceGuardError(
+                    f"strong generator cap {MAX_STRONG_GENS} exceeded")
+            top_is_seed = len(lab) == len(seed_lab)
+            s = self._insert(int(piv[-1]), lab[-1], perm[-1])
+            lab, perm = lab[:-1], perm[:-1]
+            if top_is_seed:
+                x = Portrait(p, self.depth, seed_lab[-1].copy(),
+                             seed_perm[-1].copy())
+                kept.append(x)
+                c_lab, c_perm = _conjugate_rows(t, (x.lab, x.perm), conj,
+                                                conj_inv)
+                c_lab, c_perm = c_lab[::-1], c_perm[::-1]
+                seed_lab = np.concatenate([c_lab, seed_lab[:-1]])
+                seed_perm = np.concatenate([c_perm, seed_perm[:-1]])
+                lab = np.concatenate([c_lab, lab])
+                perm = np.concatenate([c_perm, perm])
+            closing_lab, closing_perm = self._closing_rows(s)
+            lab = np.concatenate([lab, closing_lab])
+            perm = np.concatenate([perm, closing_perm])
         # a closed sequence keeps no spare slots: cached subgroups hold
         # their tables for the rest of the run
         n = len(self._pivot_of)
         self._lab, self._perm = self._lab[:n].copy(), self._perm[:n].copy()
         return kept
 
-    def _add_residue(self, lab: np.ndarray, perm: np.ndarray) -> bool:
-        """Insert the element whose rows are (lab, perm), or what an
-        earlier sift through this sequence left of them, and re-close the
-        sequence; the arrays are consumed.
-        Returns True if the group grew.
-
-        The queue is a stack of residues, LIFO.  After each insertion of
-        some h, h^-p and [h, x] for every earlier x are pushed, and the
-        whole queue is sifted as one batch: members are dropped, and every
-        other residue is then the one its element would leave if sifted
-        afresh, since stored elements are never replaced.  So the top of
-        the queue is inserted as it stands, in the order that sifting whole
-        elements when popped would give.
-        """
-        p, t = self.p, self._t
-        queue_lab, queue_perm = lab[None], perm[None]
-        grew = False
-        while True:
-            piv = self.sift(queue_lab, queue_perm)
-            outside = piv >= 0
-            if not outside.any():
-                return grew
-            if not outside.all():
-                queue_lab, queue_perm = queue_lab[outside], queue_perm[outside]
-            if len(self._pivot_of) >= MAX_STRONG_GENS:
-                raise ResourceGuardError(
-                    f"strong generator cap {MAX_STRONG_GENS} exceeded")
-            i = int(piv[outside][-1])
-            h = Portrait(p, self.depth, queue_lab[-1].copy(),
-                         queue_perm[-1].copy())
-            if h.lab[i] != 1:
-                h = h ** pow(int(h.lab[i]), -1, p)
-            s = self._insert(i, h)
-            tab_lab, tab_perm = self._table()
-            earlier = np.arange(s) * p
-            # h^-1 x^-1 for every earlier x, then h^-p = h^-1 h^-(p-1), in
-            # one gather; [h, x] = h^-1 x^-1 h x
-            lab, perm = compose_rows(t, tab_lab[s * p + 1],
-                                     tab_perm[s * p + 1], tab_lab, tab_perm,
-                                     np.append(earlier + 1, s * p + p - 1))
-            comm = compose_rows(t, lab[:-1], perm[:-1], tab_lab[s * p],
-                                tab_perm[s * p])
-            comm = compose_rows(t, *comm, tab_lab, tab_perm, earlier)
-            queue_lab = np.concatenate([queue_lab[:-1], lab[-1:], comm[0]])
-            queue_perm = np.concatenate([queue_perm[:-1], perm[-1:],
-                                         comm[1]])
-            grew = True
+    def _closing_rows(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of h^-p, then of [h, x] for every earlier x in slot
+        order, for the element h in slot s."""
+        t, p = self._t, self.p
+        tab_lab, tab_perm = self._table()
+        earlier = np.arange(s) * p
+        # h^-p = h^-1 h^-(p-1), then h^-1 x^-1 for every earlier x, in one
+        # gather; [h, x] = h^-1 x^-1 h x
+        lab, perm = compose_rows(t, tab_lab[s * p + 1], tab_perm[s * p + 1],
+                                 tab_lab, tab_perm,
+                                 np.append(s * p + p - 1, earlier + 1))
+        comm = compose_rows(t, lab[1:], perm[1:], tab_lab[s * p],
+                            tab_perm[s * p])
+        lab[1:], perm[1:] = compose_rows(t, *comm, tab_lab, tab_perm, earlier)
+        return lab, perm
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """The power table as one stack: row s * p + e is power e of slot
@@ -239,19 +219,23 @@ class InducedPcgs:
         n = self._t.nlabels
         return self._lab.reshape(-1, n), self._perm.reshape(-1, n)
 
-    def _insert(self, pivot: int, h: Portrait) -> int:
-        """Store h (leading label 1 at pivot) and its inverse powers in a
-        new slot; returns the slot."""
+    def _insert(self, pivot: int, lab: np.ndarray, perm: np.ndarray
+                ) -> int:
+        """Store the power of the element (lab, perm) with leading label 1
+        at pivot, and its inverse powers, in a new slot; returns the
+        slot."""
+        t, p = self._t, self.p
+        if lab[pivot] != 1:
+            lab, perm = power_rows(t, lab, perm, pow(int(lab[pivot]), -1, p))
         s = len(self._pivot_of)
         if s == len(self._lab):
             self._lab, self._perm = _doubled(self._lab), _doubled(self._perm)
-        lab, perm = self._lab[s], self._perm[s]
-        inv = h.inverse()
-        lab[0], perm[0] = h.lab, h.perm
-        lab[1], perm[1] = inv.lab, inv.perm
-        for e in range(2, self.p):
-            lab[e], perm[e] = compose_rows(self._t, lab[e - 1], perm[e - 1],
-                                           inv.lab, inv.perm)
+        row_lab, row_perm = self._lab[s], self._perm[s]
+        row_lab[0], row_perm[0] = lab, perm
+        row_lab[1], row_perm[1] = inverse_rows(t, lab, perm)
+        for e in range(2, p):
+            row_lab[e], row_perm[e] = compose_rows(
+                t, row_lab[e - 1], row_perm[e - 1], row_lab[1], row_perm[1])
         self._pivot_of.append(pivot)
         self._slot[pivot] = s
         return s
@@ -364,9 +348,6 @@ class Subgroup:
     def order_exponent(self) -> int:
         return self.pcgs.order_exponent
 
-    def generating_set(self) -> list[Portrait]:
-        return self.gens if self.gens else []
-
     def contains(self, f: Portrait) -> bool:
         return self.pcgs.contains(f)
 
@@ -396,7 +377,7 @@ class Subgroup:
         a member; for self <= ambient this is normality in ambient."""
         t = _Tables(self.p, self.depth)
         xs = _stack(self.gens, t)
-        for g in ambient.generating_set():
+        for g in ambient.gens:
             g_inv = g.inverse()
             conj = _conjugate_rows(t, xs, (g.lab, g.perm),
                                    (g_inv.lab, g_inv.perm))
@@ -437,7 +418,7 @@ class Subgroup:
         if not 0 <= m < self.depth:
             raise ValueError("need 0 <= m < depth")
         st = self.stabilizer(m)
-        rows = [g.level_labels(m) for g in st.generating_set()]
+        rows = [g.level_labels(m) for g in st.gens]
         return FpSubspace(self.p, self.p**m, rows if rows else None)
 
     def level_dims(self) -> list[int]:
@@ -464,7 +445,7 @@ def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup,
     """Smallest subgroup containing the seeds and closed under conjugation
     by the ambient generators (= the normal closure in ⟨ambient.gens⟩)."""
     pcgs = InducedPcgs(ambient.p, ambient.depth)
-    kept = pcgs.add_generators(seeds, ambient.generating_set())
+    kept = pcgs.add_generators(seeds, ambient.gens)
     return Subgroup(ambient.p, ambient.depth, kept, name=name, pcgs=pcgs)
 
 
@@ -507,7 +488,7 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, ambient: Subgroup,
     """Normal closure of the pairwise generator commutators; equals [A, B]
     whenever that subgroup is normal in the ambient group (true for every
     use in this package: [N, G], series terms, St(1)' and friends)."""
-    seeds = commutator_seeds(a.generating_set(), b.generating_set())
+    seeds = commutator_seeds(a.gens, b.gens)
     return normal_closure(seeds, ambient, name=name)
 
 
@@ -515,16 +496,16 @@ def join(a: Subgroup, b: Subgroup, name: str = "") -> Subgroup:
     """<A, B> on A's generators then B's; its pcgs extends the larger
     operand's by the other's generators."""
     base = max((a, b), key=lambda s: s.order_exponent)
-    extra = (b if base is a else a).generating_set()
+    extra = (b if base is a else a).gens
     return Subgroup.extending(base, extra,
-                              a.generating_set() + b.generating_set(),
+                              a.gens + b.gens,
                               name=name)
 
 
 def frattini_subgroup(h: Subgroup) -> Subgroup:
     """Phi(H) = H' H^p for a finite p-group, via the normal closure in H of
     generator commutators and p-th powers."""
-    return normal_closure(frattini_seeds(h.generating_set(), h.p), h,
+    return normal_closure(frattini_seeds(h.gens, h.p), h,
                           name="frattini")
 
 
@@ -579,7 +560,7 @@ def is_regular_branch_over(g_n: Subgroup, g_shallow: Subgroup, k_n: Subgroup,
         return False
     if 0 not in g_n.pcgs.pivots():
         return False
-    return sections_within(g_n.stabilizer(1).generating_set(), 1, g_shallow)
+    return sections_within(g_n.stabilizer(1).gens, 1, g_shallow)
 
 
 def is_super_strongly_fractal(quotients: Sequence[Subgroup]) -> bool:
@@ -597,7 +578,7 @@ def is_subdirect_in_product(sub: Subgroup, level: int,
     """For H <= St(level): every coordinate projection of psi_level(H), the
     sections of H's generators at one level-`level` vertex, equals target."""
     p = sub.p
-    gens = sub.generating_set()
+    gens = sub.gens
     for c in range(p**level):
         v = vertex_from_local_index(p, level, c)
         proj = Subgroup(p, target.depth, [g.section(v) for g in gens])

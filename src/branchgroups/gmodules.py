@@ -317,7 +317,7 @@ def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
     vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, g_n.p**m)
     if not len(vecs):
         return []
-    gens = g_n.stabilizer(m).generating_set()
+    gens = g_n.stabilizer(m).gens
     if not gens:
         raise ValueError("empty stabilizer cannot represent a nonzero vector")
     p = g_n.p
@@ -343,7 +343,7 @@ def layer_preimage(g_n, m: int, space: FpSubspace, name: str = ""):
     whose closed pcgs is extended by the representatives."""
     reps = layer_representatives(g_n, m, space.rows)
     st_next = g_n.stabilizer(m + 1)
-    return Subgroup.extending(st_next, reps, reps + st_next.generating_set(),
+    return Subgroup.extending(st_next, reps, reps + st_next.gens,
                               name=name or f"layer({m},dim{space.dim})")
 
 
@@ -359,7 +359,7 @@ def layer_conjugation(g_n, m: int) -> tuple[FpSubspace, list[np.ndarray]]:
     reps = layer_representatives(g_n, m, u.rows)
     return u, [np.array([x.conjugate(g).level_labels(m) for x in reps],
                         dtype=np.int64).reshape(u.dim, u.ambient)
-               for g in g_n.generating_set()]
+               for g in g_n.gens]
 
 
 def first_non_normal_layer(g_n, m: int, spaces) -> int | None:

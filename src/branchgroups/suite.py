@@ -119,7 +119,7 @@ def _non_membership(sub: Subgroup, elem: Portrait | None, **extra) -> dict:
     """The witness `oracle replay` re-checks: elem is not in sub."""
     return {"kind": "non-membership", **extra,
             "element": None if elem is None else elem.digits(),
-            "subgroup_gens": [x.digits() for x in sub.generating_set()]}
+            "subgroup_gens": [x.digits() for x in sub.gens]}
 
 
 # -- group context ------------------------------------------------------------
@@ -257,7 +257,7 @@ def _build_normal_family(ctx: GroupContext, n: int,
                 members.append(FamilyMember(
                     f"N_{m}.{sub.dim}", layer_preimage(g, m, sub)))
     rng = SplitMix64(seed)
-    gens = g.generating_set()
+    gens = g.gens
     previous: Portrait | None = None
     while len(members) < FAMILY_SIZE:
         w = _random_word(rng, gens, 4 + rng.below(5))
@@ -343,7 +343,7 @@ def _embedding(k: Subgroup, level: int, ng: Subgroup,
     first missing (coordinate, element), None when it holds."""
     if k.is_trivial():
         return trivial_text, None
-    missing = first_missing_embedding(k.generating_set(), level, ng)
+    missing = first_missing_embedding(k.gens, level, ng)
     return ("pass" if missing is None else "fail"), missing
 
 
@@ -377,7 +377,7 @@ def verify_effective_csp(ctx: GroupContext, n: int,
                      table="members")
             continue
         ng = mem.ng(ctx, n)
-        missing = ng.first_non_member(g.stabilizer(m + offset).generating_set())
+        missing = ng.first_non_member(g.stabilizer(m + offset).gens)
         if not v.record(
                 mem.name, missing is None,
                 f"{'pass' if missing is None else 'fail'}: m={m}",
@@ -476,7 +476,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
         dm = ctx.derived(n, m)
 
         def a1_witness():
-            missing = dm.first_non_member(st.generating_set())
+            missing = dm.first_non_member(st.gens)
             return _non_membership(
                 dm, None if missing is None else missing[1],
                 clause=f"G^({m})=St({m})", derived_exponent=dm.order_exponent,
@@ -489,7 +489,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
         v.record(f"a2:psi(St({m}))=G'x..xG'", _check_psi_st_product(ctx, n, m))
     rng = SplitMix64(seed)
     for m in range(1, n - 1):
-        st_gens = g.stabilizer(m).generating_set()
+        st_gens = g.stabilizer(m).gens
         if not st_gens:
             continue
         samples = [_random_word(rng, st_gens, 2 + rng.below(3))
@@ -505,9 +505,9 @@ def _check_psi_st_product(ctx: GroupContext, n: int, m: int) -> bool:
     """psi_{m-1}(St_G(m)) = G' x ... x G', both inclusions."""
     g = ctx.quotient(n)
     shallow = ctx.derived(n - m + 1)
-    if not sections_within(g.stabilizer(m).generating_set(), m - 1, shallow):
+    if not sections_within(g.stabilizer(m).gens, m - 1, shallow):
         return False
-    return first_missing_embedding(shallow.generating_set(), m - 1, g) is None
+    return first_missing_embedding(shallow.gens, m - 1, g) is None
 
 
 def _coordinate_link_holds(ctx: GroupContext, n: int, m: int,
@@ -616,9 +616,9 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
             continue
         ng = mem.ng(ctx, n)
         width = sub.order_exponent - ng.order_exponent
-        p_powers = powers_of(sub.generating_set(), ctx.p)
+        p_powers = powers_of(sub.gens, ctx.p)
         pth = Subgroup.extending(ng, p_powers,
-                                 ng.generating_set() + p_powers)
+                                 ng.gens + p_powers)
         d_normal = sub.order_exponent - pth.order_exponent
         v.record(mem.name, width <= bound and d_normal <= bound,
                  {"width": width, "d": d_normal},
@@ -683,7 +683,7 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
         ctx.gamma(3, n - 1))
     v.record("regular-branch-over-B",
              is_regular_branch_over(g, ctx.quotient(n - 1), b_sub,
-                                    shallow_b.generating_set()))
+                                    shallow_b.gens))
     if n >= 6:
         v.record("St(5)<=B", g.stabilizer(5).is_subgroup_of(b_sub))
     else:
@@ -713,7 +713,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
     g = ctx.quotient(n)
     # regular branch over K
     k_n = branch_subgroup(ctx, n)
-    k_gens_shallow = branch_subgroup(ctx, n - 1).generating_set()
+    k_gens_shallow = branch_subgroup(ctx, n - 1).gens
     v.record("regular-branch-over-K",
              is_regular_branch_over(g, ctx.quotient(n - 1), k_n,
                                     k_gens_shallow),

@@ -168,7 +168,7 @@ def test_criterion_7_structure_identities():
         st1_derived = commutator_subgroup(st1, st1, g)
         assert st1_derived.equal(st2)
         pre = Subgroup(3, 4, psi_preimage_gens(
-            ctx.derived(3).generating_set(), 1, 4))
+            ctx.derived(3).gens, 1, 4))
         assert pre.equal(st2)
         assert st2.is_subgroup_of(ctx.derived(4))   # St(r_G+1) <= G'
         # Literal clause G^(m) = St(m) for m in {2,3}: refuted by exact

@@ -121,7 +121,7 @@ def reference_normal_closure(seeds, ambient):
     """normal_closure as it was before batched sifting: every conjugate is
     queued and added whole.  Returns the kept elements and the pcgs."""
     pcgs = ReferencePcgs(ambient.p)
-    amb = [(g, g.inverse()) for g in ambient.generating_set()]
+    amb = [(g, g.inverse()) for g in ambient.gens]
     queue = [s for s in seeds if not s.is_identity()]
     kept = []
     while queue:
@@ -187,16 +187,37 @@ def test_pcgs_matches_reference_insertion(name):
     assert pcgs.members(batch).tolist() == [i < 0 for i in piv]
 
 
-@pytest.mark.parametrize("preset_name,depth", [("fg3", 4),
-                                               ("sunic-grigorchuk", 5)])
-def test_normal_closure_matches_reference(preset_name, depth):
-    inst = preset(preset_name)
-    g = group_of(inst, depth)
-    a, b = g.generating_set()[:2]
-    seeds = [commutator(a, b), b * a * b]
+def two_seeds(a, b):
+    return [commutator(a, b), b * a * b]
+
+
+def redundant_seeds(a, b):
+    """The identity, a repeated seed, and a product of two earlier seeds,
+    which is a member by the time it is reached."""
+    x, y = two_seeds(a, b)
+    return [Portrait.identity(a.p, a.depth), x, y, x, x * y]
+
+
+CLOSURE_CASES = {
+    "fg3-4": (lambda: preset("fg3").generators(4), two_seeds),
+    "sunic-grigorchuk-5": (lambda: preset("sunic-grigorchuk").generators(5),
+                           two_seeds),
+    "fg5-3": (lambda: preset("fg5").generators(3), two_seeds),
+    "multi-ggs-p5-3-d3": (lambda: ggs5_three_vectors(3), two_seeds),
+    "fg3-4-redundant": (lambda: preset("fg3").generators(4),
+                        redundant_seeds),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSURE_CASES))
+def test_normal_closure_matches_reference(case):
+    gens_of, seeds_of = CLOSURE_CASES[case]
+    gens = gens_of()
+    g = Subgroup(gens[0].p, gens[0].depth, gens)
+    seeds = seeds_of(*g.gens[:2])
     kept, ref = reference_normal_closure(seeds, g)
     ncl = normal_closure(seeds, g)
-    assert [x.digits() for x in ncl.generating_set()] == [
+    assert [x.digits() for x in ncl.gens] == [
         x.digits() for x in kept]
     assert ncl.pcgs._pivot_of == list(ref.powers)
     assert [h.digits() for h in ncl.pcgs.elements()] == [
@@ -232,10 +253,10 @@ def test_pcgs_arrays_own_their_data(fg3_ctx):
     g = fg3_ctx.quotient(4)
     pcgs = g.pcgs
     tail = pcgs.tail(5)
-    ncl = normal_closure([g.generating_set()[1]], g)
+    ncl = normal_closure([g.gens[1]], g)
     arrays = [pcgs._lab, pcgs._perm, tail._lab, tail._perm,
               ncl.pcgs._lab, ncl.pcgs._perm]
-    for h in (pcgs.elements() + tail.elements() + ncl.generating_set()
+    for h in (pcgs.elements() + tail.elements() + ncl.gens
               + pcgs.vertex_stabilizer((2, 1))):
         arrays += [h.lab, h.perm]
     assert all(arr.base is None for arr in arrays)
@@ -269,7 +290,7 @@ def extension_cases(draw):
     inst = EXTENSION_GROUPS[draw(st.sampled_from(sorted(EXTENSION_GROUPS)))]
     depth = draw(st.integers(2, 4))
     g = group_of(inst, depth)
-    gens = g.generating_set()
+    gens = g.gens
     seeds = [word(gens, w) for w in draw(words(min_size=2))]
     if draw(st.booleans()):
         seeds = [commutator(seeds[0], seeds[1])]
@@ -282,7 +303,7 @@ def extension_cases(draw):
     probes += [Portrait.from_labels(inst.p, depth,
                                     rng.integers(0, inst.p, nlabels))
                for _ in range(4)]
-    probes += extra + [x * y for x in base.generating_set()[:2]
+    probes += extra + [x * y for x in base.gens[:2]
                        for y in extra]
     return g, base, extra, probes
 
@@ -301,13 +322,13 @@ def test_extending_a_closed_pcgs_matches_building_from_scratch(case):
     g, base, extra, probes = case
     before = table_state(base.pcgs)
     k = base.order_exponent
-    ext = Subgroup.extending(base, extra, base.generating_set() + extra)
+    ext = Subgroup.extending(base, extra, base.gens + extra)
     with mock.patch.object(InducedPcgs, "_insert", autospec=True,
                            side_effect=InducedPcgs._insert) as spy:
         order = ext.order_exponent
     assert spy.call_count == order - k                 # only the new pivots
     assert table_state(base.pcgs) == before            # the base is untouched
-    scratch = Subgroup(g.p, g.depth, base.generating_set() + extra)
+    scratch = Subgroup(g.p, g.depth, base.gens + extra)
     assert order == scratch.order_exponent
     assert ext.pcgs.pivots() == scratch.pcgs.pivots()
     assert ext.level_dims() == scratch.level_dims()
@@ -319,16 +340,16 @@ def test_join_extends_the_larger_operand(fg3_ctx):
     g = fg3_ctx.quotient(4)
     gam3, st2 = fg3_ctx.gamma(3, 4), g.stabilizer(2)
     joined = join(gam3, st2, name="J")
-    assert joined.generating_set() == (gam3.generating_set()
-                                       + st2.generating_set())
+    assert joined.gens == (gam3.gens
+                                       + st2.gens)
     big = max((gam3, st2), key=lambda s: s.order_exponent)
     with mock.patch.object(InducedPcgs, "_insert", autospec=True,
                            side_effect=InducedPcgs._insert) as spy:
         order = joined.order_exponent
     assert spy.call_count == order - big.order_exponent
-    assert joined.equal(Subgroup(3, 4, joined.generating_set()))
+    assert joined.equal(Subgroup(3, 4, joined.gens))
     assert joined._grow is None                         # dropped once built
-    a, b = g.generating_set()
+    a, b = g.gens
     small = join(Subgroup(3, 4, [a]), Subgroup(3, 4, [b]))
     assert small.order_exponent == g.order_exponent
 
@@ -347,9 +368,9 @@ def test_commutator_seeds_are_pairwise_commutators_in_order(preset_name,
                                                             depth):
     inst = preset(preset_name)
     g = group_of(inst, depth)
-    gens = g.generating_set()
+    gens = g.gens
     a, b = inst.generators(depth)[:2]
-    ncl = normal_closure([commutator(a, b) * b * a], g).generating_set()
+    ncl = normal_closure([commutator(a, b) * b * a], g).gens
     for xs, ys in [(gens, gens), (ncl, gens), (gens, ncl[:1]), (ncl, [])]:
         seeds = commutator_seeds(xs, ys)
         assert rows_of(seeds) == rows_of([x.inverse() * y.inverse() * x * y
@@ -359,15 +380,15 @@ def test_commutator_seeds_are_pairwise_commutators_in_order(preset_name,
     # the closure keeps the same generators, in the same order
     want = normal_closure([commutator(x, y) for x in ncl for y in gens], g)
     got = commutator_subgroup(Subgroup(g.p, depth, ncl), g, g)
-    assert rows_of(got.generating_set()) == rows_of(want.generating_set())
+    assert rows_of(got.gens) == rows_of(want.gens)
     assert got.pcgs._pivot_of == want.pcgs._pivot_of
 
 
 @pytest.mark.parametrize("preset_name,depth", SEED_CASES)
 def test_frattini_seeds_match_the_generator_list(preset_name, depth):
     g = group_of(preset(preset_name), depth)
-    gens = g.generating_set() + [x * y for x in g.generating_set()
-                                 for y in g.generating_set()]
+    gens = g.gens + [x * y for x in g.gens
+                                 for y in g.gens]
     gens = [x for x in gens if not x.is_identity()]
     p = g.p
     want = [x.inverse() * y.inverse() * x * y for i, x in enumerate(gens)
@@ -398,7 +419,7 @@ def test_equal_and_subgroup(fg3_ctx):
 def test_membership_of_random_words(fg3_ctx):
     g = fg3_ctx.quotient(3)
     rng = np.random.default_rng(3)
-    gens = g.generating_set()
+    gens = g.gens
     x = Portrait.identity(3, 3)
     for _ in range(10):
         x = x * gens[rng.integers(len(gens))]
@@ -501,7 +522,7 @@ def test_gamma3_sits_strictly_above_st2(fg3_ctx):
     st2 = g.stabilizer(2)
     assert st2.is_subgroup_of(gamma3)
     assert gamma3.order_exponent == st2.order_exponent + 1
-    a, b = g.generating_set()
+    a, b = g.gens
     witness = commutator(commutator(a, b), a)
     assert gamma3.contains(witness)
     assert list(witness.level_labels(1)) == [2, 2, 2]
@@ -518,7 +539,7 @@ def test_sunic_k_normal_closure(grigorchuk_ctx):
 
 def test_is_normal_in(fg3_ctx):
     g = fg3_ctx.quotient(3)
-    a, b = g.generating_set()
+    a, b = g.gens
     assert g.stabilizer(1).is_normal_in(g)
     assert Subgroup(3, 3, []).is_normal_in(g)
     assert not Subgroup(3, 3, [b]).is_normal_in(g)     # b^a is not in <b>
@@ -546,7 +567,7 @@ def test_rank_p_identities(fg3_ctx):
     # psi^{-1}(G' x G' x G') == St(2)
     from branchgroups.engine import psi_preimage_gens
     shallow = fg3_ctx.derived(3)
-    pre = Subgroup(3, 4, psi_preimage_gens(shallow.generating_set(), 1, 4))
+    pre = Subgroup(3, 4, psi_preimage_gens(shallow.gens, 1, 4))
     assert pre.equal(st2)
 
 
@@ -571,7 +592,7 @@ def test_fg_regular_branch_over_derived(fg3_ctx):
     g4, g3 = fg3_ctx.quotient(4), fg3_ctx.quotient(3)
     k4 = fg3_ctx.derived(4)
     k3 = fg3_ctx.derived(3)
-    assert is_regular_branch_over(g4, g3, k4, k3.generating_set())
+    assert is_regular_branch_over(g4, g3, k4, k3.gens)
 
 
 def test_symmetric_p5_not_branch_over_derived():
@@ -580,11 +601,11 @@ def test_symmetric_p5_not_branch_over_derived():
     g3, g2 = ctx.quotient(3), ctx.quotient(2)
     derived3, derived2 = ctx.derived(3), ctx.derived(2)
     assert not is_regular_branch_over(g3, g2, derived3,
-                                      derived2.generating_set())
+                                      derived2.gens)
     gamma3 = ctx.gamma(3, 3)
     gamma3_shallow = ctx.gamma(3, 2)
     assert is_regular_branch_over(g3, g2, gamma3,
-                                  gamma3_shallow.generating_set())
+                                  gamma3_shallow.gens)
 
 
 def test_subdirectness(fg3_ctx):
@@ -594,6 +615,6 @@ def test_subdirectness(fg3_ctx):
 
 
 def test_sections_within(fg3_ctx):
-    st1 = fg3_ctx.quotient(3).stabilizer(1).generating_set()
+    st1 = fg3_ctx.quotient(3).stabilizer(1).gens
     assert sections_within(st1, 1, fg3_ctx.quotient(2))
     assert not sections_within(st1, 1, Subgroup(3, 2, []))

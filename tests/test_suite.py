@@ -207,8 +207,8 @@ def test_width_rank_d_matches_from_scratch_referee(ctx_name, depth, request):
     assert sorted(reported) == sorted(m.name for m in family)
     for mem in family:
         sub = mem.subgroup
-        pth = engine.Subgroup(ctx.p, depth, mem.ng(ctx, depth).generating_set()
-                              + [x**ctx.p for x in sub.generating_set()])
+        pth = engine.Subgroup(ctx.p, depth, mem.ng(ctx, depth).gens
+                              + [x**ctx.p for x in sub.gens])
         assert reported[mem.name]["d"] == (sub.order_exponent
                                            - pth.order_exponent), mem.name
     assert reported["G"]["d"] == engine.min_generators(ctx.quotient(depth))
