@@ -204,6 +204,8 @@ def cmd_verify(args) -> int:
         reports = [run_check(ctx, args.check, depth=args.depth,
                              seed=args.seed, timings=args.timings)]
     payload = _report_payload(inst, reports, args.depth or 0, args.seed)
+    if args.check == "profinite-pair":
+        payload["other"] = other.spec_dict()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
         Path(args.json).write_text(text + "\n", encoding="utf-8")

@@ -255,14 +255,10 @@ class InducedPcgs:
                          self._perm[s, 0].copy())
                 for s in self._slot[self.pivots()]]
 
-    def copy(self) -> "InducedPcgs":
-        """An independent copy, closed as it stands: inserting into it
-        leaves this sequence unchanged."""
-        return self.tail(0)
-
     def tail(self, start: int) -> "InducedPcgs":
         """The elements with pivot >= start: an induced pcgs of H ∩ G_start,
-        closed as it stands."""
+        closed as it stands; inserting into it leaves this sequence
+        unchanged."""
         sub = InducedPcgs(self.p, self.depth)
         keep = [s for s, i in enumerate(self._pivot_of) if i >= start]
         sub._lab, sub._perm = self._lab[keep], self._perm[keep]
@@ -310,38 +306,22 @@ class InducedPcgs:
 
 
 class Subgroup:
-    """A finitely generated subgroup of the depth-n quotient, with a lazily
-    built induced pcgs providing membership and orders."""
+    """A finitely generated subgroup of the depth-n quotient: its generators
+    and one induced pcgs, built from them on first use or passed in closed,
+    providing membership and orders."""
 
     def __init__(self, p: int, depth: int, gens: Iterable[Portrait],
-                 name: str = "", pcgs: InducedPcgs | None = None):
+                 pcgs: InducedPcgs | None = None):
         self.p = p
         self.depth = depth
         self.gens = [g for g in gens if not g.is_identity()]
-        self.name = name
         self._pcgs = pcgs
-        # (closed subgroup, extra generators) the pcgs is built from; None
-        # once it is built
-        self._grow: tuple[Subgroup, Sequence[Portrait]] | None = None
-
-    @classmethod
-    def extending(cls, base: "Subgroup", extra: Sequence[Portrait],
-                  gens: Iterable[Portrait], name: str = "") -> "Subgroup":
-        """The subgroup generated by gens, which must generate the same
-        group as base's generators and extra together.  Its pcgs, when
-        first needed, is a copy of base's with extra inserted."""
-        sub = cls(base.p, base.depth, gens, name=name)
-        sub._grow = (base, extra)
-        return sub
 
     @property
     def pcgs(self) -> InducedPcgs:
         if self._pcgs is None:
-            base, extra = self._grow or (None, self.gens)
-            pcgs = (base.pcgs.copy() if base is not None
-                    else InducedPcgs(self.p, self.depth))
-            pcgs.add_generators(extra)
-            self._pcgs, self._grow = pcgs, None
+            self._pcgs = InducedPcgs(self.p, self.depth)
+            self._pcgs.add_generators(self.gens)
         return self._pcgs
 
     @property
@@ -386,7 +366,9 @@ class Subgroup:
         return True
 
     def is_trivial(self) -> bool:
-        return not self.gens or self.order_exponent == 0
+        """Identities are dropped from gens, so any generator left has order
+        at least p."""
+        return not self.gens
 
     # -- stabilizers and sections ------------------------------------------
 
@@ -396,9 +378,7 @@ class Subgroup:
             return self
         start = _Tables(self.p, self.depth).label_off[min(m, self.depth)]
         tail = self.pcgs.tail(start)
-        return Subgroup(self.p, self.depth, tail.elements(),
-                        name=f"{self.name}.St({m})" if self.name else f"St({m})",
-                        pcgs=tail)
+        return Subgroup(self.p, self.depth, tail.elements(), pcgs=tail)
 
     def section_subgroup(self, v) -> "Subgroup":
         """phi_v(st_H(v)) acting on the subtree below v (depth n - |v|)."""
@@ -435,18 +415,26 @@ class Subgroup:
 # -- derived constructions -------------------------------------------------
 
 
-def group_of(inst, depth: int, name: str = "") -> Subgroup:
-    return Subgroup(inst.p, depth, inst.generators(depth),
-                    name=name or f"{inst.kind}")
+def group_of(inst, depth: int) -> Subgroup:
+    return Subgroup(inst.p, depth, inst.generators(depth))
 
 
-def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup,
-                   name: str = "") -> Subgroup:
+def extend(base: Subgroup, extra: Sequence[Portrait],
+           gens: Iterable[Portrait]) -> Subgroup:
+    """The subgroup generated by gens, which must generate the same group as
+    base's generators and extra together; its pcgs is a copy of base's with
+    extra inserted."""
+    pcgs = base.pcgs.tail(0)
+    pcgs.add_generators(extra)
+    return Subgroup(base.p, base.depth, gens, pcgs=pcgs)
+
+
+def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup) -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation
     by the ambient generators (= the normal closure in ⟨ambient.gens⟩)."""
     pcgs = InducedPcgs(ambient.p, ambient.depth)
     kept = pcgs.add_generators(seeds, ambient.gens)
-    return Subgroup(ambient.p, ambient.depth, kept, name=name, pcgs=pcgs)
+    return Subgroup(ambient.p, ambient.depth, kept, pcgs=pcgs)
 
 
 def _commutators(xs: Sequence[Portrait], ys: Sequence[Portrait],
@@ -483,30 +471,27 @@ def frattini_seeds(gens: Sequence[Portrait], p: int) -> list[Portrait]:
     return _commutators(gens, gens, i, j) + powers_of(gens, p)
 
 
-def commutator_subgroup(a: Subgroup, b: Subgroup, ambient: Subgroup,
-                        name: str = "") -> Subgroup:
+def commutator_subgroup(a: Subgroup, b: Subgroup,
+                        ambient: Subgroup) -> Subgroup:
     """Normal closure of the pairwise generator commutators; equals [A, B]
     whenever that subgroup is normal in the ambient group (true for every
     use in this package: [N, G], series terms, St(1)' and friends)."""
     seeds = commutator_seeds(a.gens, b.gens)
-    return normal_closure(seeds, ambient, name=name)
+    return normal_closure(seeds, ambient)
 
 
-def join(a: Subgroup, b: Subgroup, name: str = "") -> Subgroup:
+def join(a: Subgroup, b: Subgroup) -> Subgroup:
     """<A, B> on A's generators then B's; its pcgs extends the larger
     operand's by the other's generators."""
     base = max((a, b), key=lambda s: s.order_exponent)
     extra = (b if base is a else a).gens
-    return Subgroup.extending(base, extra,
-                              a.gens + b.gens,
-                              name=name)
+    return extend(base, extra, a.gens + b.gens)
 
 
 def frattini_subgroup(h: Subgroup) -> Subgroup:
     """Phi(H) = H' H^p for a finite p-group, via the normal closure in H of
     generator commutators and p-th powers."""
-    return normal_closure(frattini_seeds(h.gens, h.p), h,
-                          name="frattini")
+    return normal_closure(frattini_seeds(h.gens, h.p), h)
 
 
 def min_generators(h: Subgroup) -> int:

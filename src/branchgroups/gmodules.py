@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Subgroup
+from .engine import extend
 from .linalg import Echelon, FpSubspace, rref
 from .trees import Portrait
 
@@ -337,14 +337,13 @@ def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
     return out
 
 
-def layer_preimage(g_n, m: int, space: FpSubspace, name: str = ""):
+def layer_preimage(g_n, m: int, space: FpSubspace):
     """The subgroup N with St(m+1) <= N <= St(m) whose layer image is the
     given invariant subspace: generated by representatives plus St(m+1),
     whose closed pcgs is extended by the representatives."""
     reps = layer_representatives(g_n, m, space.rows)
     st_next = g_n.stabilizer(m + 1)
-    return Subgroup.extending(st_next, reps, reps + st_next.gens,
-                              name=name or f"layer({m},dim{space.dim})")
+    return extend(st_next, reps, reps + st_next.gens)
 
 
 def layer_conjugation(g_n, m: int) -> tuple[FpSubspace, list[np.ndarray]]:

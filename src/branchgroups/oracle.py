@@ -60,6 +60,8 @@ def bfs_enumerate(gens: Sequence[Portrait], cap_exp: int = 12) -> tuple[int, int
 # Most coefficient vectors, p^k for a k-dimensional space, that the census
 # indexes: it holds one int32 code array per generator
 MAX_CENSUS_VECTORS = 2**20
+# Most vectors, p^dim, of a module whose submodules brute_submodules lists
+BRUTE_SUBMODULE_CAP = 20000
 # Codes whose coefficient vectors are formed at once while the image
 # arrays are built
 _CODE_CHUNK = 2**8
@@ -168,15 +170,15 @@ def _cyclic_closures(space: FpSubspace, mod: GModule) -> list[FpSubspace]:
     return sorted(found.values(), key=lambda s: (s.dim, s.key()))
 
 
-def brute_submodules(mod: GModule, cap_count: int = 20000) -> list[FpSubspace]:
+def brute_submodules(mod: GModule) -> list[FpSubspace]:
     """All closures of single vectors of the module, one per class of the
     census (`_cyclic_closures`), deduplicated and sorted by dimension.
     When every submodule is cyclic this is the full submodule list
     (excluding the zero space).  Raises ResourceGuardError when p^dim
-    exceeds cap_count, compared without forming p^dim."""
-    if mod.dim > _log_floor(mod.p, cap_count):
+    exceeds BRUTE_SUBMODULE_CAP, compared without forming p^dim."""
+    if mod.dim > _log_floor(mod.p, BRUTE_SUBMODULE_CAP):
         raise ResourceGuardError(
-            f"p^dim = {mod.p}^{mod.dim} exceeds cap {cap_count}")
+            f"p^dim = {mod.p}^{mod.dim} exceeds cap {BRUTE_SUBMODULE_CAP}")
     return _cyclic_closures(full_space(mod.p, mod.dim), mod)
 
 

@@ -23,7 +23,7 @@ from . import catalog
 from .catalog import (BranchType, MultiEGSInstance, SunicInstance, branch_type,
                       evaluate_word, has_csp, is_fabrykowski_gupta, is_ggs,
                       is_torsion, r_dot)
-from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
+from .engine import (ResourceGuardError, Subgroup, commutator_subgroup, extend,
                      first_missing_embedding, group_of, is_regular_branch_over,
                      is_subdirect_in_product, is_super_strongly_fractal, join,
                      min_generators, normal_closure, powers_of,
@@ -61,7 +61,6 @@ class SplitMix64:
 @dataclass
 class VerificationReport:
     name: str
-    group: dict
     depth: int
     status: str                    # pass | fail | skipped
     one_sided: bool = False
@@ -75,9 +74,9 @@ class VerificationReport:
                 "witness": self.witness, "millis": self.millis}
 
 
-def _skip(name, inst, depth, reason, witness=None,
+def _skip(name, depth, reason, witness=None,
           **details) -> VerificationReport:
-    return VerificationReport(name, inst.spec_dict(), depth, "skipped",
+    return VerificationReport(name, depth, "skipped",
                               details={"reason": reason, **details},
                               witness=witness)
 
@@ -108,9 +107,8 @@ class _Verdict:
                 self.witness = witness()
         return ok
 
-    def report(self, name: str, inst, n: int,
-               one_sided: bool) -> VerificationReport:
-        return VerificationReport(name, inst.spec_dict(), n, self.status,
+    def report(self, name: str, n: int, one_sided: bool) -> VerificationReport:
+        return VerificationReport(name, n, self.status,
                                   one_sided=one_sided, details=self.details,
                                   witness=self.witness)
 
@@ -148,7 +146,7 @@ class GroupContext:
 
     def quotient(self, n: int) -> Subgroup:
         if n not in self._quotients:
-            self._quotients[n] = group_of(self.inst, n, name=f"G_{n}")
+            self._quotients[n] = group_of(self.inst, n)
         return self._quotients[n]
 
     def commutator(self, a: Subgroup, b: Subgroup, n: int) -> Subgroup:
@@ -183,7 +181,7 @@ class GroupContext:
         if n not in self._sunic_k:
             gens = self.inst.generators(n)
             seeds = [commutator(gens[0], b) for b in gens[2:]]
-            self._sunic_k[n] = normal_closure(seeds, self.quotient(n), name="K")
+            self._sunic_k[n] = normal_closure(seeds, self.quotient(n))
         return self._sunic_k[n]
 
     def n_g(self, n: int) -> int | None:
@@ -265,12 +263,12 @@ def _build_normal_family(ctx: GroupContext, n: int,
             continue
         idx = len(members)
         members.append(FamilyMember(
-            f"ncl{idx}", normal_closure([w], g, name=f"ncl{idx}")))
+            f"ncl{idx}", normal_closure([w], g)))
         if previous is not None and len(members) < FAMILY_SIZE:
             prod = previous * w
             if not prod.is_identity():
                 members.append(FamilyMember(
-                    f"ncl{idx}x", normal_closure([prod], g, name=f"ncl{idx}x")))
+                    f"ncl{idx}x", normal_closure([prod], g)))
         previous = w
     for mem in members:
         if not mem.subgroup.is_normal_in(g):
@@ -355,10 +353,9 @@ def verify_effective_csp(ctx: GroupContext, n: int,
     """St(m + d) <= [N, G] over a family of normal subgroups (Thm 1.1 shape,
     with the Sunic offsets for that family), and with it the coarse bound
     psi_{m+1}^{-1}(K' x ... x K') <= [N, G]."""
-    inst = ctx.inst
     offset, offset_label, _ = _family_offset(ctx, n)
     if offset is None:
-        return _skip("effective-csp", inst, n, offset_label)
+        return _skip("effective-csp", n, offset_label)
     g = ctx.quotient(n)
     members = ctx.normal_family(n, seed)
     v = _Verdict(offset=offset, offset_rule=offset_label,
@@ -396,7 +393,7 @@ def verify_effective_csp(ctx: GroupContext, n: int,
                  witness=lambda: _non_membership(ng, miss[1], member=name,
                                                  coordinate=miss[0]),
                  table="members")
-    return v.report("effective-csp", inst, n, one_sided=True)
+    return v.report("effective-csp", n, one_sided=True)
 
 
 def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
@@ -404,10 +401,10 @@ def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport
     for the two regular-branch cases."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return _skip("branching", inst, n, "multi-EGS groups only")
+        return _skip("branching", n, "multi-EGS groups only")
     k = _branch_gamma(inst)
     if k is None:
-        return _skip("branching", inst, n,
+        return _skip("branching", n,
                      f"branch type {branch_type(inst).value}")
     v = _Verdict(gamma=k + 1, members={})
     for mem in ctx.normal_family(n, seed):
@@ -426,7 +423,7 @@ def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport
                                          "element": missing[1].digits()},
                         table="members"):
             break
-    return v.report("branching", inst, n, one_sided=True)
+    return v.report("branching", n, one_sided=True)
 
 
 def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
@@ -434,10 +431,10 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
     psi_m([N,G])."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance) or not is_ggs(inst):
-        return _skip("ggs-strong", inst, n, "GGS groups only")
+        return _skip("ggs-strong", n, "GGS groups only")
     k = _branch_gamma(inst)
     if k is None:
-        return _skip("ggs-strong", inst, n,
+        return _skip("ggs-strong", n,
                      f"branch type {branch_type(inst).value}")
     label = {2: "G''", 3: "gamma3'"}[k]
     v = _Verdict(inner=label, members={})
@@ -455,7 +452,7 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
                                          "coordinate": missing[0]},
                         table="members"):
             break
-    return v.report("ggs-strong", inst, n, one_sided=True)
+    return v.report("ggs-strong", n, one_sided=True)
 
 
 def verify_fg_lemma(ctx: GroupContext, n: int,
@@ -468,7 +465,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
     """
     inst = ctx.inst
     if not (isinstance(inst, MultiEGSInstance) and is_fabrykowski_gupta(inst)):
-        return _skip("fg-lemma", inst, n, "Fabrykowski-Gupta preset only")
+        return _skip("fg-lemma", n, "Fabrykowski-Gupta preset only")
     g = ctx.quotient(n)
     v = _Verdict()
     for m in range(2, n):
@@ -498,7 +495,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
         v.record(f"b:coordinate-link m={m}", not bad,
                  witness=lambda: {"clause": f"b:m={m}",
                                   "element": bad[0].digits()})
-    return v.report("fg-lemma", inst, n, one_sided=False)
+    return v.report("fg-lemma", n, one_sided=False)
 
 
 def _check_psi_st_product(ctx: GroupContext, n: int, m: int) -> bool:
@@ -535,15 +532,14 @@ def _coordinate_link_holds(ctx: GroupContext, n: int, m: int,
 
 
 def verify_chain_theorem(ctx: GroupContext, n: int,
-                         levels: list[int] | None = None) -> VerificationReport:
+                         seed: int) -> VerificationReport:
     """Layer-by-layer chain certification: the image of St(m) in W_m is a
     chain module V_j, every commutator step drops dimension exactly 1,
     the preimages of all chain layers are normal, and the closed forms for
     t(m) hold for non-torsion regular-branch GGS groups."""
     inst = ctx.inst
     g = ctx.quotient(n)
-    if levels is None:
-        levels = list(range(1, n))
+    levels = range(1, n)
     v = _Verdict()
     tvals = {}
     for m in levels:
@@ -584,11 +580,11 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
     v.details["t"] = {str(m): tvals[m] for m in levels}
     v.details["characteristic"] = "assumed, not checked (out of scope)"
     if not _chain_hypothesis(inst):
-        return _skip("chain", inst, n, "outside the chain-theorem hypothesis "
+        return _skip("chain", n, "outside the chain-theorem hypothesis "
                                        "(needs a directed generator with nonzero "
                                        "vector sum, or a Sunic group)",
                      witness=v.witness, informational=v.details)
-    return v.report("chain", inst, n, one_sided=False)
+    return v.report("chain", n, one_sided=False)
 
 
 def _chain_hypothesis(inst) -> bool:
@@ -603,11 +599,11 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
     against the family-specific bound; FG additionally attains width 2."""
     inst = ctx.inst
     if isinstance(inst, MultiEGSInstance) and is_torsion(inst):
-        return _skip("width-rank", inst, n,
+        return _skip("width-rank", n,
                      "torsion multi-EGS outside the width corollary")
     bound, rule, n_g = _family_offset(ctx, n)
     if bound is None:
-        return _skip("width-rank", inst, n, rule)
+        return _skip("width-rank", n, rule)
     g = ctx.quotient(n)
     v = _Verdict(bound=bound, rule=rule, members={})
     for mem in ctx.normal_family(n, seed):
@@ -617,8 +613,7 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
         ng = mem.ng(ctx, n)
         width = sub.order_exponent - ng.order_exponent
         p_powers = powers_of(sub.gens, ctx.p)
-        pth = Subgroup.extending(ng, p_powers,
-                                 ng.gens + p_powers)
+        pth = extend(ng, p_powers, ng.gens + p_powers)
         d_normal = sub.order_exponent - pth.order_exponent
         v.record(mem.name, width <= bound and d_normal <= bound,
                  {"width": width, "d": d_normal},
@@ -633,57 +628,57 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
                  witness=lambda: {"attainment": g_width})
     if n_g is not None:
         v.details["n_G"] = n_g
-    return v.report("width-rank", inst, n, one_sided=True)
+    return v.report("width-rank", n, one_sided=True)
 
 
-def verify_congruence_equiv(ctx: GroupContext, n: int) -> VerificationReport:
+def verify_congruence_equiv(ctx: GroupContext, n: int,
+                            seed: int) -> VerificationReport:
     """G and the multi-GGS group on the concatenated vector system have the
     same congruence quotients (mutual containment of generator images)."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return _skip("congruence-equiv", inst, n, "multi-EGS groups only")
+        return _skip("congruence-equiv", n, "multi-EGS groups only")
     if _branch_gamma(inst) != 2:
-        return _skip("congruence-equiv", inst, n,
+        return _skip("congruence-equiv", n,
                      "requires regular branch over the derived subgroup")
     vecs = [tuple(int(x) for x in row) for row in inst.concatenated_vectors()]
     if r_dot(inst) != len(vecs):
-        return _skip("congruence-equiv", inst, n,
+        return _skip("congruence-equiv", n,
                      "concatenated system dependent; companion multi-GGS "
                      "group is not defined")
     h_inst = catalog.make_multi_ggs(ctx.p, vecs)
     g = ctx.quotient(n)
-    h = group_of(h_inst, n, name="H_n")
+    h = group_of(h_inst, n)
     v = _Verdict(companion=h_inst.spec_dict())
     v.record("orders", g.is_subgroup_of(h) and h.is_subgroup_of(g),
              [g.order_exponent, h.order_exponent], witness=lambda: v.details)
-    return v.report("congruence-equiv", inst, n, one_sided=False)
+    return v.report("congruence-equiv", n, one_sided=False)
 
 
-def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
+def _appb_d(ctx: GroupContext, words, n: int) -> Subgroup:
+    """D: the normal closure of the D-words in the depth-n quotient."""
+    return normal_closure([evaluate_word(ctx.inst, w, n) for w in words],
+                          ctx.quotient(n))
+
+
+def verify_appb(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
     """The corrected branch structure for two-or-more-ray symmetric groups:
     B = D*gamma_3 is a branching subgroup, St(5) <= B (depth permitting),
     B <= gamma_3 St(k), and the congruence completion needs 3 generators."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance) or catalog.appb_shape(inst) is None:
-        return _skip("appb", inst, n, "requires the multi-ray single-vector "
+        return _skip("appb", n, "requires the multi-ray single-vector "
                                       "symmetric non-constant shape")
     words = catalog.appb_d_words(inst)
     v = _Verdict(d_word_count=len(words))
     g = ctx.quotient(n)
     gam3 = ctx.gamma(3, n)
-    d_seeds = [evaluate_word(inst, w, n) for w in words]
-    d_sub = normal_closure([x for x in d_seeds if not x.is_identity()], g,
-                           name="D")
-    b_sub = join(d_sub, gam3, name="B")
-    # regular branch over B
-    shallow_b = join(
-        normal_closure([x for x in (evaluate_word(inst, w, n - 1)
-                                    for w in words) if not x.is_identity()],
-                       ctx.quotient(n - 1)),
-        ctx.gamma(3, n - 1))
+    b_sub = join(_appb_d(ctx, words, n), gam3)
+    # regular branch over B; the shallow B is needed only for its generators
+    shallow_b_gens = _appb_d(ctx, words, n - 1).gens + ctx.gamma(3, n - 1).gens
     v.record("regular-branch-over-B",
              is_regular_branch_over(g, ctx.quotient(n - 1), b_sub,
-                                    shallow_b.gens))
+                                    shallow_b_gens))
     if n >= 6:
         v.record("St(5)<=B", g.stabilizer(5).is_subgroup_of(b_sub))
     else:
@@ -696,17 +691,18 @@ def verify_appb(ctx: GroupContext, n: int) -> VerificationReport:
         d3 = min_generators(ctx.quotient(3))
         v.record("min_generators(G_3)", d3 == 3, d3,
                  witness=lambda: {"clause": "min_generators(G_3)", "value": d3})
-    return v.report("appb", inst, n, one_sided=True)
+    return v.report("appb", n, one_sided=True)
 
 
-def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
+def verify_sunic_suite(ctx: GroupContext, n: int,
+                       seed: int) -> VerificationReport:
     """The appendix facts for Sunic groups: branching subgroup, super strong
     fractality, the R_m pattern, n_G and the stabilizer inclusions."""
     inst = ctx.inst
     if not isinstance(inst, SunicInstance):
-        return _skip("sunic", inst, n, "Sunic groups only")
+        return _skip("sunic", n, "Sunic groups only")
     if not inst.is_regular_branch():
-        return _skip("sunic", inst, n,
+        return _skip("sunic", n,
                      "(p,r)=(2,1) is infinite dihedral, not regular branch")
     v = _Verdict()
     p, r = inst.p, inst.r
@@ -753,29 +749,28 @@ def verify_sunic_suite(ctx: GroupContext, n: int) -> VerificationReport:
                 ctx.branch_derived(n)))
         else:
             v.record(key, True, f"skipped: needs depth > {need}")
-    return v.report("sunic", inst, n, one_sided=True)
+    return v.report("sunic", n, one_sided=True)
 
 
-def verify_generator_counts(ctx: GroupContext, n: int | None = None
-                            ) -> VerificationReport:
+def verify_generator_counts(ctx: GroupContext, n: int,
+                            seed: int) -> VerificationReport:
     """d(G/St(n)) = 1 + rdot at n = rdot + 1 for groups that branch over the
     derived subgroup."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return _skip("generator-count", inst, n or 0, "multi-EGS groups only")
+        return _skip("generator-count", n, "multi-EGS groups only")
     if _branch_gamma(inst) != 2:
-        return _skip("generator-count", inst, n or 0,
+        return _skip("generator-count", n,
                      "requires regular branch over the derived subgroup")
     rd = r_dot(inst)
-    depth = n if n is not None else rd + 1
-    if depth < rd + 1:
-        return _skip("generator-count", inst, depth,
+    if n < rd + 1:
+        return _skip("generator-count", n,
                      f"needs depth >= rdot+1 = {rd + 1}")
-    d = min_generators(ctx.quotient(depth))
+    d = min_generators(ctx.quotient(n))
     v = _Verdict(rdot=rd, expected=1 + rd)
     v.record("min_generators", d == 1 + rd, d,
              witness=lambda: {"min_generators": d, "expected": 1 + rd})
-    return v.report("generator-count", inst, depth, one_sided=False)
+    return v.report("generator-count", n, one_sided=False)
 
 
 def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
@@ -786,7 +781,7 @@ def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
     for inst in (gi, hi):
         if not (isinstance(inst, MultiEGSInstance)
                 and _branch_gamma(inst) == 2 and has_csp(inst)):
-            return _skip("profinite-pair", inst, 0,
+            return _skip("profinite-pair", 0,
                          "both groups must branch over the derived subgroup "
                          "and have the congruence subgroup property")
     rg, rh = r_dot(gi), r_dot(hi)
@@ -795,50 +790,30 @@ def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
     v = _Verdict(rank_G=dg)
     v.record("rank_H", dg == 1 + rg and dh == 1 + rh and dg != dh, dh,
              witness=lambda: dict(v.details))
-    return VerificationReport(
-        "profinite-pair", {"G": gi.spec_dict(), "H": hi.spec_dict()},
-        max(rg, rh) + 1, v.status, details=v.details, witness=v.witness)
+    return VerificationReport("profinite-pair", max(rg, rh) + 1, v.status,
+                              details=v.details, witness=v.witness)
 
 
 # -- registry -----------------------------------------------------------------
 
 
-def default_depth(name: str, inst) -> int:
-    p = inst.p
-    if name == "effective-csp":
-        return 5 if p == 2 else (5 if p == 3 else 3)
-    if name in ("branching", "ggs-strong"):
-        return 4 if p == 3 else 3
-    if name == "fg-lemma":
-        return 4
-    if name == "chain":
-        return 4 if p <= 3 else 3
-    if name == "width-rank":
-        return 4 if p <= 3 else 3
-    if name == "congruence-equiv":
-        return 3
-    if name == "appb":
-        return 4 if p == 3 else 3
-    if name == "sunic":
-        return 6 if p == 2 else 5
-    if name == "generator-count":
-        if isinstance(inst, MultiEGSInstance):
-            return r_dot(inst) + 1
-        return 3
-    raise KeyError(name)
-
-
-CHECKS: dict[str, Callable] = {
-    "effective-csp": lambda ctx, n, seed: verify_effective_csp(ctx, n, seed),
-    "branching": lambda ctx, n, seed: verify_branching(ctx, n, seed),
-    "ggs-strong": lambda ctx, n, seed: verify_ggs_strong(ctx, n, seed),
-    "fg-lemma": lambda ctx, n, seed: verify_fg_lemma(ctx, n, seed),
-    "chain": lambda ctx, n, seed: verify_chain_theorem(ctx, n),
-    "width-rank": lambda ctx, n, seed: verify_width_and_rank(ctx, n, seed),
-    "congruence-equiv": lambda ctx, n, seed: verify_congruence_equiv(ctx, n),
-    "appb": lambda ctx, n, seed: verify_appb(ctx, n),
-    "sunic": lambda ctx, n, seed: verify_sunic_suite(ctx, n),
-    "generator-count": lambda ctx, n, seed: verify_generator_counts(ctx, n),
+# name -> (check, rule giving the default depth for an instance); every
+# check takes (ctx, n, seed)
+CHECKS: dict[str, tuple[Callable, Callable]] = {
+    "effective-csp": (verify_effective_csp,
+                      lambda inst: 5 if inst.p <= 3 else 3),
+    "branching": (verify_branching, lambda inst: 4 if inst.p == 3 else 3),
+    "ggs-strong": (verify_ggs_strong, lambda inst: 4 if inst.p == 3 else 3),
+    "fg-lemma": (verify_fg_lemma, lambda inst: 4),
+    "chain": (verify_chain_theorem, lambda inst: 4 if inst.p <= 3 else 3),
+    "width-rank": (verify_width_and_rank,
+                   lambda inst: 4 if inst.p <= 3 else 3),
+    "congruence-equiv": (verify_congruence_equiv, lambda inst: 3),
+    "appb": (verify_appb, lambda inst: 4 if inst.p == 3 else 3),
+    "sunic": (verify_sunic_suite, lambda inst: 6 if inst.p == 2 else 5),
+    "generator-count": (verify_generator_counts,
+                        lambda inst: r_dot(inst) + 1
+                        if isinstance(inst, MultiEGSInstance) else 3),
 }
 
 
@@ -846,12 +821,13 @@ def run_check(ctx: GroupContext, name: str, depth: int | None = None,
               seed: int = 0, timings: bool = False) -> VerificationReport:
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
-    n = depth if depth is not None else default_depth(name, ctx.inst)
+    check, depth_rule = CHECKS[name]
+    n = depth if depth is not None else depth_rule(ctx.inst)
     t0 = time.perf_counter()
     try:
-        report = CHECKS[name](ctx, n, seed)
+        report = check(ctx, n, seed)
     except ResourceGuardError as exc:
-        report = _skip(name, ctx.inst, n, f"resource guard: {exc}")
+        report = _skip(name, n, f"resource guard: {exc}")
     if timings:
         report.millis = int((time.perf_counter() - t0) * 1000)
     return report

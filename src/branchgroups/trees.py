@@ -332,11 +332,9 @@ class Portrait:
         return Portrait(self.p, self.depth,
                         *power_rows(self.tables, self.lab, self.perm, n))
 
-    def conjugate(self, g: "Portrait", g_inv: "Portrait" | None = None) -> "Portrait":
+    def conjugate(self, g: "Portrait") -> "Portrait":
         """self^g = g^-1 * self * g."""
-        if g_inv is None:
-            g_inv = g.inverse()
-        return g_inv * self * g
+        return g.inverse() * self * g
 
     # -- tree geometry ----------------------------------------------------
 
@@ -420,14 +418,14 @@ class Portrait:
                         self.perm[:td.nlabels].copy())
 
 
-def rooted_a(p: int, depth: int, exponent: int = 1) -> Portrait:
-    """The rooted automorphism a^exponent for the p-cycle (1 2 ... p)."""
+def rooted_a(p: int, depth: int) -> Portrait:
+    """The rooted automorphism a for the p-cycle (1 2 ... p)."""
     check_prime(p)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     t = _Tables(p, depth)
     lab = np.zeros(t.nlabels, dtype=_LABEL_DTYPE)
-    lab[0] = exponent % p
+    lab[0] = 1
     return Portrait.from_labels(p, depth, lab)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from branchgroups.catalog import fabrykowski_gupta
+from branchgroups.catalog import fabrykowski_gupta, preset
 from branchgroups.cli import (EXIT_FAIL, EXIT_GUARD, EXIT_PASS, EXIT_USAGE,
                               SpecError, instance_from_dict, run)
 
@@ -52,6 +52,17 @@ def test_verify_exit_code_on_fail():
     # the literal derived-series clause is refuted, so fg-lemma fails
     assert run(["verify", "fg-lemma", "--preset", "fg3",
                 "--depth", "4"]) == EXIT_FAIL
+
+
+def test_profinite_pair_payload_names_both_groups(capsys):
+    # fg3 and gs3 both have two directed generators, so the pair fails
+    assert run(["verify", "profinite-pair", "--preset", "fg3",
+                "--other", "gs3"]) == EXIT_FAIL
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["group"] == preset("fg3").spec_dict()
+    assert payload["other"] == preset("gs3").spec_dict()
+    assert run(["verify", "chain", "--preset", "fg3", "--depth", "3"]) == EXIT_PASS
+    assert "other" not in json.loads(capsys.readouterr().out)
 
 
 def test_width_rank_without_n_g_is_skipped(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
                                   make_multi_ggs, make_sunic, preset)
 from branchgroups.engine import (InducedPcgs, Subgroup, _stack,
-                                 commutator_seeds, commutator_subgroup,
+                                 commutator_seeds, commutator_subgroup, extend,
                                  frattini_seeds, frattini_subgroup, group_of,
                                  is_regular_branch_over,
                                  is_subdirect_in_product,
@@ -322,10 +322,10 @@ def test_extending_a_closed_pcgs_matches_building_from_scratch(case):
     g, base, extra, probes = case
     before = table_state(base.pcgs)
     k = base.order_exponent
-    ext = Subgroup.extending(base, extra, base.gens + extra)
     with mock.patch.object(InducedPcgs, "_insert", autospec=True,
                            side_effect=InducedPcgs._insert) as spy:
-        order = ext.order_exponent
+        ext = extend(base, extra, base.gens + extra)
+    order = ext.order_exponent
     assert spy.call_count == order - k                 # only the new pivots
     assert table_state(base.pcgs) == before            # the base is untouched
     scratch = Subgroup(g.p, g.depth, base.gens + extra)
@@ -339,16 +339,16 @@ def test_extending_a_closed_pcgs_matches_building_from_scratch(case):
 def test_join_extends_the_larger_operand(fg3_ctx):
     g = fg3_ctx.quotient(4)
     gam3, st2 = fg3_ctx.gamma(3, 4), g.stabilizer(2)
-    joined = join(gam3, st2, name="J")
-    assert joined.gens == (gam3.gens
-                                       + st2.gens)
     big = max((gam3, st2), key=lambda s: s.order_exponent)
+    before = table_state(big.pcgs)
     with mock.patch.object(InducedPcgs, "_insert", autospec=True,
                            side_effect=InducedPcgs._insert) as spy:
-        order = joined.order_exponent
-    assert spy.call_count == order - big.order_exponent
+        joined = join(gam3, st2)
+    assert joined.gens == gam3.gens + st2.gens
+    order = joined.order_exponent
+    assert spy.call_count == order - big.order_exponent  # only the new pivots
+    assert table_state(big.pcgs) == before               # the base is untouched
     assert joined.equal(Subgroup(3, 4, joined.gens))
-    assert joined._grow is None                         # dropped once built
     a, b = g.gens
     small = join(Subgroup(3, 4, [a]), Subgroup(3, 4, [b]))
     assert small.order_exponent == g.order_exponent
@@ -497,6 +497,21 @@ def test_super_strongly_fractal(fg3_ctx, grigorchuk_ctx):
 def test_normal_closure_of_identity(fg3_ctx):
     g = fg3_ctx.quotient(3)
     assert normal_closure([Portrait.identity(3, 3)], g).order_exponent == 0
+
+
+def test_is_trivial_builds_no_pcgs_and_agrees_with_the_order(fg3_ctx):
+    one = Portrait.identity(3, 3)
+    g = fg3_ctx.quotient(3)
+    with mock.patch.object(InducedPcgs, "add_generators", autospec=True,
+                           side_effect=InducedPcgs.add_generators) as spy:
+        subs = [Subgroup(3, 3, [one, one]), Subgroup(3, 3, g.gens[:1])]
+        trivial = [h.is_trivial() for h in subs]
+    assert spy.call_count == 0                           # no pcgs was built
+    assert trivial == [True, False]
+    closure = normal_closure([one], g)
+    for h in subs + [closure]:
+        assert h.is_trivial() == (h.order_exponent == 0)
+    assert closure.is_trivial()
 
 
 def test_commutator_index(fg3_ctx):

@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used, and so is every
-private helper.
+"""Every module-level import in the package is used, so is every private
+helper, and every optional parameter is passed by some call.
 
 No linter ships with the package, so these tests walk each module's syntax
 tree with the standard library's ast: a name bound by a module-level
@@ -7,7 +7,11 @@ import must be read somewhere in the module (every module has `from
 __future__ import annotations`, so annotations count as reads).  Package
 __init__ files, which re-export, and `from __future__` are skipped.  A
 private (`_name`, not dunder) module-level function or class, or method,
-must be referenced by name or attribute somewhere in the package.
+must be referenced by name or attribute somewhere in the package.  A
+parameter with a default, in any function or method of the package, must
+be passed by keyword or by position in some call in the package or the
+tests; calls are matched by the called name, a class name to its
+__init__, and a call with *args or **kwargs passes everything.
 """
 
 import ast
@@ -15,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "branchgroups"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "branchgroups"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -91,3 +96,70 @@ def test_the_guard_sees_an_orphan_helper():
            "_Kept()._called()\n")
     assert orphan_helpers({"m.py": src}) == ["m.py:_orphan (line 3)",
                                              "m.py:_lone (line 8)"]
+
+
+def _optional_params(tree: ast.Module) -> list[tuple[str, int, str, int]]:
+    """(called name, position or -1 if keyword-only, parameter, line) for
+    every parameter with a default; positions count from the first
+    argument a call passes, so a method's self or cls is skipped."""
+    methods = {id(d): cls.name for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for d in cls.body}
+    out = []
+    for d in ast.walk(tree):
+        if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = d.args
+        positional = a.posonlyargs + a.args
+        static = any(isinstance(x, ast.Name) and x.id == "staticmethod"
+                     for x in d.decorator_list)
+        skip = 1 if id(d) in methods and not static else 0
+        name = methods[id(d)] if d.name == "__init__" else d.name
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            out.append((name, i - skip, positional[i].arg, d.lineno))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((name, -1, arg.arg, d.lineno))
+    return out
+
+
+def unpassed_params(defs: dict[str, str], calls: list[str]) -> list[str]:
+    """The parameters with defaults in defs (module name -> text) that no
+    call in defs or in calls (more texts) passes."""
+    passed = set()                        # (name, position or keyword)
+    everything = set()                    # names called with * or **
+    for src in [*defs.values(), *calls]:
+        for c in ast.walk(ast.parse(src)):
+            if not isinstance(c, ast.Call):
+                continue
+            f = c.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if (any(isinstance(x, ast.Starred) for x in c.args)
+                    or any(k.arg is None for k in c.keywords)):
+                everything.add(name)
+            passed.update((name, i) for i in range(len(c.args)))
+            passed.update((name, k.arg) for k in c.keywords)
+    return [f"{module}:{name}({param}) (line {line})"
+            for module, src in defs.items()
+            for name, pos, param, line in _optional_params(ast.parse(src))
+            if name not in everything and (name, pos) not in passed
+            and (name, param) not in passed]
+
+
+def test_every_optional_parameter_is_passed():
+    defs = {p.name: p.read_text(encoding="utf-8")
+            for p in sorted(PACKAGE.glob("*.py"))}
+    calls = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    assert unpassed_params(defs, calls) == []
+
+
+def test_the_guard_sees_an_unpassed_parameter():
+    src = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+           "def g(x=0):\n    pass\n"
+           "class K:\n"
+           "    def __init__(self, k=1):\n        pass\n"
+           "    def m(self, y=0, z=0):\n        pass\n"
+           "f(0, 1, e=5)\n"
+           "g(*[1])\n"
+           "K().m(z=1)\n")
+    assert unpassed_params({"m.py": src}, ["K(2)\n"]) == [
+        "m.py:f(c) (line 1)", "m.py:f(d) (line 1)", "m.py:m(y) (line 8)"]

@@ -91,7 +91,7 @@ def test_verdict_keeps_first_witness_and_builds_it_on_failure_only():
     assert not v.record("b", False, witness=witness("b"))
     assert not v.record("c", False, "fail: late", witness=witness("c"),
                         table="members")
-    rep = v.report("demo", fabrykowski_gupta(3), 2, one_sided=True)
+    rep = v.report("demo", 2, one_sided=True)
     assert built == ["b"]
     assert rep.status == "fail" and rep.witness == {"clause": "b"}
     assert rep.details == {"a": "pass", "b": "fail",
