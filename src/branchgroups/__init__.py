@@ -5,6 +5,7 @@ from .catalog import (BranchType, MultiEGSInstance, SunicInstance,
                       gupta_sidki, has_csp, in_class_E, is_torsion, make_ggs,
                       make_multi_egs, make_multi_ggs, make_sunic, preset,
                       r_dot)
+from .context import GroupContext, SplitMix64
 from .engine import (InducedPcgs, ResourceGuardError, Subgroup,
                      commutator_subgroup, frattini_subgroup, group_of,
                      is_regular_branch_over, is_super_strongly_fractal, join,
@@ -12,7 +13,8 @@ from .engine import (InducedPcgs, ResourceGuardError, Subgroup,
 from .gmodules import (GModule, compute_rm, predecessor, submodule_closure,
                        twisted_sum, uniserial_chain, vj_basis, wm_module)
 from .linalg import FpSubspace
-from .suite import GroupContext, SplitMix64, VerificationReport, run_all, run_check
+from .reports import VerificationReport
+from .suite import run_all, run_check
 from .trees import Portrait, assemble, commutator, embed_at_vertex, rooted_a
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,11 +16,11 @@ import numpy as np
 from . import catalog, oracle
 from .catalog import (GroupInstance, MultiEGSInstance, branch_type, has_csp,
                       in_class_E, is_torsion, preset, r_dot)
+from .context import GroupContext
 from .engine import ResourceGuardError, Subgroup, group_of
 from .gmodules import (compute_rm, iterated_twisted_sum, tuple_from_rank,
                        uniserial_chain, wm_module)
-from .suite import (CHECKS, GroupContext, run_all, run_check,
-                    verify_profinite_distinction)
+from .suite import CHECKS, run_all, run_check, verify_profinite_distinction
 from .trees import Portrait, check_depth
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
@@ -186,6 +186,13 @@ def _load_checked(args) -> GroupInstance:
     return inst
 
 
+def _dump_report(payload: dict, stream) -> None:
+    """payload as indented JSON with sorted keys, then a newline, written
+    to stream chunk by chunk rather than joined into one string first."""
+    json.dump(payload, stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
 def cmd_verify(args) -> int:
     inst = _load_checked(args)
     ctx = GroupContext(inst)
@@ -206,11 +213,11 @@ def cmd_verify(args) -> int:
     payload = _report_payload(inst, reports, args.depth or 0, args.seed)
     if args.check == "profinite-pair":
         payload["other"] = other.spec_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
-        Path(args.json).write_text(text + "\n", encoding="utf-8")
+        with open(args.json, "w", encoding="utf-8") as handle:
+            _dump_report(payload, handle)
     else:
-        print(text)
+        _dump_report(payload, sys.stdout)
     for r in reports:
         line = f"{r.name}: {r.status}"
         if r.status == "skipped":
@@ -227,8 +234,8 @@ def cmd_report(args) -> int:
     reports = run_all(ctx, depth=args.depth, seed=args.seed,
                       timings=args.timings)
     payload = _report_payload(inst, reports, args.depth or 0, args.seed)
-    Path(args.json).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open(args.json, "w", encoding="utf-8") as handle:
+        _dump_report(payload, handle)
     print(f"wrote {args.json}")
     if any(r.status == "fail" for r in reports):
         return EXIT_FAIL
@@ -264,11 +271,12 @@ def cmd_oracle(args) -> int:
         return EXIT_PASS if ok else EXIT_FAIL
     if args.which == "normal-between":
         g = group_of(inst, depth)
-        subs = oracle.brute_invariant_subspaces_within(
-            g.image_in_wm(level), wm_module(inst, level), cap_dim=args.cap)
+        subs = oracle.brute_normal_between(g, inst, level, cap_dim=args.cap)
+        floor = g.stabilizer(level + 1).order_exponent
         print(json.dumps({"level": level, "depth": depth,
                           "subgroup_count": len(subs),
-                          "dims": [s.dim for s in subs]}, sort_keys=True))
+                          "dims": [s.order_exponent - floor for s in subs]},
+                         sort_keys=True))
         return EXIT_PASS
     raise SpecError(f"unknown oracle {args.which!r}")
 

@@ -1,0 +1,257 @@
+"""The shared state of the theorem checks for one group instance.
+
+`GroupContext` caches the finite quotients G_n = G/St_G(n), the
+commutator series closed from scratch (derived and lower central terms,
+K and K'), n_G, the normal families the checks run over and each family
+member's [N, G], which reuses the largest [M, G] already built below it.
+"""
+
+from __future__ import annotations
+
+from .catalog import BranchType, SunicInstance, branch_type
+from .engine import (Subgroup, commutator_seeds, commutator_subgroup, group_of,
+                     normal_closure)
+from .gmodules import (layer_preimage, submodule_closure, tuple_from_rank,
+                       vj_basis, wm_module)
+from .trees import Portrait, commutator
+
+# -- deterministic rng -------------------------------------------------------
+
+_MASK = (1 << 64) - 1
+
+
+class SplitMix64:
+    """The standard 64-bit mix-and-shift generator; fully portable."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK
+
+    def next(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return (z ^ (z >> 31)) & _MASK
+
+    def below(self, n: int) -> int:
+        return self.next() % n
+
+
+# -- group context ------------------------------------------------------------
+
+# Members of the normal family that effective-csp and width-rank test.
+FAMILY_SIZE = 20
+
+
+class GroupContext:
+    """Shared cache of quotients, commutator subgroups and series for one
+    instance."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self._quotients: dict[int, Subgroup] = {}
+        self._commutators: dict[tuple[Subgroup, Subgroup, int], Subgroup] = {}
+        self._member_ngs: dict[tuple[Subgroup, int], Subgroup] = {}
+        self._families: dict[tuple[int, int], list] = {}
+        self._sunic_k: dict[int, Subgroup] = {}
+        self._n_g: dict[int, int | None] = {}
+
+    @property
+    def p(self) -> int:
+        return self.inst.p
+
+    def quotient(self, n: int) -> Subgroup:
+        if n not in self._quotients:
+            self._quotients[n] = group_of(self.inst, n)
+        return self._quotients[n]
+
+    def commutator(self, a: Subgroup, b: Subgroup, n: int) -> Subgroup:
+        """[A, B] in the depth-n quotient, closed from scratch and memoised
+        on the operand objects: every series term is built here, once."""
+        key = (a, b, n)
+        if key not in self._commutators:
+            self._commutators[key] = commutator_subgroup(a, b, self.quotient(n))
+        return self._commutators[key]
+
+    def member_ng(self, sub: Subgroup, n: int) -> Subgroup:
+        """[N, G] for N = sub, normal in the depth-n quotient G, memoised
+        on sub.
+
+        A series term [N, G] is returned as built.  Otherwise the [M, G]
+        already built at depth n (series terms and earlier members) are
+        tried, largest first and, among equals, larger M first; the first
+        with M <= N is reused.  For |M| = |N| that is the same object,
+        else a copy of its pcgs extended by the normal closure of [x, g]
+        for the generators x of N outside M and g of G: [N, G], as [M, G]
+        is normal in G and N = <M, x>.  Only with no such M is [N, G]
+        closed from scratch.
+        """
+        g = self.quotient(n)
+        if (sub, g, n) in self._commutators:
+            return self._commutators[sub, g, n]
+        if (sub, n) not in self._member_ngs:
+            self._member_ngs[sub, n] = self._extend_largest_ng(sub, g, n)
+        return self._member_ngs[sub, n]
+
+    def _extend_largest_ng(self, sub: Subgroup, g: Subgroup,
+                           n: int) -> Subgroup:
+        built = [(a, c) for (a, b, k), c in self._commutators.items()
+                 if b is g and k == n]
+        built += [(a, c) for (a, k), c in self._member_ngs.items() if k == n]
+        built.sort(key=lambda ac: (-ac[1].order_exponent,
+                                  -ac[0].order_exponent))
+        for m, mg in built:
+            if (m.order_exponent > sub.order_exponent
+                    or not m.is_subgroup_of(sub)):
+                continue
+            if m.order_exponent == sub.order_exponent:
+                return mg
+            outside = [x for x, inside in zip(sub.gens,
+                                              m.pcgs.members(sub.gens))
+                       if not inside]
+            pcgs = mg.pcgs.tail(0)
+            kept = pcgs.add_generators(commutator_seeds(outside, g.gens),
+                                       g.gens)
+            return Subgroup(self.p, n, mg.gens + kept, pcgs=pcgs)
+        return commutator_subgroup(sub, g, g)
+
+    def derived(self, n: int, order: int = 1) -> Subgroup:
+        """The order-th derived subgroup G^(order) of the depth-n quotient."""
+        h = self.quotient(n)
+        for _ in range(order):
+            h = self.commutator(h, h, n)
+        return h
+
+    def gamma(self, k: int, n: int) -> Subgroup:
+        """k-th lower central term of the depth-n quotient."""
+        g = term = self.quotient(n)
+        for _ in range(k - 1):
+            term = self.commutator(term, g, n)
+        return term
+
+    def branch_derived(self, n: int) -> Subgroup | None:
+        """K' for the branching subgroup K at depth n (None if not branch)."""
+        k = branch_subgroup(self, n)
+        return None if k is None else self.commutator(k, k, n)
+
+    def sunic_k(self, n: int) -> Subgroup:
+        """K = <[a,b_2],...,[a,b_r]>^G for Sunic groups on the binary tree."""
+        if n not in self._sunic_k:
+            gens = self.inst.generators(n)
+            seeds = [commutator(gens[0], b) for b in gens[2:]]
+            self._sunic_k[n] = normal_closure(seeds, self.quotient(n))
+        return self._sunic_k[n]
+
+    def n_g(self, n: int) -> int | None:
+        """Least n' with <a, b_1, ..., b_{r-1}> inside the section of
+        st_K(2...2) at the vertex 2...2 of level n' (p = 2 Sunic groups);
+        quotient-level, hence one-sided."""
+        if n not in self._n_g:
+            k = self.sunic_k(n)
+            self._n_g[n] = None
+            for cand in range(1, n - 1):
+                sec = k.section_subgroup((2,) * cand)
+                targets = self.inst.generators(n - cand)[:self.inst.r]  # a, b_1..b_{r-1}
+                if sec.first_non_member(targets) is None:
+                    self._n_g[n] = cand
+                    break
+        return self._n_g[n]
+
+    def normal_family(self, n: int, seed: int) -> list["FamilyMember"]:
+        key = (n, seed)
+        if key not in self._families:
+            self._families[key] = _build_normal_family(self, n, seed)
+        return self._families[key]
+
+
+class FamilyMember:
+    """A verified-normal subgroup of G_n."""
+
+    def __init__(self, name: str, subgroup: Subgroup):
+        self.name = name
+        self.subgroup = subgroup
+
+    def ng(self, ctx: GroupContext, n: int) -> Subgroup:
+        """[N, G] (for the members G and gamma_k this is G' and gamma_k+1)."""
+        return ctx.member_ng(self.subgroup, n)
+
+
+def random_word(rng: SplitMix64, gens: list[Portrait], length: int) -> Portrait:
+    """A product of `length` factors, each a generator drawn by rng or,
+    by a second draw, its inverse."""
+    p, depth = gens[0].p, gens[0].depth
+    out = Portrait.identity(p, depth)
+    for _ in range(length):
+        g = gens[rng.below(len(gens))]
+        if rng.below(2):
+            g = g.inverse()
+        out = out * g
+    return out
+
+
+def _build_normal_family(ctx: GroupContext, n: int,
+                         seed: int) -> list[FamilyMember]:
+    g = ctx.quotient(n)
+    members: list[FamilyMember] = [FamilyMember("G", g)]
+    for m in range(1, n):
+        members.append(FamilyMember(f"St({m})", g.stabilizer(m)))
+    for k in (2, 3, 4):
+        gam = ctx.gamma(k, n)
+        if not gam.is_trivial():
+            members.append(FamilyMember(f"gamma{k}", gam))
+    for order in (2, 3):
+        d = ctx.derived(n, order)
+        if not d.is_trivial():
+            members.append(FamilyMember("G" + "'" * order, d))
+    # chain-layer preimages: one mid-chain layer per level (only when the
+    # candidate subspace is action-invariant and inside the actual image)
+    for m in range(1, n):
+        u = g.image_in_wm(m)
+        if u.dim >= 2:
+            mid = tuple_from_rank(max(u.dim // 2 - 1, 0), ctx.p, m)
+            sub = vj_basis(ctx.p, mid)
+            if (u.contains(sub)
+                    and submodule_closure(sub, wm_module(ctx.inst, m)) == sub):
+                members.append(FamilyMember(
+                    f"N_{m}.{sub.dim}", layer_preimage(g, m, sub)))
+    rng = SplitMix64(seed)
+    gens = g.gens
+    previous: Portrait | None = None
+    while len(members) < FAMILY_SIZE:
+        w = random_word(rng, gens, 4 + rng.below(5))
+        if w.is_identity():
+            continue
+        idx = len(members)
+        members.append(FamilyMember(
+            f"ncl{idx}", normal_closure([w], g)))
+        if previous is not None and len(members) < FAMILY_SIZE:
+            prod = previous * w
+            if not prod.is_identity():
+                members.append(FamilyMember(
+                    f"ncl{idx}x", normal_closure([prod], g)))
+        previous = w
+    for mem in members:
+        if not mem.subgroup.is_normal_in(g):
+            raise AssertionError(f"family member {mem.name} not normal")
+    return members
+
+
+# -- the branching subgroup ---------------------------------------------------
+
+
+def branch_gamma(inst) -> int | None:
+    """k with the group regular branch over gamma_k (gamma_2 = G'), or None
+    when it is not regular branch over a lower central term."""
+    if isinstance(inst, SunicInstance):
+        return 2 if inst.p % 2 else None
+    return {BranchType.OVER_DERIVED: 2,
+            BranchType.OVER_GAMMA3: 3}.get(branch_type(inst))
+
+
+def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
+    """The subgroup K the group regular-branches over, in the depth-n quotient."""
+    inst = ctx.inst
+    if isinstance(inst, SunicInstance) and inst.p == 2:
+        return ctx.sunic_k(n) if inst.is_regular_branch() else None
+    k = branch_gamma(inst)
+    return None if k is None else ctx.gamma(k, n)

@@ -131,14 +131,6 @@ def predecessor(j: IndexTuple, p: int) -> IndexTuple:
     return predecessor(j[:-1], p) + (p,)
 
 
-def tuple_rank(j: IndexTuple, p: int) -> int:
-    """Lexicographic rank; (1,...,1) has rank 0, the sentinel rank -1."""
-    if is_sentinel(j):
-        return -1
-    m = len(j)
-    return sum((x - 1) * p**(m - 1 - k) for k, x in enumerate(j))
-
-
 def tuple_from_rank(rank: int, p: int, m: int) -> IndexTuple:
     if rank < 0:
         return (0,) + (p,) * (m - 1)
@@ -297,14 +289,6 @@ def compute_rm(g_n, m: int) -> dict:
     return {"t": t, "j_max": j_max, "match": False,
             "witness": {"image_basis": u.basis_digits(),
                         "candidate_basis": v.basis_digits()}}
-
-
-def rm_tuples(j_max: IndexTuple, p: int) -> list[IndexTuple]:
-    """All members of R_m when it matches a chain prefix (small m only)."""
-    if is_sentinel(j_max):
-        return []
-    m = len(j_max)
-    return [tuple_from_rank(r, p, m) for r in range(tuple_rank(j_max, p) + 1)]
 
 
 # -- group <-> module dictionary --------------------------------------------

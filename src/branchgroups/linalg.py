@@ -190,10 +190,6 @@ class FpSubspace:
         return [to_digits(row) for row in self.rows]
 
 
-def zero_subspace(p: int, ambient: int) -> FpSubspace:
-    return FpSubspace(p, ambient)
-
-
 def full_space(p: int, ambient: int) -> FpSubspace:
     return FpSubspace(p, ambient, np.eye(ambient, dtype=np.int8))
 

@@ -8,284 +8,37 @@ one_sided=True.  Layer indices t(m), module images and generator counts
 are exact values of the infinite group whenever n is deep enough, and
 are reported two-sided.
 
-Reports are reproducible bit for bit from (spec, depth, seed); timings
-are kept out of the payload unless explicitly requested.
+The group's shared state (quotients, series, normal families, [N, G])
+lives in `context`, the report records and their recorder in `reports`.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import catalog
-from .catalog import (BranchType, MultiEGSInstance, SunicInstance, branch_type,
+from .catalog import (MultiEGSInstance, SunicInstance, branch_type,
                       evaluate_word, has_csp, is_fabrykowski_gupta, is_ggs,
                       is_torsion, r_dot)
+from .context import (FamilyMember, GroupContext, SplitMix64, branch_gamma,
+                      branch_subgroup, random_word)
 from .engine import (ResourceGuardError, Subgroup, commutator_subgroup, extend,
                      first_missing_embedding, group_of, is_regular_branch_over,
                      is_subdirect_in_product, is_super_strongly_fractal, join,
                      min_generators, normal_closure, powers_of,
                      sections_within)
-from .gmodules import (compute_rm, first_non_normal_layer, layer_preimage,
-                       submodule_closure, tuple_from_rank, uniserial_chain,
-                       vj_basis, wm_module)
-from .trees import Portrait, assemble, commutator, vertex_from_local_index
+from .gmodules import (compute_rm, first_non_normal_layer, uniserial_chain,
+                       wm_module)
+from .reports import Verdict, VerificationReport, non_membership, skipped
+from .trees import Portrait, assemble, vertex_from_local_index
 
-# -- deterministic rng -------------------------------------------------------
-
-_MASK = (1 << 64) - 1
-
-
-class SplitMix64:
-    """The standard 64-bit mix-and-shift generator; fully portable."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
-
-    def below(self, n: int) -> int:
-        return self.next() % n
-
-
-# -- reports ------------------------------------------------------------------
-
-
-@dataclass
-class VerificationReport:
-    name: str
-    depth: int
-    status: str                    # pass | fail | skipped
-    one_sided: bool = False
-    details: dict = field(default_factory=dict)
-    witness: dict | None = None
-    millis: int = 0
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "one_sided": self.one_sided, "details": self.details,
-                "witness": self.witness, "millis": self.millis}
-
-
-def _skip(name, depth, reason, witness=None,
-          **details) -> VerificationReport:
-    return VerificationReport(name, depth, "skipped",
-                              details={"reason": reason, **details},
-                              witness=witness)
-
-
-class _Verdict:
-    """Details, status and witness of one check, filled clause by clause.
-
-    A failing clause fails the check; the witness is the one of the first
-    failing clause that offers one, built only then (witness is a
-    zero-argument callable).
-    """
-
-    def __init__(self, **details):
-        self.details = details
-        self.status = "pass"
-        self.witness: dict | None = None
-
-    def record(self, key: str, ok: bool, text=None,
-               witness: Callable[[], dict] | None = None,
-               table: str | None = None) -> bool:
-        """Write the clause outcome (text, default "pass"/"fail") under key,
-        in the sub-table `table` if given; returns ok."""
-        target = self.details if table is None else self.details[table]
-        target[key] = text if text is not None else ("pass" if ok else "fail")
-        if not ok:
-            self.status = "fail"
-            if self.witness is None and witness is not None:
-                self.witness = witness()
-        return ok
-
-    def report(self, name: str, n: int, one_sided: bool) -> VerificationReport:
-        return VerificationReport(name, n, self.status,
-                                  one_sided=one_sided, details=self.details,
-                                  witness=self.witness)
-
-
-def _non_membership(sub: Subgroup, elem: Portrait | None, **extra) -> dict:
-    """The witness `oracle replay` re-checks: elem is not in sub."""
-    return {"kind": "non-membership", **extra,
-            "element": None if elem is None else elem.digits(),
-            "subgroup_gens": [x.digits() for x in sub.gens]}
-
-
-# -- group context ------------------------------------------------------------
-
-# Members of the normal family that effective-csp and width-rank test.
-FAMILY_SIZE = 20
 # Sampled St(m) elements per level in fg-lemma clause (b).
 FG_LINK_SAMPLES = 3
 
 
-class GroupContext:
-    """Shared cache of quotients, commutator subgroups and series for one
-    instance."""
-
-    def __init__(self, inst):
-        self.inst = inst
-        self._quotients: dict[int, Subgroup] = {}
-        self._commutators: dict[tuple[Subgroup, Subgroup, int], Subgroup] = {}
-        self._families: dict[tuple[int, int], list] = {}
-        self._sunic_k: dict[int, Subgroup] = {}
-        self._n_g: dict[int, int | None] = {}
-
-    @property
-    def p(self) -> int:
-        return self.inst.p
-
-    def quotient(self, n: int) -> Subgroup:
-        if n not in self._quotients:
-            self._quotients[n] = group_of(self.inst, n)
-        return self._quotients[n]
-
-    def commutator(self, a: Subgroup, b: Subgroup, n: int) -> Subgroup:
-        """[A, B] in the depth-n quotient, memoised on the operand objects:
-        every series term and every [N, G] is built here, once."""
-        key = (a, b, n)
-        if key not in self._commutators:
-            self._commutators[key] = commutator_subgroup(a, b, self.quotient(n))
-        return self._commutators[key]
-
-    def derived(self, n: int, order: int = 1) -> Subgroup:
-        """The order-th derived subgroup G^(order) of the depth-n quotient."""
-        h = self.quotient(n)
-        for _ in range(order):
-            h = self.commutator(h, h, n)
-        return h
-
-    def gamma(self, k: int, n: int) -> Subgroup:
-        """k-th lower central term of the depth-n quotient."""
-        g = term = self.quotient(n)
-        for _ in range(k - 1):
-            term = self.commutator(term, g, n)
-        return term
-
-    def branch_derived(self, n: int) -> Subgroup | None:
-        """K' for the branching subgroup K at depth n (None if not branch)."""
-        k = branch_subgroup(self, n)
-        return None if k is None else self.commutator(k, k, n)
-
-    def sunic_k(self, n: int) -> Subgroup:
-        """K = <[a,b_2],...,[a,b_r]>^G for Sunic groups on the binary tree."""
-        if n not in self._sunic_k:
-            gens = self.inst.generators(n)
-            seeds = [commutator(gens[0], b) for b in gens[2:]]
-            self._sunic_k[n] = normal_closure(seeds, self.quotient(n))
-        return self._sunic_k[n]
-
-    def n_g(self, n: int) -> int | None:
-        """Least n' with <a, b_1, ..., b_{r-1}> inside the section of
-        st_K(2...2) at the vertex 2...2 of level n' (p = 2 Sunic groups);
-        quotient-level, hence one-sided."""
-        if n not in self._n_g:
-            k = self.sunic_k(n)
-            self._n_g[n] = None
-            for cand in range(1, n - 1):
-                sec = k.section_subgroup((2,) * cand)
-                targets = self.inst.generators(n - cand)[:self.inst.r]  # a, b_1..b_{r-1}
-                if sec.first_non_member(targets) is None:
-                    self._n_g[n] = cand
-                    break
-        return self._n_g[n]
-
-    def normal_family(self, n: int, seed: int) -> list["FamilyMember"]:
-        key = (n, seed)
-        if key not in self._families:
-            self._families[key] = _build_normal_family(self, n, seed)
-        return self._families[key]
-
-
-class FamilyMember:
-    """A verified-normal subgroup of G_n."""
-
-    def __init__(self, name: str, subgroup: Subgroup):
-        self.name = name
-        self.subgroup = subgroup
-
-    def ng(self, ctx: GroupContext, n: int) -> Subgroup:
-        """[N, G] (for the members G and gamma_k this is G' and gamma_k+1)."""
-        return ctx.commutator(self.subgroup, ctx.quotient(n), n)
-
-
-def _random_word(rng: SplitMix64, gens: list[Portrait], length: int) -> Portrait:
-    p, depth = gens[0].p, gens[0].depth
-    out = Portrait.identity(p, depth)
-    for _ in range(length):
-        g = gens[rng.below(len(gens))]
-        if rng.below(2):
-            g = g.inverse()
-        out = out * g
-    return out
-
-
-def _build_normal_family(ctx: GroupContext, n: int,
-                         seed: int) -> list[FamilyMember]:
-    g = ctx.quotient(n)
-    members: list[FamilyMember] = [FamilyMember("G", g)]
-    for m in range(1, n):
-        members.append(FamilyMember(f"St({m})", g.stabilizer(m)))
-    for k in (2, 3, 4):
-        gam = ctx.gamma(k, n)
-        if not gam.is_trivial():
-            members.append(FamilyMember(f"gamma{k}", gam))
-    for order in (2, 3):
-        d = ctx.derived(n, order)
-        if not d.is_trivial():
-            members.append(FamilyMember("G" + "'" * order, d))
-    # chain-layer preimages: one mid-chain layer per level (only when the
-    # candidate subspace is action-invariant and inside the actual image)
-    for m in range(1, n):
-        u = g.image_in_wm(m)
-        if u.dim >= 2:
-            mid = tuple_from_rank(max(u.dim // 2 - 1, 0), ctx.p, m)
-            sub = vj_basis(ctx.p, mid)
-            if (u.contains(sub)
-                    and submodule_closure(sub, wm_module(ctx.inst, m)) == sub):
-                members.append(FamilyMember(
-                    f"N_{m}.{sub.dim}", layer_preimage(g, m, sub)))
-    rng = SplitMix64(seed)
-    gens = g.gens
-    previous: Portrait | None = None
-    while len(members) < FAMILY_SIZE:
-        w = _random_word(rng, gens, 4 + rng.below(5))
-        if w.is_identity():
-            continue
-        idx = len(members)
-        members.append(FamilyMember(
-            f"ncl{idx}", normal_closure([w], g)))
-        if previous is not None and len(members) < FAMILY_SIZE:
-            prod = previous * w
-            if not prod.is_identity():
-                members.append(FamilyMember(
-                    f"ncl{idx}x", normal_closure([prod], g)))
-        previous = w
-    for mem in members:
-        if not mem.subgroup.is_normal_in(g):
-            raise AssertionError(f"family member {mem.name} not normal")
-    return members
-
-
 # -- classification helpers ----------------------------------------------------
-
-
-def _branch_gamma(inst) -> int | None:
-    """k with the group regular branch over gamma_k (gamma_2 = G'), or None
-    when it is not regular branch over a lower central term."""
-    if isinstance(inst, SunicInstance):
-        return 2 if inst.p % 2 else None
-    return {BranchType.OVER_DERIVED: 2,
-            BranchType.OVER_GAMMA3: 3}.get(branch_type(inst))
 
 
 def csp_offset(inst, n_g: int | None = None) -> tuple[int | None, str]:
@@ -298,7 +51,7 @@ def csp_offset(inst, n_g: int | None = None) -> tuple[int | None, str]:
                 return None, "n_G required for p=2"
             return inst.r + n_g + 3, "sunic p=2: r+n_G+3"
         return inst.r + 3, "sunic odd p: r+3"
-    k = _branch_gamma(inst)
+    k = branch_gamma(inst)
     if k == 2:
         if is_fabrykowski_gupta(inst):
             return 2, "fabrykowski-gupta: 2"
@@ -326,15 +79,6 @@ def _family_offset(ctx: GroupContext,
     return offset, rule, n_g
 
 
-def branch_subgroup(ctx: GroupContext, n: int) -> Subgroup | None:
-    """The subgroup K the group regular-branches over, in the depth-n quotient."""
-    inst = ctx.inst
-    if isinstance(inst, SunicInstance) and inst.p == 2:
-        return ctx.sunic_k(n) if inst.is_regular_branch() else None
-    k = _branch_gamma(inst)
-    return None if k is None else ctx.gamma(k, n)
-
-
 def _embedding(k: Subgroup, level: int, ng: Subgroup,
                trivial_text: str) -> tuple[str, tuple[int, Portrait] | None]:
     """The clause psi_level^{-1}(K x ... x K) <= [N, G]: its text and the
@@ -348,6 +92,15 @@ def _embedding(k: Subgroup, level: int, ng: Subgroup,
 # -- individual checks ----------------------------------------------------------
 
 
+def _ng_witness(mem: FamilyMember, g: Subgroup, elem: Portrait,
+                **extra) -> dict:
+    """The witness that elem is not in the member's [N, G], printing the
+    generators of [N, G] closed from scratch, whichever path built the
+    [N, G] that was tested."""
+    return non_membership(commutator_subgroup(mem.subgroup, g, g), elem,
+                          **extra)
+
+
 def verify_effective_csp(ctx: GroupContext, n: int,
                          seed: int) -> VerificationReport:
     """St(m + d) <= [N, G] over a family of normal subgroups (Thm 1.1 shape,
@@ -355,11 +108,11 @@ def verify_effective_csp(ctx: GroupContext, n: int,
     psi_{m+1}^{-1}(K' x ... x K') <= [N, G]."""
     offset, offset_label, _ = _family_offset(ctx, n)
     if offset is None:
-        return _skip("effective-csp", n, offset_label)
+        return skipped("effective-csp", n, offset_label)
     g = ctx.quotient(n)
     members = ctx.normal_family(n, seed)
-    v = _Verdict(offset=offset, offset_rule=offset_label,
-                 family_size=len(members), members={})
+    v = Verdict(offset=offset, offset_rule=offset_label,
+                family_size=len(members), members={})
     for mem in members:
         if mem.subgroup.is_trivial():
             v.record(mem.name, True, "skipped: trivial", table="members")
@@ -378,8 +131,9 @@ def verify_effective_csp(ctx: GroupContext, n: int,
         if not v.record(
                 mem.name, missing is None,
                 f"{'pass' if missing is None else 'fail'}: m={m}",
-                witness=lambda: _non_membership(ng, missing[1], member=mem.name,
-                                                m=m, offset=offset),
+                witness=lambda: _ng_witness(mem, g, missing[1],
+                                            member=mem.name, m=m,
+                                            offset=offset),
                 table="members"):
             break
         kprime = ctx.branch_derived(n - m - 1) if m + 1 < n else None
@@ -390,8 +144,8 @@ def verify_effective_csp(ctx: GroupContext, n: int,
         name = mem.name + "/K'-fallback"
         v.record(name, miss is None,
                  text if miss is None else f"fail at coordinate {miss[0]}",
-                 witness=lambda: _non_membership(ng, miss[1], member=name,
-                                                 coordinate=miss[0]),
+                 witness=lambda: _ng_witness(mem, g, miss[1], member=name,
+                                             coordinate=miss[0]),
                  table="members")
     return v.report("effective-csp", n, one_sided=True)
 
@@ -401,12 +155,12 @@ def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport
     for the two regular-branch cases."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return _skip("branching", n, "multi-EGS groups only")
-    k = _branch_gamma(inst)
+        return skipped("branching", n, "multi-EGS groups only")
+    k = branch_gamma(inst)
     if k is None:
-        return _skip("branching", n,
-                     f"branch type {branch_type(inst).value}")
-    v = _Verdict(gamma=k + 1, members={})
+        return skipped("branching", n,
+                       f"branch type {branch_type(inst).value}")
+    v = Verdict(gamma=k + 1, members={})
     for mem in ctx.normal_family(n, seed):
         if mem.name not in ("G", "St(1)"):
             continue
@@ -431,13 +185,13 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
     psi_m([N,G])."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance) or not is_ggs(inst):
-        return _skip("ggs-strong", n, "GGS groups only")
-    k = _branch_gamma(inst)
+        return skipped("ggs-strong", n, "GGS groups only")
+    k = branch_gamma(inst)
     if k is None:
-        return _skip("ggs-strong", n,
-                     f"branch type {branch_type(inst).value}")
+        return skipped("ggs-strong", n,
+                       f"branch type {branch_type(inst).value}")
     label = {2: "G''", 3: "gamma3'"}[k]
-    v = _Verdict(inner=label, members={})
+    v = Verdict(inner=label, members={})
     for mem in ctx.normal_family(n, seed):
         if mem.subgroup.is_trivial() or mem.name.startswith("ncl"):
             continue
@@ -465,16 +219,16 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
     """
     inst = ctx.inst
     if not (isinstance(inst, MultiEGSInstance) and is_fabrykowski_gupta(inst)):
-        return _skip("fg-lemma", n, "Fabrykowski-Gupta preset only")
+        return skipped("fg-lemma", n, "Fabrykowski-Gupta preset only")
     g = ctx.quotient(n)
-    v = _Verdict()
+    v = Verdict()
     for m in range(2, n):
         st = g.stabilizer(m)
         dm = ctx.derived(n, m)
 
         def a1_witness():
             missing = dm.first_non_member(st.gens)
-            return _non_membership(
+            return non_membership(
                 dm, None if missing is None else missing[1],
                 clause=f"G^({m})=St({m})", derived_exponent=dm.order_exponent,
                 stab_exponent=st.order_exponent)
@@ -489,7 +243,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
         st_gens = g.stabilizer(m).gens
         if not st_gens:
             continue
-        samples = [_random_word(rng, st_gens, 2 + rng.below(3))
+        samples = [random_word(rng, st_gens, 2 + rng.below(3))
                    for _ in range(FG_LINK_SAMPLES)]
         bad = [x for x in samples if not _coordinate_link_holds(ctx, n, m, x)]
         v.record(f"b:coordinate-link m={m}", not bad,
@@ -540,7 +294,7 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
     inst = ctx.inst
     g = ctx.quotient(n)
     levels = range(1, n)
-    v = _Verdict()
+    v = Verdict()
     tvals = {}
     for m in levels:
         mod = wm_module(inst, m)
@@ -563,7 +317,7 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
                  first_non_normal_layer(g, m, chain) is None)
     # closed forms and the two index inequalities
     if (isinstance(inst, MultiEGSInstance) and is_ggs(inst)
-            and not is_torsion(inst) and _branch_gamma(inst) == 2):
+            and not is_torsion(inst) and branch_gamma(inst) == 2):
         p = ctx.p
         ok = all(tvals[m] == (p if m == 1 else (p - 1) * p**(m - 1))
                  for m in levels)
@@ -580,10 +334,10 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
     v.details["t"] = {str(m): tvals[m] for m in levels}
     v.details["characteristic"] = "assumed, not checked (out of scope)"
     if not _chain_hypothesis(inst):
-        return _skip("chain", n, "outside the chain-theorem hypothesis "
-                                       "(needs a directed generator with nonzero "
-                                       "vector sum, or a Sunic group)",
-                     witness=v.witness, informational=v.details)
+        return skipped("chain", n, "outside the chain-theorem hypothesis "
+                       "(needs a directed generator with nonzero vector "
+                       "sum, or a Sunic group)",
+                       witness=v.witness, informational=v.details)
     return v.report("chain", n, one_sided=False)
 
 
@@ -599,13 +353,13 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
     against the family-specific bound; FG additionally attains width 2."""
     inst = ctx.inst
     if isinstance(inst, MultiEGSInstance) and is_torsion(inst):
-        return _skip("width-rank", n,
-                     "torsion multi-EGS outside the width corollary")
+        return skipped("width-rank", n,
+                       "torsion multi-EGS outside the width corollary")
     bound, rule, n_g = _family_offset(ctx, n)
     if bound is None:
-        return _skip("width-rank", n, rule)
+        return skipped("width-rank", n, rule)
     g = ctx.quotient(n)
-    v = _Verdict(bound=bound, rule=rule, members={})
+    v = Verdict(bound=bound, rule=rule, members={})
     for mem in ctx.normal_family(n, seed):
         sub = mem.subgroup
         if sub.is_trivial():
@@ -637,19 +391,19 @@ def verify_congruence_equiv(ctx: GroupContext, n: int,
     same congruence quotients (mutual containment of generator images)."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return _skip("congruence-equiv", n, "multi-EGS groups only")
-    if _branch_gamma(inst) != 2:
-        return _skip("congruence-equiv", n,
-                     "requires regular branch over the derived subgroup")
+        return skipped("congruence-equiv", n, "multi-EGS groups only")
+    if branch_gamma(inst) != 2:
+        return skipped("congruence-equiv", n,
+                       "requires regular branch over the derived subgroup")
     vecs = [tuple(int(x) for x in row) for row in inst.concatenated_vectors()]
     if r_dot(inst) != len(vecs):
-        return _skip("congruence-equiv", n,
-                     "concatenated system dependent; companion multi-GGS "
-                     "group is not defined")
+        return skipped("congruence-equiv", n,
+                       "concatenated system dependent; companion multi-GGS "
+                       "group is not defined")
     h_inst = catalog.make_multi_ggs(ctx.p, vecs)
     g = ctx.quotient(n)
     h = group_of(h_inst, n)
-    v = _Verdict(companion=h_inst.spec_dict())
+    v = Verdict(companion=h_inst.spec_dict())
     v.record("orders", g.is_subgroup_of(h) and h.is_subgroup_of(g),
              [g.order_exponent, h.order_exponent], witness=lambda: v.details)
     return v.report("congruence-equiv", n, one_sided=False)
@@ -667,10 +421,10 @@ def verify_appb(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
     B <= gamma_3 St(k), and the congruence completion needs 3 generators."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance) or catalog.appb_shape(inst) is None:
-        return _skip("appb", n, "requires the multi-ray single-vector "
-                                      "symmetric non-constant shape")
+        return skipped("appb", n, "requires the multi-ray single-vector "
+                       "symmetric non-constant shape")
     words = catalog.appb_d_words(inst)
-    v = _Verdict(d_word_count=len(words))
+    v = Verdict(d_word_count=len(words))
     g = ctx.quotient(n)
     gam3 = ctx.gamma(3, n)
     b_sub = join(_appb_d(ctx, words, n), gam3)
@@ -700,11 +454,11 @@ def verify_sunic_suite(ctx: GroupContext, n: int,
     fractality, the R_m pattern, n_G and the stabilizer inclusions."""
     inst = ctx.inst
     if not isinstance(inst, SunicInstance):
-        return _skip("sunic", n, "Sunic groups only")
+        return skipped("sunic", n, "Sunic groups only")
     if not inst.is_regular_branch():
-        return _skip("sunic", n,
-                     "(p,r)=(2,1) is infinite dihedral, not regular branch")
-    v = _Verdict()
+        return skipped("sunic", n,
+                       "(p,r)=(2,1) is infinite dihedral, not regular branch")
+    v = Verdict()
     p, r = inst.p, inst.r
     g = ctx.quotient(n)
     # regular branch over K
@@ -758,16 +512,16 @@ def verify_generator_counts(ctx: GroupContext, n: int,
     derived subgroup."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return _skip("generator-count", n, "multi-EGS groups only")
-    if _branch_gamma(inst) != 2:
-        return _skip("generator-count", n,
-                     "requires regular branch over the derived subgroup")
+        return skipped("generator-count", n, "multi-EGS groups only")
+    if branch_gamma(inst) != 2:
+        return skipped("generator-count", n,
+                       "requires regular branch over the derived subgroup")
     rd = r_dot(inst)
     if n < rd + 1:
-        return _skip("generator-count", n,
-                     f"needs depth >= rdot+1 = {rd + 1}")
+        return skipped("generator-count", n,
+                       f"needs depth >= rdot+1 = {rd + 1}")
     d = min_generators(ctx.quotient(n))
-    v = _Verdict(rdot=rd, expected=1 + rd)
+    v = Verdict(rdot=rd, expected=1 + rd)
     v.record("min_generators", d == 1 + rd, d,
              witness=lambda: {"min_generators": d, "expected": 1 + rd})
     return v.report("generator-count", n, one_sided=False)
@@ -780,14 +534,14 @@ def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
     gi, hi = ctx_g.inst, ctx_h.inst
     for inst in (gi, hi):
         if not (isinstance(inst, MultiEGSInstance)
-                and _branch_gamma(inst) == 2 and has_csp(inst)):
-            return _skip("profinite-pair", 0,
-                         "both groups must branch over the derived subgroup "
-                         "and have the congruence subgroup property")
+                and branch_gamma(inst) == 2 and has_csp(inst)):
+            return skipped("profinite-pair", 0,
+                           "both groups must branch over the derived subgroup "
+                           "and have the congruence subgroup property")
     rg, rh = r_dot(gi), r_dot(hi)
     dg = min_generators(ctx_g.quotient(rg + 1))
     dh = min_generators(ctx_h.quotient(rh + 1))
-    v = _Verdict(rank_G=dg)
+    v = Verdict(rank_G=dg)
     v.record("rank_H", dg == 1 + rg and dh == 1 + rh and dg != dh, dh,
              witness=lambda: dict(v.details))
     return VerificationReport("profinite-pair", max(rg, rh) + 1, v.status,
@@ -827,7 +581,7 @@ def run_check(ctx: GroupContext, name: str, depth: int | None = None,
     try:
         report = check(ctx, n, seed)
     except ResourceGuardError as exc:
-        report = _skip(name, n, f"resource guard: {exc}")
+        report = skipped(name, n, f"resource guard: {exc}")
     if timings:
         report.millis = int((time.perf_counter() - t0) * 1000)
     return report

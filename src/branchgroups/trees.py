@@ -358,13 +358,6 @@ class Portrait:
         upper = self.perm[t.label_slice(m - 1)] - t.label_off[m - 1]
         return _next_level(t, self.lab, upper, m - 1)
 
-    def label_at(self, v) -> int:
-        v = parse_vertex(v)
-        if len(v) >= self.depth:
-            raise ValueError("no label stored at this level")
-        t = self.tables
-        return int(self.lab[t.label_off[len(v)] + vertex_local_index(v, self.p)])
-
     def level_labels(self, m: int) -> np.ndarray:
         """Label exponents at the level-m vertices, lex order."""
         if not 0 <= m < self.depth:
@@ -406,16 +399,6 @@ class Portrait:
             return Portrait.identity(self.p, 0)
         return Portrait.from_labels(self.p, self.depth - len(v),
                                     np.concatenate(pieces))
-
-    def truncate(self, depth: int) -> "Portrait":
-        """Quotient map onto the depth-d truncated tree (d <= self.depth)."""
-        if depth > self.depth:
-            raise ValueError("cannot truncate to a greater depth")
-        if depth == self.depth:
-            return self
-        td = _Tables(self.p, depth)
-        return Portrait(self.p, depth, self.lab[:td.nlabels].copy(),
-                        self.perm[:td.nlabels].copy())
 
 
 def rooted_a(p: int, depth: int) -> Portrait:

@@ -1,7 +1,7 @@
 import pytest
 
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki, preset
-from branchgroups.suite import GroupContext
+from branchgroups.context import GroupContext
 
 
 @pytest.fixture(scope="session")

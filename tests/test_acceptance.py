@@ -18,16 +18,17 @@ import pytest
 
 from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
                                   make_multi_ggs, make_sunic, preset)
+from branchgroups.context import GroupContext
 from branchgroups.engine import (Subgroup, commutator_subgroup, group_of,
                                  is_regular_branch_over,
                                  is_super_strongly_fractal, min_generators,
                                  normal_closure, psi_preimage_gens)
 from branchgroups.gmodules import (canonical_generator_vec, compute_rm,
-                                   layer_preimage, rm_tuples, uniserial_chain,
-                                   vj_basis, wm_module)
+                                   layer_preimage, tuple_from_rank,
+                                   uniserial_chain, vj_basis, wm_module)
 from branchgroups.oracle import (bfs_enumerate, brute_normal_between,
                                  brute_submodules)
-from branchgroups.suite import GroupContext, run_check
+from branchgroups.suite import run_check
 from branchgroups.trees import rooted_a
 
 SEED = 20260809
@@ -110,18 +111,26 @@ def test_criterion_3_submodule_census():
             assert s.contains_vector(canonical_generator_vec(3, j))
 
 
+def rm_members(rm: dict, p: int, m: int) -> list[tuple]:
+    """R_m of a compute_rm result that matches a chain prefix: the index
+    tuples from (1,...,1) up to j_max, in lexicographic order."""
+    members = [tuple_from_rank(r, p, m) for r in range(rm["t"])]
+    assert members[-1:] == [rm["j_max"]][:len(members)]
+    return members
+
+
 def test_criterion_4_rm_values():
     with criterion(4, 60, "R_m prefixes for p=3 and the three-generator p=5 group"):
         g = ctx_for("fg3").quotient(4)
         r1, r2 = compute_rm(g, 1), compute_rm(g, 2)
-        assert r1["match"] and rm_tuples(r1["j_max"], 3) == [(1,), (2,), (3,)]
+        assert r1["match"] and rm_members(r1, 3, 1) == [(1,), (2,), (3,)]
         assert r2["match"]
-        assert set(rm_tuples(r2["j_max"], 3)) == {(i, j) for i in (1, 2)
-                                                  for j in (1, 2, 3)}
+        assert set(rm_members(r2, 3, 2)) == {(i, j) for i in (1, 2)
+                                             for j in (1, 2, 3)}
         rg = ctx_for("remark-group").quotient(3)
         rr = compute_rm(rg, 2)
         assert rr["match"] and rr["t"] == 24
-        members = set(rm_tuples(rr["j_max"], 5))
+        members = set(rm_members(rr, 5, 2))
         assert members == set(itertools.product(range(1, 6), repeat=2)) - {(5, 5)}
 
 

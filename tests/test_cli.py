@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from branchgroups import oracle
 from branchgroups.catalog import fabrykowski_gupta, preset
 from branchgroups.cli import (EXIT_FAIL, EXIT_GUARD, EXIT_PASS, EXIT_USAGE,
                               SpecError, instance_from_dict, run)
@@ -79,6 +80,39 @@ def test_report_byte_identical(tmp_path):
         run(["verify", "width-rank", "--preset", "fg3", "--depth", "3",
              "--seed", "11", "--json", str(path)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_report_file_and_stdout_hold_the_same_bytes(tmp_path, capsys):
+    # one report, streamed to stdout, to verify's --json file and to the
+    # file of the report command
+    argv = ["--preset", "fg3", "--depth", "3", "--seed", "2"]
+    run(["verify", "all", *argv])
+    out = capsys.readouterr().out
+    verify_file, report_file = tmp_path / "v.json", tmp_path / "r.json"
+    run(["verify", "all", *argv, "--json", str(verify_file)])
+    run(["report", *argv, "--json", str(report_file)])
+    assert out.endswith("}\n")
+    assert verify_file.read_text(encoding="utf-8") == out
+    assert report_file.read_text(encoding="utf-8") == out
+
+
+def test_oracle_normal_between_pulls_every_subspace_back(monkeypatch,
+                                                         capsys):
+    # the printed dims are the orders of the pulled-back subgroups over
+    # St(m+1), one per invariant subspace
+    pulled = []
+    preimage = oracle.layer_preimage
+
+    def spy(g, m, space):
+        pulled.append(space.dim)
+        return preimage(g, m, space)
+
+    monkeypatch.setattr(oracle, "layer_preimage", spy)
+    assert run(["oracle", "normal-between", "--preset", "gs3",
+                "--level", "2"]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dims"] == sorted(pulled) == [0, 1, 2, 3, 3, 3, 3, 4]
+    assert payload["subgroup_count"] == len(pulled)
 
 
 def test_oracle_bfs(capsys):

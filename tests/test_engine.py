@@ -595,7 +595,7 @@ def test_st_rplus1_in_derived(fg3_ctx):
 def test_st_rplus1_in_derived_two_rays():
     # the same inclusion for an independent two-vector system: St(3) <= G'
     from branchgroups.catalog import make_multi_ggs
-    from branchgroups.suite import GroupContext
+    from branchgroups.context import GroupContext
     ctx = GroupContext(make_multi_ggs(3, [(1, 0), (0, 1)]))
     g = ctx.quotient(4)
     assert g.stabilizer(3).is_subgroup_of(ctx.derived(4))
@@ -611,7 +611,7 @@ def test_fg_regular_branch_over_derived(fg3_ctx):
 
 
 def test_symmetric_p5_not_branch_over_derived():
-    from branchgroups.suite import GroupContext
+    from branchgroups.context import GroupContext
     ctx = GroupContext(make_ggs(5, (0, 1, 1, 0)))
     g3, g2 = ctx.quotient(3), ctx.quotient(2)
     derived3, derived2 = ctx.derived(3), ctx.derived(2)

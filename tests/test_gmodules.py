@@ -10,10 +10,25 @@ from branchgroups.gmodules import (GModule, _a_nilpotent_power,
                                    is_sentinel,
                                    iterated_twisted_sum, layer_preimage,
                                    layer_representatives, predecessor,
-                                   rm_tuples, submodule_closure, tuple_from_rank,
-                                   tuple_rank, uniserial_chain, vj_basis,
-                                   wm_module)
+                                   submodule_closure, tuple_from_rank,
+                                   uniserial_chain, vj_basis, wm_module)
 from branchgroups.linalg import FpSubspace, full_space
+
+
+def tuple_rank(j, p):
+    """Lexicographic rank; (1,...,1) has rank 0, the sentinel rank -1."""
+    if is_sentinel(j):
+        return -1
+    m = len(j)
+    return sum((x - 1) * p**(m - 1 - k) for k, x in enumerate(j))
+
+
+def rm_tuples(j_max, p):
+    """All members of R_m when it matches a chain prefix (small m only)."""
+    if is_sentinel(j_max):
+        return []
+    m = len(j_max)
+    return [tuple_from_rank(r, p, m) for r in range(tuple_rank(j_max, p) + 1)]
 
 
 # -- index tuples ------------------------------------------------------------

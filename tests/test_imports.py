@@ -1,17 +1,19 @@
-"""Every module-level import in the package is used, so is every private
-helper, and every optional parameter is passed by some call.
+"""Every module-level import in the package is used, so is every helper,
+and every optional parameter is passed by some call.
 
 No linter ships with the package, so these tests walk each module's syntax
 tree with the standard library's ast: a name bound by a module-level
 import must be read somewhere in the module (every module has `from
 __future__ import annotations`, so annotations count as reads).  Package
 __init__ files, which re-export, and `from __future__` are skipped.  A
-private (`_name`, not dunder) module-level function or class, or method,
-must be referenced by name or attribute somewhere in the package.  A
-parameter with a default, in any function or method of the package, must
-be passed by keyword or by position in some call in the package or the
-tests; calls are matched by the called name, a class name to its
-__init__, and a call with *args or **kwargs passes everything.
+module-level function or class, or a method, that is not a dunder must be
+referenced by name or attribute somewhere in the package; a public one
+may instead be re-exported from __init__ or wrapped by the benchmark's
+tracer (perfbench/tracer.py), which times it by name.  A parameter with a
+default, in any function or method of the package, must be passed by
+keyword or by position in some call in the package or the tests; calls
+are matched by the called name, a class name to its __init__, and a call
+with *args or **kwargs passes everything.
 """
 
 import ast
@@ -21,6 +23,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "branchgroups"
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,9 +42,28 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def orphan_helpers(sources: dict[str, str]) -> list[str]:
-    """The private module-level functions and classes and private methods
-    defined in sources (module name -> text) that no module references."""
+def exported_names(init_source: str) -> set[str]:
+    """The names a package __init__ imports from its modules."""
+    return {alias.asname or alias.name
+            for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def traced_names(tracer_source: str) -> set[str]:
+    """The function and method names in the tracer's TARGETS entries
+    (layer, qualified name, kind)."""
+    tree = ast.parse(tracer_source)
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    return {entry.elts[1].value.rsplit(".", 1)[-1] for entry in targets.elts}
+
+
+def orphan_helpers(sources: dict[str, str], kept: set[str]) -> list[str]:
+    """The module-level functions and classes and the methods defined in
+    sources (module name -> text), dunders aside, that no module
+    references; a public one (no leading underscore) also counts as used
+    when its name is in kept."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     used = set()
     for tree in trees.values():
@@ -56,10 +78,10 @@ def orphan_helpers(sources: dict[str, str]) -> list[str]:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for d in [node, *members]:
                 if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
-                        and d.name.startswith("_")
                         and not (d.name.startswith("__")
                                  and d.name.endswith("__"))
-                        and d.name not in used):
+                        and d.name not in used
+                        and (d.name.startswith("_") or d.name not in kept)):
                     orphans.append(f"{module}:{d.name} (line {d.lineno})")
     return orphans
 
@@ -80,10 +102,12 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(src) == ["np (line 2)"]
 
 
-def test_no_orphan_private_helpers():
+def test_no_orphan_helpers():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))}
-    assert orphan_helpers(sources) == []
+    kept = (exported_names(sources["__init__.py"])
+            | traced_names(TRACER.read_text(encoding="utf-8")))
+    assert orphan_helpers(sources, kept) == []
 
 
 def test_the_guard_sees_an_orphan_helper():
@@ -94,8 +118,28 @@ def test_the_guard_sees_an_orphan_helper():
            "    def _lone(self):\n        pass\n"
            "    def _called(self):\n        pass\n"
            "_Kept()._called()\n")
-    assert orphan_helpers({"m.py": src}) == ["m.py:_orphan (line 3)",
-                                             "m.py:_lone (line 8)"]
+    assert orphan_helpers({"m.py": src}, set()) == ["m.py:_orphan (line 3)",
+                                                    "m.py:_lone (line 8)"]
+
+
+def test_the_guard_sees_an_unused_public_name():
+    # public names count as used when kept (re-exported or traced), never
+    # a private one
+    src = ("def used():\n    pass\n"
+           "def exported():\n    pass\n"
+           "def lone():\n    pass\n"
+           "def _private():\n    pass\n"
+           "class Box:\n"
+           "    def method(self):\n        pass\n"
+           "    def traced(self):\n        pass\n"
+           "used()\n")
+    kept = (exported_names("from .m import exported, Box\n")
+            | traced_names('TARGETS = [("m", "Box.traced", "node"),\n'
+                           '           ("m", "_private", "node")]\n'))
+    assert kept == {"exported", "Box", "traced", "_private"}
+    assert orphan_helpers({"m.py": src}, kept) == [
+        "m.py:lone (line 5)", "m.py:_private (line 7)",
+        "m.py:method (line 10)"]
 
 
 def _optional_params(tree: ast.Module) -> list[tuple[str, int, str, int]]:

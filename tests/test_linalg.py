@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchgroups.linalg import (Echelon, FpSubspace, full_space, matrix_rank,
-                                 rref, zero_subspace)
+                                 rref)
 
 
 def reference_rref(rows, p):
@@ -81,7 +81,7 @@ def test_sum_and_containment():
 
 
 def test_zero_and_full():
-    z = zero_subspace(3, 4)
+    z = FpSubspace(3, 4)
     f = full_space(3, 4)
     assert z.dim == 0 and f.dim == 4
     assert f.contains(z)
@@ -107,7 +107,7 @@ def test_insertion_matches_reference_rref(case):
     p, mat = case
     ref_rows, ref_pivots = reference_rref(mat, p)
     ech = Echelon(p, mat.shape[1])
-    space = zero_subspace(p, mat.shape[1])
+    space = FpSubspace(p, mat.shape[1])
     for row in mat:
         ech.add(row)
         space = space.with_vectors(row)

@@ -6,10 +6,11 @@ from branchgroups import engine, suite
 from branchgroups.catalog import (fabrykowski_gupta, make_ggs, make_multi_egs,
                                   make_multi_ggs, make_sunic, preset)
 from branchgroups.cli import EXIT_GUARD, run
+from branchgroups.context import GroupContext, SplitMix64, branch_subgroup
 from branchgroups.gmodules import tuple_from_rank, vj_basis
-from branchgroups.suite import (GroupContext, SplitMix64, _Verdict,
-                                branch_subgroup, csp_offset, run_all,
-                                run_check, verify_profinite_distinction)
+from branchgroups.reports import Verdict
+from branchgroups.suite import (csp_offset, run_all, run_check,
+                                verify_profinite_distinction)
 
 
 def report_json(report):
@@ -77,6 +78,60 @@ def test_commutator_terms_built_once(fg3_ctx):
     assert members["gamma2"].ng(fg3_ctx, 3) is fg3_ctx.gamma(3, 3)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 5),
+                                        ("appb-p5", 3)])
+def test_member_ng_matches_from_scratch_referee(name, depth, seed):
+    # after a whole run, so members extend what the checks built first
+    ctx = GroupContext(preset(name))
+    run_all(ctx, depth=depth, seed=seed)
+    g = ctx.quotient(depth)
+    for mem in ctx.normal_family(depth, seed):
+        ng = mem.ng(ctx, depth)
+        ref = engine.commutator_subgroup(mem.subgroup, g, g)
+        assert ng.equal(ref) and ref.equal(ng), mem.name
+
+
+def test_equal_members_share_one_ng():
+    ctx = GroupContext(fabrykowski_gupta(3))
+    family = ctx.normal_family(4, seed=1)
+    pairs = [(a, b) for i, a in enumerate(family) for b in family[i + 1:]
+             if a.subgroup.equal(b.subgroup)]
+    # a series term equal to a layer preimage, and two normal closures
+    assert {("gamma3", "N_1.1"), ("ncl12", "ncl15x")} <= {
+        (a.name, b.name) for a, b in pairs}
+    for a, b in pairs:
+        assert a.ng(ctx, 4) is b.ng(ctx, 4), (a.name, b.name)
+
+
+@pytest.mark.parametrize("clause", ["member", "K'-fallback"])
+def test_effective_csp_witness_prints_the_from_scratch_ng(clause,
+                                                          monkeypatch):
+    # ncl12 of fg3 at depth 4 (seed 1) extends an [M, G] built before it,
+    # so its generators differ from those of [N, G] closed from scratch
+    ctx = GroupContext(fabrykowski_gupta(3))
+    g = ctx.quotient(4)
+    mem = next(m for m in ctx.normal_family(4, seed=1) if m.name == "ncl12")
+    ng = mem.ng(ctx, 4)
+    scratch = [x.digits()
+               for x in engine.commutator_subgroup(mem.subgroup, g, g).gens]
+    assert [x.digits() for x in ng.gens] != scratch
+    if clause == "member":
+        monkeypatch.setattr(ng, "first_non_member",
+                            lambda elems: (0, next(iter(elems))))
+    else:
+        first_missing = suite.first_missing_embedding
+        monkeypatch.setattr(
+            suite, "first_missing_embedding",
+            lambda gens, level, sub: ((0, gens[0]) if sub is ng
+                                      else first_missing(gens, level, sub)))
+    rep = run_check(ctx, "effective-csp", depth=4, seed=1)
+    assert rep.status == "fail"
+    assert rep.witness["member"] == (
+        "ncl12" if clause == "member" else "ncl12/K'-fallback")
+    assert rep.witness["subgroup_gens"] == scratch
+
+
 def test_verdict_keeps_first_witness_and_builds_it_on_failure_only():
     built = []
 
@@ -86,7 +141,7 @@ def test_verdict_keeps_first_witness_and_builds_it_on_failure_only():
             return {"clause": clause}
         return build
 
-    v = _Verdict(members={})
+    v = Verdict(members={})
     assert v.record("a", True, witness=witness("a"))
     assert not v.record("b", False, witness=witness("b"))
     assert not v.record("c", False, "fail: late", witness=witness("c"),
