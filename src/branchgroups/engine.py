@@ -16,6 +16,19 @@ contain a closed one extends a copy of its sequence.  Insertion, closure
 and normal closure are one loop over one stack of residues: the waiting
 seeds at the bottom, the rows of h^-p and [h, x] for each newly stored h
 on top, the whole stack sifted in place after every insertion.
+
+The deepest stored level is linear algebra.  In the depth-n quotient the
+layer St(n-1) is elementary abelian: its elements are the rows whose
+pivot lies on level n-1, they have the identity perm and their labels
+add.  So such an h stores its powers h^-e as -e times its labels, h^-p
+and [h, x] for x in St(n-1) are the identity and are never formed, and
+[h, x] for any other x is one gather: h's labels read through x^-1's
+perm, plus h^-1's labels.  A run of such rows on top of the stack is
+closed on its own, LIFO, and a sift step whose rows all lie in St(n-1)
+adds labels alone.  It is the same arithmetic mod p on the same rows in
+the same order, less the identity rows, which a sift would drop, so
+every stored element, residue and insertion is the one portrait products
+give, byte for byte.
 """
 
 from __future__ import annotations
@@ -96,6 +109,11 @@ class InducedPcgs:
     h^-1, ..., h^-(p-1) for the s-th inserted element h (row e > 0 clears
     a leading label e in one composition), and a dense pivot -> slot index
     lets a whole batch of elements sift at once.
+
+    Elements with their pivot on the deepest level (label positions from
+    _deep on) lie in the elementary abelian St(depth-1) and are stored,
+    sifted and closed by label addition and one gather, as the module
+    docstring says; the table is the one portrait products build.
     """
 
     def __init__(self, p: int, depth: int):
@@ -108,14 +126,19 @@ class InducedPcgs:
         self._pivot_of: list[int] = []
         # pivot -> slot, -1 if none; the extra last entry answers pivot -1
         self._slot = np.full(t.nlabels + 1, -1)
+        # first label position of the deepest level (0 at depth 0 and 1)
+        self._deep = t.label_off[max(depth - 1, 0)]
 
-    def sift(self, lab: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    def sift(self, lab: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
         """Reduce every row of the stack (lab, perm) through the sequence,
-        in place; returns each residue's pivot.
+        in place; returns each residue's pivot.  perm may be None when every
+        row lies in St(depth-1).
 
         A residue's pivot holds no element; it is -1, and the residue the
         identity, iff the row is a member.  Each step clears the pivot of
-        every live row, one with a stored element at its pivot.
+        every live row, one with a stored element at its pivot.  A step
+        whose live rows all have their pivot on the deepest level adds
+        labels alone, as those rows and elements have the identity perm.
         """
         t, p, slot = self._t, self.p, self._slot
         tab_lab, tab_perm = self._table()
@@ -123,10 +146,16 @@ class InducedPcgs:
         live = np.flatnonzero(slot[piv] >= 0)
         while live.size:
             at = piv[live]
-            step_lab, step_perm = compose_rows(
-                t, lab[live], perm[live], tab_lab, tab_perm,
-                slot[at] * p + lab[live, at])
-            lab[live], perm[live] = step_lab, step_perm
+            rows = slot[at] * p + lab[live, at]
+            if at.min() >= self._deep:
+                step_lab = tab_lab[rows]
+                step_lab += lab[live]
+                step_lab %= p
+                lab[live] = step_lab
+            else:
+                step_lab, step_perm = compose_rows(
+                    t, lab[live], perm[live], tab_lab, tab_perm, rows)
+                lab[live], perm[live] = step_lab, step_perm
             piv[live] = at = _pivots(step_lab)
             live = live[slot[at] >= 0]
         return piv
@@ -155,8 +184,14 @@ class InducedPcgs:
         leave if sifted afresh, and the top row is inserted as it stands:
         the order of insertions is that of closing each element whole, LIFO,
         before the next seed is taken.
+
+        When the top row lies on the deepest level, the run of such rows
+        above the seeds is closed by _close_deep, and so are the closing
+        rows of a seed on that level.  While that run lasts only deepest
+        pivots are filled, so no row beneath it can step; the stack is
+        sifted again once the run is done.
         """
-        p, t = self.p, self._t
+        p, t, deep = self.p, self._t, self._deep
         conj = _stack(conjugators, t)
         conj_inv = inverse_rows(t, *conj)
         seed_lab, seed_perm = _stack(list(seeds)[::-1], t)
@@ -171,10 +206,14 @@ class InducedPcgs:
                 lab, perm, piv = lab[outside], perm[outside], piv[outside]
             if not len(lab):
                 break
-            if len(self._pivot_of) >= MAX_STRONG_GENS:
-                raise ResourceGuardError(
-                    f"strong generator cap {MAX_STRONG_GENS} exceeded")
-            top_is_seed = len(lab) == len(seed_lab)
+            n_seeds = len(seed_lab)
+            if len(lab) > n_seeds and piv[-1] >= deep:
+                above = np.flatnonzero(piv[n_seeds:] < deep)
+                start = n_seeds + (int(above[-1]) + 1 if above.size else 0)
+                self._close_deep(lab[start:])
+                lab, perm = lab[:start], perm[:start]
+                continue
+            top_is_seed = len(lab) == n_seeds
             s = self._insert(int(piv[-1]), lab[-1], perm[-1])
             lab, perm = lab[:-1], perm[:-1]
             if top_is_seed:
@@ -188,6 +227,9 @@ class InducedPcgs:
                 seed_perm = np.concatenate([c_perm, seed_perm[:-1]])
                 lab = np.concatenate([c_lab, lab])
                 perm = np.concatenate([c_perm, perm])
+            if self._pivot_of[s] >= deep:
+                self._close_deep(self._deep_closing_rows(s))
+                continue
             closing_lab, closing_perm = self._closing_rows(s)
             lab = np.concatenate([lab, closing_lab])
             perm = np.concatenate([perm, closing_perm])
@@ -196,6 +238,35 @@ class InducedPcgs:
         n = len(self._pivot_of)
         self._lab, self._perm = self._lab[:n].copy(), self._perm[:n].copy()
         return kept
+
+    def _close_deep(self, lab: np.ndarray) -> None:
+        """Insert and close the stack lab of label rows of elements of
+        St(depth-1), top row first, as add_generators closes its stack: sift,
+        drop the members, insert the top row and push its closing rows."""
+        ident = self._t.ident
+        while True:
+            piv = self.sift(lab, None)
+            outside = piv >= 0
+            if not outside.all():
+                lab, piv = lab[outside], piv[outside]
+            if not len(lab):
+                return
+            s = self._insert(int(piv[-1]), lab[-1], ident)
+            lab = np.concatenate([lab[:-1], self._deep_closing_rows(s)])
+
+    def _deep_closing_rows(self, s: int) -> np.ndarray:
+        """The label rows of the [h, x] that are not the identity, for the
+        element h in slot s, on the deepest level, and every earlier x in
+        slot order: h^-p and [h, x] for x on the deepest level are the
+        identity, and otherwise [h, x] is h's labels read through x^-1's
+        perm plus h^-1's labels, with the identity perm."""
+        p, deep = self.p, self._deep
+        tab_lab, tab_perm = self._table()
+        earlier = np.flatnonzero(np.array(self._pivot_of[:s]) < deep)
+        rows = tab_lab[s * p][tab_perm[earlier * p + 1]]
+        rows += tab_lab[s * p + 1]
+        rows %= p
+        return rows[rows.any(axis=1)]
 
     def _closing_rows(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows of h^-p, then of [h, x] for every earlier x in slot
@@ -224,18 +295,32 @@ class InducedPcgs:
         """Store the power of the element (lab, perm) with leading label 1
         at pivot, and its inverse powers, in a new slot; returns the
         slot."""
+        if len(self._pivot_of) >= MAX_STRONG_GENS:
+            raise ResourceGuardError(
+                f"strong generator cap {MAX_STRONG_GENS} exceeded")
         t, p = self._t, self.p
-        if lab[pivot] != 1:
-            lab, perm = power_rows(t, lab, perm, pow(int(lab[pivot]), -1, p))
         s = len(self._pivot_of)
         if s == len(self._lab):
             self._lab, self._perm = _doubled(self._lab), _doubled(self._perm)
         row_lab, row_perm = self._lab[s], self._perm[s]
-        row_lab[0], row_perm[0] = lab, perm
-        row_lab[1], row_perm[1] = inverse_rows(t, lab, perm)
-        for e in range(2, p):
-            row_lab[e], row_perm[e] = compose_rows(
-                t, row_lab[e - 1], row_perm[e - 1], row_lab[1], row_perm[1])
+        if pivot >= self._deep:
+            # h is lab scaled to leading label 1 and h^-e is -e times h,
+            # all with the identity perm
+            scale = np.arange(0, -p, -1)
+            scale[0] = 1
+            scale *= pow(int(lab[pivot]), -1, p)
+            row_lab[:] = scale[:, None] * lab % p
+            row_perm[:] = t.ident
+        else:
+            if lab[pivot] != 1:
+                lab, perm = power_rows(t, lab, perm,
+                                       pow(int(lab[pivot]), -1, p))
+            row_lab[0], row_perm[0] = lab, perm
+            row_lab[1], row_perm[1] = inverse_rows(t, lab, perm)
+            for e in range(2, p):
+                row_lab[e], row_perm[e] = compose_rows(
+                    t, row_lab[e - 1], row_perm[e - 1], row_lab[1],
+                    row_perm[1])
         self._pivot_of.append(pivot)
         self._slot[pivot] = s
         return s

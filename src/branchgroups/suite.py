@@ -18,6 +18,8 @@ import itertools
 import time
 from typing import Callable
 
+import numpy as np
+
 from . import catalog
 from .catalog import (MultiEGSInstance, SunicInstance, branch_type,
                       evaluate_word, has_csp, is_fabrykowski_gupta, is_ggs,
@@ -32,7 +34,7 @@ from .engine import (ResourceGuardError, Subgroup, commutator_subgroup, extend,
 from .gmodules import (compute_rm, first_non_normal_layer, uniserial_chain,
                        wm_module)
 from .reports import Verdict, VerificationReport, non_membership, skipped
-from .trees import Portrait, assemble, vertex_from_local_index
+from .trees import Portrait
 
 # Sampled St(m) elements per level in fg-lemma clause (b).
 FG_LINK_SAMPLES = 3
@@ -245,7 +247,8 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
             continue
         samples = [random_word(rng, st_gens, 2 + rng.below(3))
                    for _ in range(FG_LINK_SAMPLES)]
-        bad = [x for x in samples if not _coordinate_link_holds(ctx, n, m, x)]
+        prefixes = _coordinate_link_prefixes(ctx.inst, n - m + 1)
+        bad = [x for x in samples if not _coordinate_link_holds(prefixes, m, x)]
         v.record(f"b:coordinate-link m={m}", not bad,
                  witness=lambda: {"clause": f"b:m={m}",
                                   "element": bad[0].digits()})
@@ -261,28 +264,26 @@ def _check_psi_st_product(ctx: GroupContext, n: int, m: int) -> bool:
     return first_missing_embedding(shallow.gens, m - 1, g) is None
 
 
-def _coordinate_link_holds(ctx: GroupContext, n: int, m: int,
-                           x: Portrait) -> bool:
+def _coordinate_link_prefixes(inst, d: int) -> set[bytes]:
+    """The labels at levels 0 and 1 of psi^-1(a^l(1) b^l(2), ..., a^l(p) b^l(1))
+    at depth d (>= 2) for every exponent vector l, as bytes.  Two elements
+    agree mod St(2) iff these labels agree, and the candidate's are 0, then
+    the root labels of its p sections."""
+    p = inst.p
+    a, b = inst.generators(d - 1)[:2]
+    root = [[int((a**i * b**j).lab[0]) for j in range(p)] for i in range(p)]
+    return {bytes([0] + [root[ell[i]][ell[(i + 1) % p]] for i in range(p)])
+            for ell in itertools.product(range(p), repeat=p)}
+
+
+def _coordinate_link_holds(prefixes: set[bytes], m: int, x: Portrait) -> bool:
     """phi_v(x) is congruent mod St(2) to psi^-1(a^l(1) b^l(2), ..., a^l(p) b^l(1))
-    for some exponent vector l, at every level-(m-1) vertex v."""
-    p = ctx.p
-    d = n - m + 1            # sections of St(m) at level m-1 live at this depth
-    if d < 2:
-        return True
-    gens = ctx.inst.generators(d - 1)
-    a, b = gens[0], gens[1]
-    a_pows = [a**k for k in range(p)]
-    b_pows = [b**k for k in range(p)]
-    candidates = []
-    for ell in itertools.product(range(p), repeat=p):
-        secs = [a_pows[ell[i]] * b_pows[ell[(i + 1) % p]] for i in range(p)]
-        candidates.append(assemble(0, secs))
-    for idx in range(p**(m - 1)):
-        v = vertex_from_local_index(p, m - 1, idx)
-        sec = x.section(v)
-        if not any((sec * cand.inverse()).in_stab(2) for cand in candidates):
-            return False
-    return True
+    for some exponent vector l, at every level-(m-1) vertex v; prefixes are
+    the candidates' labels at levels 0 and 1 (_coordinate_link_prefixes)."""
+    p = x.p
+    heads = np.column_stack([x.level_labels(m - 1),
+                             x.level_labels(m).reshape(-1, p)])
+    return all(row.tobytes() in prefixes for row in heads)
 
 
 def verify_chain_theorem(ctx: GroupContext, n: int,

@@ -16,7 +16,8 @@ from branchgroups.engine import (InducedPcgs, Subgroup, _stack,
                                  min_generators, normal_closure, powers_of,
                                  sections_within)
 from branchgroups.oracle import bfs_enumerate
-from branchgroups.trees import Portrait, commutator, compose_all, rooted_a
+from branchgroups.trees import (Portrait, ResourceGuardError, commutator,
+                               compose_all, rooted_a)
 
 
 # -- orders against the BFS oracle (the oracle is the referee) ---------------
@@ -145,6 +146,8 @@ PINNED_GROUPS = {
     "grigorchuk-d6": lambda: preset("sunic-grigorchuk").generators(6),
     "fg3-cyclic-ab-d3": lambda: [rooted_a(3, 3)
                                  * fabrykowski_gupta(3).generators(3)[1]],
+    # at depth 1 every element lies on the deepest level (offset 0)
+    "fg5-d1": lambda: [rooted_a(5, 1) ** 2, rooted_a(5, 1)],
 }
 
 
@@ -187,8 +190,57 @@ def test_pcgs_matches_reference_insertion(name):
     assert pcgs.members(batch).tolist() == [i < 0 for i in piv]
 
 
+@pytest.mark.parametrize("name", ["fg3-d4", "fg5-d3", "grigorchuk-d6"])
+def test_deep_slots_store_multiples_and_gather_the_commutators(name):
+    # for every slot on the deepest level: the stored powers are h^-e, and
+    # the gathered closing rows are the nonzero [h, x] for earlier x, in
+    # slot order, each in St(depth-1) with the identity perm
+    gens = PINNED_GROUPS[name]()
+    p, depth = gens[0].p, gens[0].depth
+    pcgs = Subgroup(p, depth, gens).pcgs
+    t = pcgs._t
+    deep = t.label_off[depth - 1]
+    elems = [Portrait(p, depth, pcgs._lab[s, 0], pcgs._perm[s, 0])
+             for s in range(pcgs.order_exponent)]
+    slots = [s for s, i in enumerate(pcgs._pivot_of) if i >= deep]
+    assert 0 < len(slots) < len(elems)
+    for s in slots:
+        h = elems[s]
+        assert (h ** p).is_identity()
+        for e in range(1, p):
+            assert rows_of([Portrait(p, depth, pcgs._lab[s, e],
+                                     pcgs._perm[s, e])]) == rows_of([h ** -e])
+        comms = [commutator(h, x) for x in elems[:s]]
+        assert all(c.is_identity() for c, x in zip(comms, elems)
+                   if x.in_stab(depth - 1))
+        want = [c for c in comms if not c.is_identity()]
+        assert all(c.in_stab(depth - 1)
+                   and np.array_equal(c.perm, t.ident) for c in want)
+        got = pcgs._deep_closing_rows(s)
+        assert got.tolist() == [c.lab.tolist() for c in want]
+
+
+def test_strong_generator_cap_counts_deepest_level_insertions():
+    gens = PINNED_GROUPS["fg3-d4"]()
+    full = Subgroup(3, 4, gens).pcgs
+    deep = full._t.label_off[3]
+    # the cap trips at the last insertion on the deepest level
+    cap = max(s for s, i in enumerate(full._pivot_of) if i >= deep)
+    assert cap > full.order_exponent / 2
+    pcgs = InducedPcgs(3, 4)
+    with mock.patch("branchgroups.engine.MAX_STRONG_GENS", cap):
+        with pytest.raises(ResourceGuardError, match=f"cap {cap} exceeded"):
+            pcgs.add_generators(gens)
+    assert pcgs._pivot_of == full._pivot_of[:cap]
+
+
 def two_seeds(a, b):
     return [commutator(a, b), b * a * b]
+
+
+def power_seeds(a):
+    """a^2, then a: a member by the time it is reached."""
+    return [a * a, a]
 
 
 def redundant_seeds(a, b):
@@ -206,6 +258,8 @@ CLOSURE_CASES = {
     "multi-ggs-p5-3-d3": (lambda: ggs5_three_vectors(3), two_seeds),
     "fg3-4-redundant": (lambda: preset("fg3").generators(4),
                         redundant_seeds),
+    # at depth 1, b is the identity and every element is on the deepest level
+    "fg5-1": (lambda: preset("fg5").generators(1), power_seeds),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from branchgroups import engine, suite
@@ -11,6 +12,7 @@ from branchgroups.gmodules import tuple_from_rank, vj_basis
 from branchgroups.reports import Verdict
 from branchgroups.suite import (csp_offset, run_all, run_check,
                                 verify_profinite_distinction)
+from branchgroups.trees import Portrait
 
 
 def report_json(report):
@@ -207,6 +209,43 @@ def test_fg_lemma_decomposes(fg3_ctx):
     assert rep.status == "fail"
     assert rep.witness["kind"] == "non-membership"
     assert rep.witness["element"] is not None
+
+
+def reference_coordinate_link(inst, n, m, xs):
+    """Clause (b) by definition, for each of xs: every level-(m-1) section
+    times the inverse of some assembled candidate lies in St(2)."""
+    from itertools import product
+    from branchgroups.trees import assemble, vertex_from_local_index
+    p = inst.p
+    a, b = inst.generators(n - m)[:2]
+    inverses = [assemble(0, [a**ell[i] * b**ell[(i + 1) % p]
+                             for i in range(p)]).inverse()
+                for ell in product(range(p), repeat=p)]
+    return [all(any((x.section(vertex_from_local_index(p, m - 1, c))
+                     * inv).in_stab(2) for inv in inverses)
+                for c in range(p**(m - 1))) for x in xs]
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (5, 3)])
+def test_coordinate_link_lookup_matches_the_definition(p, n):
+    # stabilizer words pass; a and random portraits fail at some section
+    inst = fabrykowski_gupta(p)
+    g = GroupContext(inst).quotient(n)
+    nlabels = g.gens[0].lab.size
+    rng = np.random.default_rng(n * p)
+    seen = set()
+    for m in range(1, n - 1):
+        prefixes = suite._coordinate_link_prefixes(inst, n - m + 1)
+        st = g.stabilizer(m).gens
+        xs = [st[0], st[-1] * st[0], g.gens[0]] + [
+            Portrait.from_labels(p, n, rng.integers(0, p, nlabels)
+                                 * (rng.random(nlabels) < density))
+            for density in (0.1, 0.3, 1)]
+        want = reference_coordinate_link(inst, n, m, xs)
+        assert [suite._coordinate_link_holds(prefixes, m, x)
+                for x in xs] == want
+        seen.update(want)
+    assert seen == {True, False}
 
 
 def test_fg_lemma_skips_non_fg(gs3_ctx):
