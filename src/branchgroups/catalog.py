@@ -1,9 +1,11 @@
 """Constructors and classification for the group families on the p-adic tree.
 
-A group instance knows its generators as portraits at any requested
-depth, the first-level decomposition (psi image) of each directed
-generator as a word in the generators, and carries the declarative data
-(defining vectors / polynomial) that the classification predicates need.
+A group instance is defined by the first-level decomposition (psi image)
+of each directed generator as a word in the generators, psi_words(), and
+carries the declarative data (defining vectors / polynomial) that the
+classification predicates need.  The psi words are the single definition:
+the generator portraits at every depth are assembled from them, one level
+at a time (_directed_generators).
 
 Generator order is fixed: the rooted generator "a" first, then the
 directed generators in family order and index order; all downstream
@@ -100,10 +102,7 @@ class MultiEGSInstance:
         return np.array([vec for _, _, vec in self.directed], dtype=np.int64)
 
     def generators(self, depth: int) -> list[Portrait]:
-        gens = [rooted_a(self.p, depth)]
-        for _, j, vec in self.directed:
-            gens.append(directed_portrait(self.p, j, vec, depth))
-        return gens
+        return [rooted_a(self.p, depth)] + list(_directed_generators(self, depth))
 
     def psi_words(self) -> dict[str, tuple[Word, ...]]:
         words: dict[str, tuple[Word, ...]] = {}
@@ -157,7 +156,7 @@ class SunicInstance:
         return ["a"] + [f"b{i}" for i in range(1, self.r + 1)]
 
     def generators(self, depth: int) -> list[Portrait]:
-        return [rooted_a(self.p, depth)] + list(_sunic_directed(self.p, self.coeffs, depth))
+        return [rooted_a(self.p, depth)] + list(_directed_generators(self, depth))
 
     def psi_words(self) -> dict[str, tuple[Word, ...]]:
         p, r = self.p, self.r
@@ -183,37 +182,21 @@ class SunicInstance:
 GroupInstance = MultiEGSInstance | SunicInstance
 
 
-def directed_portrait(p: int, j: int, vec: Vector, depth: int) -> Portrait:
-    """Directed generator of family j: the only nonzero labels sit at the
-    children of the path vertices (p-j+1, p-j+1, ...)."""
-    own = p - j + 1
-    labels = [np.zeros(p**m, dtype=np.int8) for m in range(depth)]
-    path_idx = 0
-    for t in range(depth - 1):
-        base = path_idx * p
-        for c in range(1, p + 1):
-            if c != own:
-                k = (c - own) % p
-                labels[t + 1][base + c - 1] = vec[k - 1] % p
-        path_idx = base + own - 1
-    return Portrait.from_level_labels(p, labels)
-
-
 @lru_cache(maxsize=None)
-def _sunic_directed(p: int, coeffs: Vector, depth: int) -> tuple[Portrait, ...]:
-    r = len(coeffs)
+def _directed_generators(inst: GroupInstance, depth: int) -> tuple[Portrait, ...]:
+    """The directed generators at depth n, each assembled from its psi word
+    evaluated on the generators at depth n-1 (where a is the identity at
+    depth 0)."""
+    p, names = inst.p, inst.gen_names[1:]
     if depth == 0:
-        return tuple(Portrait.identity(p, 0) for _ in range(r))
-    prev = _sunic_directed(p, coeffs, depth - 1)
-    one = Portrait.identity(p, depth - 1)
-    gens = []
-    for i in range(r - 1):
-        gens.append(assemble(0, [one] * (p - 1) + [prev[i + 1]]))
-    tail = compose_all(
-        (prev[k] ** ((-coeffs[k]) % p) for k in range(r)), p, depth - 1)
-    first = rooted_a(p, depth - 1) if depth > 1 else one
-    gens.append(assemble(0, [first] + [one] * (p - 2) + [tail]))
-    return tuple(gens)
+        return tuple(Portrait.identity(p, 0) for _ in names)
+    prev = dict(zip(names, _directed_generators(inst, depth - 1)))
+    prev["a"] = rooted_a(p, depth - 1) if depth > 1 else Portrait.identity(p, 0)
+    words = inst.psi_words()
+    return tuple(
+        assemble(0, [compose_all((prev[g] ** e for g, e in word), p, depth - 1)
+                     for word in words[name]])
+        for name in names)
 
 
 # -- constructors -------------------------------------------------------
@@ -221,21 +204,13 @@ def _sunic_directed(p: int, coeffs: Vector, depth: int) -> tuple[Portrait, ...]:
 
 def make_ggs(p: int, vec) -> MultiEGSInstance:
     """GGS-group ⟨a, b⟩ with psi(b) = (a^e_1, ..., a^e_{p-1}, b)."""
-    check_prime(p, odd=True)
-    v = _norm_vector(vec, p)
-    if not any(v):
+    if not any(_norm_vector(vec, check_prime(p, odd=True))):
         raise ValueError("GGS defining vector must be nonzero")
-    fams = [()] * p
-    fams[0] = (v,)
-    return MultiEGSInstance(p, tuple(fams))
+    return make_multi_egs(p, {1: [vec]})
 
 
 def make_multi_ggs(p: int, vectors) -> MultiEGSInstance:
-    check_prime(p, odd=True)
-    vs = tuple(_norm_vector(v, p) for v in vectors)
-    fams = [()] * p
-    fams[0] = vs
-    return MultiEGSInstance(p, tuple(fams))
+    return make_multi_egs(p, {1: vectors})
 
 
 def make_multi_egs(p: int, families: dict[int, list]) -> MultiEGSInstance:
@@ -399,21 +374,21 @@ def evaluate_word(inst: GroupInstance, word: Word, depth: int) -> Portrait:
 # -- presets --------------------------------------------------------------
 
 
+_PRESETS = {
+    "fg3": lambda: fabrykowski_gupta(3),
+    "fg5": lambda: fabrykowski_gupta(5),
+    "gs3": lambda: gupta_sidki(3),
+    "sunic-grigorchuk": lambda: make_sunic(2, (1, 1)),
+    # <a, b, c> with psi(b) = (a,1,...,1,b), psi(c) = (c,a,a,1,...,1)
+    "remark-group": lambda: make_multi_egs(5, {1: [(1, 0, 0, 0)],
+                                               5: [(1, 1, 0, 0)]}),
+    "appb-p5": lambda: make_multi_egs(5, {1: [(0, 1, 1, 0)],
+                                          2: [(0, 1, 1, 0)]}),
+}
+PRESET_NAMES = list(_PRESETS)
+
+
 def preset(name: str) -> GroupInstance:
-    if name == "fg3":
-        return fabrykowski_gupta(3)
-    if name == "fg5":
-        return fabrykowski_gupta(5)
-    if name == "gs3":
-        return gupta_sidki(3)
-    if name == "sunic-grigorchuk":
-        return make_sunic(2, (1, 1))
-    if name == "remark-group":
-        # <a, b, c> with psi(b) = (a,1,...,1,b), psi(c) = (c,a,a,1,...,1)
-        return make_multi_egs(5, {1: [(1, 0, 0, 0)], 5: [(1, 1, 0, 0)]})
-    if name == "appb-p5":
-        return make_multi_egs(5, {1: [(0, 1, 1, 0)], 2: [(0, 1, 1, 0)]})
-    raise KeyError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ["fg3", "fg5", "gs3", "sunic-grigorchuk", "remark-group", "appb-p5"]
+    if name not in _PRESETS:
+        raise KeyError(f"unknown preset {name!r}")
+    return _PRESETS[name]()

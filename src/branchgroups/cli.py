@@ -80,15 +80,19 @@ def instance_from_dict(data: dict) -> GroupInstance:
         raise SpecError(f"/: {exc}") from exc
 
 
+def _read_spec(name: str) -> GroupInstance:
+    path = Path(name)
+    if not path.exists():
+        raise SpecError(f"spec file {path} does not exist")
+    with path.open(encoding="utf-8") as handle:
+        return instance_from_dict(json.load(handle))
+
+
 def load_instance(args) -> GroupInstance:
     if getattr(args, "preset", None):
         return preset(args.preset)
     if getattr(args, "spec", None):
-        path = Path(args.spec)
-        if not path.exists():
-            raise SpecError(f"spec file {path} does not exist")
-        with path.open(encoding="utf-8") as handle:
-            return instance_from_dict(json.load(handle))
+        return _read_spec(args.spec)
     raise SpecError("one of --spec or --preset is required")
 
 
@@ -150,7 +154,7 @@ def cmd_chain(args) -> int:
     mod = wm_module(inst, args.level)
     u = g.image_in_wm(args.level)
     chain, bad = uniserial_chain(u, mod)
-    rm = compute_rm(g, args.level)
+    rm = compute_rm(u, args.level)
     layers = []
     for space in chain:
         layers.append({
@@ -202,10 +206,8 @@ def cmd_verify(args) -> int:
     elif args.check == "profinite-pair":
         if not args.other:
             raise SpecError("profinite-pair requires --other SPEC-or-preset")
-        if args.other in catalog.PRESET_NAMES:
-            other = preset(args.other)
-        else:
-            other = instance_from_dict(json.loads(Path(args.other).read_text()))
+        other = (preset(args.other) if args.other in catalog.PRESET_NAMES
+                 else _read_spec(args.other))
         reports = [verify_profinite_distinction(ctx, GroupContext(other))]
     else:
         reports = [run_check(ctx, args.check, depth=args.depth,

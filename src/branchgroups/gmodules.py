@@ -270,15 +270,15 @@ def uniserial_chain(u: FpSubspace, mod: GModule):
 # -- the R_m computation -----------------------------------------------------
 
 
-def compute_rm(g_n, m: int) -> dict:
-    """R_m data for the group handle g_n: the image U of St(m) in W_m must
-    equal a chain module V_j; then R_m is everything below that tuple.
+def compute_rm(u: FpSubspace, m: int) -> dict:
+    """R_m data for the layer image U of St(m) in W_m (Subgroup.image_in_wm):
+    U must equal a chain module V_j; then R_m is everything below that
+    tuple.
 
     Returns {"t": dim U, "j_max": tuple, "match": bool, ...}; a failed
     match carries the computed subspace as a falsification witness.
     """
-    p = g_n.p
-    u = g_n.image_in_wm(m)
+    p = u.p
     t = u.dim
     if t == 0:
         return {"t": 0, "j_max": tuple_from_rank(-1, p, m), "match": True}
@@ -330,22 +330,22 @@ def layer_preimage(g_n, m: int, space: FpSubspace):
     return extend(st_next, reps, reps + st_next.gens)
 
 
-def layer_conjugation(g_n, m: int) -> tuple[FpSubspace, list[np.ndarray]]:
+def layer_conjugation(g_n, m: int, u: FpSubspace) -> list[np.ndarray]:
     """The conjugation action of g_n on its layer U = image of St(m) in W_m.
 
-    Returns U and, per generator g of g_n, the matrix whose row i is the
-    level-m labels of x_i^g, where x_i represents the i-th echelon row of
-    U.  Conjugation is computed on portraits, not read off the permutation
+    Returns, per generator g of g_n, the matrix whose row i is the level-m
+    labels of x_i^g, where x_i represents the i-th echelon row of U.
+    Conjugation is computed on portraits, not read off the permutation
     module, so this is an independent view of the action.
     """
-    u = g_n.image_in_wm(m)
     reps = layer_representatives(g_n, m, u.rows)
-    return u, [np.array([x.conjugate(g).level_labels(m) for x in reps],
-                        dtype=np.int64).reshape(u.dim, u.ambient)
-               for g in g_n.gens]
+    return [np.array([x.conjugate(g).level_labels(m) for x in reps],
+                     dtype=np.int64).reshape(u.dim, u.ambient)
+            for g in g_n.gens]
 
 
-def first_non_normal_layer(g_n, m: int, spaces) -> int | None:
+def first_non_normal_layer(g_n, m: int, u: FpSubspace,
+                           spaces) -> int | None:
     """Index of the first subspace of U = image of St(m) in W_m whose
     layer preimage is not normal in g_n, or None when all are normal.
 
@@ -354,7 +354,7 @@ def first_non_normal_layer(g_n, m: int, spaces) -> int | None:
     U's echelon basis are the entries at U's pivots, so each space is
     tested with one product per generator.
     """
-    u, actions = layer_conjugation(g_n, m)
+    actions = layer_conjugation(g_n, m, u)
     for idx, space in enumerate(spaces):
         coords = space.rows[:, u.pivots].astype(np.int64)
         if any(space.reduce(coords @ act).any() for act in actions):

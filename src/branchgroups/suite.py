@@ -38,6 +38,8 @@ from .trees import Portrait
 
 # Sampled St(m) elements per level in fg-lemma clause (b).
 FG_LINK_SAMPLES = 3
+# Most exponent vectors (p^p) clause (b) enumerates: p <= 7
+MAX_LINK_VECTORS = 2**20
 
 
 # -- classification helpers ----------------------------------------------------
@@ -268,8 +270,13 @@ def _coordinate_link_prefixes(inst, d: int) -> set[bytes]:
     """The labels at levels 0 and 1 of psi^-1(a^l(1) b^l(2), ..., a^l(p) b^l(1))
     at depth d (>= 2) for every exponent vector l, as bytes.  Two elements
     agree mod St(2) iff these labels agree, and the candidate's are 0, then
-    the root labels of its p sections."""
+    the root labels of its p sections.  Raises ResourceGuardError, before
+    enumerating, when p^p exceeds MAX_LINK_VECTORS."""
     p = inst.p
+    if p**p > MAX_LINK_VECTORS:
+        raise ResourceGuardError(
+            f"clause (b) enumerates p^p = {p}^{p} exponent vectors, over "
+            f"the limit {MAX_LINK_VECTORS}")
     a, b = inst.generators(d - 1)[:2]
     root = [[int((a**i * b**j).lab[0]) for j in range(p)] for i in range(p)]
     return {bytes([0] + [root[ell[i]][ell[(i + 1) % p]] for i in range(p)])
@@ -310,12 +317,12 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
                                  "upper_basis": chain[-2].basis_digits()
                                  if len(chain) >= 2 else []}):
             continue
-        rm = compute_rm(g, m)
+        rm = compute_rm(u, m)
         v.record(f"image=V_j m={m}", rm["match"],
                  f"pass: j_max={rm['j_max']}" if rm["match"] else "fail",
                  witness=lambda: {"level": m, **rm.get("witness", {})})
         v.record(f"preimages normal m={m}",
-                 first_non_normal_layer(g, m, chain) is None)
+                 first_non_normal_layer(g, m, u, chain) is None)
     # closed forms and the two index inequalities
     if (isinstance(inst, MultiEGSInstance) and is_ggs(inst)
             and not is_torsion(inst) and branch_gamma(inst) == 2):
@@ -482,7 +489,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int,
             ctx.derived(n), 1, ctx.quotient(n - 1)))
     # R_m pattern
     for m in range(1, n):
-        rm = compute_rm(g, m)
+        rm = compute_rm(g.image_in_wm(m), m)
         t = rm["t"]
         if m <= r:
             key, ok = f"R_{m}={{1..p}}^{m}", t == p**m

@@ -122,13 +122,13 @@ def rm_members(rm: dict, p: int, m: int) -> list[tuple]:
 def test_criterion_4_rm_values():
     with criterion(4, 60, "R_m prefixes for p=3 and the three-generator p=5 group"):
         g = ctx_for("fg3").quotient(4)
-        r1, r2 = compute_rm(g, 1), compute_rm(g, 2)
+        r1, r2 = (compute_rm(g.image_in_wm(m), m) for m in (1, 2))
         assert r1["match"] and rm_members(r1, 3, 1) == [(1,), (2,), (3,)]
         assert r2["match"]
         assert set(rm_members(r2, 3, 2)) == {(i, j) for i in (1, 2)
                                              for j in (1, 2, 3)}
         rg = ctx_for("remark-group").quotient(3)
-        rr = compute_rm(rg, 2)
+        rr = compute_rm(rg.image_in_wm(2), 2)
         assert rr["match"] and rr["t"] == 24
         members = set(rm_members(rr, 5, 2))
         assert members == set(itertools.product(range(1, 6), repeat=2)) - {(5, 5)}

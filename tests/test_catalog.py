@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from branchgroups.catalog import (BranchType, appb_d_words, appb_shape,
                                   in_class_E, is_fabrykowski_gupta, is_ggs,
                                   is_symmetric, is_torsion, make_ggs,
                                   make_multi_egs, make_multi_ggs, make_sunic,
-                                  preset, r_dot)
+                                  preset, PRESET_NAMES, r_dot)
 from branchgroups.trees import Portrait, rooted_a
 
 
@@ -91,6 +92,23 @@ def test_generator_truncation_consistency(name):
             k = len(shallow.lab)
             assert deep.lab[:k].tolist() == shallow.lab.tolist()
             assert deep.perm[:k].tolist() == shallow.perm.tolist()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_generators_contract(name):
+    # gen_names order, a new list per call (the portraits are memoised),
+    # canonical dtypes, and depth >= 1
+    inst = preset(name)
+    gens = inst.generators(3)
+    assert len(gens) == len(inst.gen_names)
+    assert all(g.lab.dtype == np.int8 and g.perm.dtype == np.int32
+               for g in gens)
+    gens.pop()
+    assert inst.generators(3) is not gens
+    assert len(inst.generators(3)) == len(inst.gen_names)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            inst.generators(depth)
 
 
 @pytest.mark.parametrize("name", ["fg3", "gs3", "remark-group", "appb-p5",

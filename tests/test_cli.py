@@ -66,6 +66,18 @@ def test_profinite_pair_payload_names_both_groups(capsys):
     assert "other" not in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("flag", ["--spec", "--other"])
+def test_missing_spec_file_is_a_spec_error(flag, tmp_path, capsys):
+    # both spec paths go through one loader, with one message
+    missing = tmp_path / "absent.json"
+    known = ["--other", "gs3"] if flag == "--spec" else ["--preset", "fg3"]
+    argv = ["verify", "profinite-pair", flag, str(missing)] + known
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"spec error: spec file {missing} does not exist\n"
+
+
 def test_width_rank_without_n_g_is_skipped(capsys):
     # n_G of the Grigorchuk group is not determined at depth 3
     assert run(["verify", "width-rank", "--preset", "sunic-grigorchuk",
@@ -304,6 +316,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # (alpha_0, alpha_1) = (1, 1)
 GGS5 = {"type": "ggs", "p": 5, "vector": [0, 1, 1, 0]}
 SUNIC3 = {"type": "sunic", "p": 3, "poly": [1, 1]}
+# two families at p = 3: b1, b2 along one ray and b3 along another
+MULTI_EGS3 = {"type": "multi_egs", "p": 3,
+              "families": [{"j": 1, "vectors": [[1, 0], [0, 1]]},
+                           {"j": 2, "vectors": [[1, 1]]}]}
 
 
 @pytest.mark.parametrize("name, argv, code", [
@@ -345,6 +361,23 @@ SUNIC3 = {"type": "sunic", "p": 3, "poly": [1, 1]}
     ("all-sunic-grigorchuk-d6",
      ["verify", "all", "--preset", "sunic-grigorchuk", "--depth", "6"],
      EXIT_PASS),
+    # generator portraits, byte for byte: every family kind the catalog
+    # builds from its psi words
+    ("gens-fg3-d5",
+     ["quotient", "--preset", "fg3", "--depth", "5", "--gens"], EXIT_PASS),
+    ("gens-remark-group-d4",
+     ["quotient", "--preset", "remark-group", "--depth", "4", "--gens"],
+     EXIT_PASS),
+    ("gens-appb-p5-d4",
+     ["quotient", "--preset", "appb-p5", "--depth", "4", "--gens"],
+     EXIT_PASS),
+    ("gens-sunic-grigorchuk-d7",
+     ["quotient", "--preset", "sunic-grigorchuk", "--depth", "7", "--gens"],
+     EXIT_PASS),
+    ("gens-sunic3-d5",
+     ["quotient", "--spec", SUNIC3, "--depth", "5", "--gens"], EXIT_PASS),
+    ("gens-multi-egs3-d5",
+     ["quotient", "--spec", MULTI_EGS3, "--depth", "5", "--gens"], EXIT_PASS),
 ])
 def test_golden_reports(name, argv, code, tmp_path, capsys):
     """CLI output (stdout, stderr, exit code) equals the committed

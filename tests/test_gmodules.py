@@ -253,10 +253,10 @@ def test_gs3_w2_is_not_uniserial():
 
 def test_rm_fg3(fg3_ctx):
     g = fg3_ctx.quotient(4)
-    r1 = compute_rm(g, 1)
+    r1 = compute_rm(g.image_in_wm(1), 1)
     assert r1["match"] and r1["t"] == 3 and r1["j_max"] == (3,)
     assert rm_tuples(r1["j_max"], 3) == [(1,), (2,), (3,)]
-    r2 = compute_rm(g, 2)
+    r2 = compute_rm(g.image_in_wm(2), 2)
     assert r2["match"] and r2["t"] == 6 and r2["j_max"] == (2, 3)
     assert set(rm_tuples(r2["j_max"], 3)) == {(i, j) for i in (1, 2)
                                               for j in (1, 2, 3)}
@@ -266,7 +266,7 @@ def test_rm_remark_group():
     rg = preset("remark-group")
     from branchgroups.engine import group_of
     g = group_of(rg, 3)
-    r2 = compute_rm(g, 2)
+    r2 = compute_rm(g.image_in_wm(2), 2)
     assert r2["match"] and r2["t"] == 24 and r2["j_max"] == (5, 4)
     members = rm_tuples(r2["j_max"], 5)
     assert len(members) == 24 and (5, 5) not in members
@@ -275,8 +275,8 @@ def test_rm_remark_group():
 def test_rm_ggs5():
     from branchgroups.engine import group_of
     g = group_of(fabrykowski_gupta(5), 3)
-    assert compute_rm(g, 1)["t"] == 5
-    assert compute_rm(g, 2)["t"] == 20
+    assert compute_rm(g.image_in_wm(1), 1)["t"] == 5
+    assert compute_rm(g.image_in_wm(2), 2)["t"] == 20
 
 
 # -- group/module dictionary -----------------------------------------------------
@@ -315,14 +315,14 @@ def test_non_normal_layer_caught_in_long_chain(fg3_ctx):
     u = g.image_in_wm(3)
     chain, witness = uniserial_chain(u, wm_module(fg3_ctx.inst, 3))
     assert witness is None and len(chain) == 19
-    assert first_non_normal_layer(g, 3, chain) is None
+    assert first_non_normal_layer(g, 3, u, chain) is None
     # swap layer 9 for another subspace of the same dimension between its
     # neighbours: W_3 is uniserial on U, so it is not invariant
     outside = next(r for r in chain[8].rows if not chain[9].contains_vector(r))
     bad = chain[10].with_vectors(outside)
     assert bad.dim == chain[9].dim and bad != chain[9]
     layers = chain[:9] + [bad] + chain[10:]
-    assert first_non_normal_layer(g, 3, layers) == 9
+    assert first_non_normal_layer(g, 3, u, layers) == 9
     assert not layer_preimage(g, 3, bad).is_normal_in(g)
 
 
@@ -330,5 +330,6 @@ def test_non_normal_layer_in_w1(fg3_ctx):
     g = fg3_ctx.quotient(3)
     e0 = FpSubspace(3, 3, [[1, 0, 0]])
     chain = [vj_basis(3, (j,)) for j in (3, 2, 1)]
-    assert first_non_normal_layer(g, 1, chain) is None
-    assert first_non_normal_layer(g, 1, chain + [e0]) == 3
+    u = g.image_in_wm(1)
+    assert first_non_normal_layer(g, 1, u, chain) is None
+    assert first_non_normal_layer(g, 1, u, chain + [e0]) == 3

@@ -248,6 +248,14 @@ def test_coordinate_link_lookup_matches_the_definition(p, n):
     assert seen == {True, False}
 
 
+def test_fg_lemma_guards_the_exponent_vector_enumeration():
+    # clause (b) would enumerate 11^11 exponent vectors
+    rep = run_check(GroupContext(fabrykowski_gupta(11)), "fg-lemma", depth=3)
+    assert rep.status == "skipped"
+    assert rep.details["reason"].startswith("resource guard: ")
+    assert "11^11" in rep.details["reason"]
+
+
 def test_fg_lemma_skips_non_fg(gs3_ctx):
     rep = run_check(gs3_ctx, "fg-lemma", depth=3, seed=0)
     assert rep.status == "skipped"
