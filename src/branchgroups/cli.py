@@ -35,6 +35,15 @@ def _expect(cond: bool, pointer: str, message: str):
         raise SpecError(f"{pointer}: {message}")
 
 
+def _integers(items, pointer: str) -> list:
+    """items, checked to be a list of JSON integers (a bool is an int to
+    Python, not to a spec)."""
+    _expect(isinstance(items, list), pointer, "expected a list of integers")
+    for i, x in enumerate(items):
+        _expect(type(x) is int, f"{pointer}/{i}", "expected an integer")
+    return items
+
+
 def instance_from_dict(data: dict) -> GroupInstance:
     _expect(isinstance(data, dict), "", "spec must be a JSON object")
     kind = data.get("type")
@@ -46,14 +55,13 @@ def instance_from_dict(data: dict) -> GroupInstance:
         if kind == "fg":
             return catalog.fabrykowski_gupta(p)
         if kind == "ggs":
-            vec = data.get("vector")
-            _expect(isinstance(vec, list), "/vector", "expected a list")
-            return catalog.make_ggs(p, vec)
+            return catalog.make_ggs(p, _integers(data.get("vector"), "/vector"))
         if kind == "multi_ggs":
             vecs = data.get("vectors")
             _expect(isinstance(vecs, list) and vecs, "/vectors",
                     "expected a nonempty list of vectors")
-            return catalog.make_multi_ggs(p, vecs)
+            return catalog.make_multi_ggs(p, [_integers(v, f"/vectors/{i}")
+                                              for i, v in enumerate(vecs)])
         if kind == "multi_egs":
             fams = data.get("families")
             _expect(isinstance(fams, list) and fams, "/families",
@@ -63,17 +71,20 @@ def instance_from_dict(data: dict) -> GroupInstance:
                 _expect(isinstance(item, dict), f"/families/{i}",
                         "expected an object with j and vectors")
                 j = item.get("j")
-                _expect(isinstance(j, int), f"/families/{i}/j",
+                _expect(type(j) is int, f"/families/{i}/j",
                         "expected an integer")
+                _expect(j not in fam_map, f"/families/{i}/j",
+                        f"family {j} is given twice")
                 vecs = item.get("vectors")
                 _expect(isinstance(vecs, list) and vecs,
                         f"/families/{i}/vectors", "expected a nonempty list")
-                fam_map[j] = vecs
+                fam_map[j] = [_integers(v, f"/families/{i}/vectors/{k}")
+                              for k, v in enumerate(vecs)]
             return catalog.make_multi_egs(p, fam_map)
         poly = data.get("poly")
         _expect(isinstance(poly, list) and poly, "/poly",
                 "expected the coefficient list alpha_0..alpha_{r-1}")
-        return catalog.make_sunic(p, poly)
+        return catalog.make_sunic(p, _integers(poly, "/poly"))
     except ValueError as exc:
         if isinstance(exc, SpecError):
             raise

@@ -11,8 +11,8 @@ from __future__ import annotations
 from .catalog import BranchType, SunicInstance, branch_type
 from .engine import (Subgroup, commutator_seeds, commutator_subgroup, group_of,
                      normal_closure)
-from .gmodules import (layer_preimage, submodule_closure, tuple_from_rank,
-                       vj_basis, wm_module)
+from .gmodules import (chain_module, layer_preimage, submodule_closure,
+                       wm_module)
 from .trees import Portrait, commutator
 
 # -- deterministic rng -------------------------------------------------------
@@ -208,8 +208,7 @@ def _build_normal_family(ctx: GroupContext, n: int,
     for m in range(1, n):
         u = g.image_in_wm(m)
         if u.dim >= 2:
-            mid = tuple_from_rank(max(u.dim // 2 - 1, 0), ctx.p, m)
-            sub = vj_basis(ctx.p, mid)
+            sub = chain_module(ctx.p, m, u.dim // 2)
             if (u.contains(sub)
                     and submodule_closure(sub, wm_module(ctx.inst, m)) == sub):
                 members.append(FamilyMember(

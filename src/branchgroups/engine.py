@@ -479,12 +479,15 @@ class Subgroup:
 
     def image_in_wm(self, m: int) -> FpSubspace:
         """Row space of the level-m labels of St_H(m); the image of the
-        m-th congruence layer inside the permutation module W_m."""
+        m-th congruence layer inside the permutation module W_m; computed
+        once per m."""
         if not 0 <= m < self.depth:
             raise ValueError("need 0 <= m < depth")
-        st = self.stabilizer(m)
-        rows = [g.level_labels(m) for g in st.gens]
-        return FpSubspace(self.p, self.p**m, rows if rows else None)
+        images = vars(self).setdefault("_images", {})
+        if m not in images:
+            rows = [g.level_labels(m) for g in self.stabilizer(m).gens]
+            images[m] = FpSubspace(self.p, self.p**m, rows or None)
+        return images[m]
 
     def level_dims(self) -> list[int]:
         """t(m) = log_p |St(m) : St(m+1)| for m = 0..depth-1, from the pcgs."""

@@ -9,15 +9,18 @@ p-fold direct sum is implemented as well, from psi words rather than
 portraits, and is checked against this shortcut permutation by
 permutation.
 
-The distinguished submodule chain V_j of W_m, indexed by tuples
-j in {1..p}^m plus a sentinel (0,p,...,p) for the zero space, is built
-by the recursive sandwich construction; its canonical generators make
-every basis deterministic.
+The distinguished submodule chain of W_m has one member per dimension
+t = 0..p^m, and `chain_module(p, m, t)` indexes it so.  Its generators
+are Kronecker products of rows of one Pascal table, the coefficients of
+(x - 1)^e mod p; each member is the block sum of a level-(m-1) member
+plus the span of such products.  The paper's tuples j in {1..p}^m, with
+a sentinel (0,p,...,p) for the zero space, are a display format only:
+V_j is the member of dimension tuple_rank(j) + 1.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import Sequence
 
@@ -100,108 +103,66 @@ def iterated_twisted_sum(inst, m: int) -> GModule:
     return mod
 
 
-# -- the index tuples and the submodule chain ------------------------------
+# -- the submodule chain -----------------------------------------------------
 
 
-def is_sentinel(j: IndexTuple) -> bool:
-    return len(j) >= 1 and j[0] == 0
+@lru_cache(maxsize=None)
+def _pascal(p: int) -> np.ndarray:
+    """Row e holds the coefficients of (x - 1)^e mod p, lowest degree
+    first; read-only, as the cache shares it."""
+    table = np.array([[comb(e, i) * (-1)**(e - i) % p for i in range(p)]
+                      for e in range(p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
-def check_tuple(j: IndexTuple, p: int) -> IndexTuple:
-    j = tuple(int(x) for x in j)
-    if is_sentinel(j):
-        if j != (0,) + (p,) * (len(j) - 1):
-            raise ValueError(f"malformed sentinel {j}")
-        return j
-    if not j or any(not 1 <= x <= p for x in j):
-        raise ValueError(f"tuple {j} not in {{1..{p}}}^m")
-    return j
-
-
-def predecessor(j: IndexTuple, p: int) -> IndexTuple:
-    """The predecessor in the lexicographic chain on {1..p}^m, with
-    (1,...,1) mapping to the sentinel (0,p,...,p)."""
-    j = check_tuple(j, p)
-    if is_sentinel(j):
-        raise ValueError("the sentinel has no predecessor")
-    if len(j) == 1:
-        return (j[0] - 1,)
-    if j[-1] >= 2:
-        return j[:-1] + (j[-1] - 1,)
-    return predecessor(j[:-1], p) + (p,)
+def tuple_rank(j: IndexTuple, p: int) -> int:
+    """The rank of j in the lexicographic order of {1..p}^m, 0 at (1,...,1);
+    -1 for the sentinel (0,p,...,p), which stands for the zero module."""
+    j = tuple(j)
+    if j[:1] == (0,) and j[1:] == (p,) * (len(j) - 1):
+        return -1
+    if not j or not all(1 <= x <= p for x in j):
+        raise ValueError(f"{j} is neither a sentinel nor in {{1..{p}}}^m")
+    return sum((x - 1) * p**k for k, x in enumerate(reversed(j)))
 
 
 def tuple_from_rank(rank: int, p: int, m: int) -> IndexTuple:
     if rank < 0:
         return (0,) + (p,) * (m - 1)
-    digits = []
-    for _ in range(m):
-        digits.append(rank % p + 1)
-        rank //= p
-    if rank:
-        raise ValueError("rank out of range")
-    return tuple(reversed(digits))
-
-
-@lru_cache(maxsize=None)
-def _a_nilpotent_power(p: int, k: int) -> np.ndarray:
-    """(A - I)^k for the p-cycle permutation matrix A on level 1, k < p.
-
-    A^j moves coordinate i to i + j, so row 0 is the binomial row
-    sum_j C(k, j) (-1)^(k-j) e_j and row i is row 0 shifted by i."""
-    row = np.zeros(p, dtype=np.int64)
-    row[:k + 1] = [comb(k, j) * (-1)**(k - j) % p for j in range(k + 1)]
-    return row[(np.arange(p) - np.arange(p)[:, None]) % p]
-
-
-@lru_cache(maxsize=None)
-def canonical_generator(p: int, j: IndexTuple) -> bytes:
-    """Canonical cyclic generator w_j of V_j, serialized (cache-friendly)."""
-    j = check_tuple(j, p)
-    if is_sentinel(j):
-        raise ValueError("the zero module has no generator")
-    if len(j) == 1:
-        vec = _a_nilpotent_power(p, p - j[0])[0] % p
-        return vec.astype(np.int8).tobytes()
-    w_prefix = canonical_generator_vec(p, j[:-1])
-    coeffs = canonical_generator_vec(p, (j[-1],))
-    return _block_multiples(coeffs, w_prefix, p).astype(np.int8).tobytes()
+    return tuple(int(d) + 1 for d in np.unravel_index(rank, (p,) * m))
 
 
 def canonical_generator_vec(p: int, j: IndexTuple) -> np.ndarray:
-    return np.frombuffer(canonical_generator(p, j), dtype=np.int8).copy()
-
-
-def _block_multiples(coeffs: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
-    """The concatenation of c * w over the coefficients c, in int64 (int8
-    products wrap around once p >= 13)."""
-    return (np.outer(np.asarray(coeffs, dtype=np.int64),
-                     np.asarray(w, dtype=np.int64)) % p).ravel()
+    """The generator w_j of V_j: the Kronecker product of the rows
+    (x - 1)^(p - j_k), the last entry outermost."""
+    if tuple_rank(j, p) < 0:
+        raise ValueError("the zero module has no generator")
+    return reduce(np.kron, [_pascal(p)[p - x] for x in reversed(j)]) % p
 
 
 @lru_cache(maxsize=None)
-def vj_basis(p: int, j: IndexTuple) -> FpSubspace:
-    """The chain submodule V_j of W_m (m = len(j)), canonical echelon basis.
-
-    V_j sits between the block sums of V_{j'} and V_{(j')-} and maps onto
-    V_{(j_m)} of W_1 in the middle quotient; the construction depends only
-    on p, not on the acting group.
-    """
-    j = check_tuple(j, p)
-    m = len(j)
-    ambient = p**m
-    if is_sentinel(j):
-        return FpSubspace(p, ambient)
+def chain_module(p: int, m: int, t: int) -> FpSubspace:
+    """The chain member of dimension t in W_m.  With t - 1 = p q + s, it is
+    the block sum of the level-(m-1) member of dimension q plus the span of
+    (x - 1)^e (x) w for e >= p - 1 - s, w the generator of rank q."""
+    if t == 0:
+        return FpSubspace(p, p**m)
     if m == 1:
-        return FpSubspace(p, p, _a_nilpotent_power(p, p - j[0]))
-    lower = vj_basis(p, predecessor(j[:-1], p)).echelon()
-    # the block sum of V_{(j')-} is already in echelon form
-    basis = Echelon(p, ambient)
-    basis.bases[0] = np.kron(np.eye(p, dtype=np.int64), lower.bases[0])
-    w_prefix = canonical_generator_vec(p, j[:-1])
-    basis.add_span([_block_multiples(coeff_row, w_prefix, p)
-                    for coeff_row in vj_basis(p, (j[-1],)).rows])
+        return FpSubspace(p, p, _pascal(p)[p - t:])
+    q, s = divmod(t - 1, p)
+    basis = Echelon(p, p**m)    # a block sum of RREF bases is in RREF
+    basis.bases[0] = np.kron(np.eye(p, dtype=np.int64),
+                             chain_module(p, m - 1, q).echelon().bases[0])
+    w = canonical_generator_vec(p, tuple_from_rank(q, p, m - 1))
+    basis.add_span(np.kron(_pascal(p)[p - 1 - s:], w))
     return basis.subspace()
+
+
+def vj_basis(p: int, j: IndexTuple) -> FpSubspace:
+    """V_j of W_m (m = len(j)): the chain member of dimension
+    tuple_rank(j) + 1."""
+    return chain_module(p, len(j), tuple_rank(j, p) + 1)
 
 
 # -- closures ---------------------------------------------------------------
@@ -278,12 +239,9 @@ def compute_rm(u: FpSubspace, m: int) -> dict:
     Returns {"t": dim U, "j_max": tuple, "match": bool, ...}; a failed
     match carries the computed subspace as a falsification witness.
     """
-    p = u.p
     t = u.dim
-    if t == 0:
-        return {"t": 0, "j_max": tuple_from_rank(-1, p, m), "match": True}
-    j_max = tuple_from_rank(t - 1, p, m)
-    v = vj_basis(p, j_max)
+    j_max = tuple_from_rank(t - 1, u.p, m)
+    v = chain_module(u.p, m, t)
     if v == u:
         return {"t": t, "j_max": j_max, "match": True}
     return {"t": t, "j_max": j_max, "match": False,

@@ -22,8 +22,11 @@ from .trees import to_digits
 
 @lru_cache(maxsize=None)
 def _inverses(p: int) -> np.ndarray:
-    """x -> x^-1 mod p as a lookup table (0 maps to 0)."""
-    return np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int64)
+    """x -> x^-1 mod p as a lookup table (0 maps to 0); read-only, as the
+    cache shares it."""
+    table = np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 class Echelon:
@@ -169,8 +172,10 @@ class FpSubspace:
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Residue of a vector (or of each row of a matrix) after elimination
-        against the echelon basis."""
-        return self.echelon().reduce(np.asarray(vec)[None])[0]
+        against the echelon basis: the coefficient of each row is the
+        vector's entry at its pivot."""
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        return (v - v.take(self.pivots, axis=-1) @ self.rows) % self.p
 
     def contains_vector(self, vec) -> bool:
         return not self.reduce(vec).any()

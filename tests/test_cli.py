@@ -167,6 +167,35 @@ def test_spec_validation_errors():
                             "families": [{"vectors": [[1, 0]]}]})
 
 
+@pytest.mark.parametrize("spec,pointer", [
+    ({"type": "ggs", "p": 3, "vector": [1.5, 0]}, "/vector/0"),
+    ({"type": "ggs", "p": 3, "vector": ["1", 0]}, "/vector/0"),
+    ({"type": "ggs", "p": 3, "vector": [None, 1]}, "/vector/0"),
+    ({"type": "ggs", "p": 3, "vector": [1, False]}, "/vector/1"),
+    ({"type": "sunic", "p": 2, "poly": [1, True]}, "/poly/1"),
+    ({"type": "sunic", "p": 2, "poly": [[1], 1]}, "/poly/0"),
+    ({"type": "multi_ggs", "p": 3, "vectors": [5]}, "/vectors/0"),
+    ({"type": "multi_ggs", "p": 3, "vectors": [[1, 0], [0, 0.5]]},
+     "/vectors/1/1"),
+    ({"type": "multi_egs", "p": 3,
+      "families": [{"j": True, "vectors": [[1, 0]]}]}, "/families/0/j"),
+    ({"type": "multi_egs", "p": 3,
+      "families": [{"j": 1, "vectors": [[1, "0"]]}]},
+     "/families/0/vectors/0/1"),
+    ({"type": "multi_egs", "p": 3,
+      "families": [{"j": 1, "vectors": [[1, 0]]},
+                   {"j": 1, "vectors": [[0, 1]]}]}, "/families/1/j"),
+])
+def test_spec_entries_must_be_json_integers(spec, pointer, tmp_path, capsys):
+    # a coerced entry would run another group; a crash would exit 1, the
+    # code of a falsification
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["info", "--spec", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"spec error: {pointer}: ")
+
+
 def test_bad_spec_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"type": "ggs", "p": 3, "vector": [0, 0]}))

@@ -56,6 +56,8 @@ def test_fg_known_level_dims(fg3_ctx):
     assert g.level_dims() == [1, 3, 6, 18]
     # chain consistency: exponent = sum of layer image dimensions
     assert g.order_exponent == sum(g.image_in_wm(m).dim for m in range(4))
+    # each layer image is computed once per subgroup
+    assert g.image_in_wm(2) is g.image_in_wm(2)
 
 
 @pytest.mark.parametrize("gens", [

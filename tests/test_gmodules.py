@@ -4,57 +4,54 @@ import numpy as np
 import pytest
 
 from branchgroups.catalog import fabrykowski_gupta, make_ggs, make_sunic, preset
-from branchgroups.gmodules import (GModule, _a_nilpotent_power,
-                                   canonical_generator_vec, commutator_subspace,
-                                   compute_rm, first_non_normal_layer,
-                                   is_sentinel,
+from branchgroups.gmodules import (GModule, _pascal, canonical_generator_vec,
+                                   commutator_subspace, compute_rm,
+                                   first_non_normal_layer,
                                    iterated_twisted_sum, layer_preimage,
-                                   layer_representatives, predecessor,
-                                   submodule_closure, tuple_from_rank,
+                                   layer_representatives, submodule_closure,
+                                   tuple_from_rank, tuple_rank,
                                    uniserial_chain, vj_basis, wm_module)
 from branchgroups.linalg import FpSubspace, full_space
 
 
-def tuple_rank(j, p):
-    """Lexicographic rank; (1,...,1) has rank 0, the sentinel rank -1."""
-    if is_sentinel(j):
-        return -1
-    m = len(j)
-    return sum((x - 1) * p**(m - 1 - k) for k, x in enumerate(j))
-
-
 def rm_tuples(j_max, p):
     """All members of R_m when it matches a chain prefix (small m only)."""
-    if is_sentinel(j_max):
-        return []
     m = len(j_max)
     return [tuple_from_rank(r, p, m) for r in range(tuple_rank(j_max, p) + 1)]
 
 
 # -- index tuples ------------------------------------------------------------
 
-def test_predecessor_examples():
-    assert predecessor((1,), 3) == (0,)
-    assert predecessor((2, 1), 3) == (1, 3)
-    assert predecessor((3, 2), 3) == (3, 1)
-    assert predecessor((1, 1), 3) == (0, 3)
+def test_tuple_rank_examples():
+    assert tuple_rank((1,), 3) == 0
+    assert tuple_rank((1, 3), 3) == 2
+    assert tuple_rank((2, 1), 3) == 3
+    assert tuple_rank((3, 3), 3) == 8
+    assert tuple_rank((0,), 3) == tuple_rank((0, 3), 3) == -1
 
 
-def test_predecessor_of_sentinel_raises():
+def test_tuple_rank_follows_lex_order():
+    for p, m in ((2, 4), (3, 2)):
+        ranks = [tuple_rank(j, p)
+                 for j in itertools.product(range(1, p + 1), repeat=m)]
+        assert ranks == list(range(p**m))
+
+
+@pytest.mark.parametrize("j", [(), (4,), (1, 0), (2, 4), (-1, 3), (0, 1),
+                               (0, 3, 2), (0, 0)])
+def test_malformed_tuples_are_rejected(j):
     with pytest.raises(ValueError):
-        predecessor((0, 3), 3)
+        tuple_rank(j, 3)
+    with pytest.raises(ValueError):
+        vj_basis(3, j)
+    with pytest.raises(ValueError):
+        canonical_generator_vec(3, j)
 
 
-def test_predecessor_generates_lex_order():
-    p, m = 3, 2
-    j = (p,) * m
-    seen = [j]
-    while not is_sentinel(j):
-        j = predecessor(j, p)
-        seen.append(j)
-    assert len(seen) == p**m + 1
-    ranks = [tuple_rank(t, p) for t in seen]
-    assert ranks == list(range(p**m - 1, -2, -1))
+def test_the_sentinel_has_no_generator():
+    assert vj_basis(3, (0, 3)).dim == 0
+    with pytest.raises(ValueError, match="no generator"):
+        canonical_generator_vec(3, (0, 3))
 
 
 def test_tuple_rank_roundtrip():
@@ -79,13 +76,18 @@ def test_level_one_paper_bases():
     assert vj_basis(5, (3,)).contains_vector([1, -2, 1, 0, 0])
 
 
+def previous(j, p):
+    """The tuple one rank below j (the sentinel below (1,...,1))."""
+    return tuple_from_rank(tuple_rank(j, p) - 1, p, len(j))
+
+
 @pytest.mark.parametrize("p,mmax", [(3, 3), (5, 2)])
 def test_dim_formula_and_chain_structure(p, mmax):
     for m in range(1, mmax + 1):
         for j in itertools.product(range(1, p + 1), repeat=m):
             v = vj_basis(p, j)
             assert v.dim == tuple_rank(j, p) + 1
-            lower = vj_basis(p, predecessor(j, p))
+            lower = vj_basis(p, previous(j, p))
             assert v.contains(lower) and v.dim == lower.dim + 1
             assert v.contains_vector(canonical_generator_vec(p, j))
             assert not lower.contains_vector(canonical_generator_vec(p, j))
@@ -102,7 +104,7 @@ def test_level_two_chain_modules_are_submodules(p):
         assert submodule_closure(v, mod) == v
         w = canonical_generator_vec(p, j)
         assert v.contains_vector(w)
-        assert not vj_basis(p, predecessor(j, p)).contains_vector(w)
+        assert not vj_basis(p, previous(j, p)).contains_vector(w)
 
 
 # -- modules -------------------------------------------------------------------
@@ -147,15 +149,21 @@ def test_gmodule_rejects_non_permutation(perm):
         GModule(3, 3, {"a": perm})
 
 
-def test_a_nilpotent_power_matches_dense():
+def test_pascal_rows_match_dense():
+    # row k of the table is row 0 of (A - I)^k for the p-cycle A on level 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
               59, 61):
         a_minus_i = (permutation_matrix((np.arange(p) + 1) % p)
                      - np.eye(p, dtype=np.int64)) % p
         dense = np.eye(p, dtype=np.int64)
         for k in range(p):
-            assert np.array_equal(_a_nilpotent_power(p, k), dense), (p, k)
+            assert np.array_equal(_pascal(p)[k], dense[0]), (p, k)
             dense = dense @ a_minus_i % p
+
+
+def test_pascal_table_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        _pascal(5)[1, 0] = 0
 
 
 def test_constant_vector_fixed():
@@ -206,21 +214,30 @@ def test_w1_commutator_is_vpminus1():
     assert commutator_subspace(vj_basis(3, (1,)), mod).dim == 0
 
 
+def referee_modules():
+    """(p, m, W_m) for groups whose W_m is uniserial, so that the action
+    alone fixes the chain: Grigorchuk for m <= 6, FG at p = 3 and 5 for
+    m <= 3."""
+    for inst, mmax in ((preset("sunic-grigorchuk"), 6), (preset("fg3"), 3),
+                       (fabrykowski_gupta(5), 3)):
+        for m in range(1, mmax + 1):
+            yield inst.p, m, wm_module(inst, m)
+
+
 def test_cyclic_closures_recover_chain():
-    fg = fabrykowski_gupta(3)
-    for m in (1, 2):
-        mod = wm_module(fg, m)
-        for j in itertools.product(range(1, 4), repeat=m):
-            seed = FpSubspace(3, 3**m, [canonical_generator_vec(3, j)])
-            assert submodule_closure(seed, mod) == vj_basis(3, j)
+    for p, m, mod in referee_modules():
+        for j in itertools.product(range(1, p + 1), repeat=m):
+            seed = FpSubspace(p, p**m, [canonical_generator_vec(p, j)])
+            assert submodule_closure(seed, mod) == vj_basis(p, j), j
 
 
 def test_commutator_steps_down_the_chain():
-    fg = fabrykowski_gupta(3)
-    mod = wm_module(fg, 2)
-    for j in itertools.product(range(1, 4), repeat=2):
-        assert commutator_subspace(vj_basis(3, j), mod) == \
-            vj_basis(3, predecessor(j, 3))
+    for p, m, mod in referee_modules():
+        for j in itertools.product(range(1, p + 1), repeat=m):
+            v = vj_basis(p, j)
+            lower = commutator_subspace(v, mod)
+            assert lower.dim == v.dim - 1, j
+            assert lower == vj_basis(p, previous(j, p)), j
 
 
 def test_uniserial_chain_lengths(fg3_ctx):

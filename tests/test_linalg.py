@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchgroups.linalg import (Echelon, FpSubspace, full_space, matrix_rank,
-                                 rref)
+from branchgroups.linalg import (Echelon, FpSubspace, _inverses, full_space,
+                                 matrix_rank, rref)
 
 
 def reference_rref(rows, p):
@@ -132,6 +132,11 @@ def test_reduce_idempotent_and_zero_at_pivots(case, data):
                                       max_size=mat.shape[1])))
     res = space.reduce(vec)
     assert res.dtype == np.int64
+    # the pivot-row product equals elimination by the square stack form
+    assert np.array_equal(res, space.echelon().reduce(vec)[0])
+    batch = np.stack([vec, res, (2 * vec) % p])
+    assert np.array_equal(space.reduce(batch),
+                          space.echelon().reduce(batch[None])[0])
     assert not res[space.pivots].any()
     assert np.array_equal(space.reduce(res), res)
     assert space.contains_vector((vec - res) % p)
@@ -144,3 +149,9 @@ def test_reduce_does_not_wrap_at_large_p():
     v = np.array([66, 66, 0])
     assert not s.reduce(v)[:2].any()
     assert s.reduce(v)[2] == (-(66 * 66) - 66 * 65) % p
+
+
+def test_inverse_table_is_read_only():
+    assert (_inverses(7) * np.arange(7) % 7).tolist() == [0] + [1] * 6
+    with pytest.raises(ValueError, match="read-only"):
+        _inverses(7)[2] = 0
