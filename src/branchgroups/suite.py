@@ -26,11 +26,10 @@ from .catalog import (MultiEGSInstance, SunicInstance, branch_type,
                       is_torsion, r_dot)
 from .context import (FamilyMember, GroupContext, SplitMix64, branch_gamma,
                       branch_subgroup, random_word)
-from .engine import (ResourceGuardError, Subgroup, commutator_subgroup, extend,
+from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
                      first_missing_embedding, group_of, is_regular_branch_over,
                      is_subdirect_in_product, is_super_strongly_fractal, join,
-                     min_generators, normal_closure, powers_of,
-                     sections_within)
+                     normal_closure, sections_within)
 from .gmodules import (compute_rm, first_non_normal_layer, uniserial_chain,
                        wm_module)
 from .reports import Verdict, VerificationReport, non_membership, skipped
@@ -374,9 +373,7 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
             continue
         ng = mem.ng(ctx, n)
         width = sub.order_exponent - ng.order_exponent
-        p_powers = powers_of(sub.gens, ctx.p)
-        pth = extend(ng, p_powers, ng.gens + p_powers)
-        d_normal = sub.order_exponent - pth.order_exponent
+        d_normal = ctx.normal_rank(sub, n)
         v.record(mem.name, width <= bound and d_normal <= bound,
                  {"width": width, "d": d_normal},
                  witness=lambda: {"member": mem.name, "width": width,
@@ -450,7 +447,7 @@ def verify_appb(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
                  b_sub.is_subgroup_of(join(gam3, g.stabilizer(k))),
                  witness=lambda: {"clause": f"B<=gamma3*St({k})"})
     if n >= 3:
-        d3 = min_generators(ctx.quotient(3))
+        d3 = ctx.normal_rank(ctx.quotient(3), 3)
         v.record("min_generators(G_3)", d3 == 3, d3,
                  witness=lambda: {"clause": "min_generators(G_3)", "value": d3})
     return v.report("appb", n, one_sided=True)
@@ -528,7 +525,7 @@ def verify_generator_counts(ctx: GroupContext, n: int,
     if n < rd + 1:
         return skipped("generator-count", n,
                        f"needs depth >= rdot+1 = {rd + 1}")
-    d = min_generators(ctx.quotient(n))
+    d = ctx.normal_rank(ctx.quotient(n), n)
     v = Verdict(rdot=rd, expected=1 + rd)
     v.record("min_generators", d == 1 + rd, d,
              witness=lambda: {"min_generators": d, "expected": 1 + rd})
@@ -547,8 +544,8 @@ def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
                            "both groups must branch over the derived subgroup "
                            "and have the congruence subgroup property")
     rg, rh = r_dot(gi), r_dot(hi)
-    dg = min_generators(ctx_g.quotient(rg + 1))
-    dh = min_generators(ctx_h.quotient(rh + 1))
+    dg = ctx_g.normal_rank(ctx_g.quotient(rg + 1), rg + 1)
+    dh = ctx_h.normal_rank(ctx_h.quotient(rh + 1), rh + 1)
     v = Verdict(rank_G=dg)
     v.record("rank_H", dg == 1 + rg and dh == 1 + rh and dg != dh, dh,
              witness=lambda: dict(v.details))

@@ -1,13 +1,16 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from branchgroups import engine, suite
-from branchgroups.catalog import (fabrykowski_gupta, make_ggs, make_multi_egs,
-                                  make_multi_ggs, make_sunic, preset)
-from branchgroups.cli import EXIT_GUARD, run
-from branchgroups.context import GroupContext, SplitMix64, branch_subgroup
+from branchgroups import context, engine, suite
+from branchgroups.catalog import (PRESET_NAMES, fabrykowski_gupta, make_ggs,
+                                  make_multi_egs, make_multi_ggs, make_sunic,
+                                  preset)
+from branchgroups.cli import EXIT_FAIL, EXIT_GUARD, run
+from branchgroups.context import (FamilyMember, GroupContext, SplitMix64,
+                                  branch_subgroup)
 from branchgroups.gmodules import tuple_from_rank, vj_basis
 from branchgroups.reports import Verdict
 from branchgroups.suite import (csp_offset, run_all, run_check,
@@ -132,6 +135,112 @@ def test_effective_csp_witness_prints_the_from_scratch_ng(clause,
     assert rep.witness["member"] == (
         "ncl12" if clause == "member" else "ncl12/K'-fallback")
     assert rep.witness["subgroup_gens"] == scratch
+
+
+# -- random family members: reused or closed -------------------------------------
+
+@pytest.mark.parametrize("name,depth", [
+    ("fg3", 3), ("fg3", 4), ("gs3", 3), ("gs3", 4), ("fg5", 3), ("fg5", 4),
+    ("sunic-grigorchuk", 5), ("sunic-grigorchuk", 6)])
+def test_family_closures_match_from_scratch_referee(name, depth,
+                                                    monkeypatch):
+    # a random member that shares an earlier member's subgroup equals ncl(w)
+    # closed from scratch, and one closed from scratch equals no earlier
+    # member; both paths run over seeds 0-3
+    calls = []
+    closure = context._member_closure
+
+    def spy(ctx, n, w, members):
+        sub = closure(ctx, n, w, members)
+        calls.append((w, sub, [m.subgroup for m in members]))
+        return sub
+
+    monkeypatch.setattr(context, "_member_closure", spy)
+    ctx = GroupContext(preset(name))
+    g = ctx.quotient(depth)
+    for seed in range(4):
+        ctx.normal_family(depth, seed)
+    paths = set()
+    for w, sub, earlier in calls:
+        reused = any(sub is m for m in earlier)
+        paths.add(reused)
+        if reused:
+            ref = engine.normal_closure([w], g)
+            assert sub.is_subgroup_of(ref) and ref.is_subgroup_of(sub)
+        else:
+            assert not any(sub.equal(m) for m in earlier)
+    assert paths == {True, False}
+
+
+class _CyclicP2:
+    """<x> for x of order 9 on the ternary tree of depth 2: the quotient
+    G / [G, G] = G is cyclic, so Phi_G(G) = <x^3> is not [G, G] = 1."""
+
+    p = 3
+
+    def generators(self, depth):
+        return [Portrait.from_digits(3, depth, "1100")]
+
+
+def _member_closure(ctx, n, w, *subs):
+    members = [FamilyMember(f"M{i}", sub) for i, sub in enumerate(subs)]
+    return context._member_closure(ctx, n, w, members)
+
+
+def test_member_closure_reuses_a_member_only_when_w_generates_it(fg3_ctx):
+    g = fg3_ctx.quotient(4)
+    st1 = g.stabilizer(1)                  # |St(1) : Phi_G(St(1))| = 3
+    ng = fg3_ctx.member_ng(st1, 4)
+    x = next(x for x in st1.gens if not ng.contains(x))
+    comm = next(c for c in engine.commutator_seeds(st1.gens, g.gens)
+                if not c.is_identity())
+    cyclic = GroupContext(_CyclicP2())
+    h = cyclic.quotient(2)
+    p_power = h.gens[0] ** 3
+    cases = [
+        (fg3_ctx, 4, x, [st1], st1),       # reused: x generates St(1)
+        (fg3_ctx, 4, comm, [st1], None),   # in [St(1), G]
+        (cyclic, 2, p_power, [h], None),   # in Phi_G(G) but not [G, G]
+        (fg3_ctx, 4, g.gens[0], [g], None),  # |G : Phi(G)| = 9
+    ]
+    for ctx, n, w, subs, shared in cases:
+        sub = _member_closure(ctx, n, w, *subs)
+        ref = engine.normal_closure([w], ctx.quotient(n))
+        assert sub.is_subgroup_of(ref) and ref.is_subgroup_of(sub)
+        if shared is None:
+            assert all(sub is not m for m in subs)
+            assert sub.order_exponent < subs[0].order_exponent
+        else:
+            assert sub is shared
+
+
+def test_family_reuse_pins_closures_and_insertions(monkeypatch):
+    # verify all on fg3 at depth 4, seed 1: 2 of the 8 random members are
+    # closed (8 when every one is), and the run inserts 376 pcgs elements
+    closures = mock.Mock(wraps=context.normal_closure)
+    monkeypatch.setattr(context, "normal_closure", closures)
+    pcgs = engine.InducedPcgs
+    with mock.patch.object(pcgs, "add_generators", autospec=True,
+                           side_effect=pcgs.add_generators) as adds, \
+            mock.patch.object(pcgs, "_insert", autospec=True,
+                              side_effect=pcgs._insert) as inserts:
+        code = run(["verify", "all", "--preset", "fg3", "--depth", "4",
+                    "--seed", "1"])
+    assert code == EXIT_FAIL                       # the known-red fg-lemma
+    assert closures.call_count == 2
+    assert adds.call_count == 46
+    assert inserts.call_count == 376
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_min_generators_from_the_g_frattini_subgroup(name):
+    # |G_n : Phi_G(G_n)| extends the cached G'; engine.min_generators
+    # closes the Frattini subgroup from scratch
+    ctx = GroupContext(preset(name))
+    for n in (2, 3, 4):
+        g = ctx.quotient(n)
+        assert ctx.normal_rank(g, n) == engine.min_generators(g)
+        assert ctx.member_ng(g, n) is ctx.derived(n)
 
 
 def test_verdict_keeps_first_witness_and_builds_it_on_failure_only():
