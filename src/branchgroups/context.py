@@ -3,7 +3,8 @@
 `GroupContext` caches the finite quotients G_n = G/St_G(n), the
 commutator series closed from scratch (derived and lower central terms,
 K and K'), n_G, the normal families the checks run over and each family
-member's [N, G], which reuses the largest [M, G] already built below it.
+member's [N, G], which extends the largest [M, G] built below it, building
+that of the member below first.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class GroupContext:
         self._quotients: dict[int, Subgroup] = {}
         self._commutators: dict[tuple[Subgroup, Subgroup, int], Subgroup] = {}
         self._member_ngs: dict[tuple[Subgroup, int], Subgroup] = {}
+        # the distinct subgroups of the depth-n family members, in order
+        self._members: dict[int, dict[Subgroup, None]] = {}
         self._normal_ranks: dict[tuple[Subgroup, int], int] = {}
         self._families: dict[tuple[int, int], list] = {}
         self._sunic_k: dict[int, Subgroup] = {}
@@ -80,13 +83,15 @@ class GroupContext:
 
         For N = G this is the series term G', built if need be; another
         series term [N, G] is returned as built.  Otherwise the [M, G]
-        already built at depth n (series terms and earlier members) are
-        tried, largest first and, among equals, larger M first; the first
-        with M <= N is reused.  For |M| = |N| that is the same object,
-        else a copy of its pcgs extended by the normal closure of [x, g]
-        for the generators x of N outside M and g of G: [N, G], as [M, G]
-        is normal in G and N = <M, x>.  Only with no such M is [N, G]
-        closed from scratch.
+        already built at depth n (series terms, members and the [N, G] of
+        normal closures) are tried, largest first and, among equals,
+        larger M first; the first with M <= N is reused.  With no such M,
+        [M, G] is built first, by this rule, for the largest family member
+        M < N, so only the least member of a chain is closed from scratch.
+        For |M| = |N| [M, G] is the same object, else a copy of its pcgs
+        extended by the normal closure of [x, g] for the generators x of N
+        outside M and g of G: [N, G], as [M, G] is normal in G and
+        N = <M, x>.
         """
         g = self.quotient(n)
         if sub is g:
@@ -94,40 +99,53 @@ class GroupContext:
         if (sub, g, n) in self._commutators:
             return self._commutators[sub, g, n]
         if (sub, n) not in self._member_ngs:
-            self._member_ngs[sub, n] = self._extend_largest_ng(sub, g, n)
+            self._member_ngs[sub, n] = self._ng_from_below(sub, g, n)
         return self._member_ngs[sub, n]
 
-    def _extend_largest_ng(self, sub: Subgroup, g: Subgroup,
-                           n: int) -> Subgroup:
+    def built_ngs(self, n: int) -> list[tuple[Subgroup, Subgroup]]:
+        """The pairs (M, [M, G]) built so far in the depth-n quotient G."""
+        g = self.quotient(n)
         built = [(a, c) for (a, b, k), c in self._commutators.items()
                  if b is g and k == n]
-        built += [(a, c) for (a, k), c in self._member_ngs.items() if k == n]
-        built.sort(key=lambda ac: (-ac[1].order_exponent,
-                                  -ac[0].order_exponent))
-        for m, mg in built:
-            if (m.order_exponent > sub.order_exponent
-                    or not m.is_subgroup_of(sub)):
-                continue
-            if m.order_exponent == sub.order_exponent:
-                return mg
-            outside = [x for x, inside in zip(sub.gens,
-                                              m.pcgs.members(sub.gens))
-                       if not inside]
-            pcgs = mg.pcgs.tail(0)
-            kept = pcgs.add_generators(commutator_seeds(outside, g.gens),
-                                       g.gens)
-            return Subgroup(self.p, n, mg.gens + kept, pcgs=pcgs)
-        return commutator_subgroup(sub, g, g)
+        return built + [(a, c) for (a, k), c in self._member_ngs.items()
+                        if k == n]
+
+    def _ng_from_below(self, sub: Subgroup, g: Subgroup, n: int) -> Subgroup:
+        built = sorted(self.built_ngs(n), key=lambda ac: (
+            -ac[1].order_exponent, -ac[0].order_exponent))
+        below = next(((m, mg) for m, mg in built
+                      if m.order_exponent <= sub.order_exponent
+                      and m.is_subgroup_of(sub)), None)
+        if below is None:
+            members = sorted(self._members.get(n, ()),
+                             key=lambda m: -m.order_exponent)
+            m = next((m for m in members
+                      if m.order_exponent < sub.order_exponent
+                      and m.is_subgroup_of(sub)), None)
+            if m is None:
+                return commutator_subgroup(sub, g, g)
+            below = m, self.member_ng(m, n)
+        m, mg = below
+        if m.order_exponent == sub.order_exponent:
+            return mg
+        outside = [x for x, inside in zip(sub.gens, m.pcgs.members(sub.gens))
+                   if not inside]
+        pcgs = mg.pcgs.tail(0)
+        kept = pcgs.add_generators(commutator_seeds(outside, g.gens), g.gens)
+        return Subgroup(self.p, n, mg.gens + kept, pcgs=pcgs)
 
     def g_frattini(self, sub: Subgroup, n: int) -> Subgroup:
         """The G-Frattini subgroup <[N, G], x^p for the generators x of N>
         of N = sub, normal in the depth-n quotient G: the least normal
         subgroup of G below N with a central elementary abelian quotient.
-        For N = G it is the Frattini subgroup G' G^p.  A copy of [N, G]'s
-        pcgs extended by the p-th powers; only its index is memoised."""
+        For N = G it is the Frattini subgroup G' G^p.  [N, G] itself when
+        it holds every p-th power, else a copy of its pcgs extended by
+        them; only its index is memoised."""
         ng = self.member_ng(sub, n)
         p_powers = powers_of(sub.gens, self.p)
-        phi = extend(ng, p_powers, ng.gens + p_powers)
+        phi = ng
+        if not ng.pcgs.members(p_powers).all():
+            phi = extend(ng, p_powers, ng.gens + p_powers)
         self._normal_ranks[sub, n] = sub.order_exponent - phi.order_exponent
         return phi
 
@@ -217,17 +235,24 @@ def random_word(rng: SplitMix64, gens: list[Portrait], length: int) -> Portrait:
 def _build_normal_family(ctx: GroupContext, n: int,
                          seed: int) -> list[FamilyMember]:
     g = ctx.quotient(n)
-    members: list[FamilyMember] = [FamilyMember("G", g)]
+    members: list[FamilyMember] = []
+    registered = ctx._members.setdefault(n, {})
+
+    def add(name: str, sub: Subgroup) -> None:
+        members.append(FamilyMember(name, sub))
+        registered[sub] = None
+
+    add("G", g)
     for m in range(1, n):
-        members.append(FamilyMember(f"St({m})", g.stabilizer(m)))
+        add(f"St({m})", g.stabilizer(m))
     for k in (2, 3, 4):
         gam = ctx.gamma(k, n)
         if not gam.is_trivial():
-            members.append(FamilyMember(f"gamma{k}", gam))
+            add(f"gamma{k}", gam)
     for order in (2, 3):
         d = ctx.derived(n, order)
         if not d.is_trivial():
-            members.append(FamilyMember("G" + "'" * order, d))
+            add("G" + "'" * order, d)
     # chain-layer preimages: one mid-chain layer per level (only when the
     # candidate subspace is action-invariant and inside the actual image)
     for m in range(1, n):
@@ -236,8 +261,7 @@ def _build_normal_family(ctx: GroupContext, n: int,
             sub = chain_module(ctx.p, m, u.dim // 2)
             if (u.contains(sub)
                     and submodule_closure(sub, wm_module(ctx.inst, m)) == sub):
-                members.append(FamilyMember(
-                    f"N_{m}.{sub.dim}", layer_preimage(g, m, sub)))
+                add(f"N_{m}.{sub.dim}", layer_preimage(g, m, sub))
     rng = SplitMix64(seed)
     gens = g.gens
     previous: Portrait | None = None
@@ -246,13 +270,11 @@ def _build_normal_family(ctx: GroupContext, n: int,
         if w.is_identity():
             continue
         idx = len(members)
-        members.append(FamilyMember(
-            f"ncl{idx}", _member_closure(ctx, n, w, members)))
+        add(f"ncl{idx}", _member_closure(ctx, n, w, members))
         if previous is not None and len(members) < FAMILY_SIZE:
             prod = previous * w
             if not prod.is_identity():
-                members.append(FamilyMember(
-                    f"ncl{idx}x", _member_closure(ctx, n, prod, members)))
+                add(f"ncl{idx}x", _member_closure(ctx, n, prod, members))
         previous = w
     checked: set[Subgroup] = set()
     for mem in members:
@@ -267,7 +289,8 @@ def _build_normal_family(ctx: GroupContext, n: int,
 def _member_closure(ctx: GroupContext, n: int, w: Portrait,
                     members: list[FamilyMember]) -> Subgroup:
     """The normal closure of w (not the identity) in the depth-n quotient G:
-    the subgroup of a member when it equals one, else closed from scratch.
+    the subgroup of a member when it equals one, else <w> L for a normal
+    subgroup L already built when ncl(w) = <w> L, else closed from scratch.
 
     Were ncl(w) a member, it would be a least member M containing w.  And
     ncl(w) = M iff |M : Phi_G(M)| = p and w is not in Phi_G(M), Phi_G the
@@ -276,11 +299,21 @@ def _member_closure(ctx: GroupContext, n: int, w: Portrait,
     ncl(w) <= L < M has M / L central of order p, so L >= Phi_G(M).  w is
     tested against [M, G] before Phi_G(M) is built.
 
+    Else let S be the [w, g] over the generators g of G.  Then
+    ncl(w) = <w> ncl(S), as w is central modulo ncl(S), and
+    [ncl(w), G] = ncl(S), as [w, xy] = [w, y] [w, x]^y.  Every normal
+    subgroup containing S contains ncl(S), so only the least L among the
+    members, series terms and built [M, G] that contains S is tested:
+    ncl(S) = L iff S generates L modulo Phi_G(L), by the same chief-factor
+    argument, i.e. iff <S> Phi_G(L) = L.  Then ncl(w) is a copy of L's
+    pcgs extended by w, and its [N, G] is memoised as L.
+
     In `verify all --preset fg3 --depth 4 --seed 1`, 6 of the 8 random
-    members share an earlier member's subgroup. The members are searched
-    by increasing order, each distinct subgroup once. [M, G] is
-    memoised, as the checks read it anyway.
+    members share an earlier member's subgroup and the other 2 extend G'.
+    The members are searched by increasing order, each distinct subgroup
+    once. [M, G] is memoised, as the checks read it anyway.
     """
+    g = ctx.quotient(n)
     subs = sorted(dict.fromkeys(mem.subgroup for mem in members),
                   key=lambda sub: sub.order_exponent)
     least = next(sub for sub in subs if sub.contains(w))
@@ -289,7 +322,16 @@ def _member_closure(ctx: GroupContext, n: int, w: Portrait,
         if (least.order_exponent - phi.order_exponent == 1
                 and not phi.contains(w)):
             return least
-    return normal_closure([w], ctx.quotient(n))
+    seeds = commutator_seeds([w], g.gens)
+    normals = sorted(dict.fromkeys(subs + [mg for _, mg in ctx.built_ngs(n)]),
+                     key=lambda sub: sub.order_exponent)
+    ell = next(sub for sub in normals if sub.first_non_member(seeds) is None)
+    phi = ctx.g_frattini(ell, n)
+    if extend(phi, seeds, phi.gens + seeds).order_exponent == ell.order_exponent:
+        sub = extend(ell, [w], [w] + ell.gens)
+        ctx._member_ngs[sub, n] = ell
+        return sub
+    return normal_closure([w], g)
 
 
 # -- the branching subgroup ---------------------------------------------------

@@ -439,16 +439,16 @@ class Subgroup:
 
     def is_normal_in(self, ambient: "Subgroup") -> bool:
         """Whether every conjugate of a generator by an ambient generator is
-        a member; for self <= ambient this is normality in ambient."""
+        a member; for self <= ambient this is normality in ambient.  The
+        conjugates are formed as one stack and sifted once."""
         t = _Tables(self.p, self.depth)
+        i, j = np.indices((len(self.gens), len(ambient.gens))).reshape(2, -1)
         xs = _stack(self.gens, t)
-        for g in ambient.gens:
-            g_inv = g.inverse()
-            conj = _conjugate_rows(t, xs, (g.lab, g.perm),
-                                   (g_inv.lab, g_inv.perm))
-            if (self.pcgs.sift(*conj) >= 0).any():
-                return False
-        return True
+        gs = _stack(ambient.gens, t)
+        gs_inv = inverse_rows(t, *gs)
+        conj = _conjugate_rows(t, (xs[0][i], xs[1][i]), (gs[0][j], gs[1][j]),
+                               (gs_inv[0][j], gs_inv[1][j]))
+        return not (self.pcgs.sift(*conj) >= 0).any()
 
     def is_trivial(self) -> bool:
         """Identities are dropped from gens, so any generator left has order
@@ -649,12 +649,19 @@ def is_super_strongly_fractal(quotients: Sequence[Subgroup]) -> bool:
 def is_subdirect_in_product(sub: Subgroup, level: int,
                             target: Subgroup) -> bool:
     """For H <= St(level): every coordinate projection of psi_level(H), the
-    sections of H's generators at one level-`level` vertex, equals target."""
+    sections of H's generators at one level-`level` vertex, equals target.
+
+    A projection P equals the p-group T iff P <= T and P Phi(T) = T (the
+    Burnside basis theorem): every section is sifted through T at once,
+    then Phi(T) is closed once and each projection extends a copy of its
+    pcgs.  A trivial H is subdirect only in a trivial target, as
+    Phi(T) < T for T > 1."""
     p = sub.p
-    gens = sub.gens
-    for c in range(p**level):
-        v = vertex_from_local_index(p, level, c)
-        proj = Subgroup(p, target.depth, [g.section(v) for g in gens])
-        if not proj.equal(target):
-            return False
-    return True
+    vertices = [vertex_from_local_index(p, level, c) for c in range(p**level)]
+    sections = [[g.section(v) for g in sub.gens] for v in vertices]
+    if target.first_non_member(x for proj in sections
+                               for x in proj) is not None:
+        return False
+    phi = frattini_subgroup(target)
+    return all(extend(phi, proj, phi.gens + proj).order_exponent
+               == target.order_exponent for proj in sections)

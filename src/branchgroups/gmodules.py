@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import extend
+from .engine import _portraits, _stack, extend
 from .linalg import Echelon, FpSubspace, rref
-from .trees import Portrait
+from .trees import Portrait, _Tables, compose_rows, power_rows
 
 IndexTuple = tuple[int, ...]
 
@@ -269,14 +269,17 @@ def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
         raise ValueError("vector not in the image of St(m)")
     coeffs = np.zeros((len(vecs), len(gens)), dtype=np.int64)
     coeffs[:, pivots] = rows[:, len(gens):].T
-    out = []
-    for vec_coeffs in coeffs:
-        x = Portrait.identity(p, g_n.depth)
-        for g, c in zip(gens, vec_coeffs):
-            if c:
-                x = x * g**int(c)
-        out.append(x)
-    return out
+    # every representative at once, in the generators' order: the stack
+    # of products so far times, row by row, the power of the next
+    # generator that the row's coefficient picks from a table of powers
+    t = _Tables(p, g_n.depth)
+    table = [power_rows(t, *_stack(gens, t), e) for e in range(p)]
+    pow_lab = np.stack([lab for lab, _ in table], axis=1)
+    pow_perm = np.stack([perm for _, perm in table], axis=1)
+    x = _stack([Portrait.identity(p, g_n.depth)] * len(vecs), t)
+    for k in np.flatnonzero(coeffs.any(axis=0)):
+        x = compose_rows(t, *x, pow_lab[k], pow_perm[k], coeffs[:, k])
+    return _portraits(p, g_n.depth, x)
 
 
 def layer_preimage(g_n, m: int, space: FpSubspace):

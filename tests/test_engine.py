@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchgroups.catalog import (fabrykowski_gupta, gupta_sidki, make_ggs,
-                                  make_multi_ggs, make_sunic, preset)
+from branchgroups.catalog import (PRESET_NAMES, fabrykowski_gupta,
+                                  gupta_sidki, make_ggs, make_multi_ggs,
+                                  make_sunic, preset)
 from branchgroups.engine import (InducedPcgs, Subgroup, _stack,
                                  commutator_seeds, commutator_subgroup, extend,
                                  frattini_seeds, frattini_subgroup, group_of,
@@ -15,9 +16,10 @@ from branchgroups.engine import (InducedPcgs, Subgroup, _stack,
                                  is_super_strongly_fractal, join,
                                  min_generators, normal_closure, powers_of,
                                  sections_within)
+from branchgroups.context import GroupContext
 from branchgroups.oracle import bfs_enumerate
 from branchgroups.trees import (Portrait, ResourceGuardError, commutator,
-                               compose_all, rooted_a)
+                               compose_all, rooted_a, vertex_from_local_index)
 
 
 # -- orders against the BFS oracle (the oracle is the referee) ---------------
@@ -410,6 +412,26 @@ def test_join_extends_the_larger_operand(fg3_ctx):
     assert small.order_exponent == g.order_exponent
 
 
+@st.composite
+def normality_cases(draw):
+    """(G_n, H): H is generated by random words, or is their normal
+    closure."""
+    inst = EXTENSION_GROUPS[draw(st.sampled_from(sorted(EXTENSION_GROUPS)))]
+    g = group_of(inst, draw(st.integers(1, 4)))
+    seeds = [word(g.gens, w) for w in draw(words())]
+    if draw(st.booleans()):
+        return g, normal_closure(seeds, g)
+    return g, Subgroup(g.p, g.depth, seeds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(normality_cases())
+def test_batched_normality_matches_the_per_generator_loop(case):
+    g, h = case
+    loop = all(h.contains(x.conjugate(y)) for y in g.gens for x in h.gens)
+    assert h.is_normal_in(g) == loop
+
+
 # -- seeds formed as stacks --------------------------------------------------
 
 def rows_of(fs):
@@ -683,6 +705,38 @@ def test_subdirectness(fg3_ctx):
     assert is_subdirect_in_product(fg3_ctx.derived(3), 1, fg3_ctx.quotient(2))
     triv = Subgroup(3, 3, [])
     assert not is_subdirect_in_product(triv, 1, fg3_ctx.quotient(2))
+
+
+def subdirect_by_closures(sub, level, target):
+    """The referee: close every coordinate projection and compare it with
+    target."""
+    p = sub.p
+    return all(Subgroup(p, target.depth,
+                        [g.section(vertex_from_local_index(p, level, c))
+                         for g in sub.gens]).equal(target)
+               for c in range(p**level))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_subdirect_without_closures_matches_the_closure_comparison(name):
+    ctx = GroupContext(preset(name))
+    n = 4 if ctx.p < 5 else 3
+    g = ctx.quotient(n)
+    cases = [(g.stabilizer(m), m, ctx.quotient(n - m)) for m in range(1, n)]
+    cases += [(ctx.derived(n), 1, ctx.quotient(n - 1)),
+              (ctx.derived(n, 2), 1, ctx.quotient(n - 1)),
+              (ctx.derived(n), 1, ctx.derived(n - 1))]
+    outcomes = set()
+    for sub, level, target in cases:
+        verdict = is_subdirect_in_product(sub, level, target)
+        assert verdict == subdirect_by_closures(sub, level, target)
+        outcomes.add((verdict, sections_within(sub.gens, level, target)))
+    # subdirect; a projection a proper subgroup of the target (refused by
+    # the Frattini extension alone); a projection outside the target
+    assert outcomes == {(True, True), (False, True), (False, False)}
+    trivial = Subgroup(g.p, n, [])
+    assert not is_subdirect_in_product(trivial, 1, ctx.quotient(n - 1))
+    assert is_subdirect_in_product(trivial, 1, Subgroup(g.p, n - 1, []))
 
 
 def test_sections_within(fg3_ctx):

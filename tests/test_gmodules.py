@@ -11,7 +11,9 @@ from branchgroups.gmodules import (GModule, _pascal, canonical_generator_vec,
                                    layer_representatives, submodule_closure,
                                    tuple_from_rank, tuple_rank,
                                    uniserial_chain, vj_basis, wm_module)
-from branchgroups.linalg import FpSubspace, full_space
+from branchgroups.context import GroupContext
+from branchgroups.linalg import FpSubspace, full_space, rref
+from branchgroups.trees import Portrait
 
 
 def rm_tuples(j_max, p):
@@ -305,6 +307,39 @@ def test_layer_representative_roundtrip(fg3_ctx):
         rep = layer_representatives(g, 2, [row])[0]
         assert rep.in_stab(2)
         assert np.array_equal(rep.level_labels(2) % 3, row % 3)
+
+
+def representatives_by_loop(g_n, m, vecs):
+    """The referee: the same linear system, then one product of generator
+    powers per vector."""
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, g_n.p**m)
+    gens = g_n.stabilizer(m).gens
+    mat = np.array([g.level_labels(m) for g in gens], dtype=np.int64)
+    rows, pivots = rref(np.concatenate([mat.T, vecs.T], axis=1), g_n.p)
+    coeffs = np.zeros((len(vecs), len(gens)), dtype=np.int64)
+    coeffs[:, pivots] = rows[:, len(gens):].T
+    out = []
+    for vec_coeffs in coeffs:
+        x = Portrait.identity(g_n.p, g_n.depth)
+        for g, c in zip(gens, vec_coeffs):
+            if c:
+                x = x * g**int(c)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 6)])
+def test_batched_layer_representatives_match_the_loop(name, depth):
+    g = GroupContext(preset(name)).quotient(depth)
+    rng = np.random.default_rng(depth)
+    for m in range(1, depth):
+        u = g.image_in_wm(m)
+        vecs = np.concatenate([u.rows, np.zeros((1, u.ambient), dtype=int),
+                               rng.integers(0, g.p, (4, u.dim)) @ u.rows])
+        reps = layer_representatives(g, m, vecs % g.p)
+        ref = representatives_by_loop(g, m, vecs % g.p)
+        assert ([(x.digits(), x.perm.tobytes()) for x in reps]
+                == [(x.digits(), x.perm.tobytes()) for x in ref])
 
 
 def test_layer_preimage_order(fg3_ctx):

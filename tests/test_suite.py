@@ -112,12 +112,15 @@ def test_equal_members_share_one_ng():
 @pytest.mark.parametrize("clause", ["member", "K'-fallback"])
 def test_effective_csp_witness_prints_the_from_scratch_ng(clause,
                                                           monkeypatch):
-    # ncl12 of fg3 at depth 4 (seed 1) extends an [M, G] built before it,
-    # so its generators differ from those of [N, G] closed from scratch
+    # St(1) of fg3 at depth 5 (seed 3) extends an [M, G] built before it,
+    # so its generators differ from those of [N, G] closed from scratch;
+    # no other member shares that [N, G], and its K' fallback is tested
     ctx = GroupContext(fabrykowski_gupta(3))
-    g = ctx.quotient(4)
-    mem = next(m for m in ctx.normal_family(4, seed=1) if m.name == "ncl12")
-    ng = mem.ng(ctx, 4)
+    g = ctx.quotient(5)
+    family = ctx.normal_family(5, seed=3)
+    mem = next(m for m in family if m.name == "St(1)")
+    ng = mem.ng(ctx, 5)
+    assert [m.name for m in family if m.ng(ctx, 5) is ng] == ["St(1)"]
     scratch = [x.digits()
                for x in engine.commutator_subgroup(mem.subgroup, g, g).gens]
     assert [x.digits() for x in ng.gens] != scratch
@@ -130,10 +133,10 @@ def test_effective_csp_witness_prints_the_from_scratch_ng(clause,
             suite, "first_missing_embedding",
             lambda gens, level, sub: ((0, gens[0]) if sub is ng
                                       else first_missing(gens, level, sub)))
-    rep = run_check(ctx, "effective-csp", depth=4, seed=1)
+    rep = run_check(ctx, "effective-csp", depth=5, seed=3)
     assert rep.status == "fail"
     assert rep.witness["member"] == (
-        "ncl12" if clause == "member" else "ncl12/K'-fallback")
+        "St(1)" if clause == "member" else "St(1)/K'-fallback")
     assert rep.witness["subgroup_gens"] == scratch
 
 
@@ -144,32 +147,46 @@ def test_effective_csp_witness_prints_the_from_scratch_ng(clause,
     ("sunic-grigorchuk", 5), ("sunic-grigorchuk", 6)])
 def test_family_closures_match_from_scratch_referee(name, depth,
                                                     monkeypatch):
-    # a random member that shares an earlier member's subgroup equals ncl(w)
+    # a random member shares an earlier member's subgroup, extends a normal
+    # subgroup L already built to <w> L, or is closed from scratch.  The
+    # first two equal ncl(w) closed from scratch, <w> L has [N, G] = L as
     # closed from scratch, and one closed from scratch equals no earlier
-    # member; both paths run over seeds 0-3
+    # member.  Over seeds 0-3 every path runs on the Grigorchuk group; on
+    # the GGS presets no random member is closed from scratch
     calls = []
     closure = context._member_closure
+    closed = mock.Mock(wraps=context.normal_closure)
 
     def spy(ctx, n, w, members):
+        before = closed.call_count
         sub = closure(ctx, n, w, members)
-        calls.append((w, sub, [m.subgroup for m in members]))
+        calls.append((w, sub, [m.subgroup for m in members],
+                      closed.call_count > before))
         return sub
 
     monkeypatch.setattr(context, "_member_closure", spy)
+    monkeypatch.setattr(context, "normal_closure", closed)
     ctx = GroupContext(preset(name))
     g = ctx.quotient(depth)
     for seed in range(4):
         ctx.normal_family(depth, seed)
     paths = set()
-    for w, sub, earlier in calls:
-        reused = any(sub is m for m in earlier)
-        paths.add(reused)
-        if reused:
-            ref = engine.normal_closure([w], g)
-            assert sub.is_subgroup_of(ref) and ref.is_subgroup_of(sub)
-        else:
+    for w, sub, earlier, from_scratch in calls:
+        if from_scratch:
+            paths.add("closed")
             assert not any(sub.equal(m) for m in earlier)
-    assert paths == {True, False}
+            continue
+        if any(sub is m for m in earlier):
+            paths.add("shared")
+        else:
+            paths.add("extended")
+            ng = ctx.member_ng(sub, depth)
+            ref_ng = engine.commutator_subgroup(sub, g, g)
+            assert ng.is_subgroup_of(ref_ng) and ref_ng.is_subgroup_of(ng)
+        ref = engine.normal_closure([w], g)
+        assert sub.is_subgroup_of(ref) and ref.is_subgroup_of(sub)
+    assert paths == ({"shared", "extended", "closed"}
+                     if name == "sunic-grigorchuk" else {"shared", "extended"})
 
 
 class _CyclicP2:
@@ -215,10 +232,14 @@ def test_member_closure_reuses_a_member_only_when_w_generates_it(fg3_ctx):
 
 
 def test_family_reuse_pins_closures_and_insertions(monkeypatch):
-    # verify all on fg3 at depth 4, seed 1: 2 of the 8 random members are
-    # closed (8 when every one is), and the run inserts 376 pcgs elements
+    # verify all on fg3 at depth 4, seed 1: none of the 8 random members is
+    # closed (8 when every one is; 2 of them extend G'), one [N, G] is
+    # closed from scratch besides the 11 series terms (N_3.9's, the least
+    # member of its chain), and the run inserts 227 pcgs elements
     closures = mock.Mock(wraps=context.normal_closure)
     monkeypatch.setattr(context, "normal_closure", closures)
+    commutators = mock.Mock(wraps=context.commutator_subgroup)
+    monkeypatch.setattr(context, "commutator_subgroup", commutators)
     pcgs = engine.InducedPcgs
     with mock.patch.object(pcgs, "add_generators", autospec=True,
                            side_effect=pcgs.add_generators) as adds, \
@@ -227,9 +248,10 @@ def test_family_reuse_pins_closures_and_insertions(monkeypatch):
         code = run(["verify", "all", "--preset", "fg3", "--depth", "4",
                     "--seed", "1"])
     assert code == EXIT_FAIL                       # the known-red fg-lemma
-    assert closures.call_count == 2
-    assert adds.call_count == 46
-    assert inserts.call_count == 376
+    assert closures.call_count == 0
+    assert commutators.call_count == 12
+    assert adds.call_count == 28
+    assert inserts.call_count == 227
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
