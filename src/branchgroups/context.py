@@ -10,11 +10,11 @@ that of the member below first.
 from __future__ import annotations
 
 from .catalog import BranchType, SunicInstance, branch_type
-from .engine import (Subgroup, commutator_seeds, commutator_subgroup, extend,
-                     group_of, normal_closure, powers_of)
+from .engine import (Subgroup, commutator_subgroup, extend, group_of,
+                     normal_closure)
 from .gmodules import (chain_module, layer_preimage, submodule_closure,
                        wm_module)
-from .trees import Portrait, commutator
+from .trees import Portrait, commutator, commutator_seeds, powers_of
 
 # -- deterministic rng -------------------------------------------------------
 

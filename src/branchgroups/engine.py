@@ -29,21 +29,35 @@ adds labels alone.  It is the same arithmetic mod p on the same rows in
 the same order, less the identity rows, which a sift would drop, so
 every stored element, residue and insertion is the one portrait products
 give, byte for byte.
+
+Membership of the deepest level is one reduction.  H ∩ St(n-1) is the
+F_p-span of the deep elements, which a sequence also keeps as a reduced
+echelon block of their level-(n-1) labels.  A sifted row whose pivot
+reaches level n-1 lies in St(n-1); reduced against the block it is zero
+iff it is a member, which then leaves the sift at once as the identity.
+Only non-members step on, as before, so residues and insertions do not
+change.
+
+The branch-structure walks (psi embeddings of K x ... x K, sections at
+every vertex of a level, coordinate projections) form their elements as
+stacks by index gathers and scatters (`trees.section_rows`,
+`trees.embed_rows`) and sift them SIFT_BATCH at a time; a portrait is
+built only for a witness or a generator that is kept.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .linalg import FpSubspace
 from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, ResourceGuardError,
-                    _Tables, commutator_rows, compose_rows, embed_at_vertex,
-                    inverse_rows, parse_vertex, power_rows,
-                    vertex_from_local_index, vertex_local_index)
+                    _Tables, _conjugate_rows, _portraits, _stack,
+                    commutator_seeds, compose_rows, embed_rows,
+                    frattini_seeds, inverse_rows, parse_vertex, power_rows,
+                    section_rows, vertex_local_index)
 
 
 # Most elements an induced pcgs may hold before the resource guard trips.
@@ -60,33 +74,6 @@ def _pivots(lab: np.ndarray) -> np.ndarray:
         return np.full(len(lab), -1)
     nonzero = lab != 0
     return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
-
-
-def _stack(elems: Sequence[Portrait], t: _Tables
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The labels and perms of elems as new 2-D arrays, one row each."""
-    if not elems:
-        return (np.empty((0, t.nlabels), dtype=_LABEL_DTYPE),
-                np.empty((0, t.nlabels), dtype=_PERM_DTYPE))
-    return (np.stack([f.lab for f in elems]),
-            np.stack([f.perm for f in elems]))
-
-
-def _portraits(p: int, depth: int,
-               rows: tuple[np.ndarray, np.ndarray]) -> list[Portrait]:
-    """One portrait per row of the stack (lab, perm), each with its own
-    arrays."""
-    lab, perm = rows
-    return [Portrait(p, depth, lab[j].copy(), perm[j].copy())
-            for j in range(len(lab))]
-
-
-def _conjugate_rows(t: _Tables, x: tuple[np.ndarray, np.ndarray],
-                    g: tuple[np.ndarray, np.ndarray],
-                    g_inv: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """x^g = g^-1 x g on (lab, perm) pairs, each one portrait or a stack."""
-    return compose_rows(t, *compose_rows(t, *g_inv, *x), *g)
 
 
 def _doubled(table: np.ndarray) -> np.ndarray:
@@ -113,7 +100,12 @@ class InducedPcgs:
     Elements with their pivot on the deepest level (label positions from
     _deep on) lie in the elementary abelian St(depth-1) and are stored,
     sifted and closed by label addition and one gather, as the module
-    docstring says; the table is the one portrait products build.
+    docstring says; the table is the one portrait products build.  Their
+    labels on that level are kept once more as the deep block: one row per
+    deep slot, in slot order, with 1 at its pivot column (_block_piv) and
+    0 at every other deep pivot.  Each deep insertion reduces the new row
+    against the block and clears its pivot column from the other rows; a
+    tail keeps the rows with pivot >= start, which stay reduced.
     """
 
     def __init__(self, p: int, depth: int):
@@ -128,6 +120,11 @@ class InducedPcgs:
         self._slot = np.full(t.nlabels + 1, -1)
         # first label position of the deepest level (0 at depth 0 and 1)
         self._deep = t.label_off[max(depth - 1, 0)]
+        # the deep block: the deepest-level elements' labels on that level
+        # in reduced echelon form, one row per deep slot in slot order, and
+        # each row's pivot column
+        self._block = np.empty((0, t.nlabels - self._deep), dtype=_LABEL_DTYPE)
+        self._block_piv = np.empty(0, dtype=np.intp)
 
     def sift(self, lab: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
         """Reduce every row of the stack (lab, perm) through the sequence,
@@ -136,18 +133,29 @@ class InducedPcgs:
 
         A residue's pivot holds no element; it is -1, and the residue the
         identity, iff the row is a member.  Each step clears the pivot of
-        every live row, one with a stored element at its pivot.  A step
-        whose live rows all have their pivot on the deepest level adds
-        labels alone, as those rows and elements have the identity perm.
+        every live row, one with a stored element at its pivot.  A live row
+        whose pivot reaches the deepest level lies in St(depth-1), and
+        H ∩ St(depth-1) is spanned by the deep elements, so one reduction
+        against the deep block decides it: a member is set to the identity
+        and leaves, a non-member steps on.  A step whose live rows all have
+        their pivot on the deepest level adds labels alone, as those rows
+        and elements have the identity perm.
         """
-        t, p, slot = self._t, self.p, self._slot
+        t, p, slot, deep = self._t, self.p, self._slot, self._deep
         tab_lab, tab_perm = self._table()
         piv = _pivots(lab)
-        live = np.flatnonzero(slot[piv] >= 0)
-        while live.size:
+        live = fresh = np.flatnonzero(slot[piv] >= 0)
+        while True:
+            fresh = fresh[piv[fresh] >= deep]
+            if fresh.size:
+                member = fresh[~self._deep_residues(lab[fresh]).any(axis=1)]
+                lab[member], piv[member] = 0, -1
+                live = live[piv[live] >= 0]
+            if not live.size:
+                return piv
             at = piv[live]
             rows = slot[at] * p + lab[live, at]
-            if at.min() >= self._deep:
+            if at.min() >= deep:
                 step_lab = tab_lab[rows]
                 step_lab += lab[live]
                 step_lab %= p
@@ -156,9 +164,19 @@ class InducedPcgs:
                 step_lab, step_perm = compose_rows(
                     t, lab[live], perm[live], tab_lab, tab_perm, rows)
                 lab[live], perm[live] = step_lab, step_perm
-            piv[live] = at = _pivots(step_lab)
-            live = live[slot[at] >= 0]
-        return piv
+            piv[live] = stepped = _pivots(step_lab)
+            going = slot[stepped] >= 0
+            fresh = live[going & (at < deep)]
+            live = live[going]
+
+    def _deep_residues(self, lab: np.ndarray) -> np.ndarray:
+        """The deepest-level labels of each row of lab reduced against the
+        deep block; zero iff the row, an element of St(depth-1), lies in
+        the span of the deep elements."""
+        res = lab[:, self._deep:].astype(np.int64)
+        res -= res[:, self._block_piv] @ self._block.astype(np.int64)
+        res %= self.p
+        return res
 
     def members(self, elems: Sequence[Portrait]) -> np.ndarray:
         """Boolean array: which of elems lie in the group."""
@@ -311,6 +329,7 @@ class InducedPcgs:
             scale *= pow(int(lab[pivot]), -1, p)
             row_lab[:] = scale[:, None] * lab % p
             row_perm[:] = t.ident
+            self._add_to_block(pivot, row_lab[0])
         else:
             if lab[pivot] != 1:
                 lab, perm = power_rows(t, lab, perm,
@@ -324,6 +343,18 @@ class InducedPcgs:
         self._pivot_of.append(pivot)
         self._slot[pivot] = s
         return s
+
+    def _add_to_block(self, pivot: int, lab: np.ndarray) -> None:
+        """Grow the deep block by the deep element with labels lab, leading
+        label 1 at pivot: reduce its row against the block, which keeps
+        the 1 at pivot, then clear that column from the other rows, which
+        keeps their 0 at every other pivot."""
+        col = pivot - self._deep
+        row = self._deep_residues(lab[None])
+        block = self._block - self._block[:, col, None] * row
+        block %= self.p
+        self._block = np.concatenate([block, row]).astype(_LABEL_DTYPE)
+        self._block_piv = np.append(self._block_piv, col)
 
     # -- data ----------------------------------------------------------
 
@@ -349,6 +380,9 @@ class InducedPcgs:
         sub._lab, sub._perm = self._lab[keep], self._perm[keep]
         sub._pivot_of = [self._pivot_of[s] for s in keep]
         sub._slot[sub._pivot_of] = np.arange(len(keep))
+        # rows with pivot >= start are zero before it, so they stay reduced
+        rows = self._block_piv >= start - self._deep
+        sub._block, sub._block_piv = self._block[rows], self._block_piv[rows]
         return sub
 
     def level_dims(self) -> list[int]:
@@ -416,18 +450,25 @@ class Subgroup:
     def contains(self, f: Portrait) -> bool:
         return self.pcgs.contains(f)
 
-    def first_non_member(self, elems: Iterable[Portrait]
+    def first_non_member(self, elems: Sequence[Portrait]
                          ) -> tuple[int, Portrait] | None:
         """(index, element) of the first of elems outside the group, or None
-        if all are members; elems are sifted SIFT_BATCH at a time."""
-        elems = iter(elems)
-        done = 0
-        while chunk := list(islice(elems, SIFT_BATCH)):
-            missing = np.flatnonzero(~self.pcgs.members(chunk))
+        if all are members."""
+        t = _Tables(self.p, self.depth)
+        j = self.first_outside(len(elems),
+                               lambda j: _stack([elems[i] for i in j], t))
+        return None if j is None else (j, elems[j])
+
+    def first_outside(self, count: int, rows) -> int | None:
+        """Index of the first of count elements outside the group, or None
+        if all are members; rows(j) forms the stack (lab, perm) of the
+        elements with the indices j, which are sifted SIFT_BATCH at a
+        time."""
+        for start in range(0, count, SIFT_BATCH):
+            j = np.arange(start, min(start + SIFT_BATCH, count))
+            missing = np.flatnonzero(self.pcgs.sift(*rows(j)) >= 0)
             if missing.size:
-                j = int(missing[0])
-                return done + j, chunk[j]
-            done += len(chunk)
+                return start + int(missing[0])
         return None
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
@@ -474,8 +515,10 @@ class Subgroup:
             st_gens = self.gens
         else:
             st_gens = self.pcgs.vertex_stabilizer(v)
-        return Subgroup(self.p, self.depth - len(v),
-                        [g.section(v) for g in st_gens])
+        t, depth = _Tables(self.p, self.depth), self.depth - len(v)
+        return Subgroup(self.p, depth, _portraits(self.p, depth, section_rows(
+            t, *_stack(st_gens, t), len(v), np.arange(len(st_gens)),
+            np.full(len(st_gens), vertex_local_index(v, self.p)))))
 
     def image_in_wm(self, m: int) -> FpSubspace:
         """Row space of the level-m labels of St_H(m); the image of the
@@ -525,40 +568,6 @@ def normal_closure(seeds: Iterable[Portrait], ambient: Subgroup) -> Subgroup:
     return Subgroup(ambient.p, ambient.depth, kept, pcgs=pcgs)
 
 
-def _commutators(xs: Sequence[Portrait], ys: Sequence[Portrait],
-                 i: np.ndarray, j: np.ndarray) -> list[Portrait]:
-    """[xs[i[r]], ys[j[r]]] for every r (depth >= 1), formed as stacks."""
-    if not len(i):
-        return []
-    p, depth = xs[0].p, xs[0].depth
-    t = _Tables(p, depth)
-    return _portraits(p, depth, commutator_rows(t, *_stack(xs, t),
-                                                *_stack(ys, t), i, j))
-
-
-def commutator_seeds(xs: Sequence[Portrait],
-                     ys: Sequence[Portrait]) -> list[Portrait]:
-    """[x, y] for x in xs for y in ys, x-major (depth >= 1)."""
-    i, j = np.indices((len(xs), len(ys))).reshape(2, -1)
-    return _commutators(xs, ys, i, j)
-
-
-def powers_of(xs: Sequence[Portrait], e: int) -> list[Portrait]:
-    """x^e (e >= 0) for x in xs (depth >= 1), powering the whole stack at
-    once."""
-    if not xs:
-        return []
-    p, depth = xs[0].p, xs[0].depth
-    t = _Tables(p, depth)
-    return _portraits(p, depth, power_rows(t, *_stack(xs, t), e))
-
-
-def frattini_seeds(gens: Sequence[Portrait], p: int) -> list[Portrait]:
-    """[x_i, x_j] for i < j, then x^p for every generator x (depth >= 1)."""
-    i, j = np.triu_indices(len(gens), 1)
-    return _commutators(gens, gens, i, j) + powers_of(gens, p)
-
-
 def commutator_subgroup(a: Subgroup, b: Subgroup,
                         ambient: Subgroup) -> Subgroup:
     """Normal closure of the pairwise generator commutators; equals [A, B]
@@ -590,39 +599,49 @@ def min_generators(h: Subgroup) -> int:
 
 
 def psi_preimage_gens(section_gens: Sequence[Portrait], level: int,
-                      depth: int) -> Iterator[Portrait]:
+                      depth: int) -> list[Portrait]:
     """Generators of psi_level^{-1}(K x ... x K) from generators of K: each
     generator embedded at each level-`level` vertex, vertex by vertex."""
     if not section_gens:
-        return
+        return []
     p = section_gens[0].p
-    for c in range(p**level):
-        v = vertex_from_local_index(p, level, c)
-        for kgen in section_gens:
-            yield embed_at_vertex(kgen, v, depth)
+    at, gen = np.indices((p**level, len(section_gens))).reshape(2, -1)
+    return _portraits(p, depth, embed_rows(
+        _Tables(p, depth), *_stack(section_gens, section_gens[0].tables),
+        level, gen, at))
 
 
 def first_missing_embedding(section_gens: Sequence[Portrait], level: int,
                             sub: Subgroup) -> tuple[int, Portrait] | None:
     """The first (vertex index, element) of psi_preimage_gens that sub does
-    not contain; None iff psi_level^{-1}(K x ... x K) <= sub."""
-    missing = sub.first_non_member(
-        psi_preimage_gens(section_gens, level, sub.depth))
-    if missing is None:
+    not contain; None iff psi_level^{-1}(K x ... x K) <= sub.  The
+    embeddings are formed as stacks, SIFT_BATCH at a time."""
+    if not section_gens:
         return None
-    j, x = missing
-    return j // len(section_gens), x
+    t = _Tables(sub.p, sub.depth)
+    k = _stack(section_gens, section_gens[0].tables)
+    at, gen = np.indices((sub.p**level, len(section_gens))).reshape(2, -1)
+    j = sub.first_outside(len(at),
+                          lambda j: embed_rows(t, *k, level, gen[j], at[j]))
+    if j is None:
+        return None
+    lab, perm = embed_rows(t, *k, level, gen[j:j + 1], at[j:j + 1])
+    return int(at[j]), Portrait(sub.p, sub.depth, lab[0], perm[0])
 
 
 def sections_within(gens: Sequence[Portrait], level: int,
                     target: Subgroup) -> bool:
     """Whether every level-`level` section of every element of gens lies in
     target; for gens in St(level), psi_level(<gens>) <= target x ... x target
-    (the dual of first_missing_embedding)."""
-    p = target.p
-    vertices = [vertex_from_local_index(p, level, c) for c in range(p**level)]
-    return target.first_non_member(
-        g.section(v) for g in gens for v in vertices) is None
+    (the dual of first_missing_embedding).  The sections are formed as
+    stacks, SIFT_BATCH at a time."""
+    if not gens:
+        return True
+    t = gens[0].tables
+    g = _stack(gens, t)
+    gen, at = np.indices((len(gens), target.p**level)).reshape(2, -1)
+    return target.first_outside(
+        len(at), lambda j: section_rows(t, *g, level, gen[j], at[j])) is None
 
 
 def is_regular_branch_over(g_n: Subgroup, g_shallow: Subgroup, k_n: Subgroup,
@@ -656,12 +675,13 @@ def is_subdirect_in_product(sub: Subgroup, level: int,
     then Phi(T) is closed once and each projection extends a copy of its
     pcgs.  A trivial H is subdirect only in a trivial target, as
     Phi(T) < T for T > 1."""
-    p = sub.p
-    vertices = [vertex_from_local_index(p, level, c) for c in range(p**level)]
-    sections = [[g.section(v) for g in sub.gens] for v in vertices]
-    if target.first_non_member(x for proj in sections
-                               for x in proj) is not None:
+    t, nv = _Tables(sub.p, sub.depth), sub.p**level
+    gen, at = np.indices((len(sub.gens), nv)).reshape(2, -1)
+    lab, perm = section_rows(t, *_stack(sub.gens, t), level, gen, at)
+    if target.first_outside(len(at), lambda j: (lab[j], perm[j])) is not None:
         return False
     phi = frattini_subgroup(target)
+    projections = (_portraits(sub.p, target.depth, (lab[c::nv], perm[c::nv]))
+                   for c in range(nv))
     return all(extend(phi, proj, phi.gens + proj).order_exponent
-               == target.order_exponent for proj in sections)
+               == target.order_exponent for proj in projections)

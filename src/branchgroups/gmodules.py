@@ -26,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import _portraits, _stack, extend
+from .engine import extend
 from .linalg import Echelon, FpSubspace, rref
-from .trees import Portrait, _Tables, compose_rows, power_rows
+from .trees import (Portrait, _Tables, _conjugate_rows, _portraits, _stack,
+                    compose_rows, inverse_rows, power_rows)
 
 IndexTuple = tuple[int, ...]
 
@@ -252,34 +253,57 @@ def compute_rm(u: FpSubspace, m: int) -> dict:
 # -- group <-> module dictionary --------------------------------------------
 
 
-def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
-    """Elements of St(m) whose level-m labels equal the given vectors, as
-    products of stabilizer generators (one linear system over F_p with a
-    right-hand side per vector)."""
-    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, g_n.p**m)
+def _layer_system(g_n, m: int):
+    """St(m)'s generators and their level-m labels A (one row each) as a
+    reduced system, computed once per (quotient, m): the pivot
+    generators, the rows E of the transform with E A^T = rref(A^T) at
+    those pivots, and the rows N with N A^T = 0.  For vectors B in the
+    image, E B^T is the solution of A^T c = B^T that is zero at every
+    other generator, the one rref([A^T | B^T]) gives."""
+    systems = vars(g_n).setdefault("_layer_systems", {})
+    if m not in systems:
+        gens = g_n.stabilizer(m).gens
+        mat = np.array([g.level_labels(m) for g in gens],
+                       dtype=np.int64).reshape(len(gens), g_n.p**m)
+        rows, pivots = rref(np.concatenate(
+            [mat.T, np.eye(g_n.p**m, dtype=np.int64)], axis=1), g_n.p)
+        rank = sum(c < len(gens) for c in pivots)
+        rows = rows[:, len(gens):]
+        systems[m] = gens, pivots[:rank], rows[:rank], rows[rank:]
+    return systems[m]
+
+
+def _representative_rows(g_n, m: int, vecs) -> tuple[np.ndarray, np.ndarray]:
+    """The stack of layer_representatives."""
+    p = g_n.p
+    t = _Tables(p, g_n.depth)
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, p**m)
     if not len(vecs):
-        return []
-    gens = g_n.stabilizer(m).gens
+        return _stack([], t)
+    gens, pivots, solve, null = _layer_system(g_n, m)
     if not gens:
         raise ValueError("empty stabilizer cannot represent a nonzero vector")
-    p = g_n.p
-    mat = np.array([g.level_labels(m) for g in gens], dtype=np.int64)
-    rows, pivots = rref(np.concatenate([mat.T, vecs.T], axis=1), p)
-    if pivots and pivots[-1] >= len(gens):
+    if (null.astype(np.int64) @ vecs.T % p).any():
         raise ValueError("vector not in the image of St(m)")
     coeffs = np.zeros((len(vecs), len(gens)), dtype=np.int64)
-    coeffs[:, pivots] = rows[:, len(gens):].T
+    coeffs[:, pivots] = (solve.astype(np.int64) @ vecs.T % p).T
     # every representative at once, in the generators' order: the stack
     # of products so far times, row by row, the power of the next
     # generator that the row's coefficient picks from a table of powers
-    t = _Tables(p, g_n.depth)
     table = [power_rows(t, *_stack(gens, t), e) for e in range(p)]
     pow_lab = np.stack([lab for lab, _ in table], axis=1)
     pow_perm = np.stack([perm for _, perm in table], axis=1)
     x = _stack([Portrait.identity(p, g_n.depth)] * len(vecs), t)
     for k in np.flatnonzero(coeffs.any(axis=0)):
         x = compose_rows(t, *x, pow_lab[k], pow_perm[k], coeffs[:, k])
-    return _portraits(p, g_n.depth, x)
+    return x
+
+
+def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
+    """Elements of St(m) whose level-m labels equal the given vectors, as
+    products of stabilizer generators (one linear system over F_p, reduced
+    once per (quotient, m), with a right-hand side per vector)."""
+    return _portraits(g_n.p, g_n.depth, _representative_rows(g_n, m, vecs))
 
 
 def layer_preimage(g_n, m: int, space: FpSubspace):
@@ -299,10 +323,14 @@ def layer_conjugation(g_n, m: int, u: FpSubspace) -> list[np.ndarray]:
     Conjugation is computed on portraits, not read off the permutation
     module, so this is an independent view of the action.
     """
-    reps = layer_representatives(g_n, m, u.rows)
-    return [np.array([x.conjugate(g).level_labels(m) for x in reps],
-                     dtype=np.int64).reshape(u.dim, u.ambient)
-            for g in g_n.gens]
+    t = _Tables(g_n.p, g_n.depth)
+    reps = _representative_rows(g_n, m, u.rows)
+    actions = []
+    for g in g_n.gens:
+        lab, _ = _conjugate_rows(t, reps, (g.lab, g.perm),
+                                 inverse_rows(t, g.lab, g.perm))
+        actions.append(lab[:, t.label_slice(m)].astype(np.int64))
+    return actions
 
 
 def first_non_normal_layer(g_n, m: int, u: FpSubspace,

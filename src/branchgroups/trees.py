@@ -197,6 +197,59 @@ def _next_level(t: _Tables, lab: np.ndarray, upper: np.ndarray,
     return np.repeat(upper * p, p) + (t.tiled_x[m] + np.repeat(lab_m, p)) % p
 
 
+@lru_cache(maxsize=None)
+def _subtree_positions(p: int, depth: int, level: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Where the subtrees below the level-`level` vertices sit among the
+    label positions of depth `depth`.
+
+    Row c of the first table holds the label positions of the subtree below
+    the vertex of local index c, in the subtree's own breadth-lex order; the
+    second maps every label position on levels >= level to its position in
+    its subtree (0 above).  Both are read-only, as the cache shares them."""
+    t, sub = _Tables(p, depth), _Tables(p, depth - level)
+    pos = np.empty((p**level, sub.nlabels), dtype=np.intp)
+    for k in range(sub.depth):
+        pos[:, sub.label_slice(k)] = (t.label_off[level + k]
+                                      + np.arange(p**level)[:, None] * p**k
+                                      + np.arange(p**k))
+    local = np.zeros(t.nlabels, dtype=_PERM_DTYPE)
+    local[pos] = sub.ident
+    pos.flags.writeable = local.flags.writeable = False
+    return pos, local
+
+
+def section_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray, level: int,
+                 rows, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and perm of sections, of depth t.depth - level: for every r,
+    the section of row rows[r] of the stack (lab, perm) at the
+    level-`level` vertex of local index vertices[r]; new arrays.
+
+    The labels are one gather of the subtree's positions; the perm is the
+    same gather of the perm, read back through the positions' places in
+    their own subtrees (the row may move the vertex)."""
+    pos, local = _subtree_positions(t.p, t.depth, level)
+    rows, at = np.reshape(rows, (-1, 1)), pos[vertices]
+    return lab[rows, at], local[perm[rows, at]]
+
+
+def embed_rows(t: _Tables, lab: np.ndarray, perm: np.ndarray, level: int,
+               rows, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and perm of depth t.depth: for every r, the element acting as
+    row rows[r] of the stack (lab, perm), of depth t.depth - level, below
+    the level-`level` vertex of local index vertices[r], and trivially
+    elsewhere; new arrays, each the identity's rows with the subtree's
+    positions scattered in."""
+    pos, _ = _subtree_positions(t.p, t.depth, level)
+    at = pos[vertices]
+    out = np.arange(len(at))[:, None]
+    out_lab = np.zeros((len(at), t.nlabels), dtype=_LABEL_DTYPE)
+    out_lab[out, at] = lab[rows]
+    out_perm = np.tile(t.ident, (len(at), 1))
+    out_perm[out, at] = at[out, perm[rows]]
+    return out_lab, out_perm
+
+
 def parse_vertex(v) -> Vertex:
     """Accept a vertex as a tuple/list of letters or a string with one
     DIGITS symbol per letter (so letter 10 is "a" when p >= 11)."""
@@ -389,16 +442,70 @@ class Portrait:
             raise ValueError("vertex deeper than portrait")
         if not v:
             return self
-        t = self.tables
-        idx = vertex_local_index(v, self.p)
-        pieces = []
-        for k in range(self.depth - len(v)):
-            lo = t.label_off[len(v) + k] + idx * self.p**k
-            pieces.append(self.lab[lo:lo + self.p**k])
-        if not pieces:
-            return Portrait.identity(self.p, 0)
-        return Portrait.from_labels(self.p, self.depth - len(v),
-                                    np.concatenate(pieces))
+        lab, perm = section_rows(self.tables, self.lab[None], self.perm[None],
+                                 len(v), [0], [vertex_local_index(v, self.p)])
+        return Portrait(self.p, self.depth - len(v), lab[0], perm[0])
+
+
+def _stack(elems: Sequence[Portrait], t: _Tables
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and perms of elems as new 2-D arrays, one row each."""
+    if not elems:
+        return (np.empty((0, t.nlabels), dtype=_LABEL_DTYPE),
+                np.empty((0, t.nlabels), dtype=_PERM_DTYPE))
+    return (np.stack([f.lab for f in elems]),
+            np.stack([f.perm for f in elems]))
+
+
+def _portraits(p: int, depth: int,
+               rows: tuple[np.ndarray, np.ndarray]) -> list[Portrait]:
+    """One portrait per row of the stack (lab, perm), each with its own
+    arrays."""
+    lab, perm = rows
+    return [Portrait(p, depth, lab[j].copy(), perm[j].copy())
+            for j in range(len(lab))]
+
+
+def _conjugate_rows(t: _Tables, x: tuple[np.ndarray, np.ndarray],
+                    g: tuple[np.ndarray, np.ndarray],
+                    g_inv: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """x^g = g^-1 x g on (lab, perm) pairs, each one portrait or a stack."""
+    return compose_rows(t, *compose_rows(t, *g_inv, *x), *g)
+
+
+def _commutators(xs: Sequence[Portrait], ys: Sequence[Portrait],
+                 i: np.ndarray, j: np.ndarray) -> list[Portrait]:
+    """[xs[i[r]], ys[j[r]]] for every r (depth >= 1), formed as stacks."""
+    if not len(i):
+        return []
+    p, depth = xs[0].p, xs[0].depth
+    t = _Tables(p, depth)
+    return _portraits(p, depth, commutator_rows(t, *_stack(xs, t),
+                                                *_stack(ys, t), i, j))
+
+
+def commutator_seeds(xs: Sequence[Portrait],
+                     ys: Sequence[Portrait]) -> list[Portrait]:
+    """[x, y] for x in xs for y in ys, x-major (depth >= 1)."""
+    i, j = np.indices((len(xs), len(ys))).reshape(2, -1)
+    return _commutators(xs, ys, i, j)
+
+
+def powers_of(xs: Sequence[Portrait], e: int) -> list[Portrait]:
+    """x^e (e >= 0) for x in xs (depth >= 1), powering the whole stack at
+    once."""
+    if not xs:
+        return []
+    p, depth = xs[0].p, xs[0].depth
+    t = _Tables(p, depth)
+    return _portraits(p, depth, power_rows(t, *_stack(xs, t), e))
+
+
+def frattini_seeds(gens: Sequence[Portrait], p: int) -> list[Portrait]:
+    """[x_i, x_j] for i < j, then x^p for every generator x (depth >= 1)."""
+    i, j = np.triu_indices(len(gens), 1)
+    return _commutators(gens, gens, i, j) + powers_of(gens, p)
 
 
 def rooted_a(p: int, depth: int) -> Portrait:
@@ -435,17 +542,11 @@ def embed_at_vertex(c: Portrait, v, depth: int) -> Portrait:
     """The depth-`depth` element acting as c on the subtree below v, trivially
     elsewhere; realises a single coordinate of psi_{|v|}^{-1}."""
     v = parse_vertex(v)
-    p = c.p
     if c.depth != depth - len(v):
         raise ValueError("section depth must equal depth - |v|")
-    t = _Tables(p, depth)
-    tc = _Tables(p, c.depth)
-    lab = np.zeros(t.nlabels, dtype=_LABEL_DTYPE)
-    idx = vertex_local_index(v, p)
-    for k in range(c.depth):
-        lo = t.label_off[len(v) + k] + idx * p**k
-        lab[lo:lo + p**k] = c.lab[tc.label_slice(k)]
-    return Portrait.from_labels(p, depth, lab)
+    lab, perm = embed_rows(_Tables(c.p, depth), c.lab[None], c.perm[None],
+                           len(v), [0], [vertex_local_index(v, c.p)])
+    return Portrait(c.p, depth, lab[0], perm[0])
 
 
 def commutator(x: Portrait, y: Portrait) -> Portrait:

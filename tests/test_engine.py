@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 from branchgroups.catalog import (PRESET_NAMES, fabrykowski_gupta,
                                   gupta_sidki, make_ggs, make_multi_ggs,
                                   make_sunic, preset)
-from branchgroups.engine import (InducedPcgs, Subgroup, _stack,
-                                 commutator_seeds, commutator_subgroup, extend,
-                                 frattini_seeds, frattini_subgroup, group_of,
+from branchgroups.engine import (InducedPcgs, Subgroup, commutator_subgroup,
+                                 extend, frattini_subgroup, group_of,
                                  is_regular_branch_over,
                                  is_subdirect_in_product,
                                  is_super_strongly_fractal, join,
-                                 min_generators, normal_closure, powers_of,
+                                 min_generators, normal_closure,
                                  sections_within)
 from branchgroups.context import GroupContext
+from branchgroups.linalg import rref
 from branchgroups.oracle import bfs_enumerate
-from branchgroups.trees import (Portrait, ResourceGuardError, commutator,
-                               compose_all, rooted_a, vertex_from_local_index)
+from branchgroups.trees import (Portrait, ResourceGuardError, _stack,
+                               commutator, commutator_seeds, compose_all,
+                               frattini_seeds, powers_of, rooted_a,
+                               vertex_from_local_index)
 
 
 # -- orders against the BFS oracle (the oracle is the referee) ---------------
@@ -236,6 +238,102 @@ def test_strong_generator_cap_counts_deepest_level_insertions():
         with pytest.raises(ResourceGuardError, match=f"cap {cap} exceeded"):
             pcgs.add_generators(gens)
     assert pcgs._pivot_of == full._pivot_of[:cap]
+
+
+def deep_block_against_rref(pcgs):
+    """The deep block's rows and pivots in pivot order, and the RREF of the
+    deepest-level labels of the deep elements with its pivots."""
+    deep = pcgs._deep
+    order = np.argsort(pcgs._block_piv)
+    got = (pcgs._block[order].tolist(),
+           (pcgs._block_piv[order] + deep).tolist())
+    labels = [pcgs._lab[s, 0, deep:] for s, i in enumerate(pcgs._pivot_of)
+              if i >= deep]
+    if not labels:
+        return got, ([], [])
+    rows, pivots = rref(np.array(labels), pcgs.p)
+    return got, (rows.tolist(), [c + deep for c in pivots])
+
+
+@pytest.mark.parametrize("name", ["fg3-d4", "fg5-d3", "grigorchuk-d6"])
+def test_deep_block_is_the_rref_of_the_deep_elements(name):
+    gens = PINNED_GROUPS[name]()
+    p, depth = gens[0].p, gens[0].depth
+    insert = InducedPcgs._insert
+    sizes = []
+
+    def checked(self, *args):
+        s = insert(self, *args)
+        got, want = deep_block_against_rref(self)
+        assert got == want
+        sizes.append(len(got[1]))
+        return s
+
+    with mock.patch.object(InducedPcgs, "_insert", checked):
+        base = Subgroup(p, depth, gens[1:])
+        assert base.order_exponent > 0
+        before = deep_block_against_rref(base.pcgs)
+        # extend copies base's pcgs and inserts into the copy only
+        full = extend(base, gens[:1], gens)
+        assert full.order_exponent > base.order_exponent
+    assert deep_block_against_rref(base.pcgs) == before
+    assert full.pcgs.order_exponent == Subgroup(p, depth, gens).order_exponent
+    assert max(sizes) > 1
+    pcgs = full.pcgs
+    deep, n = pcgs._deep, pcgs._t.nlabels
+    deep_pivots = sorted(i for i in pcgs._pivot_of if i >= deep)
+    starts = [0, deep, deep + 1, deep_pivots[len(deep_pivots) // 2], n]
+    for start in starts:
+        tail = pcgs.tail(start)
+        got, want = deep_block_against_rref(tail)
+        assert got == want
+        assert got[1] == [i for i in deep_pivots if i >= start]
+
+
+def member_by_reference(gens, p):
+    """The referee for membership: a pcgs built and sifted one portrait
+    at a time, by portrait products."""
+    ref = ReferencePcgs(p)
+    for g in gens:
+        ref.add_generator(g)
+    return lambda f: ref.sift(f)[0] < 0
+
+
+@pytest.mark.parametrize("name", ["fg3-d4", "fg5-d3", "grigorchuk-d6"])
+def test_deep_membership_matches_the_stepwise_referee(name):
+    # members, elements of St(depth-1) in and out of the span of the deep
+    # elements, and members times such elements, whose rows reach the
+    # deepest level only after stepping through the upper levels
+    gens = PINNED_GROUPS[name]()
+    p, depth = gens[0].p, gens[0].depth
+    g = Subgroup(p, depth, gens)
+    deep = g.pcgs._deep
+    rng = np.random.default_rng(depth)
+    subs = [g, commutator_subgroup(g, g, g), g.stabilizer(1),
+            Subgroup(p, depth, [x for x in g.pcgs.elements()
+                                if x.in_stab(depth - 1)][::2])]
+    seen = set()
+    for sub in subs:
+        member = member_by_reference(sub.gens, p)
+        elems = sub.pcgs.elements()
+        deep_elems = [x for x in elems if x.in_stab(depth - 1)]
+        batch = []
+        for _ in range(8):
+            x = compose_all((elems[int(k)] ** int(rng.integers(1, p))
+                             for k in rng.integers(0, len(elems), 3)),
+                            p, depth)
+            lab = np.zeros(g.pcgs._t.nlabels, dtype=np.int8)
+            lab[deep:] = rng.integers(0, p, len(lab) - deep)
+            d = Portrait.from_labels(p, depth, lab)
+            e = compose_all((y ** int(rng.integers(0, p))
+                             for y in deep_elems), p, depth)
+            batch += [x, d, e, x * d, x * e, d * x]
+        want = [member(f) for f in batch]
+        assert sub.pcgs.members(batch).tolist() == want
+        assert [sub.contains(f) for f in batch] == want
+        seen |= {(f.in_stab(depth - 1), w) for f, w in zip(batch, want)}
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
 
 
 def two_seeds(a, b):

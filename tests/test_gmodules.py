@@ -7,10 +7,11 @@ from branchgroups.catalog import fabrykowski_gupta, make_ggs, make_sunic, preset
 from branchgroups.gmodules import (GModule, _pascal, canonical_generator_vec,
                                    commutator_subspace, compute_rm,
                                    first_non_normal_layer,
-                                   iterated_twisted_sum, layer_preimage,
-                                   layer_representatives, submodule_closure,
-                                   tuple_from_rank, tuple_rank,
-                                   uniserial_chain, vj_basis, wm_module)
+                                   iterated_twisted_sum, layer_conjugation,
+                                   layer_preimage, layer_representatives,
+                                   submodule_closure, tuple_from_rank,
+                                   tuple_rank, uniserial_chain, vj_basis,
+                                   wm_module)
 from branchgroups.context import GroupContext
 from branchgroups.linalg import FpSubspace, full_space, rref
 from branchgroups.trees import Portrait
@@ -330,9 +331,11 @@ def representatives_by_loop(g_n, m, vecs):
 
 @pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 6)])
 def test_batched_layer_representatives_match_the_loop(name, depth):
+    # twice per level: the second call reuses the system reduced by the
+    # first, with other right-hand sides
     g = GroupContext(preset(name)).quotient(depth)
     rng = np.random.default_rng(depth)
-    for m in range(1, depth):
+    for m in [m for m in range(1, depth) for _ in range(2)]:
         u = g.image_in_wm(m)
         vecs = np.concatenate([u.rows, np.zeros((1, u.ambient), dtype=int),
                                rng.integers(0, g.p, (4, u.dim)) @ u.rows])
@@ -340,6 +343,33 @@ def test_batched_layer_representatives_match_the_loop(name, depth):
         ref = representatives_by_loop(g, m, vecs % g.p)
         assert ([(x.digits(), x.perm.tobytes()) for x in reps]
                 == [(x.digits(), x.perm.tobytes()) for x in ref])
+    assert sorted(vars(g)["_layer_systems"]) == list(range(1, depth))
+
+
+def test_layer_representatives_refuse_a_vector_outside_the_image(fg3_ctx):
+    g = fg3_ctx.quotient(4)
+    u = g.image_in_wm(2)
+    outside = next(e for e in np.eye(u.ambient, dtype=int)
+                   if not u.contains_vector(e))
+    for _ in range(2):                  # before and after the reuse
+        with pytest.raises(ValueError, match="not in the image"):
+            layer_representatives(g, 2, [u.rows[0], outside])
+        assert len(layer_representatives(g, 2, u.rows)) == u.dim
+    assert layer_representatives(g, 2, []) == []
+
+
+@pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 6)])
+def test_stacked_layer_conjugation_matches_the_loop(name, depth):
+    g = GroupContext(preset(name)).quotient(depth)
+    for m in range(depth):
+        u = g.image_in_wm(m)
+        reps = layer_representatives(g, m, u.rows)
+        want = [np.array([x.conjugate(h).level_labels(m) for x in reps],
+                         dtype=np.int64).reshape(u.dim, u.ambient)
+                for h in g.gens]
+        got = layer_conjugation(g, m, u)
+        assert [a.dtype for a in got] == [np.int64] * len(g.gens)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 def test_layer_preimage_order(fg3_ctx):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki
 from branchgroups.trees import (Portrait, _Tables, assemble, commutator,
                                 commutator_rows, compose_all, compose_rows,
-                                embed_at_vertex, inverse_rows, parse_vertex,
-                                power_rows, rooted_a, vertex_from_local_index,
+                                embed_at_vertex, embed_rows, inverse_rows,
+                                parse_vertex, power_rows, rooted_a,
+                                section_rows, vertex_from_local_index,
                                 vertex_local_index)
 
 
@@ -134,6 +135,63 @@ def test_embed_at_vertex_roundtrip():
     assert e.section((2, 1)) == c
     assert e.in_stab(2)
     assert e.section((1,)).is_identity()
+
+
+def section_by_vertex(f, c, level):
+    """The referee: f's labels below the level-`level` vertex of local index
+    c, read level by level, and the perm rebuilt from them."""
+    t, p = f.tables, f.p
+    lab = np.concatenate([np.zeros(0, dtype=np.int8)] + [
+        f.lab[t.label_off[level + k] + c * p**k:][:p**k]
+        for k in range(f.depth - level)])
+    return Portrait.from_labels(p, f.depth - level, lab)
+
+
+def embed_by_vertex(f, c, level, depth):
+    """The referee: f's labels written level by level below the
+    level-`level` vertex of local index c, zeros elsewhere."""
+    t, p = _Tables(f.p, depth), f.p
+    lab = np.zeros(t.nlabels, dtype=np.int8)
+    for k in range(f.depth):
+        lab[t.label_off[level + k] + c * p**k:][:p**k] = f.level_labels(k)
+    return Portrait.from_labels(p, depth, lab)
+
+
+@pytest.mark.parametrize("p,depth", [(2, 5), (3, 4), (5, 3)])
+def test_section_and_embed_rows_match_the_per_vertex_reference(p, depth):
+    rng = np.random.default_rng(p)
+    t = _Tables(p, depth)
+    moved = 0
+    for level in range(depth + 1):
+        fs = [random_portrait(rng, p, depth) for _ in range(6)]
+        cs = [random_portrait(rng, p, depth - level) for _ in range(5)]
+        rows = rng.integers(0, len(fs), 12)
+        at = rng.integers(0, p**level, 12)
+        lab, perm = section_rows(t, np.stack([f.lab for f in fs]),
+                                 np.stack([f.perm for f in fs]), level, rows,
+                                 at)
+        for r, c, got_lab, got_perm in zip(rows, at, lab, perm):
+            want = section_by_vertex(fs[r], c, level)
+            assert np.array_equal(got_lab, want.lab)
+            assert np.array_equal(got_perm, want.perm)
+            v = vertex_from_local_index(p, level, c)
+            assert fs[r].section(v) == want
+            moved += fs[r].apply_vertex(v) != v
+        rows = rng.integers(0, len(cs), 12)
+        c_lab = np.stack([c.lab for c in cs])
+        c_perm = np.stack([c.perm for c in cs])
+        lab, perm = embed_rows(t, c_lab, c_perm, level, rows, at)
+        for r, c, got_lab, got_perm in zip(rows, at, lab, perm):
+            want = embed_by_vertex(cs[r], c, level, depth)
+            assert np.array_equal(got_lab, want.lab)
+            assert np.array_equal(got_perm, want.perm)
+            v = vertex_from_local_index(p, level, c)
+            assert embed_at_vertex(cs[r], v, depth) == want
+        # a section at the vertex of an embedding gives back the original
+        back = section_rows(t, lab, perm, level, np.arange(len(at)), at)
+        assert np.array_equal(back[0], c_lab[rows])
+        assert np.array_equal(back[1], c_perm[rows])
+    assert moved > 0
 
 
 # -- algebraic laws (property-based) ------------------------------------------
