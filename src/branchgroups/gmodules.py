@@ -16,6 +16,12 @@ are Kronecker products of rows of one Pascal table, the coefficients of
 plus the span of such products.  The paper's tuples j in {1..p}^m, with
 a sentinel (0,p,...,p) for the zero space, are a display format only:
 V_j is the member of dimension tuple_rank(j) + 1.
+
+In the Jennings basis of W_m (`_jennings`) every chain member is spanned
+by unit vectors, so the chain check is certified there by triangularity
+tests (`certified_chain`, `chain_layers_normal`); `uniserial_chain`,
+`compute_rm` and `first_non_normal_layer` are the referees and the
+failing path.
 """
 
 from __future__ import annotations
@@ -166,6 +172,36 @@ def vj_basis(p: int, j: IndexTuple) -> FpSubspace:
     return chain_module(p, len(j), tuple_rank(j, p) + 1)
 
 
+@lru_cache(maxsize=None)
+def _jennings(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, W^-1), W's row r the chain generator w_r of rank r, so the chain
+    member of dimension t is the span of W[:t]: Kronecker powers of the
+    Pascal table P and of P^-1 (C(i, e) mod p), reversed and put in rank
+    order.  int8 (p <= MAX_PRIME) and read-only, as the cache shares them."""
+    def power(table):
+        return reduce(lambda a, b: np.kron(a, b) % p, [table] * m,
+                      np.ones((1, 1), dtype=np.int64))
+    inverse = np.array([[comb(i, e) % p for e in range(p)]
+                        for i in range(p)], dtype=np.int64)
+    rank_order = [0]
+    for _ in range(m):      # entry r: r with its base-p digits reversed
+        rank_order = [r * p + d for d in range(p) for r in rank_order]
+    w = power(_pascal(p)[::-1])[rank_order].astype(np.int8)
+    winv = power(inverse[:, ::-1])[:, rank_order].astype(np.int8)
+    w.flags.writeable = winv.flags.writeable = False
+    return w, winv
+
+
+def _jennings_steps(images, w: np.ndarray, winv: np.ndarray,
+                    p: int) -> np.ndarray | None:
+    """The Jennings coordinates (x_i - w_i) W^-1 for each matrix of images
+    x_i of w_i (w, winv: _jennings in int64), stacked; None unless all are
+    strictly lower triangular, i.e. each span of w_0..w_i is invariant."""
+    t = len(images[0])
+    steps = (np.stack(images) - w[:t]) @ winv % p
+    return None if any(steps[:, i, i:].any() for i in range(t)) else steps
+
+
 # -- closures ---------------------------------------------------------------
 
 
@@ -227,6 +263,34 @@ def uniserial_chain(u: FpSubspace, mod: GModule):
             return chain, {"reason": "layer of codimension > 1",
                            "codim": drop, "upper_dim": chain[-2].dim}
     return chain, None
+
+
+def certified_chain(u: FpSubspace, mod: GModule, m: int) -> bool:
+    """Whether U (dimension t) is V_(t-1), the span of w_0..w_(t-1), and
+    uniserial_chain(U) is V_(t-1) > ... > V_(0) > 0, with no closure.
+
+    U = V_(t-1) iff U W^-1 vanishes at ranks >= t.  Then it suffices that
+    (i) each C_g = (W[:t] g - W[:t]) W^-1 is strictly lower triangular, so
+    every V_(i) is invariant, and (ii) for each i in 1..t-1 some C_g[i, i-1]
+    is nonzero: V_(i-1) is generated by any element with a nonzero
+    coefficient at rank i-1 (induction), so [V_(i), G] = V_(i-1).  False
+    decides nothing."""
+    p, t = u.p, u.dim
+    w, winv = (a.astype(np.int64) for a in _jennings(p, m))
+    if (u.rows.astype(np.int64) @ winv[:, t:] % p).any():
+        return False
+    steps = _jennings_steps([mod.act(w[:t], k) for k in mod.perms], w, winv,
+                            p)
+    i = np.arange(1, t)
+    return steps is not None and bool(steps[:, i, i - 1].any(axis=0).all())
+
+
+def layer_chain(u: FpSubspace, mod: GModule, m: int):
+    """uniserial_chain(u, mod), with the members read off chain_module when
+    certified_chain holds."""
+    if certified_chain(u, mod, m):
+        return [chain_module(u.p, m, k) for k in range(u.dim, -1, -1)], None
+    return uniserial_chain(u, mod)
 
 
 # -- the R_m computation -----------------------------------------------------
@@ -315,16 +379,16 @@ def layer_preimage(g_n, m: int, space: FpSubspace):
     return extend(st_next, reps, reps + st_next.gens)
 
 
-def layer_conjugation(g_n, m: int, u: FpSubspace) -> list[np.ndarray]:
+def layer_conjugation(g_n, m: int, vecs) -> list[np.ndarray]:
     """The conjugation action of g_n on its layer U = image of St(m) in W_m.
 
     Returns, per generator g of g_n, the matrix whose row i is the level-m
-    labels of x_i^g, where x_i represents the i-th echelon row of U.
+    labels of x_i^g, where x_i represents vecs[i], a vector of U.
     Conjugation is computed on portraits, not read off the permutation
     module, so this is an independent view of the action.
     """
     t = _Tables(g_n.p, g_n.depth)
-    reps = _representative_rows(g_n, m, u.rows)
+    reps = _representative_rows(g_n, m, vecs)
     actions = []
     for g in g_n.gens:
         lab, _ = _conjugate_rows(t, reps, (g.lab, g.perm),
@@ -343,9 +407,43 @@ def first_non_normal_layer(g_n, m: int, u: FpSubspace,
     U's echelon basis are the entries at U's pivots, so each space is
     tested with one product per generator.
     """
-    actions = layer_conjugation(g_n, m, u)
+    actions = layer_conjugation(g_n, m, u.rows)
     for idx, space in enumerate(spaces):
         coords = space.rows[:, u.pivots].astype(np.int64)
         if any(space.reduce(coords @ act).any() for act in actions):
             return idx
     return None
+
+
+def chain_layers_normal(g_n, m: int, t: int) -> bool:
+    """Whether every V_(i), i < t, pulls back to a normal subgroup, for the
+    layer of St(m) certified as V_(t-1): layer_conjugation on w_0..w_(t-1)
+    is lower triangular in the Jennings basis (first_non_normal_layer is
+    the referee)."""
+    w, winv = (a.astype(np.int64) for a in _jennings(g_n.p, m))
+    images = layer_conjugation(g_n, m, w[:t])
+    return _jennings_steps(images, w, winv, g_n.p) is not None
+
+
+def check_chain_layer(v, g_n, m: int, u: FpSubspace, mod: GModule) -> None:
+    """Record on the Verdict v that the layer U of St(m) is uniserial, is
+    V_j and pulls back to normal subgroups layer by layer: by certified_chain
+    and chain_layers_normal, else by the referees, which give the witnesses.
+    Both paths record the same text."""
+    t = u.dim
+    certified = certified_chain(u, mod, m)
+    chain, bad = ([], None) if certified else uniserial_chain(u, mod)
+    if not v.record(
+            f"chain m={m}", bad is None,
+            f"pass: length {t}" if bad is None else f"fail: {bad['reason']}",
+            witness=lambda: {"level": m, **bad,
+                             "upper_basis": chain[-2].basis_digits()
+                             if len(chain) >= 2 else []}):
+        return
+    rm = ({"j_max": tuple_from_rank(t - 1, u.p, m), "match": True}
+          if certified else compute_rm(u, m))
+    v.record(f"image=V_j m={m}", rm["match"],
+             f"pass: j_max={rm['j_max']}" if rm["match"] else "fail",
+             witness=lambda: {"level": m, **rm.get("witness", {})})
+    v.record(f"preimages normal m={m}", chain_layers_normal(g_n, m, t)
+             if certified else first_non_normal_layer(g_n, m, u, chain) is None)

@@ -30,8 +30,7 @@ from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
                      first_missing_embedding, group_of, is_regular_branch_over,
                      is_subdirect_in_product, is_super_strongly_fractal, join,
                      normal_closure, sections_within)
-from .gmodules import (compute_rm, first_non_normal_layer, uniserial_chain,
-                       wm_module)
+from .gmodules import check_chain_layer, compute_rm, wm_module
 from .reports import Verdict, VerificationReport, non_membership, skipped
 from .trees import Portrait
 
@@ -304,24 +303,9 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
     v = Verdict()
     tvals = {}
     for m in levels:
-        mod = wm_module(inst, m)
         u = g.image_in_wm(m)
         tvals[m] = u.dim
-        chain, bad = uniserial_chain(u, mod)
-        if not v.record(
-                f"chain m={m}", bad is None,
-                f"pass: length {len(chain) - 1}" if bad is None
-                else f"fail: {bad['reason']}",
-                witness=lambda: {"level": m, **bad,
-                                 "upper_basis": chain[-2].basis_digits()
-                                 if len(chain) >= 2 else []}):
-            continue
-        rm = compute_rm(u, m)
-        v.record(f"image=V_j m={m}", rm["match"],
-                 f"pass: j_max={rm['j_max']}" if rm["match"] else "fail",
-                 witness=lambda: {"level": m, **rm.get("witness", {})})
-        v.record(f"preimages normal m={m}",
-                 first_non_normal_layer(g, m, u, chain) is None)
+        check_chain_layer(v, g, m, u, wm_module(inst, m))
     # closed forms and the two index inequalities
     if (isinstance(inst, MultiEGSInstance) and is_ggs(inst)
             and not is_torsion(inst) and branch_gamma(inst) == 2):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from branchgroups import oracle
+from branchgroups import gmodules, oracle
 from branchgroups.catalog import fabrykowski_gupta, preset
 from branchgroups.cli import (EXIT_FAIL, EXIT_GUARD, EXIT_PASS, EXIT_USAGE,
                               SpecError, instance_from_dict, run)
@@ -37,6 +37,22 @@ def test_chain_command(capsys):
     assert payload["t"] == 6
     assert payload["j_max"] == [2, 3]
     assert payload["uniserial"] is True
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["chain", "--preset", "fg3", "--level", "3", "--depth", "5"], EXIT_PASS),
+    (["chain", "--preset", "sunic-grigorchuk", "--level", "4", "--depth", "6"],
+     EXIT_PASS),
+    # gs3's layer 2 is not uniserial: the layers come from uniserial_chain
+    (["chain", "--preset", "gs3", "--level", "2", "--depth", "4"], EXIT_FAIL),
+])
+def test_chain_command_equals_the_referee_path(argv, code, monkeypatch,
+                                               capsys):
+    assert run(argv) == code
+    fast = capsys.readouterr()
+    monkeypatch.setattr(gmodules, "certified_chain", lambda u, mod, m: False)
+    assert run(argv) == code
+    assert capsys.readouterr() == fast
 
 
 def test_verify_single_check(tmp_path, capsys):
@@ -407,6 +423,10 @@ MULTI_EGS3 = {"type": "multi_egs", "p": 3,
      ["quotient", "--spec", SUNIC3, "--depth", "5", "--gens"], EXIT_PASS),
     ("gens-multi-egs3-d5",
      ["quotient", "--spec", MULTI_EGS3, "--depth", "5", "--gens"], EXIT_PASS),
+    # the certified chain at p = 7: layers of dimension 7, 42 and 294
+    ("verify-chain-fg7-d4",
+     ["verify", "chain", "--spec", {"type": "fg", "p": 7}, "--depth", "4"],
+     EXIT_PASS),
 ])
 def test_golden_reports(name, argv, code, tmp_path, capsys):
     """CLI output (stdout, stderr, exit code) equals the committed

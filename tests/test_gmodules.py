@@ -3,15 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+from branchgroups import gmodules
 from branchgroups.catalog import fabrykowski_gupta, make_ggs, make_sunic, preset
-from branchgroups.gmodules import (GModule, _pascal, canonical_generator_vec,
+from branchgroups.gmodules import (GModule, _jennings, _pascal,
+                                   canonical_generator_vec, certified_chain,
+                                   chain_layers_normal, chain_module,
                                    commutator_subspace, compute_rm,
                                    first_non_normal_layer,
-                                   iterated_twisted_sum, layer_conjugation,
-                                   layer_preimage, layer_representatives,
-                                   submodule_closure, tuple_from_rank,
-                                   tuple_rank, uniserial_chain, vj_basis,
-                                   wm_module)
+                                   iterated_twisted_sum, layer_chain,
+                                   layer_conjugation, layer_preimage,
+                                   layer_representatives, submodule_closure,
+                                   tuple_from_rank, tuple_rank,
+                                   uniserial_chain, vj_basis, wm_module)
 from branchgroups.context import GroupContext
 from branchgroups.linalg import FpSubspace, full_space, rref
 from branchgroups.trees import Portrait
@@ -108,6 +111,43 @@ def test_level_two_chain_modules_are_submodules(p):
         w = canonical_generator_vec(p, j)
         assert v.contains_vector(w)
         assert not vj_basis(p, previous(j, p)).contains_vector(w)
+
+
+# -- the Jennings basis ---------------------------------------------------------
+
+JENNINGS_CASES = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17)
+                  for m in range(1, 9) if p**m <= 343 and (p, m) != (17, 2)]
+
+
+def assert_jennings_basis(p, m, ranks):
+    """W W^-1 = I, row r of W is w_r, and span(W[:t]) = chain_module(p, m, t)
+    for each t in ranks: the member has dimension t and no coordinate at
+    rank >= t, so it lies in the span of W[:t], which has dimension t."""
+    w, winv = (a.astype(np.int64) for a in _jennings(p, m))
+    assert np.array_equal(w @ winv % p, np.eye(p**m, dtype=np.int64))
+    assert all(np.array_equal(w[r], canonical_generator_vec(
+        p, tuple_from_rank(r, p, m))) for r in range(p**m))
+    for t in ranks:
+        member = chain_module(p, m, t)
+        assert member.dim == t, (p, m, t)
+        assert not (member.rows.astype(np.int64) @ winv[:, t:] % p).any()
+
+
+@pytest.mark.parametrize("p,m", JENNINGS_CASES)
+def test_jennings_basis_spans_every_chain_member(p, m):
+    assert_jennings_basis(p, m, range(p**m + 1))
+
+
+def test_jennings_basis_at_p17_sampled():
+    ranks = np.random.default_rng(17).choice(290, 24, replace=False)
+    assert_jennings_basis(17, 2, [0, 1, 289, *ranks.tolist()])
+
+
+def test_jennings_tables_are_read_only():
+    for table in _jennings(3, 2):
+        assert table.dtype == np.int8 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 # -- modules -------------------------------------------------------------------
@@ -299,6 +339,77 @@ def test_rm_ggs5():
     assert compute_rm(g.image_in_wm(2), 2)["t"] == 20
 
 
+# -- the chain certificate -----------------------------------------------------
+
+def chain_instance(name):
+    return fabrykowski_gupta(7) if name == "fg7" else preset(name)
+
+
+@pytest.mark.parametrize("name,depth", [
+    # every preset at the chain check's default depth, deeper Grigorchuk
+    # and FG at p = 7
+    ("fg3", 4), ("fg5", 3), ("gs3", 4), ("sunic-grigorchuk", 4),
+    ("remark-group", 3), ("appb-p5", 3), ("sunic-grigorchuk", 6),
+    ("fg7", 3)])
+def test_certificate_agrees_with_its_referees(name, depth):
+    inst = chain_instance(name)
+    g = GroupContext(inst).quotient(depth)
+    verdicts = []
+    for m in range(1, depth):
+        u, mod = g.image_in_wm(m), wm_module(inst, m)
+        chain, witness = uniserial_chain(u, mod)
+        referee = witness is None and compute_rm(u, m)["match"]
+        verdicts.append(certified_chain(u, mod, m))
+        assert verdicts[-1] == referee, m
+        if referee:
+            assert layer_chain(u, mod, m) == (chain, None)
+            assert (chain_layers_normal(g, m, u.dim)
+                    == (first_non_normal_layer(g, m, u, chain) is None))
+    # gs3 is torsion: its layers 2 and 3 are not uniserial
+    assert verdicts == ([True, False, False] if name == "gs3"
+                        else [True] * (depth - 1))
+
+
+def test_certificate_refuses_what_is_no_certified_chain():
+    fg = fabrykowski_gupta(3)
+    assert certified_chain(full_space(3, 9), wm_module(fg, 2), 2)
+    # gs3's W_2 is not uniserial; span(e_0) in W_1 is no chain member
+    assert not certified_chain(full_space(3, 9), wm_module(preset("gs3"), 2),
+                               2)
+    e0 = FpSubspace(3, 3, [[1, 0, 0]])
+    assert not certified_chain(e0, wm_module(fg, 1), 1)
+    # a trivial action: every C_g is zero, so condition (ii) fails
+    trivial = GModule(3, 9, {"a": range(9), "b": range(9)})
+    assert not certified_chain(full_space(3, 9), trivial, 2)
+    assert uniserial_chain(full_space(3, 9), trivial)[1] is not None
+    # S_3 on three points: (ii) holds through the 3-cycle, but the
+    # transposition acts by -1 on V_(1)/V_(0), so C_b is not strictly lower
+    # triangular and [V_(1), G] = V_(1)
+    s3 = GModule(3, 3, {"a": [1, 2, 0], "b": [1, 0, 2]})
+    assert not certified_chain(full_space(3, 3), s3, 1)
+    assert uniserial_chain(full_space(3, 3), s3)[1] == {"reason": "no descent",
+                                                         "dim": 2}
+    assert layer_chain(e0, wm_module(fg, 1), 1) == uniserial_chain(
+        e0, wm_module(fg, 1))
+
+
+def test_triangular_normality_refuses_an_action_that_moves_the_chain(
+        fg3_ctx, monkeypatch):
+    # the conjugation action followed by a swap of two level-2 coordinates
+    # is a linear action that moves some chain member: both tests refuse it
+    g = fg3_ctx.quotient(3)
+    u = g.image_in_wm(2)
+    chain, witness = uniserial_chain(u, wm_module(fg3_ctx.inst, 2))
+    assert witness is None and chain_layers_normal(g, 2, u.dim)
+    swap = np.arange(9)
+    swap[[0, 1]] = [1, 0]
+    conjugation = gmodules.layer_conjugation
+    monkeypatch.setattr(gmodules, "layer_conjugation", lambda g_n, m, vecs: [
+        act[:, swap] for act in conjugation(g_n, m, vecs)])
+    assert first_non_normal_layer(g, 2, u, chain) is not None
+    assert not chain_layers_normal(g, 2, u.dim)
+
+
 # -- group/module dictionary -----------------------------------------------------
 
 def test_layer_representative_roundtrip(fg3_ctx):
@@ -367,7 +478,7 @@ def test_stacked_layer_conjugation_matches_the_loop(name, depth):
         want = [np.array([x.conjugate(h).level_labels(m) for x in reps],
                          dtype=np.int64).reshape(u.dim, u.ambient)
                 for h in g.gens]
-        got = layer_conjugation(g, m, u)
+        got = layer_conjugation(g, m, u.rows)
         assert [a.dtype for a in got] == [np.int64] * len(g.gens)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
 

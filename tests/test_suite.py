@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from branchgroups import context, engine, suite
+from branchgroups import context, engine, gmodules, suite
 from branchgroups.catalog import (PRESET_NAMES, fabrykowski_gupta, make_ggs,
                                   make_multi_egs, make_multi_ggs, make_sunic,
                                   preset)
@@ -419,6 +419,31 @@ def test_chain_theorem_gs3_is_informational(gs3_ctx):
     rep = run_check(gs3_ctx, "chain", depth=3)
     assert rep.status == "skipped"
     assert "informational" in rep.details
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("fg3", 4), ("gs3", 4), ("fg5", 3), ("sunic-grigorchuk", 6),
+    ("remark-group", 3), ("appb-p5", 3)])
+def test_chain_reports_equal_the_referee_path(name, depth, monkeypatch):
+    # the Jennings certificate off, every level goes through uniserial_chain,
+    # compute_rm and first_non_normal_layer: the same report, byte for byte
+    fast = run_check(GroupContext(preset(name)), "chain", depth=depth)
+    monkeypatch.setattr(gmodules, "certified_chain", lambda u, mod, m: False)
+    slow = run_check(GroupContext(preset(name)), "chain", depth=depth)
+    assert report_json(fast) == report_json(slow)
+
+
+def test_certified_chain_check_closes_no_submodule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a closure on the certified path")
+
+    for name in ("uniserial_chain", "commutator_subspace",
+                 "submodule_closure"):
+        monkeypatch.setattr(gmodules, name, refuse)
+    rep = run_check(GroupContext(fabrykowski_gupta(7)), "chain", depth=3)
+    assert rep.status == "pass"
+    assert rep.details["chain m=2"] == "pass: length 42"
+    assert rep.details["image=V_j m=2"] == "pass: j_max=(6, 7)"
 
 
 def test_width_rank_fg3(fg3_ctx):
