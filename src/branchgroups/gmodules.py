@@ -18,10 +18,19 @@ a sentinel (0,p,...,p) for the zero space, are a display format only:
 V_j is the member of dimension tuple_rank(j) + 1.
 
 In the Jennings basis of W_m (`_jennings`) every chain member is spanned
-by unit vectors, so the chain check is certified there by triangularity
-tests (`certified_chain`, `chain_layers_normal`); `uniserial_chain`,
-`compute_rm` and `first_non_normal_layer` are the referees and the
-failing path.
+by unit vectors.  A module of dimension p^m keeps its certified prefix T
+there (`GModule.certified_prefix`): the ranks below T step down the chain
+one at a time under the action.  It is grown lazily, once per module, as
+`wm_module` memoises the modules.  Three callers read it:
+`submodule_closure` returns a chain member, with no elimination, for a
+seed whose highest rank is below T; the chain check and `cli chain`
+accept a layer by `certified_chain`; and the family build's invariance
+test is a `submodule_closure`.  Normality of the layer preimages is one
+triangularity test (`chain_layers_normal`).  The referees stay off the
+certificate: `closure_by_rounds` (the rounds loop, also called by
+`commutator_subspace`, `uniserial_chain` and the oracle census),
+`compute_rm` and `first_non_normal_layer`.  They are also the path taken
+when the certificate is refused.
 """
 
 from __future__ import annotations
@@ -40,10 +49,16 @@ from .trees import (Portrait, _Tables, _conjugate_rows, _portraits, _stack,
 IndexTuple = tuple[int, ...]
 
 
+# entries of int64 per block of the certified prefix: gens x rows x dim
+CERT_BLOCK_ENTRIES = 2**18
+
+
 class GModule:
     """Finite F_pG permutation module: each generator permutes the
     coordinates of F_p^dim and acts on row vectors from the right,
-    (v.g)[perm[i]] = v[i]."""
+    (v.g)[perm[i]] = v[i].  The permutation arrays are read-only, as
+    `wm_module` shares its modules among callers, who then also share a
+    module's certified prefix (`certified_prefix`)."""
 
     def __init__(self, p: int, dim: int, perms: dict[str, Sequence[int]]):
         self.p = p
@@ -51,7 +66,7 @@ class GModule:
         self.perms: dict[str, np.ndarray] = {}
         self._gather: dict[str, np.ndarray] = {}
         for k, perm in perms.items():
-            perm = np.asarray(perm, dtype=np.intp)
+            perm = np.array(perm, dtype=np.intp)
             # the inverse by scatter: every entry is set iff perm is a
             # bijection (np.argsort would map in the sort kernels' pages)
             gather = np.full(dim, -1, dtype=np.intp)
@@ -60,18 +75,51 @@ class GModule:
             if (gather < 0).any():
                 raise ValueError(
                     f"action {k} is not a permutation of range({dim})")
+            perm.flags.writeable = gather.flags.writeable = False
             self.perms[k] = perm
             self._gather[k] = gather
+        # m with p^m = dim, 0 when there is no Jennings basis
+        self.level = next((m for m in range(1, dim.bit_length() + 1)
+                           if p**m == dim), 0)
+        self._prefix, self._stopped = 0, not (self.level and self.perms)
 
     def act(self, rows: np.ndarray, name: str) -> np.ndarray:
         """The images v.g of a vector or of every row of a matrix under the
         generator `name`: one index gather."""
         return rows.take(self._gather[name], axis=-1)
 
+    def certified_prefix(self, rank: int) -> int:
+        """The certified prefix T, grown until it passes `rank` or stops.
 
+        T is the largest t such that for every row i < t of every
+        C_g = (W g - W) W^-1 (W: `_jennings`), row i is zero on and above
+        the diagonal and, for i >= 1, some C_g[i, i-1] is nonzero; so
+        w_i (g - 1) lies in V_(i-1) and, for some g, not in V_(i-2).  It is
+        0 without a Jennings basis.  Rows are certified a block at a time,
+        never past the block that holds `rank`."""
+        while self._prefix <= min(rank, self.dim - 1) and not self._stopped:
+            self._extend()
+        return self._prefix
+
+    def _extend(self) -> None:
+        """Certify the next block of rows of every C_g with one product; a
+        block has at most CERT_BLOCK_ENTRIES / (gens dim) rows."""
+        start, p = self._prefix, self.p
+        end = min(self.dim, start + max(
+            1, CERT_BLOCK_ENTRIES // (len(self.perms) * self.dim)))
+        w, winv = _jennings(p, self.level)
+        w, winv = w[start:end].astype(np.int64), winv.astype(np.int64)
+        done = _triangular_rows([self.act(w, k) for k in self.perms], w, winv,
+                                p, start, descending=True)
+        self._prefix += done
+        self._stopped = done < end - start
+
+
+@lru_cache(maxsize=None)
 def wm_module(inst, m: int) -> GModule:
     """W_m as the permutation module on level-m vertices: each generator
-    acts by its vertex action, (v.g) at u = v at u^(g^-1)."""
+    acts by its vertex action, (v.g) at u = v at u^(g^-1).  Memoised per
+    (instance, m), so the module's certified prefix is computed once."""
     if m == 0:
         return GModule(inst.p, 1, {name: [0] for name in inst.gen_names})
     return GModule(inst.p, inst.p**m,
@@ -152,18 +200,22 @@ def canonical_generator_vec(p: int, j: IndexTuple) -> np.ndarray:
 def chain_module(p: int, m: int, t: int) -> FpSubspace:
     """The chain member of dimension t in W_m.  With t - 1 = p q + s, it is
     the block sum of the level-(m-1) member of dimension q plus the span of
-    (x - 1)^e (x) w for e >= p - 1 - s, w the generator of rank q."""
+    (x - 1)^e (x) w for e >= p - 1 - s, w the generator of rank q.  Its
+    rows are read-only, as the cache shares it."""
     if t == 0:
-        return FpSubspace(p, p**m)
-    if m == 1:
-        return FpSubspace(p, p, _pascal(p)[p - t:])
-    q, s = divmod(t - 1, p)
-    basis = Echelon(p, p**m)    # a block sum of RREF bases is in RREF
-    basis.bases[0] = np.kron(np.eye(p, dtype=np.int64),
-                             chain_module(p, m - 1, q).echelon().bases[0])
-    w = canonical_generator_vec(p, tuple_from_rank(q, p, m - 1))
-    basis.add_span(np.kron(_pascal(p)[p - 1 - s:], w))
-    return basis.subspace()
+        space = FpSubspace(p, p**m)
+    elif m == 1:
+        space = FpSubspace(p, p, _pascal(p)[p - t:])
+    else:
+        q, s = divmod(t - 1, p)
+        basis = Echelon(p, p**m)    # a block sum of RREF bases is in RREF
+        basis.bases[0] = np.kron(np.eye(p, dtype=np.int64),
+                                 chain_module(p, m - 1, q).echelon().bases[0])
+        w = canonical_generator_vec(p, tuple_from_rank(q, p, m - 1))
+        basis.add_span(np.kron(_pascal(p)[p - 1 - s:], w))
+        space = basis.subspace()
+    space.rows.flags.writeable = False
+    return space
 
 
 def vj_basis(p: int, j: IndexTuple) -> FpSubspace:
@@ -192,14 +244,28 @@ def _jennings(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return w, winv
 
 
-def _jennings_steps(images, w: np.ndarray, winv: np.ndarray,
-                    p: int) -> np.ndarray | None:
-    """The Jennings coordinates (x_i - w_i) W^-1 for each matrix of images
-    x_i of w_i (w, winv: _jennings in int64), stacked; None unless all are
-    strictly lower triangular, i.e. each span of w_0..w_i is invariant."""
-    t = len(images[0])
-    steps = (np.stack(images) - w[:t]) @ winv % p
-    return None if any(steps[:, i, i:].any() for i in range(t)) else steps
+def _triangular_rows(images, w: np.ndarray, winv: np.ndarray, p: int,
+                     start: int = 0, descending: bool = False) -> int:
+    """How many leading rows i = start, start + 1, ... of the matrices
+    C = (x - w) W^-1 are zero on and above the diagonal in every C, and,
+    with `descending`, for i >= 1 nonzero at (i, i-1) in some C.  The x are
+    the images of the rows w (the ranks from `start` on, int64, as winv),
+    one matrix per map, and every C comes from one product."""
+    steps = (np.stack(images) - w) @ winv % p
+    for k, i in enumerate(range(start, start + len(w))):
+        if steps[:, k, i:].any() or (
+                descending and i and not steps[:, k, i - 1].any()):
+            return k
+    return len(w)
+
+
+def _top_ranks(rows, p: int, m: int) -> np.ndarray:
+    """The highest Jennings rank of the span of rows (k, d), or of each
+    stacked span (n, k, d): the last column where rows W^-1 is nonzero,
+    -1 for the zero space."""
+    winv = _jennings(p, m)[1].astype(np.int64)
+    support = (np.asarray(rows, dtype=np.int64) @ winv % p).any(axis=-2)
+    return np.where(support, np.arange(p**m), -1).max(axis=-1)
 
 
 # -- closures ---------------------------------------------------------------
@@ -207,17 +273,45 @@ def _jennings_steps(images, w: np.ndarray, winv: np.ndarray,
 
 def submodule_closure(seeds: Echelon | FpSubspace,
                       mod: GModule) -> Echelon | FpSubspace:
-    """Smallest action-invariant subspace containing each seed.
+    """Smallest action-invariant subspace containing each seed: an Echelon
+    stack, closed in place and returned, or one FpSubspace, whose closure
+    is returned as an FpSubspace.
 
-    `seeds` is an Echelon stack, closed in place and returned, or one
-    FpSubspace, closed as a stack of one and returned as an FpSubspace.
+    A seed space whose highest Jennings rank r is below the module's
+    certified prefix T closes to V_(r) = chain_module(p, m, r + 1), with
+    no elimination: it lies in V_(r), which is invariant, and it has an
+    element of rank r, which generates V_(r) (certified_chain's
+    induction).  The other seeds go through `closure_by_rounds`.
+    """
+    p, m = mod.p, mod.level
+    if not m:
+        return closure_by_rounds(seeds, mod)
+    if isinstance(seeds, FpSubspace):
+        r = int(_top_ranks(seeds.rows, p, m))
+        return (chain_module(p, m, r + 1) if r < mod.certified_prefix(r)
+                else closure_by_rounds(seeds, mod))
+    ranks = _top_ranks(seeds.bases, p, m)
+    fast = ranks < mod.certified_prefix(ranks.max(initial=-1))
+    for k in np.flatnonzero(fast):
+        member = chain_module(p, m, int(ranks[k]) + 1)
+        seeds.bases[k] = member.echelon().bases[0]
+    if not fast.all():
+        seeds.bases[~fast] = closure_by_rounds(seeds.take(~fast), mod).bases
+    return seeds
+
+
+def closure_by_rounds(seeds: Echelon | FpSubspace,
+                      mod: GModule) -> Echelon | FpSubspace:
+    """submodule_closure by elimination alone, reading no certificate: the
+    referees (`commutator_subspace`, the oracle census) call it.
+
     Each round applies the generators to the frontier of every open basis
     (at first its seed rows, then the rows it gained in the last round),
     reduces all images in one product and inserts candidate j of every
     open basis at once; a basis leaves the stack when a round adds nothing.
     """
     if isinstance(seeds, FpSubspace):
-        return submodule_closure(seeds.echelon(), mod).subspace()
+        return closure_by_rounds(seeds.echelon(), mod).subspace()
     work, live = seeds, np.arange(len(seeds.bases))
     pivots = np.diagonal(seeds.bases, axis1=1, axis2=2).any(axis=0)
     frontier = seeds.bases[:, pivots]
@@ -243,7 +337,7 @@ def commutator_subspace(u: FpSubspace, mod: GModule) -> FpSubspace:
     under the action (U must be invariant)."""
     rows = u.rows.astype(np.int64)
     seed = np.concatenate([mod.act(rows, k) - rows for k in mod.perms])
-    return submodule_closure(FpSubspace(mod.p, u.ambient, seed % mod.p), mod)
+    return closure_by_rounds(FpSubspace(mod.p, u.ambient, seed % mod.p), mod)
 
 
 def uniserial_chain(u: FpSubspace, mod: GModule):
@@ -270,19 +364,13 @@ def certified_chain(u: FpSubspace, mod: GModule, m: int) -> bool:
     uniserial_chain(U) is V_(t-1) > ... > V_(0) > 0, with no closure.
 
     U = V_(t-1) iff U W^-1 vanishes at ranks >= t.  Then it suffices that
-    (i) each C_g = (W[:t] g - W[:t]) W^-1 is strictly lower triangular, so
-    every V_(i) is invariant, and (ii) for each i in 1..t-1 some C_g[i, i-1]
-    is nonzero: V_(i-1) is generated by any element with a nonzero
-    coefficient at rank i-1 (induction), so [V_(i), G] = V_(i-1).  False
-    decides nothing."""
-    p, t = u.p, u.dim
-    w, winv = (a.astype(np.int64) for a in _jennings(p, m))
-    if (u.rows.astype(np.int64) @ winv[:, t:] % p).any():
-        return False
-    steps = _jennings_steps([mod.act(w[:t], k) for k in mod.perms], w, winv,
-                            p)
-    i = np.arange(1, t)
-    return steps is not None and bool(steps[:, i, i - 1].any(axis=0).all())
+    t <= T, mod's certified prefix: (i) each C_g = (W g - W) W^-1 is
+    strictly lower triangular in rows < t, so every V_(i), i < t, is
+    invariant, and (ii) for each i in 1..t-1 some C_g[i, i-1] is nonzero:
+    V_(i-1) is generated by any element with a nonzero coefficient at rank
+    i-1 (induction), so [V_(i), G] = V_(i-1).  False decides nothing."""
+    t = u.dim
+    return bool(_top_ranks(u.rows, u.p, m) < t <= mod.certified_prefix(t - 1))
 
 
 def layer_chain(u: FpSubspace, mod: GModule, m: int):
@@ -422,7 +510,7 @@ def chain_layers_normal(g_n, m: int, t: int) -> bool:
     the referee)."""
     w, winv = (a.astype(np.int64) for a in _jennings(g_n.p, m))
     images = layer_conjugation(g_n, m, w[:t])
-    return _jennings_steps(images, w, winv, g_n.p) is not None
+    return _triangular_rows(images, w[:t], winv, g_n.p) == t
 
 
 def check_chain_layer(v, g_n, m: int, u: FpSubspace, mod: GModule) -> None:

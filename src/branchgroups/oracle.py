@@ -7,8 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import ResourceGuardError
-from .gmodules import (GModule, layer_preimage, submodule_closure,
-                       wm_module)
+from .gmodules import GModule, closure_by_rounds, layer_preimage, wm_module
 from .linalg import Echelon, FpSubspace, _inverses, full_space
 from .trees import Portrait
 
@@ -162,7 +161,7 @@ def _cyclic_closures(space: FpSubspace, mod: GModule) -> list[FpSubspace]:
         block = _digits(reps[start:start + step], p, k) @ rows
         stack = Echelon(p, d, len(block))
         stack.add(block)
-        submodule_closure(stack, mod)
+        closure_by_rounds(stack, mod)
         for j, basis in enumerate(stack.bases):
             key = basis.tobytes()
             if key not in found:

@@ -5,9 +5,10 @@ import pytest
 
 from branchgroups import gmodules
 from branchgroups.catalog import fabrykowski_gupta, make_ggs, make_sunic, preset
-from branchgroups.gmodules import (GModule, _jennings, _pascal,
-                                   canonical_generator_vec, certified_chain,
-                                   chain_layers_normal, chain_module,
+from branchgroups.gmodules import (CERT_BLOCK_ENTRIES, GModule, _jennings,
+                                   _pascal, canonical_generator_vec,
+                                   certified_chain, chain_layers_normal,
+                                   chain_module, closure_by_rounds,
                                    commutator_subspace, compute_rm,
                                    first_non_normal_layer,
                                    iterated_twisted_sum, layer_chain,
@@ -107,7 +108,7 @@ def test_level_two_chain_modules_are_submodules(p):
     for j in itertools.product(range(1, p + 1), repeat=2):
         v = vj_basis(p, j)
         assert v.dim == tuple_rank(j, p) + 1
-        assert submodule_closure(v, mod) == v
+        assert closure_by_rounds(v, mod) == v
         w = canonical_generator_vec(p, j)
         assert v.contains_vector(w)
         assert not vj_basis(p, previous(j, p)).contains_vector(w)
@@ -271,7 +272,7 @@ def test_cyclic_closures_recover_chain():
     for p, m, mod in referee_modules():
         for j in itertools.product(range(1, p + 1), repeat=m):
             seed = FpSubspace(p, p**m, [canonical_generator_vec(p, j)])
-            assert submodule_closure(seed, mod) == vj_basis(p, j), j
+            assert closure_by_rounds(seed, mod) == vj_basis(p, j), j
 
 
 def test_commutator_steps_down_the_chain():
@@ -408,6 +409,72 @@ def test_triangular_normality_refuses_an_action_that_moves_the_chain(
         act[:, swap] for act in conjugation(g_n, m, vecs)])
     assert first_non_normal_layer(g, 2, u, chain) is not None
     assert not chain_layers_normal(g, 2, u.dim)
+
+
+# -- the certified prefix --------------------------------------------------------
+
+def counted_extensions(monkeypatch):
+    """(module, first row) of every block the certified prefix certifies."""
+    calls = []
+    extend = GModule._extend
+
+    def counting(mod):
+        calls.append((mod, mod._prefix))
+        extend(mod)
+
+    monkeypatch.setattr(GModule, "_extend", counting)
+    return calls
+
+
+def test_verify_all_certifies_each_block_once(monkeypatch):
+    # the chain check, the family build and the closures share one memoised
+    # W_m per (instance, m), so no rows are certified twice in a process
+    from branchgroups import cli
+    wm_module.cache_clear()
+    calls = counted_extensions(monkeypatch)
+    assert cli.run(["verify", "all", "--preset", "fg3", "--depth", "4",
+                    "--seed", "1"]) == 1      # the known-red fg-lemma
+    assert calls and len(set(calls)) == len(calls)
+    inst = preset("fg3")
+    assert {mod.level for mod, _ in calls} == {1, 2, 3}
+    assert all(mod is wm_module(inst, mod.level) for mod, _ in calls)
+
+
+def test_memoised_modules_are_shared_and_read_only():
+    inst = preset("fg3")
+    mod = wm_module(inst, 2)
+    assert wm_module(inst, 2) is mod
+    for arr in [*mod.perms.values(), *mod._gather.values()]:
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    # the caller's array is copied, not frozen
+    perm = np.arange(3)
+    GModule(3, 3, {"a": perm})
+    perm[0] = 0
+    # a certified closure is the cached chain member itself
+    seed = FpSubspace(3, 9, [_jennings(3, 2)[0][4]])
+    closure = submodule_closure(seed, mod)
+    assert closure is chain_module(3, 2, 5)
+    with pytest.raises(ValueError):
+        closure.rows[0, 0] = 2
+
+
+def test_a_rank_zero_seed_certifies_one_block(monkeypatch):
+    # d = 625: the rows of every C_g at once would not fit one block, so a
+    # seed of rank 0 certifies the first block only, and a seed of rank
+    # equal to the block size the next one
+    p, m = 5, 4
+    mod = GModule(p, p**m, wm_module(fabrykowski_gupta(p), m).perms)
+    block = CERT_BLOCK_ENTRIES // (len(mod.perms) * mod.dim)
+    assert 0 < block < mod.dim
+    calls = counted_extensions(monkeypatch)
+    w = _jennings(p, m)[0]
+    for rank, blocks in ((0, [0]), (block - 1, [0]),
+                         (block, [0, block])):
+        seed = FpSubspace(p, mod.dim, [w[rank]])
+        assert submodule_closure(seed, mod) == chain_module(p, m, rank + 1)
+        assert [start for _, start in calls] == blocks
+    assert mod.certified_prefix(block) == 2 * block
 
 
 # -- group/module dictionary -----------------------------------------------------

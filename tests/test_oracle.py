@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchgroups import oracle
+from branchgroups import gmodules, oracle
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki, preset
 from branchgroups.engine import ResourceGuardError, Subgroup, group_of
-from branchgroups.gmodules import (GModule, submodule_closure, vj_basis,
-                                   wm_module)
+from branchgroups.gmodules import (GModule, _jennings, closure_by_rounds,
+                                   submodule_closure, vj_basis, wm_module)
 from branchgroups.linalg import Echelon, FpSubspace, full_space
 from branchgroups.oracle import (_cyclic_closures, bfs_elements, bfs_enumerate,
                                  brute_invariant_subspaces_within,
@@ -266,6 +266,94 @@ def test_cyclic_closures_match_reference_across_blocks(mod, data):
     assert [(s.key(), s.dim) for s in _cyclic_closures(space, mod)] == want
 
 
+# -- closures read off the certified prefix -------------------------------------
+
+
+def certified_modules():
+    """W_m whose whole chain is certified: FG at p = 3 (m <= 3) and p = 5
+    (m <= 2), Grigorchuk (m <= 5), appb-p5 and remark-group (m <= 2)."""
+    for name, mmax in (("fg3", 3), ("fg5", 2), ("sunic-grigorchuk", 5),
+                       ("appb-p5", 2), ("remark-group", 2)):
+        for m in range(1, mmax + 1):
+            yield pytest.param(wm_module(preset(name), m), id=f"{name}-W{m}")
+
+
+def transposed(mod, i, j):
+    """mod with the action of its generator a composed with (i j)."""
+    perms = dict(mod.perms)
+    perms["a"] = perms["a"][np.array([j if x == i else i if x == j else x
+                                      for x in range(mod.dim)])]
+    return GModule(mod.p, mod.dim, perms)
+
+
+def seeds_of_every_rank(mod, rng):
+    """(r, rows): the zero seed (r = -1) and, at every Jennings rank r, one
+    row and two or three rows spanning a space whose highest rank is r,
+    random combinations of w_0..w_r, the first nonzero at w_r."""
+    p, d = mod.p, mod.dim
+    w = _jennings(p, mod.level)[0].astype(np.int64)
+    yield -1, np.zeros((1, d), dtype=np.int64)
+    for r in range(d):
+        for k in (1, int(rng.integers(2, 4))):
+            coeffs = rng.integers(0, p, (k, r + 1))
+            coeffs[0, r] = rng.integers(1, p)
+            yield r, coeffs @ w[:r + 1] % p
+
+
+def assert_closures_exact(mod, monkeypatch, prefix):
+    """Every seed of seeds_of_every_rank closes to the RREF rows and pivots
+    of closure_by_rounds and of reference_closure, one at a time and all in
+    one stack; only the seeds of rank >= prefix reach the rounds loop."""
+    p, d = mod.p, mod.dim
+    seeds = list(seeds_of_every_rank(mod, np.random.default_rng(d)))
+    fallen = []
+
+    def counting(seeds, module):
+        fallen.append(len(getattr(seeds, "bases", ())))
+        return closure_by_rounds(seeds, module)
+
+    monkeypatch.setattr(gmodules, "closure_by_rounds", counting)
+    stack = Echelon(p, d, len(seeds))
+    want = []
+    for k, (r, rows) in enumerate(seeds):
+        seed = FpSubspace(p, d, rows)
+        want.append(reference_closure(rows, mod))
+        fallen.clear()
+        got = submodule_closure(seed, mod)
+        assert bool(fallen) == (r >= prefix), r
+        for got in (got, closure_by_rounds(seed, mod)):
+            assert np.array_equal(got.rows, want[-1][0]), r
+            assert got.pivots == want[-1][1], r
+        stack.bases[k] = seed.echelon().bases[0]
+    slow = sum(r >= prefix for r, _ in seeds)
+    fallen.clear()
+    assert submodule_closure(stack, mod) is stack
+    for k, (rows, pivots) in enumerate(want):
+        assert np.array_equal(stack.subspace(k).rows, rows)
+        assert stack.subspace(k).pivots == pivots
+    assert fallen == ([slow] if slow else [])
+
+
+@pytest.mark.parametrize("mod", list(certified_modules()))
+def test_certified_closures_equal_the_referees_at_every_rank(mod, monkeypatch):
+    assert mod.certified_prefix(mod.dim) == mod.dim
+    assert_closures_exact(mod, monkeypatch, mod.dim)
+
+
+@pytest.mark.parametrize("mod", [
+    wm_module(preset("gs3"), 2), wm_module(preset("gs3"), 3),
+    transposed(wm_module(preset("fg3"), 3), 0, 1),
+    GModule(3, 9, {"a": range(9), "b": range(9)})],
+    ids=["gs3-W2", "gs3-W3", "fg3-W3-transposed", "trivial-W2"])
+def test_closures_above_the_certified_prefix_fall_back(mod, monkeypatch):
+    # gs3 is torsion, so its W_2 and W_3 are refused past rank 2; the
+    # transposition breaks the FG chain above some rank; a trivial action
+    # certifies rank 0 only, where (ii) is not asked
+    prefix = mod.certified_prefix(mod.dim)
+    assert 0 < prefix < mod.dim
+    assert_closures_exact(mod, monkeypatch, prefix)
+
+
 def orbit_count(mod):
     """Orbits of the generators and the scalars on the nonzero vectors of
     the module, by a plain search over tuples."""
@@ -297,9 +385,9 @@ def test_census_closes_one_seed_per_orbit(mod, monkeypatch):
 
     def counting(stack, module):
         seeds.append(len(stack.bases))
-        return submodule_closure(stack, module)
+        return closure_by_rounds(stack, module)
 
-    monkeypatch.setattr(oracle, "submodule_closure", counting)
+    monkeypatch.setattr(oracle, "closure_by_rounds", counting)
     brute_submodules(mod)
     assert sum(seeds) == orbit_count(mod)
 
