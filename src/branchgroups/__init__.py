@@ -10,8 +10,8 @@ from .engine import (InducedPcgs, ResourceGuardError, Subgroup,
                      commutator_subgroup, frattini_subgroup, group_of,
                      is_regular_branch_over, is_super_strongly_fractal, join,
                      min_generators, normal_closure)
-from .gmodules import (GModule, compute_rm, submodule_closure, twisted_sum,
-                       uniserial_chain, vj_basis, wm_module)
+from .gmodules import (GModule, compute_rm, image_in_wm, submodule_closure,
+                       twisted_sum, uniserial_chain, vj_basis, wm_module)
 from .linalg import FpSubspace
 from .reports import VerificationReport
 from .suite import run_all, run_check

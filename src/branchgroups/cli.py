@@ -18,8 +18,8 @@ from .catalog import (GroupInstance, MultiEGSInstance, branch_type, has_csp,
                       in_class_E, is_torsion, preset, r_dot)
 from .context import GroupContext
 from .engine import ResourceGuardError, Subgroup, group_of
-from .gmodules import (compute_rm, iterated_twisted_sum, layer_chain,
-                       tuple_from_rank, wm_module)
+from .gmodules import (compute_rm, image_in_wm, iterated_twisted_sum,
+                       layer_chain, tuple_from_rank, wm_module)
 from .suite import CHECKS, run_all, run_check, verify_profinite_distinction
 from .trees import Portrait, check_depth
 
@@ -163,7 +163,7 @@ def cmd_chain(args) -> int:
     inst = load_instance(args)
     g = group_of(inst, args.depth)
     mod = wm_module(inst, args.level)
-    u = g.image_in_wm(args.level)
+    u = image_in_wm(g, args.level)
     chain, bad = layer_chain(u, mod, args.level)
     rm = compute_rm(u, args.level)
     layers = []

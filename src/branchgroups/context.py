@@ -12,8 +12,8 @@ from __future__ import annotations
 from .catalog import BranchType, SunicInstance, branch_type
 from .engine import (Subgroup, commutator_subgroup, extend, group_of,
                      normal_closure)
-from .gmodules import (chain_module, layer_preimage, submodule_closure,
-                       wm_module)
+from .gmodules import (chain_module, image_in_wm, layer_preimage,
+                       submodule_closure, wm_module)
 from .trees import Portrait, commutator, commutator_seeds, powers_of
 
 # -- deterministic rng -------------------------------------------------------
@@ -256,7 +256,7 @@ def _build_normal_family(ctx: GroupContext, n: int,
     # chain-layer preimages: one mid-chain layer per level (only when the
     # candidate subspace is action-invariant and inside the actual image)
     for m in range(1, n):
-        u = g.image_in_wm(m)
+        u = image_in_wm(g, m)
         if u.dim >= 2:
             sub = chain_module(ctx.p, m, u.dim // 2)
             if (u.contains(sub)

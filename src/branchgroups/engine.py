@@ -52,7 +52,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import FpSubspace
 from .trees import (_LABEL_DTYPE, _PERM_DTYPE, Portrait, ResourceGuardError,
                     _Tables, _conjugate_rows, _portraits, _stack,
                     commutator_seeds, compose_rows, embed_rows,
@@ -519,18 +518,6 @@ class Subgroup:
         return Subgroup(self.p, depth, _portraits(self.p, depth, section_rows(
             t, *_stack(st_gens, t), len(v), np.arange(len(st_gens)),
             np.full(len(st_gens), vertex_local_index(v, self.p)))))
-
-    def image_in_wm(self, m: int) -> FpSubspace:
-        """Row space of the level-m labels of St_H(m); the image of the
-        m-th congruence layer inside the permutation module W_m; computed
-        once per m."""
-        if not 0 <= m < self.depth:
-            raise ValueError("need 0 <= m < depth")
-        images = vars(self).setdefault("_images", {})
-        if m not in images:
-            rows = [g.level_labels(m) for g in self.stabilizer(m).gens]
-            images[m] = FpSubspace(self.p, self.p**m, rows or None)
-        return images[m]
 
     def level_dims(self) -> list[int]:
         """t(m) = log_p |St(m) : St(m+1)| for m = 0..depth-1, from the pcgs."""

@@ -30,7 +30,8 @@ triangularity test (`chain_layers_normal`).  The referees stay off the
 certificate: `closure_by_rounds` (the rounds loop, also called by
 `commutator_subspace`, `uniserial_chain` and the oracle census),
 `compute_rm` and `first_non_normal_layer`.  They are also the path taken
-when the certificate is refused.
+when the certificate is refused.  The group <-> module dictionary reads
+each layer off the pcgs with no elimination (`layer_basis`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import extend
-from .linalg import Echelon, FpSubspace, rref
+from .linalg import Echelon, FpSubspace
 from .trees import (Portrait, _Tables, _conjugate_rows, _portraits, _stack,
                     compose_rows, inverse_rows, power_rows)
 
@@ -359,18 +360,23 @@ def uniserial_chain(u: FpSubspace, mod: GModule):
     return chain, None
 
 
+def is_chain_member(u: FpSubspace, m: int) -> bool:
+    """Whether U is V_(dim U - 1): U W^-1 vanishes at ranks >= dim U."""
+    return bool(_top_ranks(u.rows, u.p, m) < u.dim)
+
+
 def certified_chain(u: FpSubspace, mod: GModule, m: int) -> bool:
-    """Whether U (dimension t) is V_(t-1), the span of w_0..w_(t-1), and
+    """Whether U (dimension t) is V_(t-1) (is_chain_member) and
     uniserial_chain(U) is V_(t-1) > ... > V_(0) > 0, with no closure.
 
-    U = V_(t-1) iff U W^-1 vanishes at ranks >= t.  Then it suffices that
-    t <= T, mod's certified prefix: (i) each C_g = (W g - W) W^-1 is
-    strictly lower triangular in rows < t, so every V_(i), i < t, is
-    invariant, and (ii) for each i in 1..t-1 some C_g[i, i-1] is nonzero:
-    V_(i-1) is generated by any element with a nonzero coefficient at rank
-    i-1 (induction), so [V_(i), G] = V_(i-1).  False decides nothing."""
+    Then t <= T, mod's certified prefix, suffices: (i) each C_g =
+    (W g - W) W^-1 is strictly lower triangular in rows < t, so every
+    V_(i), i < t, is invariant, and (ii) for each i in 1..t-1 some
+    C_g[i, i-1] is nonzero: V_(i-1) is generated by any element with a
+    nonzero coefficient at rank i-1 (induction), so [V_(i), G] = V_(i-1).
+    False decides nothing."""
     t = u.dim
-    return bool(_top_ranks(u.rows, u.p, m) < t <= mod.certified_prefix(t - 1))
+    return is_chain_member(u, m) and t <= mod.certified_prefix(t - 1)
 
 
 def layer_chain(u: FpSubspace, mod: GModule, m: int):
@@ -385,9 +391,9 @@ def layer_chain(u: FpSubspace, mod: GModule, m: int):
 
 
 def compute_rm(u: FpSubspace, m: int) -> dict:
-    """R_m data for the layer image U of St(m) in W_m (Subgroup.image_in_wm):
-    U must equal a chain module V_j; then R_m is everything below that
-    tuple.
+    """R_m data for the layer image U of St(m) in W_m (image_in_wm), the
+    referee of is_chain_member: U must equal a chain module V_j; then R_m
+    is everything below that tuple.
 
     Returns {"t": dim U, "j_max": tuple, "match": bool, ...}; a failed
     match carries the computed subspace as a falsification witness.
@@ -405,57 +411,60 @@ def compute_rm(u: FpSubspace, m: int) -> dict:
 # -- group <-> module dictionary --------------------------------------------
 
 
-def _layer_system(g_n, m: int):
-    """St(m)'s generators and their level-m labels A (one row each) as a
-    reduced system, computed once per (quotient, m): the pivot
-    generators, the rows E of the transform with E A^T = rref(A^T) at
-    those pivots, and the rows N with N A^T = 0.  For vectors B in the
-    image, E B^T is the solution of A^T c = B^T that is zero at every
-    other generator, the one rref([A^T | B^T]) gives."""
-    systems = vars(g_n).setdefault("_layer_systems", {})
-    if m not in systems:
-        gens = g_n.stabilizer(m).gens
-        mat = np.array([g.level_labels(m) for g in gens],
-                       dtype=np.int64).reshape(len(gens), g_n.p**m)
-        rows, pivots = rref(np.concatenate(
-            [mat.T, np.eye(g_n.p**m, dtype=np.int64)], axis=1), g_n.p)
-        rank = sum(c < len(gens) for c in pivots)
-        rows = rows[:, len(gens):]
-        systems[m] = gens, pivots[:rank], rows[:rank], rows[rank:]
-    return systems[m]
+def layer_basis(g_n, m: int):
+    """(basis, U, T) of the layer St(m)/St(m+1) of g_n, built once: the
+    pcgs elements with pivot on level m as a stack, in pivot order; their
+    level-m labels L are echelon with leading label 1, so U = T L, the
+    image in W_m, is RREF after one back-substitution over [L | I], and a
+    vector V of U is (V at U's pivots) T times L."""
+    layers = vars(g_n).setdefault("_layers", {})
+    if m not in layers:
+        if not 0 <= m < g_n.depth:
+            raise ValueError("need 0 <= m < depth")
+        p, t = g_n.p, _Tables(g_n.p, g_n.depth)
+        rank = g_n.level_dims()[m]
+        basis = _stack(g_n.pcgs.tail(t.label_off[m]).elements()[:rank], t)
+        labels = basis[0][:, t.label_slice(m)]
+        pivots = (labels != 0).argmax(axis=1)
+        aug = np.concatenate([labels, np.eye(rank, dtype=np.int64)], axis=1)
+        # bottom up, clear each row at the pivots of the reduced rows below
+        for i in range(rank - 2, -1, -1):
+            aug[i] = (aug[i] - aug[i, pivots[i + 1:]] @ aug[i + 1:]) % p
+        image = FpSubspace._canonical(p, aug[:, :p**m].astype(np.int8),
+                                      pivots.tolist())
+        layers[m] = basis, image, aug[:, p**m:]
+    return layers[m]
 
 
-def _representative_rows(g_n, m: int, vecs) -> tuple[np.ndarray, np.ndarray]:
-    """The stack of layer_representatives."""
-    p = g_n.p
-    t = _Tables(p, g_n.depth)
-    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, p**m)
-    if not len(vecs):
-        return _stack([], t)
-    gens, pivots, solve, null = _layer_system(g_n, m)
-    if not gens:
-        raise ValueError("empty stabilizer cannot represent a nonzero vector")
-    if (null.astype(np.int64) @ vecs.T % p).any():
+def image_in_wm(g_n, m: int) -> FpSubspace:
+    """The image of St(m) in W_m, the row space of its level-m labels."""
+    return layer_basis(g_n, m)[1]
+
+
+def _coordinates(g_n, m: int, vecs):
+    """The layer basis and the coordinates in it of vectors of the image."""
+    basis, image, solve = layer_basis(g_n, m)
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, image.ambient)
+    if image.reduce(vecs).any():
         raise ValueError("vector not in the image of St(m)")
-    coeffs = np.zeros((len(vecs), len(gens)), dtype=np.int64)
-    coeffs[:, pivots] = (solve.astype(np.int64) @ vecs.T % p).T
-    # every representative at once, in the generators' order: the stack
-    # of products so far times, row by row, the power of the next
-    # generator that the row's coefficient picks from a table of powers
-    table = [power_rows(t, *_stack(gens, t), e) for e in range(p)]
-    pow_lab = np.stack([lab for lab, _ in table], axis=1)
-    pow_perm = np.stack([perm for _, perm in table], axis=1)
-    x = _stack([Portrait.identity(p, g_n.depth)] * len(vecs), t)
-    for k in np.flatnonzero(coeffs.any(axis=0)):
-        x = compose_rows(t, *x, pow_lab[k], pow_perm[k], coeffs[:, k])
-    return x
+    return basis, vecs[:, image.pivots] @ solve % g_n.p
 
 
 def layer_representatives(g_n, m: int, vecs) -> list[Portrait]:
-    """Elements of St(m) whose level-m labels equal the given vectors, as
-    products of stabilizer generators (one linear system over F_p, reduced
-    once per (quotient, m), with a right-hand side per vector)."""
-    return _portraits(g_n.p, g_n.depth, _representative_rows(g_n, m, vecs))
+    """Elements of St(m) whose level-m labels equal the given vectors of
+    the layer image: products of powers of the layer basis in pivot order,
+    the exponents the vectors' coordinates."""
+    t = _Tables(g_n.p, g_n.depth)
+    basis, coeffs = _coordinates(g_n, m, vecs)
+    # every representative at once: the stack of products so far times,
+    # row by row, the power of the next basis element that the row's
+    # coordinate picks from a table of powers
+    table = [power_rows(t, *basis, e) for e in range(g_n.p)]
+    pow_lab, pow_perm = (np.stack(rows, axis=1) for rows in zip(*table))
+    x = _stack([Portrait.identity(g_n.p, g_n.depth)] * len(coeffs), t)
+    for k in np.flatnonzero(coeffs.any(axis=0)):
+        x = compose_rows(t, *x, pow_lab[k], pow_perm[k], coeffs[:, k])
+    return _portraits(g_n.p, g_n.depth, x)
 
 
 def layer_preimage(g_n, m: int, space: FpSubspace):
@@ -472,16 +481,17 @@ def layer_conjugation(g_n, m: int, vecs) -> list[np.ndarray]:
 
     Returns, per generator g of g_n, the matrix whose row i is the level-m
     labels of x_i^g, where x_i represents vecs[i], a vector of U.
-    Conjugation is computed on portraits, not read off the permutation
-    module, so this is an independent view of the action.
+    Conjugation is computed on portraits, on the layer basis, not read
+    off the permutation module, so this is an independent view of the
+    action; it is linear on the layer, so row i follows by coordinates.
     """
     t = _Tables(g_n.p, g_n.depth)
-    reps = _representative_rows(g_n, m, vecs)
+    basis, coeffs = _coordinates(g_n, m, vecs)
     actions = []
     for g in g_n.gens:
-        lab, _ = _conjugate_rows(t, reps, (g.lab, g.perm),
+        lab, _ = _conjugate_rows(t, basis, (g.lab, g.perm),
                                  inverse_rows(t, g.lab, g.perm))
-        actions.append(lab[:, t.label_slice(m)].astype(np.int64))
+        actions.append(coeffs @ lab[:, t.label_slice(m)] % g_n.p)
     return actions
 
 

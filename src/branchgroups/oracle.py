@@ -7,7 +7,8 @@ from typing import Sequence
 import numpy as np
 
 from .engine import ResourceGuardError
-from .gmodules import GModule, closure_by_rounds, layer_preimage, wm_module
+from .gmodules import (GModule, closure_by_rounds, image_in_wm,
+                       layer_preimage, wm_module)
 from .linalg import Echelon, FpSubspace, _inverses, full_space
 from .trees import Portrait
 
@@ -190,7 +191,7 @@ def brute_normal_between(g_n, inst, m: int, cap_dim: int = 6) -> list:
     theorem predicts a totally ordered list of t(m)+1 of them.
     """
     spaces = brute_invariant_subspaces_within(
-        g_n.image_in_wm(m), wm_module(inst, m), cap_dim=cap_dim)
+        image_in_wm(g_n, m), wm_module(inst, m), cap_dim=cap_dim)
     out = []
     for space in spaces:
         sub = layer_preimage(g_n, m, space)

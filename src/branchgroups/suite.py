@@ -30,7 +30,8 @@ from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
                      first_missing_embedding, group_of, is_regular_branch_over,
                      is_subdirect_in_product, is_super_strongly_fractal, join,
                      normal_closure, sections_within)
-from .gmodules import check_chain_layer, compute_rm, wm_module
+from .gmodules import (check_chain_layer, image_in_wm, is_chain_member,
+                       wm_module)
 from .reports import Verdict, VerificationReport, non_membership, skipped
 from .trees import Portrait
 
@@ -303,7 +304,7 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
     v = Verdict()
     tvals = {}
     for m in levels:
-        u = g.image_in_wm(m)
+        u = image_in_wm(g, m)
         tvals[m] = u.dim
         check_chain_layer(v, g, m, u, wm_module(inst, m))
     # closed forms and the two index inequalities
@@ -470,13 +471,13 @@ def verify_sunic_suite(ctx: GroupContext, n: int,
             ctx.derived(n), 1, ctx.quotient(n - 1)))
     # R_m pattern
     for m in range(1, n):
-        rm = compute_rm(g.image_in_wm(m), m)
-        t = rm["t"]
+        u = image_in_wm(g, m)
+        t = u.dim
         if m <= r:
             key, ok = f"R_{m}={{1..p}}^{m}", t == p**m
         else:
             key, ok = (f"R_{m}>=lower-bound",
-                       t >= (p - 1) * p**(m - 1) and rm["match"])
+                       t >= (p - 1) * p**(m - 1) and is_chain_member(u, m))
         v.record(key, ok, "pass" if ok else f"fail: t={t}",
                  witness=lambda: {"clause": f"R_{m}", "t": t})
     n_g = None

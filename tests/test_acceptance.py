@@ -24,8 +24,9 @@ from branchgroups.engine import (Subgroup, commutator_subgroup, group_of,
                                  is_super_strongly_fractal, min_generators,
                                  normal_closure, psi_preimage_gens)
 from branchgroups.gmodules import (canonical_generator_vec, compute_rm,
-                                   layer_preimage, tuple_from_rank,
-                                   uniserial_chain, vj_basis, wm_module)
+                                   image_in_wm, layer_preimage,
+                                   tuple_from_rank, uniserial_chain,
+                                   vj_basis, wm_module)
 from branchgroups.oracle import (bfs_enumerate, brute_normal_between,
                                  brute_submodules)
 from branchgroups.suite import run_check
@@ -81,7 +82,7 @@ def test_criterion_2_chain_theorem():
             g = ctx.quotient(depth)
             for m in levels:
                 mod = wm_module(inst, m)
-                image = g.image_in_wm(m)
+                image = image_in_wm(g, m)
                 chain, witness = uniserial_chain(image, mod)
                 assert witness is None, (name, m)
                 assert len(chain) - 1 == image.dim  # every layer has index p
@@ -122,13 +123,13 @@ def rm_members(rm: dict, p: int, m: int) -> list[tuple]:
 def test_criterion_4_rm_values():
     with criterion(4, 60, "R_m prefixes for p=3 and the three-generator p=5 group"):
         g = ctx_for("fg3").quotient(4)
-        r1, r2 = (compute_rm(g.image_in_wm(m), m) for m in (1, 2))
+        r1, r2 = (compute_rm(image_in_wm(g, m), m) for m in (1, 2))
         assert r1["match"] and rm_members(r1, 3, 1) == [(1,), (2,), (3,)]
         assert r2["match"]
         assert set(rm_members(r2, 3, 2)) == {(i, j) for i in (1, 2)
                                              for j in (1, 2, 3)}
         rg = ctx_for("remark-group").quotient(3)
-        rr = compute_rm(rg.image_in_wm(2), 2)
+        rr = compute_rm(image_in_wm(rg, 2), 2)
         assert rr["match"] and rr["t"] == 24
         members = set(rm_members(rr, 5, 2))
         assert members == set(itertools.product(range(1, 6), repeat=2)) - {(5, 5)}

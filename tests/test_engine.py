@@ -16,6 +16,7 @@ from branchgroups.engine import (InducedPcgs, Subgroup, commutator_subgroup,
                                  min_generators, normal_closure,
                                  sections_within)
 from branchgroups.context import GroupContext
+from branchgroups.gmodules import image_in_wm
 from branchgroups.linalg import rref
 from branchgroups.oracle import bfs_enumerate
 from branchgroups.trees import (Portrait, ResourceGuardError, _stack,
@@ -59,9 +60,9 @@ def test_fg_known_level_dims(fg3_ctx):
     assert g.order_exponent == 28
     assert g.level_dims() == [1, 3, 6, 18]
     # chain consistency: exponent = sum of layer image dimensions
-    assert g.order_exponent == sum(g.image_in_wm(m).dim for m in range(4))
+    assert g.order_exponent == sum(image_in_wm(g, m).dim for m in range(4))
     # each layer image is computed once per subgroup
-    assert g.image_in_wm(2) is g.image_in_wm(2)
+    assert image_in_wm(g, 2) is image_in_wm(g, 2)
 
 
 @pytest.mark.parametrize("gens", [

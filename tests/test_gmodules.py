@@ -10,15 +10,17 @@ from branchgroups.gmodules import (CERT_BLOCK_ENTRIES, GModule, _jennings,
                                    certified_chain, chain_layers_normal,
                                    chain_module, closure_by_rounds,
                                    commutator_subspace, compute_rm,
-                                   first_non_normal_layer,
-                                   iterated_twisted_sum, layer_chain,
+                                   first_non_normal_layer, image_in_wm,
+                                   is_chain_member, iterated_twisted_sum,
+                                   layer_basis, layer_chain,
                                    layer_conjugation, layer_preimage,
                                    layer_representatives, submodule_closure,
                                    tuple_from_rank, tuple_rank,
                                    uniserial_chain, vj_basis, wm_module)
 from branchgroups.context import GroupContext
-from branchgroups.linalg import FpSubspace, full_space, rref
-from branchgroups.trees import Portrait
+from branchgroups.engine import Subgroup
+from branchgroups.linalg import Echelon, FpSubspace, full_space, rref
+from branchgroups.trees import Portrait, rooted_a
 
 
 def rm_tuples(j_max, p):
@@ -290,7 +292,7 @@ def test_uniserial_chain_lengths(fg3_ctx):
     chain, witness = uniserial_chain(full_space(3, 9), mod)
     assert witness is None and len(chain) == 10
     g = fg3_ctx.quotient(3)
-    image = g.image_in_wm(2)
+    image = image_in_wm(g, 2)
     chain2, witness2 = uniserial_chain(image, mod)
     assert witness2 is None and len(chain2) == 7  # t(2) = 6 strict steps
 
@@ -314,10 +316,10 @@ def test_gs3_w2_is_not_uniserial():
 
 def test_rm_fg3(fg3_ctx):
     g = fg3_ctx.quotient(4)
-    r1 = compute_rm(g.image_in_wm(1), 1)
+    r1 = compute_rm(image_in_wm(g, 1), 1)
     assert r1["match"] and r1["t"] == 3 and r1["j_max"] == (3,)
     assert rm_tuples(r1["j_max"], 3) == [(1,), (2,), (3,)]
-    r2 = compute_rm(g.image_in_wm(2), 2)
+    r2 = compute_rm(image_in_wm(g, 2), 2)
     assert r2["match"] and r2["t"] == 6 and r2["j_max"] == (2, 3)
     assert set(rm_tuples(r2["j_max"], 3)) == {(i, j) for i in (1, 2)
                                               for j in (1, 2, 3)}
@@ -327,7 +329,7 @@ def test_rm_remark_group():
     rg = preset("remark-group")
     from branchgroups.engine import group_of
     g = group_of(rg, 3)
-    r2 = compute_rm(g.image_in_wm(2), 2)
+    r2 = compute_rm(image_in_wm(g, 2), 2)
     assert r2["match"] and r2["t"] == 24 and r2["j_max"] == (5, 4)
     members = rm_tuples(r2["j_max"], 5)
     assert len(members) == 24 and (5, 5) not in members
@@ -336,8 +338,8 @@ def test_rm_remark_group():
 def test_rm_ggs5():
     from branchgroups.engine import group_of
     g = group_of(fabrykowski_gupta(5), 3)
-    assert compute_rm(g.image_in_wm(1), 1)["t"] == 5
-    assert compute_rm(g.image_in_wm(2), 2)["t"] == 20
+    assert compute_rm(image_in_wm(g, 1), 1)["t"] == 5
+    assert compute_rm(image_in_wm(g, 2), 2)["t"] == 20
 
 
 # -- the chain certificate -----------------------------------------------------
@@ -346,18 +348,20 @@ def chain_instance(name):
     return fabrykowski_gupta(7) if name == "fg7" else preset(name)
 
 
-@pytest.mark.parametrize("name,depth", [
-    # every preset at the chain check's default depth, deeper Grigorchuk
-    # and FG at p = 7
-    ("fg3", 4), ("fg5", 3), ("gs3", 4), ("sunic-grigorchuk", 4),
-    ("remark-group", 3), ("appb-p5", 3), ("sunic-grigorchuk", 6),
-    ("fg7", 3)])
+# every preset at the chain check's default depth, deeper Grigorchuk and FG
+# at p = 7
+CHAIN_CASES = [("fg3", 4), ("fg5", 3), ("gs3", 4), ("sunic-grigorchuk", 4),
+               ("remark-group", 3), ("appb-p5", 3), ("sunic-grigorchuk", 6),
+               ("fg7", 3)]
+
+
+@pytest.mark.parametrize("name,depth", CHAIN_CASES)
 def test_certificate_agrees_with_its_referees(name, depth):
     inst = chain_instance(name)
     g = GroupContext(inst).quotient(depth)
     verdicts = []
     for m in range(1, depth):
-        u, mod = g.image_in_wm(m), wm_module(inst, m)
+        u, mod = image_in_wm(g, m), wm_module(inst, m)
         chain, witness = uniserial_chain(u, mod)
         referee = witness is None and compute_rm(u, m)["match"]
         verdicts.append(certified_chain(u, mod, m))
@@ -369,6 +373,23 @@ def test_certificate_agrees_with_its_referees(name, depth):
     # gs3 is torsion: its layers 2 and 3 are not uniserial
     assert verdicts == ([True, False, False] if name == "gs3"
                         else [True] * (depth - 1))
+
+
+@pytest.mark.parametrize("inst,depth", [(preset("sunic-grigorchuk"), 6),
+                                        (make_sunic(3, (1, 1)), 4)],
+                         ids=["sunic-grigorchuk-6", "sunic3-4"])
+def test_chain_membership_agrees_with_compute_rm(inst, depth):
+    # the sunic check's R_m clause reads is_chain_member; the image with
+    # its top row dropped is a chain member only when compute_rm says so
+    g = GroupContext(inst).quotient(depth)
+    shrunk = []
+    for m in range(1, depth):
+        u = image_in_wm(g, m)
+        assert is_chain_member(u, m) and compute_rm(u, m)["match"]
+        low = FpSubspace(u.p, u.ambient, u.rows[1:])
+        shrunk.append(is_chain_member(low, m))
+        assert shrunk[-1] == compute_rm(low, m)["match"]
+    assert not all(shrunk)
 
 
 def test_certificate_refuses_what_is_no_certified_chain():
@@ -399,7 +420,7 @@ def test_triangular_normality_refuses_an_action_that_moves_the_chain(
     # the conjugation action followed by a swap of two level-2 coordinates
     # is a linear action that moves some chain member: both tests refuse it
     g = fg3_ctx.quotient(3)
-    u = g.image_in_wm(2)
+    u = image_in_wm(g, 2)
     chain, witness = uniserial_chain(u, wm_module(fg3_ctx.inst, 2))
     assert witness is None and chain_layers_normal(g, 2, u.dim)
     swap = np.arange(9)
@@ -481,7 +502,7 @@ def test_a_rank_zero_seed_certifies_one_block(monkeypatch):
 
 def test_layer_representative_roundtrip(fg3_ctx):
     g = fg3_ctx.quotient(4)
-    u = g.image_in_wm(2)
+    u = image_in_wm(g, 2)
     for row in u.rows[:3]:
         rep = layer_representatives(g, 2, [row])[0]
         assert rep.in_stab(2)
@@ -507,26 +528,27 @@ def representatives_by_loop(g_n, m, vecs):
     return out
 
 
-@pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 6)])
+@pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 6),
+                                        ("fg7", 3)])
 def test_batched_layer_representatives_match_the_loop(name, depth):
-    # twice per level: the second call reuses the system reduced by the
-    # first, with other right-hand sides
-    g = GroupContext(preset(name)).quotient(depth)
+    # twice per level: the second call reuses the layer basis built by the
+    # first, with other vectors
+    g = GroupContext(chain_instance(name)).quotient(depth)
     rng = np.random.default_rng(depth)
-    for m in [m for m in range(1, depth) for _ in range(2)]:
-        u = g.image_in_wm(m)
+    for m in [m for m in range(depth) for _ in range(2)]:
+        u = image_in_wm(g, m)
         vecs = np.concatenate([u.rows, np.zeros((1, u.ambient), dtype=int),
                                rng.integers(0, g.p, (4, u.dim)) @ u.rows])
         reps = layer_representatives(g, m, vecs % g.p)
         ref = representatives_by_loop(g, m, vecs % g.p)
         assert ([(x.digits(), x.perm.tobytes()) for x in reps]
                 == [(x.digits(), x.perm.tobytes()) for x in ref])
-    assert sorted(vars(g)["_layer_systems"]) == list(range(1, depth))
+        assert layer_basis(g, m) is layer_basis(g, m)
 
 
 def test_layer_representatives_refuse_a_vector_outside_the_image(fg3_ctx):
     g = fg3_ctx.quotient(4)
-    u = g.image_in_wm(2)
+    u = image_in_wm(g, 2)
     outside = next(e for e in np.eye(u.ambient, dtype=int)
                    if not u.contains_vector(e))
     for _ in range(2):                  # before and after the reuse
@@ -536,18 +558,65 @@ def test_layer_representatives_refuse_a_vector_outside_the_image(fg3_ctx):
     assert layer_representatives(g, 2, []) == []
 
 
-@pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 6)])
+def test_an_empty_layer_represents_the_zero_vector_alone():
+    # St(1) of <a> is trivial: the zero vector lies in its zero image and
+    # maps to the identity, a nonzero vector is refused
+    g = Subgroup(3, 3, [rooted_a(3, 3)])
+    assert layer_representatives(g, 1, [[0, 0, 0]]) == [
+        Portrait.identity(3, 3)]
+    assert [a.tolist() for a in layer_conjugation(g, 1, [[0, 0, 0]])] == [
+        [[0, 0, 0]]]
+    with pytest.raises(ValueError, match="not in the image"):
+        layer_representatives(g, 1, [[0, 1, 0]])
+
+
+@pytest.mark.parametrize("name,depth", [("fg3", 4), ("sunic-grigorchuk", 6),
+                                        ("fg7", 3)])
 def test_stacked_layer_conjugation_matches_the_loop(name, depth):
-    g = GroupContext(preset(name)).quotient(depth)
+    g = GroupContext(chain_instance(name)).quotient(depth)
+    rng = np.random.default_rng(depth)
     for m in range(depth):
-        u = g.image_in_wm(m)
-        reps = layer_representatives(g, m, u.rows)
+        u = image_in_wm(g, m)
+        vecs = np.concatenate([u.rows,
+                               rng.integers(0, g.p, (4, u.dim)) @ u.rows])
+        vecs %= g.p
+        reps = layer_representatives(g, m, vecs)
         want = [np.array([x.conjugate(h).level_labels(m) for x in reps],
-                         dtype=np.int64).reshape(u.dim, u.ambient)
+                         dtype=np.int64).reshape(len(vecs), u.ambient)
                 for h in g.gens]
-        got = layer_conjugation(g, m, u.rows)
+        got = layer_conjugation(g, m, vecs)
         assert [a.dtype for a in got] == [np.int64] * len(g.gens)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+@pytest.mark.parametrize("name,depth", CHAIN_CASES)
+def test_layer_image_equals_the_elimination(name, depth):
+    # the referee: the row space of St(m)'s generators' level-m labels,
+    # reduced by FpSubspace
+    g = GroupContext(chain_instance(name)).quotient(depth)
+    for m in range(depth):
+        ref = FpSubspace(g.p, g.p**m, [h.level_labels(m)
+                                       for h in g.stabilizer(m).gens])
+        u = image_in_wm(g, m)
+        assert u == ref and u.pivots == ref.pivots
+        assert u.rows.dtype == np.int8 and u.rows.flags.c_contiguous
+
+
+def test_the_dictionary_runs_no_elimination(monkeypatch):
+    g = GroupContext(fabrykowski_gupta(7)).quotient(3)
+    g.pcgs                              # the quotient itself is built first
+
+    def refuse(*args):
+        raise AssertionError("an elimination in the dictionary")
+
+    monkeypatch.setattr(Echelon, "insert", refuse)
+    monkeypatch.setattr(Echelon, "add_span", refuse)
+    for m in range(3):
+        u = image_in_wm(g, m)
+        assert len(layer_representatives(g, m, u.rows)) == u.dim
+        assert len(layer_conjugation(g, m, u.rows)) == len(g.gens)
+        if m:
+            assert chain_layers_normal(g, m, u.dim)
 
 
 def test_layer_preimage_order(fg3_ctx):
@@ -572,7 +641,7 @@ def test_preimage_normality(fg3_ctx):
 def test_non_normal_layer_caught_in_long_chain(fg3_ctx):
     # t(3) = 18 at depth 4: a chain of 19 layers
     g = fg3_ctx.quotient(4)
-    u = g.image_in_wm(3)
+    u = image_in_wm(g, 3)
     chain, witness = uniserial_chain(u, wm_module(fg3_ctx.inst, 3))
     assert witness is None and len(chain) == 19
     assert first_non_normal_layer(g, 3, u, chain) is None
@@ -590,6 +659,6 @@ def test_non_normal_layer_in_w1(fg3_ctx):
     g = fg3_ctx.quotient(3)
     e0 = FpSubspace(3, 3, [[1, 0, 0]])
     chain = [vj_basis(3, (j,)) for j in (3, 2, 1)]
-    u = g.image_in_wm(1)
+    u = image_in_wm(g, 1)
     assert first_non_normal_layer(g, 1, u, chain) is None
     assert first_non_normal_layer(g, 1, u, chain + [e0]) == 3

@@ -11,7 +11,8 @@ from branchgroups import gmodules, oracle
 from branchgroups.catalog import fabrykowski_gupta, gupta_sidki, preset
 from branchgroups.engine import ResourceGuardError, Subgroup, group_of
 from branchgroups.gmodules import (GModule, _jennings, closure_by_rounds,
-                                   submodule_closure, vj_basis, wm_module)
+                                   image_in_wm, submodule_closure, vj_basis,
+                                   wm_module)
 from branchgroups.linalg import Echelon, FpSubspace, full_space
 from branchgroups.oracle import (_cyclic_closures, bfs_elements, bfs_enumerate,
                                  brute_invariant_subspaces_within,
@@ -442,7 +443,7 @@ def test_brute_normal_cap():
 
 def test_invariant_subspace_enumeration_matches_chain(fg3_ctx):
     g = fg3_ctx.quotient(3)
-    u = g.image_in_wm(2)
+    u = image_in_wm(g, 2)
     mod = wm_module(fg3_ctx.inst, 2)
     spaces = brute_invariant_subspaces_within(u, mod)
     assert [s.dim for s in spaces] == list(range(7))  # the 0..t(2) chain

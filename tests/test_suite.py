@@ -401,13 +401,13 @@ def test_chain_theorem_fg3(fg3_ctx):
 
 def test_chain_index_inequalities_report_a_broken_one(monkeypatch):
     # shrink the level-1 image to V_0 so that t(1) = 1 and t(2) = 6 > 3 t(1)
-    image_in_wm = engine.Subgroup.image_in_wm
+    image_in_wm = suite.image_in_wm
 
-    def shrunk(self, m):
-        return (vj_basis(self.p, tuple_from_rank(0, self.p, 1)) if m == 1
-                else image_in_wm(self, m))
+    def shrunk(g_n, m):
+        return (vj_basis(g_n.p, tuple_from_rank(0, g_n.p, 1)) if m == 1
+                else image_in_wm(g_n, m))
 
-    monkeypatch.setattr(engine.Subgroup, "image_in_wm", shrunk)
+    monkeypatch.setattr(suite, "image_in_wm", shrunk)
     rep = run_check(GroupContext(fabrykowski_gupta(3)), "chain", depth=4)
     assert rep.details["t"]["1"] == 1
     assert rep.details["t(2)<=p*t(1)"] == "fail"
