@@ -18,25 +18,14 @@ seeds at the bottom, the rows of h^-p and [h, x] for each newly stored h
 on top, the whole stack sifted in place after every insertion.
 
 The deepest stored level is linear algebra.  In the depth-n quotient the
-layer St(n-1) is elementary abelian: its elements are the rows whose
-pivot lies on level n-1, they have the identity perm and their labels
-add.  So such an h stores its powers h^-e as -e times its labels, h^-p
-and [h, x] for x in St(n-1) are the identity and are never formed, and
-[h, x] for any other x is one gather: h's labels read through x^-1's
-perm, plus h^-1's labels.  A run of such rows on top of the stack is
-closed on its own, LIFO, and a sift step whose rows all lie in St(n-1)
-adds labels alone.  It is the same arithmetic mod p on the same rows in
-the same order, less the identity rows, which a sift would drop, so
-every stored element, residue and insertion is the one portrait products
-give, byte for byte.
-
-Membership of the deepest level is one reduction.  H ∩ St(n-1) is the
-F_p-span of the deep elements, which a sequence also keeps as a reduced
-echelon block of their level-(n-1) labels.  A sifted row whose pivot
-reaches level n-1 lies in St(n-1); reduced against the block it is zero
-iff it is a member, which then leaves the sift at once as the identity.
-Only non-members step on, as before, so residues and insertions do not
-change.
+layer St(n-1) is elementary abelian: its elements have the identity perm
+and their labels add.  A sequence holds H ∩ St(n-1) only as the reduced
+echelon block of its level-(n-1) labels.  A sifted row whose pivot
+reaches an occupied column of the block is finished by one reduction
+against it, zero iff the row is a member, and each closing row that
+involves a deep element is one gather.  Rows step by portrait products
+only through the upper levels, so the elements above the deepest level
+and the order of their insertion do not depend on how the block is held.
 
 The branch-structure walks (psi embeddings of K x ... x K, sections at
 every vertex of a level, coordinate projections) form their elements as
@@ -91,20 +80,13 @@ class InducedPcgs:
     (Holt-Eick-O'Brien, Handbook of CGT, ch. 8); then every member of H
     is a unique product of powers of the elements and |H| = p^k.
 
-    The elements live in one power table: slot s holds the rows of h,
-    h^-1, ..., h^-(p-1) for the s-th inserted element h (row e > 0 clears
-    a leading label e in one composition), and a dense pivot -> slot index
-    lets a whole batch of elements sift at once.
-
-    Elements with their pivot on the deepest level (label positions from
-    _deep on) lie in the elementary abelian St(depth-1) and are stored,
-    sifted and closed by label addition and one gather, as the module
-    docstring says; the table is the one portrait products build.  Their
-    labels on that level are kept once more as the deep block: one row per
-    deep slot, in slot order, with 1 at its pivot column (_block_piv) and
-    0 at every other deep pivot.  Each deep insertion reduces the new row
-    against the block and clears its pivot column from the other rows; a
-    tail keeps the rows with pivot >= start, which stay reduced.
+    Elements with their pivot above the deepest level live in one power
+    table: slot s holds the rows of h, h^-1, ..., h^-(p-1) for the s-th
+    such h (row e > 0 clears a leading label e in one composition).
+    Elements on the deepest level (pivots from _deep on) are the rows of
+    the deep block, their labels on that level in reduced echelon form,
+    with pivot columns _block_piv.  _slot maps a pivot to its slot or
+    block row, so a whole batch of rows sifts at once.
     """
 
     def __init__(self, p: int, depth: int):
@@ -115,13 +97,11 @@ class InducedPcgs:
         self._lab = np.empty((0, p, t.nlabels), dtype=_LABEL_DTYPE)
         self._perm = np.empty((0, p, t.nlabels), dtype=_PERM_DTYPE)
         self._pivot_of: list[int] = []
-        # pivot -> slot, -1 if none; the extra last entry answers pivot -1
+        # pivot -> slot or block row, -1 if none; the extra last entry
+        # answers pivot -1
         self._slot = np.full(t.nlabels + 1, -1)
         # first label position of the deepest level (0 at depth 0 and 1)
         self._deep = t.label_off[max(depth - 1, 0)]
-        # the deep block: the deepest-level elements' labels on that level
-        # in reduced echelon form, one row per deep slot in slot order, and
-        # each row's pivot column
         self._block = np.empty((0, t.nlabels - self._deep), dtype=_LABEL_DTYPE)
         self._block_piv = np.empty(0, dtype=np.intp)
 
@@ -132,46 +112,37 @@ class InducedPcgs:
 
         A residue's pivot holds no element; it is -1, and the residue the
         identity, iff the row is a member.  Each step clears the pivot of
-        every live row, one with a stored element at its pivot.  A live row
-        whose pivot reaches the deepest level lies in St(depth-1), and
-        H ∩ St(depth-1) is spanned by the deep elements, so one reduction
-        against the deep block decides it: a member is set to the identity
-        and leaves, a non-member steps on.  A step whose live rows all have
-        their pivot on the deepest level adds labels alone, as those rows
-        and elements have the identity perm.
+        every live row, one with a stored element at its pivot, by one
+        composition.  A live row whose pivot reaches the deepest level lies
+        in St(depth-1) instead, and H ∩ St(depth-1) is spanned by the deep
+        block, so one reduction against the block finishes it.
         """
         t, p, slot, deep = self._t, self.p, self._slot, self._deep
         tab_lab, tab_perm = self._table()
         piv = _pivots(lab)
-        live = fresh = np.flatnonzero(slot[piv] >= 0)
-        while True:
-            fresh = fresh[piv[fresh] >= deep]
-            if fresh.size:
-                member = fresh[~self._deep_residues(lab[fresh]).any(axis=1)]
-                lab[member], piv[member] = 0, -1
-                live = live[piv[live] >= 0]
-            if not live.size:
-                return piv
+        live = np.flatnonzero(slot[piv] >= 0)
+        while live.size:
             at = piv[live]
-            rows = slot[at] * p + lab[live, at]
-            if at.min() >= deep:
-                step_lab = tab_lab[rows]
-                step_lab += lab[live]
-                step_lab %= p
-                lab[live] = step_lab
-            else:
-                step_lab, step_perm = compose_rows(
-                    t, lab[live], perm[live], tab_lab, tab_perm, rows)
-                lab[live], perm[live] = step_lab, step_perm
+            on_deep = at >= deep
+            if on_deep.any():
+                rows = live[on_deep]
+                lab[rows, deep:] = self._deep_residues(lab[rows])
+                piv[rows] = _pivots(lab[rows])
+                live, at = live[~on_deep], at[~on_deep]
+                if not live.size:
+                    break
+            step_lab, step_perm = compose_rows(
+                t, lab[live], perm[live], tab_lab, tab_perm,
+                slot[at] * p + lab[live, at])
+            lab[live], perm[live] = step_lab, step_perm
             piv[live] = stepped = _pivots(step_lab)
-            going = slot[stepped] >= 0
-            fresh = live[going & (at < deep)]
-            live = live[going]
+            live = live[slot[stepped] >= 0]
+        return piv
 
     def _deep_residues(self, lab: np.ndarray) -> np.ndarray:
         """The deepest-level labels of each row of lab reduced against the
         deep block; zero iff the row, an element of St(depth-1), lies in
-        the span of the deep elements."""
+        H ∩ St(depth-1)."""
         res = lab[:, self._deep:].astype(np.int64)
         res -= res[:, self._block_piv] @ self._block.astype(np.int64)
         res %= self.p
@@ -195,12 +166,12 @@ class InducedPcgs:
         All waiting work is one stack of residues.  The seeds sit at the
         bottom, next seed topmost, with their own rows kept beside them;
         after each insertion of some h, the rows of h^-p and of [h, x] for
-        every earlier x are pushed on top.  Each step sifts the whole stack
-        in place and drops the members.  Stored elements are never
-        replaced, so every other residue is then the one its element would
-        leave if sifted afresh, and the top row is inserted as it stands:
-        the order of insertions is that of closing each element whole, LIFO,
-        before the next seed is taken.
+        every stored x are pushed on top.  Each step sifts the whole stack
+        in place and drops the members.  Stored elements above the deepest
+        level are never replaced, so every other residue is then the one
+        its element would leave if sifted afresh, and the top row is
+        inserted as it stands: the order of insertions is that of closing
+        each element whole, LIFO, before the next seed is taken.
 
         When the top row lies on the deepest level, the run of such rows
         above the seeds is closed by _close_deep, and so are the closing
@@ -231,7 +202,8 @@ class InducedPcgs:
                 lab, perm = lab[:start], perm[:start]
                 continue
             top_is_seed = len(lab) == n_seeds
-            s = self._insert(int(piv[-1]), lab[-1], perm[-1])
+            pivot = int(piv[-1])
+            self._insert(pivot, lab[-1], perm[-1])
             lab, perm = lab[:-1], perm[:-1]
             if top_is_seed:
                 x = Portrait(p, self.depth, seed_lab[-1].copy(),
@@ -244,10 +216,11 @@ class InducedPcgs:
                 seed_perm = np.concatenate([c_perm, seed_perm[:-1]])
                 lab = np.concatenate([c_lab, lab])
                 perm = np.concatenate([c_perm, perm])
-            if self._pivot_of[s] >= deep:
-                self._close_deep(self._deep_closing_rows(s))
+            if pivot >= deep:
+                self._close_deep(self._deep_closing_rows())
                 continue
-            closing_lab, closing_perm = self._closing_rows(s)
+            closing_lab, closing_perm = self._closing_rows(
+                len(self._pivot_of) - 1)
             lab = np.concatenate([lab, closing_lab])
             perm = np.concatenate([perm, closing_perm])
         # a closed sequence keeps no spare slots: cached subgroups hold
@@ -260,7 +233,6 @@ class InducedPcgs:
         """Insert and close the stack lab of label rows of elements of
         St(depth-1), top row first, as add_generators closes its stack: sift,
         drop the members, insert the top row and push its closing rows."""
-        ident = self._t.ident
         while True:
             piv = self.sift(lab, None)
             outside = piv >= 0
@@ -268,26 +240,30 @@ class InducedPcgs:
                 lab, piv = lab[outside], piv[outside]
             if not len(lab):
                 return
-            s = self._insert(int(piv[-1]), lab[-1], ident)
-            lab = np.concatenate([lab[:-1], self._deep_closing_rows(s)])
+            self._insert(int(piv[-1]), lab[-1], None)
+            lab = np.concatenate([lab[:-1], self._deep_closing_rows()])
 
-    def _deep_closing_rows(self, s: int) -> np.ndarray:
-        """The label rows of the [h, x] that are not the identity, for the
-        element h in slot s, on the deepest level, and every earlier x in
-        slot order: h^-p and [h, x] for x on the deepest level are the
-        identity, and otherwise [h, x] is h's labels read through x^-1's
-        perm plus h^-1's labels, with the identity perm."""
-        p, deep = self.p, self._deep
-        tab_lab, tab_perm = self._table()
-        earlier = np.flatnonzero(np.array(self._pivot_of[:s]) < deep)
-        rows = tab_lab[s * p][tab_perm[earlier * p + 1]]
-        rows += tab_lab[s * p + 1]
-        rows %= p
-        return rows[rows.any(axis=1)]
+    def _deep_closing_rows(self) -> np.ndarray:
+        """The label rows of [x, h] for the newest deep element h and every
+        x above the deepest level, in slot order: [h, x] is their inverse,
+        and h^p and [h, y] for y on the deepest level are the identity."""
+        return self._commutators(self._block_labels([-1])[0],
+                                 self._perm[:len(self._pivot_of), 1])
+
+    def _commutators(self, y: np.ndarray, x_inv_perm: np.ndarray
+                     ) -> np.ndarray:
+        """The labels of [x, y] for y in St(depth-1), with labels y, and x,
+        with x^-1's perm x_inv_perm, one of them a stack: y less y read
+        through x^-1's perm (the perm of [x, y] is the identity)."""
+        rows = np.negative(y[..., x_inv_perm])
+        rows += y
+        rows %= self.p
+        return rows
 
     def _closing_rows(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of h^-p, then of [h, x] for every earlier x in slot
-        order, for the element h in slot s."""
+        """The rows of h^-p, then of [h, x] for every earlier x above the
+        deepest level in slot order, then of [h, y] for every y in the deep
+        block in row order, for the element h in slot s."""
         t, p = self._t, self.p
         tab_lab, tab_perm = self._table()
         earlier = np.arange(s) * p
@@ -299,7 +275,19 @@ class InducedPcgs:
         comm = compose_rows(t, lab[1:], perm[1:], tab_lab[s * p],
                             tab_perm[s * p])
         lab[1:], perm[1:] = compose_rows(t, *comm, tab_lab, tab_perm, earlier)
-        return lab, perm
+        deep_lab = self._commutators(self._block_labels(slice(None)),
+                                     tab_perm[s * p + 1])
+        return (np.concatenate([lab, deep_lab]),
+                np.concatenate([perm, np.broadcast_to(t.ident,
+                                                      deep_lab.shape)]))
+
+    def _block_labels(self, rows) -> np.ndarray:
+        """The full label rows of the deep elements in the given block
+        rows; new arrays."""
+        block = self._block[rows]
+        lab = np.zeros((len(block), self._t.nlabels), dtype=_LABEL_DTYPE)
+        lab[:, self._deep:] = block
+        return lab
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """The power table as one stack: row s * p + e is power e of slot
@@ -307,68 +295,62 @@ class InducedPcgs:
         n = self._t.nlabels
         return self._lab.reshape(-1, n), self._perm.reshape(-1, n)
 
-    def _insert(self, pivot: int, lab: np.ndarray, perm: np.ndarray
-                ) -> int:
+    def _insert(self, pivot: int, lab: np.ndarray, perm: np.ndarray | None
+                ) -> None:
         """Store the power of the element (lab, perm) with leading label 1
-        at pivot, and its inverse powers, in a new slot; returns the
-        slot."""
-        if len(self._pivot_of) >= MAX_STRONG_GENS:
+        at pivot: above the deepest level as a new slot, with its inverse
+        powers; on it as a new block row, reduced against the block (which
+        keeps its label at pivot) and scaled, its column cleared from the
+        other rows."""
+        if self.order_exponent >= MAX_STRONG_GENS:
             raise ResourceGuardError(
                 f"strong generator cap {MAX_STRONG_GENS} exceeded")
-        t, p = self._t, self.p
+        t, p, deep = self._t, self.p, self._deep
+        inv = pow(int(lab[pivot]), -1, p)
+        if pivot >= deep:
+            row = self._deep_residues(lab[None])
+            row *= inv
+            row %= p
+            col = pivot - deep
+            block = self._block - self._block[:, col, None] * row
+            block %= p
+            self._block = np.concatenate([block, row]).astype(_LABEL_DTYPE)
+            self._block_piv = np.append(self._block_piv, col)
+            self._slot[pivot] = len(self._block_piv) - 1
+            return
         s = len(self._pivot_of)
         if s == len(self._lab):
             self._lab, self._perm = _doubled(self._lab), _doubled(self._perm)
         row_lab, row_perm = self._lab[s], self._perm[s]
-        if pivot >= self._deep:
-            # h is lab scaled to leading label 1 and h^-e is -e times h,
-            # all with the identity perm
-            scale = np.arange(0, -p, -1)
-            scale[0] = 1
-            scale *= pow(int(lab[pivot]), -1, p)
-            row_lab[:] = scale[:, None] * lab % p
-            row_perm[:] = t.ident
-            self._add_to_block(pivot, row_lab[0])
-        else:
-            if lab[pivot] != 1:
-                lab, perm = power_rows(t, lab, perm,
-                                       pow(int(lab[pivot]), -1, p))
-            row_lab[0], row_perm[0] = lab, perm
-            row_lab[1], row_perm[1] = inverse_rows(t, lab, perm)
-            for e in range(2, p):
-                row_lab[e], row_perm[e] = compose_rows(
-                    t, row_lab[e - 1], row_perm[e - 1], row_lab[1],
-                    row_perm[1])
+        if inv != 1:
+            lab, perm = power_rows(t, lab, perm, inv)
+        row_lab[0], row_perm[0] = lab, perm
+        row_lab[1], row_perm[1] = inverse_rows(t, lab, perm)
+        for e in range(2, p):
+            row_lab[e], row_perm[e] = compose_rows(
+                t, row_lab[e - 1], row_perm[e - 1], row_lab[1], row_perm[1])
         self._pivot_of.append(pivot)
         self._slot[pivot] = s
-        return s
-
-    def _add_to_block(self, pivot: int, lab: np.ndarray) -> None:
-        """Grow the deep block by the deep element with labels lab, leading
-        label 1 at pivot: reduce its row against the block, which keeps
-        the 1 at pivot, then clear that column from the other rows, which
-        keeps their 0 at every other pivot."""
-        col = pivot - self._deep
-        row = self._deep_residues(lab[None])
-        block = self._block - self._block[:, col, None] * row
-        block %= self.p
-        self._block = np.concatenate([block, row]).astype(_LABEL_DTYPE)
-        self._block_piv = np.append(self._block_piv, col)
 
     # -- data ----------------------------------------------------------
 
     @property
     def order_exponent(self) -> int:
-        return len(self._pivot_of)
+        return len(self._pivot_of) + len(self._block_piv)
 
     def pivots(self) -> list[int]:
-        return sorted(self._pivot_of)
+        return np.flatnonzero(self._slot[:-1] >= 0).tolist()
 
     def elements(self) -> list[Portrait]:
         """The sequence in pivot order, each element with its own arrays."""
-        return [Portrait(self.p, self.depth, self._lab[s, 0].copy(),
-                         self._perm[s, 0].copy())
-                for s in self._slot[self.pivots()]]
+        p, depth, pivots = self.p, self.depth, self.pivots()
+        k = len(self._pivot_of)
+        upper = [Portrait(p, depth, self._lab[s, 0].copy(),
+                          self._perm[s, 0].copy())
+                 for s in self._slot[pivots[:k]]]
+        deep = self._block_labels(self._slot[pivots[k:]])
+        return upper + [Portrait(p, depth, lab.copy(), self._t.ident.copy())
+                        for lab in deep]
 
     def tail(self, start: int) -> "InducedPcgs":
         """The elements with pivot >= start: an induced pcgs of H ∩ G_start,
@@ -382,13 +364,14 @@ class InducedPcgs:
         # rows with pivot >= start are zero before it, so they stay reduced
         rows = self._block_piv >= start - self._deep
         sub._block, sub._block_piv = self._block[rows], self._block_piv[rows]
+        sub._slot[sub._block_piv + self._deep] = np.arange(len(sub._block_piv))
         return sub
 
     def level_dims(self) -> list[int]:
         """Number of pivots on each label level 0..depth-1."""
         label_off = self._t.label_off
         dims = [0] * self.depth
-        for i in self._pivot_of:
+        for i in self.pivots():
             dims[bisect_right(label_off, i) - 1] += 1
         return dims
 
@@ -657,18 +640,14 @@ def is_subdirect_in_product(sub: Subgroup, level: int,
     """For H <= St(level): every coordinate projection of psi_level(H), the
     sections of H's generators at one level-`level` vertex, equals target.
 
-    A projection P equals the p-group T iff P <= T and P Phi(T) = T (the
-    Burnside basis theorem): every section is sifted through T at once,
-    then Phi(T) is closed once and each projection extends a copy of its
-    pcgs.  A trivial H is subdirect only in a trivial target, as
-    Phi(T) < T for T > 1."""
+    Every section is sifted through T at once; a projection P <= T then
+    equals T iff |P| = |T|, so each projection is closed once."""
     t, nv = _Tables(sub.p, sub.depth), sub.p**level
     gen, at = np.indices((len(sub.gens), nv)).reshape(2, -1)
     lab, perm = section_rows(t, *_stack(sub.gens, t), level, gen, at)
     if target.first_outside(len(at), lambda j: (lab[j], perm[j])) is not None:
         return False
-    phi = frattini_subgroup(target)
-    projections = (_portraits(sub.p, target.depth, (lab[c::nv], perm[c::nv]))
-                   for c in range(nv))
-    return all(extend(phi, proj, phi.gens + proj).order_exponent
-               == target.order_exponent for proj in projections)
+    projections = (Subgroup(sub.p, target.depth, _portraits(
+        sub.p, target.depth, (lab[c::nv], perm[c::nv]))) for c in range(nv))
+    return all(proj.order_exponent == target.order_exponent
+               for proj in projections)

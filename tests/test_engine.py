@@ -17,7 +17,7 @@ from branchgroups.engine import (InducedPcgs, Subgroup, commutator_subgroup,
                                  sections_within)
 from branchgroups.context import GroupContext
 from branchgroups.gmodules import image_in_wm
-from branchgroups.linalg import rref
+from branchgroups.linalg import FpSubspace, rref
 from branchgroups.oracle import bfs_enumerate
 from branchgroups.trees import (Portrait, ResourceGuardError, _stack,
                                commutator, commutator_seeds, compose_all,
@@ -158,6 +158,67 @@ PINNED_GROUPS = {
 }
 
 
+def deep_rref(elems, deep, p):
+    """The RREF of the deepest-level labels of the elements with pivot on
+    that level, as (rows, absolute pivots)."""
+    labels = [h.lab[deep:] for h in elems
+              if np.flatnonzero(h.lab)[0] >= deep]
+    if not labels:
+        return [], []
+    rows, pivots = rref(np.array(labels), p)
+    return rows.tolist(), [c + deep for c in pivots]
+
+
+def split_by_level(pcgs):
+    """The elements in pivot order: those above the deepest level, and the
+    deep block's rows in pivot order with their pivots, read through
+    _slot."""
+    deep, elems = pcgs._deep, pcgs.elements()
+    upper = [h for h in elems if np.flatnonzero(h.lab)[0] < deep]
+    pivots = [i for i in pcgs.pivots() if i >= deep]
+    assert all(isinstance(i, int) for i in pcgs.pivots())
+    block = pcgs._block[pcgs._slot[pivots]].tolist()
+    assert [h.lab[deep:].tolist() for h in elems[len(upper):]] == block
+    return upper, (block, pivots)
+
+
+def assert_matches_reference(pcgs, ref):
+    """Pivots and the elements above the deepest level (in insertion order
+    and in pivot order) equal the stepwise referee's byte for byte; the
+    deep block is the RREF of the referee's deep elements."""
+    deep = pcgs._deep
+    ref_pivots = sorted(ref.powers)
+    assert pcgs._pivot_of == [i for i in ref.powers if i < deep]
+    assert pcgs.pivots() == ref_pivots
+    upper, block = split_by_level(pcgs)
+    assert ([rows_of([h]) for h in upper]
+            == [rows_of(ref.powers[i][:1]) for i in ref_pivots if i < deep])
+    assert block == deep_rref([ref.powers[i][0] for i in ref_pivots], deep,
+                              pcgs.p)
+    off = pcgs._t.label_off
+    assert pcgs.level_dims() == [sum(lo <= i < hi for i in ref_pivots)
+                                 for lo, hi in zip(off, off[1:])]
+
+
+def reference_residue(ref, f, deep):
+    """The residue the sift must leave for f: the referee's when its row
+    reaches the deepest level at a free pivot (or never); when it reaches
+    an occupied one, the referee's residue reduced against the span of
+    the referee's deep elements, in which the row's coset is decided."""
+    i, want = ref.sift(f)
+    upper = ReferencePcgs(ref.p)
+    upper.powers = {j: h for j, h in ref.powers.items() if j < deep}
+    entry, _ = upper.sift(f)
+    if entry >= deep and entry in ref.powers:
+        span = FpSubspace(ref.p, len(f.lab) - deep,
+                          [h[0].lab[deep:] for j, h in ref.powers.items()
+                           if j >= deep])
+        lab = want.lab.copy()
+        lab[deep:] = span.reduce(lab[deep:])
+        return i, lab, want.perm
+    return i, want.lab, want.perm
+
+
 @pytest.mark.parametrize("name", list(PINNED_GROUPS))
 def test_pcgs_matches_reference_insertion(name):
     gens = PINNED_GROUPS[name]()
@@ -166,16 +227,10 @@ def test_pcgs_matches_reference_insertion(name):
     ref = ReferencePcgs(p)
     for g in gens:
         ref.add_generator(g)
-    ref_pivots = sorted(ref.powers)
-    assert pcgs._pivot_of == list(ref.powers)          # insertion order
-    assert pcgs.pivots() == ref_pivots
-    assert ([h.digits() for h in pcgs.elements()]
-            == [ref.powers[i][0].digits() for i in ref_pivots])
-    off = pcgs._t.label_off
-    assert pcgs.level_dims() == [sum(lo <= i < hi for i in ref_pivots)
-                                 for lo, hi in zip(off, off[1:])]
+    assert_matches_reference(pcgs, ref)
     # every row of a batch sifts to the reference residue, and to what it
     # sifts to alone
+    deep = pcgs._deep
     rng = np.random.default_rng(len(name))
     batch = [gens[0]] + [Portrait.from_labels(p, depth, rng.integers(
         0, p, pcgs._t.nlabels)) for _ in range(12)]
@@ -187,73 +242,111 @@ def test_pcgs_matches_reference_insertion(name):
     perm = np.stack([f.perm for f in batch])
     piv = pcgs.sift(lab, perm)
     for row, f in enumerate(batch):
-        want_piv, want = ref.sift(f)
+        want_piv, want_lab, want_perm = reference_residue(ref, f, deep)
         assert piv[row] == want_piv
-        assert np.array_equal(lab[row], want.lab)
-        assert np.array_equal(perm[row], want.perm)
+        assert np.array_equal(lab[row], want_lab)
+        assert np.array_equal(perm[row], want_perm)
         alone_lab, alone_perm = f.lab[None].copy(), f.perm[None].copy()
         assert pcgs.sift(alone_lab, alone_perm)[0] == want_piv
-        assert np.array_equal(alone_lab[0], want.lab)
+        assert np.array_equal(alone_lab[0], want_lab)
     assert pcgs.members(batch).tolist() == [i < 0 for i in piv]
 
 
 @pytest.mark.parametrize("name", ["fg3-d4", "fg5-d3", "grigorchuk-d6"])
-def test_deep_slots_store_multiples_and_gather_the_commutators(name):
-    # for every slot on the deepest level: the stored powers are h^-e, and
-    # the gathered closing rows are the nonzero [h, x] for earlier x, in
-    # slot order, each in St(depth-1) with the identity perm
+def test_deep_closing_rows_gather_the_commutators(name):
+    # on every deep insertion the gathered closing rows are [x, h] for the
+    # new deep element h and every x above the deepest level, in slot
+    # order, each in St(depth-1) with the identity perm
+    gens = PINNED_GROUPS[name]()
+    p, depth = gens[0].p, gens[0].depth
+    t = gens[0].tables
+    gather = InducedPcgs._deep_closing_rows
+    calls = []
+
+    def checked(self):
+        got = gather(self)
+        h = self._block_labels([-1])[0]
+        h = Portrait(p, depth, h, t.ident)
+        assert (h ** p).is_identity()
+        upper = [Portrait(p, depth, self._lab[s, 0], self._perm[s, 0])
+                 for s in range(len(self._pivot_of))]
+        want = [commutator(x, h) for x in upper]
+        assert all(c.in_stab(depth - 1) and np.array_equal(c.perm, t.ident)
+                   for c in want)
+        assert got.tolist() == [c.lab.tolist() for c in want]
+        calls.append(len(want))
+        return got
+
+    with mock.patch.object(InducedPcgs, "_deep_closing_rows", checked):
+        pcgs = Subgroup(p, depth, gens).pcgs
+    assert len(calls) == len(pcgs._block) and max(calls) > 0
+
+
+@pytest.mark.parametrize("name", ["fg3-d4", "fg5-d3", "grigorchuk-d6"])
+def test_closing_rows_gather_the_commutators_with_deep_elements(name):
+    # the closing rows of every element h above the deepest level end with
+    # [h, y] for every y in the deep block, in block row order, each with
+    # the identity perm
     gens = PINNED_GROUPS[name]()
     p, depth = gens[0].p, gens[0].depth
     pcgs = Subgroup(p, depth, gens).pcgs
-    t = pcgs._t
-    deep = t.label_off[depth - 1]
-    elems = [Portrait(p, depth, pcgs._lab[s, 0], pcgs._perm[s, 0])
-             for s in range(pcgs.order_exponent)]
-    slots = [s for s, i in enumerate(pcgs._pivot_of) if i >= deep]
-    assert 0 < len(slots) < len(elems)
-    for s in slots:
-        h = elems[s]
-        assert (h ** p).is_identity()
-        for e in range(1, p):
-            assert rows_of([Portrait(p, depth, pcgs._lab[s, e],
-                                     pcgs._perm[s, e])]) == rows_of([h ** -e])
-        comms = [commutator(h, x) for x in elems[:s]]
-        assert all(c.is_identity() for c, x in zip(comms, elems)
-                   if x.in_stab(depth - 1))
-        want = [c for c in comms if not c.is_identity()]
-        assert all(c.in_stab(depth - 1)
-                   and np.array_equal(c.perm, t.ident) for c in want)
-        got = pcgs._deep_closing_rows(s)
-        assert got.tolist() == [c.lab.tolist() for c in want]
+    t, k = pcgs._t, len(pcgs._block)
+    ys = [Portrait(p, depth, lab, t.ident)
+          for lab in pcgs._block_labels(slice(None))]
+    assert k > 0 and pcgs._pivot_of
+    for s in range(len(pcgs._pivot_of)):
+        h = Portrait(p, depth, pcgs._lab[s, 0], pcgs._perm[s, 0])
+        lab, perm = pcgs._closing_rows(s)
+        assert len(lab) == 1 + s + k
+        assert rows_of([Portrait(p, depth, lab[r], perm[r])
+                        for r in range(1 + s, len(lab))]) == rows_of(
+            [commutator(h, y) for y in ys])
+
+
+@pytest.mark.parametrize("name", ["fg3-d4", "grigorchuk-d6"])
+def test_power_table_holds_no_deepest_level_slot(name):
+    gens = PINNED_GROUPS[name]()
+    pcgs = Subgroup(gens[0].p, gens[0].depth, gens).pcgs
+    dims = pcgs.level_dims()
+    assert len(pcgs._lab) == len(pcgs._perm) == sum(dims[:-1])
+    assert len(pcgs._block) == dims[-1] > 0
+    assert all(i < pcgs._deep for i in pcgs._pivot_of)
 
 
 def test_strong_generator_cap_counts_deepest_level_insertions():
     gens = PINNED_GROUPS["fg3-d4"]()
-    full = Subgroup(3, 4, gens).pcgs
-    deep = full._t.label_off[3]
+    full = Subgroup(3, 4, gens)
+    spy = mock.patch.object(InducedPcgs, "_insert", autospec=True,
+                            side_effect=InducedPcgs._insert)
+    with spy as inserts:
+        deep = full.pcgs._deep
+    order = [c.args[1] for c in inserts.call_args_list]
     # the cap trips at the last insertion on the deepest level
-    cap = max(s for s, i in enumerate(full._pivot_of) if i >= deep)
+    cap = max(s for s, i in enumerate(order) if i >= deep)
     assert cap > full.order_exponent / 2
+    assert any(i < deep for i in order[:cap])
     pcgs = InducedPcgs(3, 4)
-    with mock.patch("branchgroups.engine.MAX_STRONG_GENS", cap):
+    with mock.patch("branchgroups.engine.MAX_STRONG_GENS", cap), \
+            spy as inserts:
         with pytest.raises(ResourceGuardError, match=f"cap {cap} exceeded"):
             pcgs.add_generators(gens)
-    assert pcgs._pivot_of == full._pivot_of[:cap]
+    assert [c.args[1] for c in inserts.call_args_list] == order[:cap + 1]
+    assert pcgs.order_exponent == cap
+    assert pcgs.pivots() == sorted(order[:cap])
+    assert pcgs._pivot_of == [i for i in order[:cap] if i < deep]
 
 
-def deep_block_against_rref(pcgs):
-    """The deep block's rows and pivots in pivot order, and the RREF of the
-    deepest-level labels of the deep elements with its pivots."""
+def block_is_reduced(pcgs):
+    """The deep block in pivot order, with its pivots, after checking that
+    it is in reduced echelon form and that _slot and _block_piv agree."""
     deep = pcgs._deep
-    order = np.argsort(pcgs._block_piv)
-    got = (pcgs._block[order].tolist(),
-           (pcgs._block_piv[order] + deep).tolist())
-    labels = [pcgs._lab[s, 0, deep:] for s, i in enumerate(pcgs._pivot_of)
-              if i >= deep]
-    if not labels:
-        return got, ([], [])
-    rows, pivots = rref(np.array(labels), pcgs.p)
-    return got, (rows.tolist(), [c + deep for c in pivots])
+    _, (rows, pivots) = split_by_level(pcgs)
+    assert sorted(pcgs._block_piv + deep) == pivots
+    assert pcgs._slot[pivots].tolist() == [
+        pcgs._block_piv.tolist().index(i - deep) for i in pivots]
+    if rows:
+        assert rref(np.array(rows), pcgs.p)[0].tolist() == rows
+    return rows, pivots
 
 
 @pytest.mark.parametrize("name", ["fg3-d4", "fg5-d3", "grigorchuk-d6"])
@@ -264,31 +357,33 @@ def test_deep_block_is_the_rref_of_the_deep_elements(name):
     sizes = []
 
     def checked(self, *args):
-        s = insert(self, *args)
-        got, want = deep_block_against_rref(self)
-        assert got == want
-        sizes.append(len(got[1]))
-        return s
+        insert(self, *args)
+        sizes.append(len(block_is_reduced(self)[1]))
 
     with mock.patch.object(InducedPcgs, "_insert", checked):
         base = Subgroup(p, depth, gens[1:])
         assert base.order_exponent > 0
-        before = deep_block_against_rref(base.pcgs)
+        before = block_is_reduced(base.pcgs)
         # extend copies base's pcgs and inserts into the copy only
         full = extend(base, gens[:1], gens)
         assert full.order_exponent > base.order_exponent
-    assert deep_block_against_rref(base.pcgs) == before
-    assert full.pcgs.order_exponent == Subgroup(p, depth, gens).order_exponent
+    assert block_is_reduced(base.pcgs) == before
     assert max(sizes) > 1
     pcgs = full.pcgs
+    ref = ReferencePcgs(p)
+    for g in gens:
+        ref.add_generator(g)
+    assert pcgs.pivots() == sorted(ref.powers)
     deep, n = pcgs._deep, pcgs._t.nlabels
-    deep_pivots = sorted(i for i in pcgs._pivot_of if i >= deep)
+    rows, deep_pivots = block_is_reduced(pcgs)
+    assert (rows, deep_pivots) == deep_rref(
+        [h[0] for h in ref.powers.values()], deep, p)
     starts = [0, deep, deep + 1, deep_pivots[len(deep_pivots) // 2], n]
     for start in starts:
         tail = pcgs.tail(start)
-        got, want = deep_block_against_rref(tail)
-        assert got == want
-        assert got[1] == [i for i in deep_pivots if i >= start]
+        kept = [j for j, i in enumerate(deep_pivots) if i >= start]
+        assert block_is_reduced(tail) == ([rows[j] for j in kept],
+                                          [deep_pivots[j] for j in kept])
 
 
 def member_by_reference(gens, p):
@@ -376,9 +471,7 @@ def test_normal_closure_matches_reference(case):
     ncl = normal_closure(seeds, g)
     assert [x.digits() for x in ncl.gens] == [
         x.digits() for x in kept]
-    assert ncl.pcgs._pivot_of == list(ref.powers)
-    assert [h.digits() for h in ncl.pcgs.elements()] == [
-        ref.powers[i][0].digits() for i in sorted(ref.powers)]
+    assert_matches_reference(ncl.pcgs, ref)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -394,8 +487,9 @@ def test_rows_hold_label_positions_of_every_stored_level(depth):
     assert pcgs._perm.shape[1:] == (3, width)
     assert _stack([a, b], t)[1].shape == (2, width)
     assert all(h.perm.shape == (width,) for h in pcgs.elements())
-    # a closed sequence keeps no spare slots
-    assert len(pcgs._lab) == len(pcgs._perm) == pcgs.order_exponent
+    # a closed sequence keeps no spare slots, and none for the deepest level
+    assert len(pcgs._lab) == len(pcgs._perm) == len(pcgs._pivot_of)
+    assert pcgs.order_exponent == len(pcgs._pivot_of) + len(pcgs._block)
     for perm in [pcgs._perm.reshape(-1, width), _stack([a, b], t)[1]]:
         assert (perm[:, 0] == 0).all()
         for lo, hi in zip(t.label_off, t.label_off[1:]):
@@ -412,7 +506,8 @@ def test_pcgs_arrays_own_their_data(fg3_ctx):
     tail = pcgs.tail(5)
     ncl = normal_closure([g.gens[1]], g)
     arrays = [pcgs._lab, pcgs._perm, tail._lab, tail._perm,
-              ncl.pcgs._lab, ncl.pcgs._perm]
+              ncl.pcgs._lab, ncl.pcgs._perm, pcgs._block, tail._block,
+              ncl.pcgs._block]
     for h in (pcgs.elements() + tail.elements() + ncl.gens
               + pcgs.vertex_stabilizer((2, 1))):
         arrays += [h.lab, h.perm]
@@ -466,11 +561,12 @@ def extension_cases(draw):
 
 
 def table_state(pcgs):
-    """Everything a closed pcgs holds: insertion order, stored rows and the
-    pivot -> slot index."""
-    k = pcgs.order_exponent
+    """Everything a closed pcgs holds: insertion order, stored rows, the
+    deep block and the pivot -> index map."""
+    k = len(pcgs._pivot_of)
     return (list(pcgs._pivot_of), pcgs._lab[:k].tobytes(),
-            pcgs._perm[:k].tobytes(), pcgs._slot.tobytes())
+            pcgs._perm[:k].tobytes(), pcgs._block.tobytes(),
+            pcgs._block_piv.tobytes(), pcgs._slot.tobytes())
 
 
 @settings(max_examples=40, deadline=None)
@@ -558,7 +654,7 @@ def test_commutator_seeds_are_pairwise_commutators_in_order(preset_name,
     want = normal_closure([commutator(x, y) for x in ncl for y in gens], g)
     got = commutator_subgroup(Subgroup(g.p, depth, ncl), g, g)
     assert rows_of(got.gens) == rows_of(want.gens)
-    assert got.pcgs._pivot_of == want.pcgs._pivot_of
+    assert table_state(got.pcgs) == table_state(want.pcgs)
 
 
 @pytest.mark.parametrize("preset_name,depth", SEED_CASES)
@@ -831,7 +927,7 @@ def test_subdirect_without_closures_matches_the_closure_comparison(name):
         assert verdict == subdirect_by_closures(sub, level, target)
         outcomes.add((verdict, sections_within(sub.gens, level, target)))
     # subdirect; a projection a proper subgroup of the target (refused by
-    # the Frattini extension alone); a projection outside the target
+    # its order alone); a projection outside the target
     assert outcomes == {(True, True), (False, True), (False, False)}
     trivial = Subgroup(g.p, n, [])
     assert not is_subdirect_in_product(trivial, 1, ctx.quotient(n - 1))
