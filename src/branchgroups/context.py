@@ -1,10 +1,12 @@
 """The shared state of the theorem checks for one group instance.
 
-`GroupContext` caches the finite quotients G_n = G/St_G(n), the
-commutator series closed from scratch (derived and lower central terms,
-K and K'), n_G, the normal families the checks run over and each family
-member's [N, G], which extends the largest [M, G] built below it, building
-that of the member below first.
+`GroupContext` caches the finite quotients G_n = G/St_G(n), n_G, the
+normal families the checks run over and, in one dict, [N, G] for every
+normal N: G' is closed from scratch and every other [N, G], lower central
+terms and family members alike, extends the largest [M, G] built below
+it, building that of the member below first.  The G-Frattini subgroup of
+each N is built once on its [N, G], and the higher derived terms and K'
+are closed from scratch once each.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ class GroupContext:
     def __init__(self, inst):
         self.inst = inst
         self._quotients: dict[int, Subgroup] = {}
-        self._commutators: dict[tuple[Subgroup, Subgroup, int], Subgroup] = {}
-        self._member_ngs: dict[tuple[Subgroup, int], Subgroup] = {}
+        # [H, H] for H other than G, and [N, G] for every N, per depth
+        self._commutators: dict[tuple[Subgroup, int], Subgroup] = {}
+        self._ngs: dict[tuple[Subgroup, int], Subgroup] = {}
+        self._g_frattinis: dict[tuple[Subgroup, int], Subgroup] = {}
         # the distinct subgroups of the depth-n family members, in order
         self._members: dict[int, dict[Subgroup, None]] = {}
-        self._normal_ranks: dict[tuple[Subgroup, int], int] = {}
         self._families: dict[tuple[int, int], list] = {}
         self._sunic_k: dict[int, Subgroup] = {}
         self._n_g: dict[int, int | None] = {}
@@ -69,46 +72,39 @@ class GroupContext:
             self._quotients[n] = group_of(self.inst, n)
         return self._quotients[n]
 
-    def commutator(self, a: Subgroup, b: Subgroup, n: int) -> Subgroup:
-        """[A, B] in the depth-n quotient, closed from scratch and memoised
-        on the operand objects: every series term is built here, once."""
-        key = (a, b, n)
-        if key not in self._commutators:
-            self._commutators[key] = commutator_subgroup(a, b, self.quotient(n))
-        return self._commutators[key]
+    def commutator(self, h: Subgroup, n: int) -> Subgroup:
+        """[H, H] for H normal in the depth-n quotient G, memoised on H:
+        G' is member_ng(G, n), any other closed from scratch."""
+        g = self.quotient(n)
+        if h is g:
+            return self.member_ng(g, n)
+        if (h, n) not in self._commutators:
+            self._commutators[h, n] = commutator_subgroup(h, h, g)
+        return self._commutators[h, n]
 
     def member_ng(self, sub: Subgroup, n: int) -> Subgroup:
         """[N, G] for N = sub, normal in the depth-n quotient G, memoised
-        on sub.
+        on sub: the one builder of [N, G], series terms included.
 
-        For N = G this is the series term G', built if need be; another
-        series term [N, G] is returned as built.  Otherwise the [M, G]
-        already built at depth n (series terms, members and the [N, G] of
-        normal closures) are tried, largest first and, among equals,
-        larger M first; the first with M <= N is reused.  With no such M,
-        [M, G] is built first, by this rule, for the largest family member
-        M < N, so only the least member of a chain is closed from scratch.
-        For |M| = |N| [M, G] is the same object, else a copy of its pcgs
-        extended by the normal closure of [x, g] for the generators x of N
-        outside M and g of G: [N, G], as [M, G] is normal in G and
-        N = <M, x>.
+        For N = G this is G', closed from scratch.  Otherwise the [M, G]
+        already built at depth n are tried, largest first and, among
+        equals, larger M first; the first with M <= N is reused.  With no
+        such M, [M, G] is built first, by this rule, for the largest family
+        member M < N, so only the least member of a chain is closed from
+        scratch.  For |M| = |N| [M, G] is the same object, else a copy of
+        its pcgs extended by the normal closure of [x, g] for the
+        generators x of N outside M and g of G: [N, G], as [M, G] is normal
+        in G and N = <M, x>.
         """
-        g = self.quotient(n)
-        if sub is g:
-            return self.commutator(g, g, n)
-        if (sub, g, n) in self._commutators:
-            return self._commutators[sub, g, n]
-        if (sub, n) not in self._member_ngs:
-            self._member_ngs[sub, n] = self._ng_from_below(sub, g, n)
-        return self._member_ngs[sub, n]
+        if (sub, n) not in self._ngs:
+            g = self.quotient(n)
+            self._ngs[sub, n] = (commutator_subgroup(g, g, g) if sub is g
+                                 else self._ng_from_below(sub, g, n))
+        return self._ngs[sub, n]
 
     def built_ngs(self, n: int) -> list[tuple[Subgroup, Subgroup]]:
         """The pairs (M, [M, G]) built so far in the depth-n quotient G."""
-        g = self.quotient(n)
-        built = [(a, c) for (a, b, k), c in self._commutators.items()
-                 if b is g and k == n]
-        return built + [(a, c) for (a, k), c in self._member_ngs.items()
-                        if k == n]
+        return [(a, c) for (a, k), c in self._ngs.items() if k == n]
 
     def _ng_from_below(self, sub: Subgroup, g: Subgroup, n: int) -> Subgroup:
         built = sorted(self.built_ngs(n), key=lambda ac: (
@@ -136,45 +132,43 @@ class GroupContext:
 
     def g_frattini(self, sub: Subgroup, n: int) -> Subgroup:
         """The G-Frattini subgroup <[N, G], x^p for the generators x of N>
-        of N = sub, normal in the depth-n quotient G: the least normal
-        subgroup of G below N with a central elementary abelian quotient.
-        For N = G it is the Frattini subgroup G' G^p.  [N, G] itself when
-        it holds every p-th power, else a copy of its pcgs extended by
-        them; only its index is memoised."""
-        ng = self.member_ng(sub, n)
-        p_powers = powers_of(sub.gens, self.p)
-        phi = ng
-        if not ng.pcgs.members(p_powers).all():
-            phi = extend(ng, p_powers, ng.gens + p_powers)
-        self._normal_ranks[sub, n] = sub.order_exponent - phi.order_exponent
-        return phi
+        of N = sub, normal in the depth-n quotient G, memoised on sub: the
+        least normal subgroup of G below N with a central elementary
+        abelian quotient.  For N = G it is the Frattini subgroup G' G^p.
+        [N, G] itself when it holds every p-th power, else a copy of its
+        pcgs extended by them."""
+        if (sub, n) not in self._g_frattinis:
+            ng = self.member_ng(sub, n)
+            p_powers = powers_of(sub.gens, self.p)
+            self._g_frattinis[sub, n] = (
+                ng if ng.pcgs.members(p_powers).all()
+                else extend(ng, p_powers, ng.gens + p_powers))
+        return self._g_frattinis[sub, n]
 
     def normal_rank(self, sub: Subgroup, n: int) -> int:
         """log_p |N : Phi_G(N)|, the number of normal generators of N = sub
         in the depth-n quotient G; for N = G this is d(G) by the Burnside
         basis theorem."""
-        if (sub, n) not in self._normal_ranks:
-            self.g_frattini(sub, n)
-        return self._normal_ranks[sub, n]
+        return sub.order_exponent - self.g_frattini(sub, n).order_exponent
 
     def derived(self, n: int, order: int = 1) -> Subgroup:
         """The order-th derived subgroup G^(order) of the depth-n quotient."""
         h = self.quotient(n)
         for _ in range(order):
-            h = self.commutator(h, h, n)
+            h = self.commutator(h, n)
         return h
 
     def gamma(self, k: int, n: int) -> Subgroup:
         """k-th lower central term of the depth-n quotient."""
-        g = term = self.quotient(n)
+        term = self.quotient(n)
         for _ in range(k - 1):
-            term = self.commutator(term, g, n)
+            term = self.member_ng(term, n)
         return term
 
     def branch_derived(self, n: int) -> Subgroup | None:
         """K' for the branching subgroup K at depth n (None if not branch)."""
         k = branch_subgroup(self, n)
-        return None if k is None else self.commutator(k, k, n)
+        return None if k is None else self.commutator(k, n)
 
     def sunic_k(self, n: int) -> Subgroup:
         """K = <[a,b_2],...,[a,b_r]>^G for Sunic groups on the binary tree."""
@@ -329,7 +323,7 @@ def _member_closure(ctx: GroupContext, n: int, w: Portrait,
     phi = ctx.g_frattini(ell, n)
     if extend(phi, seeds, phi.gens + seeds).order_exponent == ell.order_exponent:
         sub = extend(ell, [w], [w] + ell.gens)
-        ctx._member_ngs[sub, n] = ell
+        ctx._ngs[sub, n] = ell
         return sub
     return normal_closure([w], g)
 

@@ -481,12 +481,18 @@ class Subgroup:
     # -- stabilizers and sections ------------------------------------------
 
     def stabilizer(self, m: int) -> "Subgroup":
-        """St_H(m): the pcgs elements fixing all vertices of levels <= m."""
+        """St_H(m): the pcgs elements fixing all vertices of levels <= m,
+        built once per m and kept in vars(self), so every caller gets one
+        object."""
         if m <= 0:
             return self
-        start = _Tables(self.p, self.depth).label_off[min(m, self.depth)]
-        tail = self.pcgs.tail(start)
-        return Subgroup(self.p, self.depth, tail.elements(), pcgs=tail)
+        m = min(m, self.depth)
+        stabilizers = vars(self).setdefault("_stabilizers", {})
+        if m not in stabilizers:
+            tail = self.pcgs.tail(_Tables(self.p, self.depth).label_off[m])
+            stabilizers[m] = Subgroup(self.p, self.depth, tail.elements(),
+                                      pcgs=tail)
+        return stabilizers[m]
 
     def section_subgroup(self, v) -> "Subgroup":
         """phi_v(st_H(v)) acting on the subtree below v (depth n - |v|)."""

@@ -24,12 +24,12 @@ from . import catalog
 from .catalog import (MultiEGSInstance, SunicInstance, branch_type,
                       evaluate_word, has_csp, is_fabrykowski_gupta, is_ggs,
                       is_torsion, r_dot)
-from .context import (FamilyMember, GroupContext, SplitMix64, branch_gamma,
+from .context import (GroupContext, SplitMix64, branch_gamma,
                       branch_subgroup, random_word)
-from .engine import (ResourceGuardError, Subgroup, commutator_subgroup,
-                     first_missing_embedding, group_of, is_regular_branch_over,
-                     is_subdirect_in_product, is_super_strongly_fractal, join,
-                     normal_closure, sections_within)
+from .engine import (ResourceGuardError, Subgroup, first_missing_embedding,
+                     group_of, is_regular_branch_over, is_subdirect_in_product,
+                     is_super_strongly_fractal, join, normal_closure,
+                     sections_within)
 from .gmodules import (check_chain_layer, image_in_wm, is_chain_member,
                        wm_module)
 from .reports import Verdict, VerificationReport, non_membership, skipped
@@ -95,15 +95,6 @@ def _embedding(k: Subgroup, level: int, ng: Subgroup,
 # -- individual checks ----------------------------------------------------------
 
 
-def _ng_witness(mem: FamilyMember, g: Subgroup, elem: Portrait,
-                **extra) -> dict:
-    """The witness that elem is not in the member's [N, G], printing the
-    generators of [N, G] closed from scratch, whichever path built the
-    [N, G] that was tested."""
-    return non_membership(commutator_subgroup(mem.subgroup, g, g), elem,
-                          **extra)
-
-
 def verify_effective_csp(ctx: GroupContext, n: int,
                          seed: int) -> VerificationReport:
     """St(m + d) <= [N, G] over a family of normal subgroups (Thm 1.1 shape,
@@ -134,9 +125,9 @@ def verify_effective_csp(ctx: GroupContext, n: int,
         if not v.record(
                 mem.name, missing is None,
                 f"{'pass' if missing is None else 'fail'}: m={m}",
-                witness=lambda: _ng_witness(mem, g, missing[1],
-                                            member=mem.name, m=m,
-                                            offset=offset),
+                witness=lambda: non_membership(ng, missing[1],
+                                               member=mem.name, m=m,
+                                               offset=offset),
                 table="members"):
             break
         kprime = ctx.branch_derived(n - m - 1) if m + 1 < n else None
@@ -147,8 +138,8 @@ def verify_effective_csp(ctx: GroupContext, n: int,
         name = mem.name + "/K'-fallback"
         v.record(name, miss is None,
                  text if miss is None else f"fail at coordinate {miss[0]}",
-                 witness=lambda: _ng_witness(mem, g, miss[1], member=name,
-                                             coordinate=miss[0]),
+                 witness=lambda: non_membership(ng, miss[1], member=name,
+                                                coordinate=miss[0]),
                  table="members")
     return v.report("effective-csp", n, one_sided=True)
 

@@ -4,18 +4,18 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from branchgroups import context, engine, gmodules, suite
+from branchgroups import cli, context, engine, gmodules, suite
 from branchgroups.catalog import (PRESET_NAMES, fabrykowski_gupta, make_ggs,
                                   make_multi_egs, make_multi_ggs, make_sunic,
                                   preset)
-from branchgroups.cli import EXIT_FAIL, EXIT_GUARD, run
+from branchgroups.cli import EXIT_FAIL, EXIT_GUARD, EXIT_PASS, run
 from branchgroups.context import (FamilyMember, GroupContext, SplitMix64,
                                   branch_subgroup)
 from branchgroups.gmodules import tuple_from_rank, vj_basis
 from branchgroups.reports import Verdict
 from branchgroups.suite import (csp_offset, run_all, run_check,
                                 verify_profinite_distinction)
-from branchgroups.trees import Portrait
+from branchgroups.trees import Portrait, powers_of
 
 
 def report_json(report):
@@ -110,49 +110,61 @@ def test_equal_members_share_one_ng():
 
 
 @pytest.mark.parametrize("clause", ["member", "K'-fallback"])
-def test_effective_csp_witness_prints_the_from_scratch_ng(clause,
-                                                          monkeypatch):
+def test_effective_csp_witness_prints_the_tested_ng(clause, monkeypatch,
+                                                    tmp_path, capsys):
     # St(1) of fg3 at depth 5 (seed 3) extends an [M, G] built before it,
     # so its generators differ from those of [N, G] closed from scratch;
-    # no other member shares that [N, G], and its K' fallback is tested
+    # no other member shares that [N, G], and its K' fallback is tested.
+    # The forced failure names a generator of St(1) outside [N, G], so the
+    # witness is true and replays
     ctx = GroupContext(fabrykowski_gupta(3))
     g = ctx.quotient(5)
     family = ctx.normal_family(5, seed=3)
     mem = next(m for m in family if m.name == "St(1)")
     ng = mem.ng(ctx, 5)
     assert [m.name for m in family if m.ng(ctx, 5) is ng] == ["St(1)"]
-    scratch = [x.digits()
-               for x in engine.commutator_subgroup(mem.subgroup, g, g).gens]
-    assert [x.digits() for x in ng.gens] != scratch
+    tested = [x.digits() for x in ng.gens]
+    assert tested != [x.digits() for x in engine.commutator_subgroup(
+        mem.subgroup, g, g).gens]
+    outside = next(x for x in mem.subgroup.gens if not ng.contains(x))
     if clause == "member":
         monkeypatch.setattr(ng, "first_non_member",
-                            lambda elems: (0, next(iter(elems))))
+                            lambda elems: (0, outside))
     else:
         first_missing = suite.first_missing_embedding
         monkeypatch.setattr(
             suite, "first_missing_embedding",
-            lambda gens, level, sub: ((0, gens[0]) if sub is ng
+            lambda gens, level, sub: ((0, outside) if sub is ng
                                       else first_missing(gens, level, sub)))
-    rep = run_check(ctx, "effective-csp", depth=5, seed=3)
-    assert rep.status == "fail"
-    assert rep.witness["member"] == (
+    monkeypatch.setattr(cli, "GroupContext", lambda inst: ctx)
+    report = tmp_path / "r.json"
+    assert run(["verify", "effective-csp", "--preset", "fg3", "--depth", "5",
+                "--seed", "3", "--json", str(report)]) == EXIT_FAIL
+    check, = json.loads(report.read_text())["checks"]
+    assert check["witness"]["member"] == (
         "St(1)" if clause == "member" else "St(1)/K'-fallback")
-    assert rep.witness["subgroup_gens"] == scratch
+    assert check["witness"]["subgroup_gens"] == tested
+    capsys.readouterr()
+    assert run(["oracle", "replay", "--report", str(report)]) == EXIT_PASS
+    assert "CONFIRMED" in capsys.readouterr().out
 
 
 # -- random family members: reused or closed -------------------------------------
 
 @pytest.mark.parametrize("name,depth", [
-    ("fg3", 3), ("fg3", 4), ("gs3", 3), ("gs3", 4), ("fg5", 3), ("fg5", 4),
-    ("sunic-grigorchuk", 5), ("sunic-grigorchuk", 6)])
+    (name, depth) for name in PRESET_NAMES for depth in (3, 4)]
+    + [("sunic-grigorchuk", 5), ("sunic-grigorchuk", 6)])
 def test_family_closures_match_from_scratch_referee(name, depth,
                                                     monkeypatch):
     # a random member shares an earlier member's subgroup, extends a normal
     # subgroup L already built to <w> L, or is closed from scratch.  The
     # first two equal ncl(w) closed from scratch, <w> L has [N, G] = L as
     # closed from scratch, and one closed from scratch equals no earlier
-    # member.  Over seeds 0-3 every path runs on the Grigorchuk group; on
-    # the GGS presets no random member is closed from scratch
+    # member.  Over seeds 0-3 every path runs, except on the GGS presets
+    # and on appb-p5 at depth 3, where no random member is closed from
+    # scratch.  Then every [N, G] the context built, for the members and
+    # the lower central terms, and every Phi_G(N) equals its closure from
+    # scratch
     calls = []
     closure = context._member_closure
     closed = mock.Mock(wraps=context.normal_closure)
@@ -169,24 +181,54 @@ def test_family_closures_match_from_scratch_referee(name, depth,
     ctx = GroupContext(preset(name))
     g = ctx.quotient(depth)
     for seed in range(4):
-        ctx.normal_family(depth, seed)
+        for mem in ctx.normal_family(depth, seed):
+            ctx.normal_rank(mem.subgroup, depth)
+    ctx.gamma(5, depth)
     paths = set()
     for w, sub, earlier, from_scratch in calls:
         if from_scratch:
             paths.add("closed")
             assert not any(sub.equal(m) for m in earlier)
             continue
-        if any(sub is m for m in earlier):
-            paths.add("shared")
-        else:
-            paths.add("extended")
-            ng = ctx.member_ng(sub, depth)
-            ref_ng = engine.commutator_subgroup(sub, g, g)
-            assert ng.is_subgroup_of(ref_ng) and ref_ng.is_subgroup_of(ng)
+        paths.add("shared" if any(sub is m for m in earlier) else "extended")
         ref = engine.normal_closure([w], g)
         assert sub.is_subgroup_of(ref) and ref.is_subgroup_of(sub)
-    assert paths == ({"shared", "extended", "closed"}
-                     if name == "sunic-grigorchuk" else {"shared", "extended"})
+    never_closed = name in ("fg3", "fg5", "gs3") or (name, depth) == (
+        "appb-p5", 3)
+    assert paths == {"shared", "extended"} | (
+        set() if never_closed else {"closed"})
+    refs = {}
+    for sub, ng in ctx.built_ngs(depth):
+        refs[sub] = engine.commutator_subgroup(sub, g, g)
+        assert ng.equal(refs[sub])
+    # N / [N, G] is central, so <[N, G], x^p> is normal for any x in N
+    for (sub, _), phi in ctx._g_frattinis.items():
+        p_powers = powers_of(sub.gens, g.p)
+        assert phi.equal(engine.extend(refs[sub], p_powers,
+                                       refs[sub].gens + p_powers))
+
+
+def test_one_object_per_series_term_stabilizer_and_g_frattini():
+    # the lower central and derived terms are [N, G] of the term above,
+    # St(m) is built once and is the family's member, and Phi_G(N) is
+    # built once; a run inserts into none of them
+    ctx = GroupContext(fabrykowski_gupta(3))
+    n = 4
+    g = ctx.quotient(n)
+    for k in (1, 2, 3, 4):
+        assert ctx.gamma(k + 1, n) is ctx.member_ng(ctx.gamma(k, n), n)
+    assert ctx.derived(n) is ctx.member_ng(g, n)
+    members = {mem.name: mem.subgroup for mem in ctx.normal_family(n, 1)}
+    for m in range(1, n):
+        assert g.stabilizer(m) is g.stabilizer(m) is members[f"St({m})"]
+    for sub in members.values():
+        assert ctx.g_frattini(sub, n) is ctx.g_frattini(sub, n)
+    orders = {name: sub.order_exponent for name, sub in members.items()}
+    run_all(ctx, depth=n, seed=1)
+    for m in range(1, n):
+        assert g.stabilizer(m).order_exponent == sum(g.level_dims()[m:])
+    assert {name: len(sub.pcgs.pivots())
+            for name, sub in members.items()} == orders
 
 
 class _CyclicP2:
@@ -233,9 +275,12 @@ def test_member_closure_reuses_a_member_only_when_w_generates_it(fg3_ctx):
 
 def test_family_reuse_pins_closures_and_insertions(monkeypatch):
     # verify all on fg3 at depth 4, seed 1: none of the 8 random members is
-    # closed (8 when every one is; 2 of them extend G'), one [N, G] is
-    # closed from scratch besides the 11 series terms (N_3.9's, the least
-    # member of its chain), and the run inserts 227 pcgs elements
+    # closed (8 when every one is; 2 of them extend G').  11 commutator
+    # subgroups are closed from scratch: G' and G'' at depths 2-4, G''' at
+    # depth 4, gamma_3 at depths 2 and 3, where no family member lies below
+    # G', and at depth 4 the [N, G] of St(3) and N_3.9, the least members
+    # of their chains, which, with G', every other [N, G] at depth 4
+    # extends.  The run inserts 216 pcgs elements
     closures = mock.Mock(wraps=context.normal_closure)
     monkeypatch.setattr(context, "normal_closure", closures)
     commutators = mock.Mock(wraps=context.commutator_subgroup)
@@ -249,9 +294,9 @@ def test_family_reuse_pins_closures_and_insertions(monkeypatch):
                     "--seed", "1"])
     assert code == EXIT_FAIL                       # the known-red fg-lemma
     assert closures.call_count == 0
-    assert commutators.call_count == 12
-    assert adds.call_count == 28
-    assert inserts.call_count == 227
+    assert commutators.call_count == 11
+    assert adds.call_count == 30
+    assert inserts.call_count == 216
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
