@@ -183,10 +183,11 @@ class GroupContext:
         st_K(2...2) at the vertex 2...2 of level n' (p = 2 Sunic groups);
         quotient-level, hence one-sided."""
         if n not in self._n_g:
-            k = self.sunic_k(n)
+            sec = self.sunic_k(n)
             self._n_g[n] = None
             for cand in range(1, n - 1):
-                sec = k.section_subgroup((2,) * cand)
+                # phi_2(st_S(2)) of the last section S: the one at 2...2
+                sec = sec.section_subgroup((2,))
                 targets = self.inst.generators(n - cand)[:self.inst.r]  # a, b_1..b_{r-1}
                 if sec.first_non_member(targets) is None:
                     self._n_g[n] = cand

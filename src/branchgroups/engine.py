@@ -292,8 +292,8 @@ class InducedPcgs:
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """The power table as one stack: row s * p + e is power e of slot
         s."""
-        n = self._t.nlabels
-        return self._lab.reshape(-1, n), self._perm.reshape(-1, n)
+        shape = (len(self._lab) * self.p, self._t.nlabels)
+        return self._lab.reshape(shape), self._perm.reshape(shape)
 
     def _insert(self, pivot: int, lab: np.ndarray, perm: np.ndarray | None
                 ) -> None:
@@ -374,36 +374,6 @@ class InducedPcgs:
         for i in self.pivots():
             dims[bisect_right(label_off, i) - 1] += 1
         return dims
-
-    def vertex_stabilizer(self, v) -> list[Portrait]:
-        """Induced pcgs of st_H(v), in pivot order.
-
-        Walking down the path to v, the current group fixes the path vertex
-        u, and its label at u is a homomorphism onto C_p whose kernel fixes
-        the next path vertex.  Clearing that label from every earlier
-        element with the last element s it does not kill keeps all other
-        pivots and leading labels, so dropping s leaves an induced pcgs of
-        the kernel.
-        """
-        p = self.p
-        label_off = self._t.label_off
-        seq = self.elements()
-        for k in range(len(v)):
-            pos = label_off[k] + vertex_local_index(v[:k], p)
-            labels = [int(h.lab[pos]) for h in seq]
-            s = max((j for j, c in enumerate(labels) if c), default=-1)
-            if s < 0:
-                continue
-            h_s = seq.pop(s)
-            scale = pow(labels[s], -1, p)
-            powers: dict[int, Portrait] = {}
-            for j in range(s):
-                if labels[j]:
-                    e = -labels[j] * scale % p
-                    if e not in powers:
-                        powers[e] = h_s ** e
-                    seq[j] = seq[j] * powers[e]
-        return seq
 
 
 class Subgroup:
@@ -495,18 +465,25 @@ class Subgroup:
         return stabilizers[m]
 
     def section_subgroup(self, v) -> "Subgroup":
-        """phi_v(st_H(v)) acting on the subtree below v (depth n - |v|)."""
+        """phi_v(st_H(v)), acting on the subtree below v (depth n - |v|).
+
+        Every label is a power of the p-cycle, so an element fixing a vertex
+        fixes a child of it iff its label there is 0: st_H(x) = St_H(1) for
+        a letter x, and phi_xw(st_H(xw)) = phi_w(st_S(w)) with S =
+        phi_x(St_H(1)).  When every generator fixes v the section is one
+        gather of theirs; otherwise v is walked one letter at a time."""
         v = parse_vertex(v)
+        if len(v) > self.depth:
+            raise ValueError(f"vertex {v} below the depth-{self.depth} tree")
         if not v:
             return self
-        if all(g.apply_vertex(v) == v for g in self.gens):
-            st_gens = self.gens
-        else:
-            st_gens = self.pcgs.vertex_stabilizer(v)
+        if not all(g.apply_vertex(v) == v for g in self.gens):
+            return self.stabilizer(1).section_subgroup(v[:1]).section_subgroup(
+                v[1:])
         t, depth = _Tables(self.p, self.depth), self.depth - len(v)
+        at = np.full(len(self.gens), vertex_local_index(v, self.p))
         return Subgroup(self.p, depth, _portraits(self.p, depth, section_rows(
-            t, *_stack(st_gens, t), len(v), np.arange(len(st_gens)),
-            np.full(len(st_gens), vertex_local_index(v, self.p)))))
+            t, *_stack(self.gens, t), len(v), np.arange(len(at)), at)))
 
     def level_dims(self) -> list[int]:
         """t(m) = log_p |St(m) : St(m+1)| for m = 0..depth-1, from the pcgs."""

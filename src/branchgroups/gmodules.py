@@ -23,12 +23,13 @@ there (`GModule.certified_prefix`): the ranks below T step down the chain
 one at a time under the action.  It is grown lazily, once per module, as
 `wm_module` memoises the modules.  Three callers read it:
 `submodule_closure` returns a chain member, with no elimination, for a
-seed whose highest rank is below T; the chain check and `cli chain`
+seed space whose highest rank is below T; the chain check and `cli chain`
 accept a layer by `certified_chain`; and the family build's invariance
 test is a `submodule_closure`.  Normality of the layer preimages is one
 triangularity test (`chain_layers_normal`).  The referees stay off the
-certificate: `closure_by_rounds` (the rounds loop, also called by
-`commutator_subspace`, `uniserial_chain` and the oracle census),
+certificate: `closure_by_rounds` (the rounds loop, which also closes a
+stack of seed spaces at once; `commutator_subspace`, `uniserial_chain`
+and the oracle census call it),
 `compute_rm` and `first_non_normal_layer`.  They are also the path taken
 when the certificate is refused.  The group <-> module dictionary reads
 each layer off the pcgs with no elimination (`layer_basis`).
@@ -260,23 +261,19 @@ def _triangular_rows(images, w: np.ndarray, winv: np.ndarray, p: int,
     return len(w)
 
 
-def _top_ranks(rows, p: int, m: int) -> np.ndarray:
-    """The highest Jennings rank of the span of rows (k, d), or of each
-    stacked span (n, k, d): the last column where rows W^-1 is nonzero,
-    -1 for the zero space."""
+def _top_rank(rows, p: int, m: int) -> int:
+    """The highest Jennings rank of the span of rows: the last column where
+    rows W^-1 is nonzero, -1 for the zero space."""
     winv = _jennings(p, m)[1].astype(np.int64)
-    support = (np.asarray(rows, dtype=np.int64) @ winv % p).any(axis=-2)
-    return np.where(support, np.arange(p**m), -1).max(axis=-1)
+    support = (np.asarray(rows, dtype=np.int64) @ winv % p).any(axis=0)
+    return int(np.where(support, np.arange(p**m), -1).max())
 
 
 # -- closures ---------------------------------------------------------------
 
 
-def submodule_closure(seeds: Echelon | FpSubspace,
-                      mod: GModule) -> Echelon | FpSubspace:
-    """Smallest action-invariant subspace containing each seed: an Echelon
-    stack, closed in place and returned, or one FpSubspace, whose closure
-    is returned as an FpSubspace.
+def submodule_closure(seeds: FpSubspace, mod: GModule) -> FpSubspace:
+    """Smallest action-invariant subspace containing the seed space.
 
     A seed space whose highest Jennings rank r is below the module's
     certified prefix T closes to V_(r) = chain_module(p, m, r + 1), with
@@ -285,20 +282,11 @@ def submodule_closure(seeds: Echelon | FpSubspace,
     induction).  The other seeds go through `closure_by_rounds`.
     """
     p, m = mod.p, mod.level
-    if not m:
-        return closure_by_rounds(seeds, mod)
-    if isinstance(seeds, FpSubspace):
-        r = int(_top_ranks(seeds.rows, p, m))
-        return (chain_module(p, m, r + 1) if r < mod.certified_prefix(r)
-                else closure_by_rounds(seeds, mod))
-    ranks = _top_ranks(seeds.bases, p, m)
-    fast = ranks < mod.certified_prefix(ranks.max(initial=-1))
-    for k in np.flatnonzero(fast):
-        member = chain_module(p, m, int(ranks[k]) + 1)
-        seeds.bases[k] = member.echelon().bases[0]
-    if not fast.all():
-        seeds.bases[~fast] = closure_by_rounds(seeds.take(~fast), mod).bases
-    return seeds
+    if m:
+        r = _top_rank(seeds.rows, p, m)
+        if r < mod.certified_prefix(r):
+            return chain_module(p, m, r + 1)
+    return closure_by_rounds(seeds, mod)
 
 
 def closure_by_rounds(seeds: Echelon | FpSubspace,
@@ -362,7 +350,7 @@ def uniserial_chain(u: FpSubspace, mod: GModule):
 
 def is_chain_member(u: FpSubspace, m: int) -> bool:
     """Whether U is V_(dim U - 1): U W^-1 vanishes at ranks >= dim U."""
-    return bool(_top_ranks(u.rows, u.p, m) < u.dim)
+    return _top_rank(u.rows, u.p, m) < u.dim
 
 
 def certified_chain(u: FpSubspace, mod: GModule, m: int) -> bool:
@@ -413,7 +401,8 @@ def compute_rm(u: FpSubspace, m: int) -> dict:
 
 def layer_basis(g_n, m: int):
     """(basis, U, T) of the layer St(m)/St(m+1) of g_n, built once: the
-    pcgs elements with pivot on level m as a stack, in pivot order; their
+    pcgs elements with pivot on level m as a stack, in pivot order (the
+    first ones of the memoised St(m), `Subgroup.stabilizer`); their
     level-m labels L are echelon with leading label 1, so U = T L, the
     image in W_m, is RREF after one back-substitution over [L | I], and a
     vector V of U is (V at U's pivots) T times L."""
@@ -423,7 +412,8 @@ def layer_basis(g_n, m: int):
             raise ValueError("need 0 <= m < depth")
         p, t = g_n.p, _Tables(g_n.p, g_n.depth)
         rank = g_n.level_dims()[m]
-        basis = _stack(g_n.pcgs.tail(t.label_off[m]).elements()[:rank], t)
+        elems = g_n.stabilizer(m).gens if m else g_n.pcgs.elements()
+        basis = _stack(elems[:rank], t)
         labels = basis[0][:, t.label_slice(m)]
         pivots = (labels != 0).argmax(axis=1)
         aug = np.concatenate([labels, np.eye(rank, dtype=np.int64)], axis=1)

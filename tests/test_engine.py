@@ -509,7 +509,7 @@ def test_pcgs_arrays_own_their_data(fg3_ctx):
               ncl.pcgs._lab, ncl.pcgs._perm, pcgs._block, tail._block,
               ncl.pcgs._block]
     for h in (pcgs.elements() + tail.elements() + ncl.gens
-              + pcgs.vertex_stabilizer((2, 1))):
+              + g.section_subgroup((2, 1)).gens):
         arrays += [h.lab, h.perm]
     assert all(arr.base is None for arr in arrays)
 
@@ -744,11 +744,42 @@ def test_fg_sections_of_stab_are_full(fg3_ctx):
 
 
 def test_section_with_base_change():
-    # st_H(v) for a subgroup not fixing v runs the pcgs vertex-stabilizer walk
+    # a subgroup not fixing v is sectioned through St_H(1), letter by letter
     inst = fabrykowski_gupta(3)
     g = group_of(inst, 3)
     sec = g.section_subgroup((1,))
     assert sec.equal(group_of(inst, 2))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_section_steps_one_letter_at_a_time(name):
+    # the section at x + w is the section at w of the section at x, whether
+    # or not the generators fix x + w
+    depth = 3 if preset(name).p == 5 else 4
+    g = group_of(preset(name), depth)
+    for h in (g, g.stabilizer(1), g.stabilizer(2), g.stabilizer(3)):
+        for v in ((2, 1), (1, 2, 2), (2, 2, 1)):
+            whole = h.section_subgroup(v)
+            stepped = h.section_subgroup(v[:1]).section_subgroup(v[1:])
+            assert whole.depth == stepped.depth == depth - len(v)
+            assert whole.equal(stepped), (h, v)
+
+
+def test_depth_zero_and_leaf_sections():
+    # the trivial depth-0 group has a pcgs; a leaf's section is that group
+    assert Subgroup(3, 0, []).order_exponent == 0
+    leaf = group_of(fabrykowski_gupta(3), 3).section_subgroup((2, 2, 2))
+    assert (leaf.depth, leaf.order_exponent, leaf.gens) == (0, 0, [])
+    assert Subgroup(3, 3, []).section_subgroup((2, 2, 2)).depth == 0
+
+
+@pytest.mark.parametrize("sub", [
+    Subgroup(3, 3, []), group_of(fabrykowski_gupta(3), 3),
+    Subgroup(2, 0, [])])
+def test_section_below_the_tree_is_rejected(sub):
+    v = (2,) * (sub.depth + 1)
+    with pytest.raises(ValueError):
+        sub.section_subgroup(v)
 
 
 def test_grigorchuk_phi22(grigorchuk_ctx):

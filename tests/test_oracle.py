@@ -68,22 +68,39 @@ def test_bfs_set_equals_chain_membership():
     assert all(g.contains(x) for x in seen.values())
 
 
-@pytest.mark.parametrize("name,depth,v,cyclic", [
-    ("fg3", 3, (2, 3), False), ("sunic-grigorchuk", 4, (2, 1), False),
-    ("fg3", 3, (2,), True), ("sunic-grigorchuk", 4, (2,), True)])
-def test_section_subgroup_matches_bfs(name, depth, v, cyclic):
-    # v is moved by the generators, so the pcgs vertex-stabilizer walk runs;
-    # the cyclic <first * last generator> has a section image smaller than
-    # the sections of all its elements generate
-    gens = preset(name).generators(depth)
-    if cyclic:
-        gens = [gens[0] * gens[-1]]
+def assert_section_matches_bfs(gens, depth, v):
+    """H.section_subgroup(v) for H = <gens> is the group of the sections at
+    v of the elements of H fixing v, enumerated by BFS."""
     assert any(g.apply_vertex(v) != v for g in gens)
     images = {x.section(v).key(): x.section(v)
               for x in bfs_elements(gens).values() if x.apply_vertex(v) == v}
     sec = Subgroup(gens[0].p, depth, gens).section_subgroup(v)
+    assert sec.depth == depth - len(v)
     assert gens[0].p**sec.order_exponent == len(images)
     assert all(sec.contains(y) for y in images.values())
+
+
+@pytest.mark.parametrize("name,depth,v,cyclic", [
+    ("fg3", 3, (2, 3), False), ("sunic-grigorchuk", 4, (2, 1), False),
+    ("fg3", 3, (2,), True), ("sunic-grigorchuk", 4, (2,), True),
+    ("fg5", 3, (2, 3), True), ("sunic-grigorchuk", 4, (2, 1, 2, 1), False)])
+def test_section_subgroup_matches_bfs(name, depth, v, cyclic):
+    # v is moved by the generators, so the section is taken one letter at a
+    # time through St_H(1); the cyclic <first * last generator> has a
+    # section image smaller than the sections of all its elements generate;
+    # (2, 1, 2, 1) is a leaf, whose section is the trivial depth-0 group
+    gens = preset(name).generators(depth)
+    if cyclic:
+        gens = [gens[0] * gens[-1]]
+    assert_section_matches_bfs(gens, depth, v)
+
+
+def test_section_subgroup_of_st1_matches_bfs():
+    # the generators of St_G(1) fix the first letter of (2, 1, 2) and move
+    # a later one
+    gens = group_of(preset("sunic-grigorchuk"), 4).stabilizer(1).gens
+    assert all(g.apply_vertex((2,)) == (2,) for g in gens)
+    assert_section_matches_bfs(gens, 4, (2, 1, 2))
 
 
 class RowListEchelon:
@@ -234,7 +251,7 @@ def test_stacked_closure_matches_reference_seed_by_seed(case):
         rows[k, :len(seed)] = seed
     for r in range(rows.shape[1]):
         stack.add(rows[:, r])
-    assert submodule_closure(stack, mod) is stack
+    assert closure_by_rounds(stack, mod) is stack
     for k, seed in enumerate(seeds):
         got = stack.subspace(k)
         want_rows, want_pivots = reference_closure(seed, mod)
@@ -242,7 +259,8 @@ def test_stacked_closure_matches_reference_seed_by_seed(case):
         assert np.array_equal(got.rows, want_rows)
         assert got.pivots == want_pivots
         assert got.key() == want_rows.tobytes()
-        # one seed alone, as an FpSubspace, closes the same way
+        # one seed alone, as an FpSubspace, closes the same way through the
+        # certificate
         assert submodule_closure(FpSubspace(mod.p, mod.dim, seed),
                                  mod) == got
 
@@ -303,8 +321,8 @@ def seeds_of_every_rank(mod, rng):
 
 def assert_closures_exact(mod, monkeypatch, prefix):
     """Every seed of seeds_of_every_rank closes to the RREF rows and pivots
-    of closure_by_rounds and of reference_closure, one at a time and all in
-    one stack; only the seeds of rank >= prefix reach the rounds loop."""
+    of closure_by_rounds and of reference_closure, one at a time; only the
+    seeds of rank >= prefix reach the rounds loop."""
     p, d = mod.p, mod.dim
     seeds = list(seeds_of_every_rank(mod, np.random.default_rng(d)))
     fallen = []
@@ -314,25 +332,15 @@ def assert_closures_exact(mod, monkeypatch, prefix):
         return closure_by_rounds(seeds, module)
 
     monkeypatch.setattr(gmodules, "closure_by_rounds", counting)
-    stack = Echelon(p, d, len(seeds))
-    want = []
-    for k, (r, rows) in enumerate(seeds):
+    for r, rows in seeds:
         seed = FpSubspace(p, d, rows)
-        want.append(reference_closure(rows, mod))
+        want = reference_closure(rows, mod)
         fallen.clear()
         got = submodule_closure(seed, mod)
         assert bool(fallen) == (r >= prefix), r
         for got in (got, closure_by_rounds(seed, mod)):
-            assert np.array_equal(got.rows, want[-1][0]), r
-            assert got.pivots == want[-1][1], r
-        stack.bases[k] = seed.echelon().bases[0]
-    slow = sum(r >= prefix for r, _ in seeds)
-    fallen.clear()
-    assert submodule_closure(stack, mod) is stack
-    for k, (rows, pivots) in enumerate(want):
-        assert np.array_equal(stack.subspace(k).rows, rows)
-        assert stack.subspace(k).pivots == pivots
-    assert fallen == ([slow] if slow else [])
+            assert np.array_equal(got.rows, want[0]), r
+            assert got.pivots == want[1], r
 
 
 @pytest.mark.parametrize("mod", list(certified_modules()))

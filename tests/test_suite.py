@@ -591,10 +591,12 @@ def test_n_g_and_k_computed_once_per_depth(monkeypatch):
 
     monkeypatch.setattr(k, "section_subgroup", counting)
     assert [ctx.n_g(5), ctx.n_g(5)] == [3, 3]
-    assert calls == [(2,), (2, 2), (2, 2, 2)]
+    # each candidate steps one letter below the last section; only the
+    # first step is taken on K
+    assert calls == [(2,)]
     run_check(ctx, "width-rank", depth=5)
     run_check(ctx, "sunic", depth=5)
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_generator_count(fg3_ctx):
