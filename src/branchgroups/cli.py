@@ -277,8 +277,8 @@ def cmd_oracle(args) -> int:
                           "dims": [s.dim for s in subs]}, sort_keys=True))
         return EXIT_PASS
     if args.which == "twisted":
-        tw = iterated_twisted_sum(inst, level)
         wm = wm_module(inst, level)
+        tw = iterated_twisted_sum(inst, level)
         ok = all(np.array_equal(tw.perms[k], wm.perms[k]) for k in wm.perms)
         print(json.dumps({"level": level, "agree": ok}, sort_keys=True))
         return EXIT_PASS if ok else EXIT_FAIL

@@ -14,8 +14,10 @@ A sequence supports incremental generator insertion, which is what the
 normal-closure and series computations lean on; a subgroup known to
 contain a closed one extends a copy of its sequence.  Insertion, closure
 and normal closure are one loop over one stack of residues: the waiting
-seeds at the bottom, the rows of h^-p and [h, x] for each newly stored h
-on top, the whole stack sifted in place after every insertion.
+seeds at the bottom, the closing rows (h^-p and [h, x]) of each newly
+stored h on top, whatever its level, the whole stack sifted in place after
+every insertion.  Every row carries its perm, the identity for a row in
+St(depth-1).
 
 The deepest stored level is linear algebra.  In the depth-n quotient the
 layer St(n-1) is elementary abelian: its elements have the identity perm
@@ -105,10 +107,9 @@ class InducedPcgs:
         self._block = np.empty((0, t.nlabels - self._deep), dtype=_LABEL_DTYPE)
         self._block_piv = np.empty(0, dtype=np.intp)
 
-    def sift(self, lab: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
+    def sift(self, lab: np.ndarray, perm: np.ndarray) -> np.ndarray:
         """Reduce every row of the stack (lab, perm) through the sequence,
-        in place; returns each residue's pivot.  perm may be None when every
-        row lies in St(depth-1).
+        in place; returns each residue's pivot.
 
         A residue's pivot holds no element; it is -1, and the residue the
         identity, iff the row is a member.  Each step clears the pivot of
@@ -170,16 +171,11 @@ class InducedPcgs:
         in place and drops the members.  Stored elements above the deepest
         level are never replaced, so every other residue is then the one
         its element would leave if sifted afresh, and the top row is
-        inserted as it stands: the order of insertions is that of closing
-        each element whole, LIFO, before the next seed is taken.
-
-        When the top row lies on the deepest level, the run of such rows
-        above the seeds is closed by _close_deep, and so are the closing
-        rows of a seed on that level.  While that run lasts only deepest
-        pivots are filled, so no row beneath it can step; the stack is
-        sifted again once the run is done.
+        inserted as it stands, on whichever level it lies: the order of
+        insertions is that of closing each element whole, LIFO, before the
+        next seed is taken.
         """
-        p, t, deep = self.p, self._t, self._deep
+        p, t = self.p, self._t
         conj = _stack(conjugators, t)
         conj_inv = inverse_rows(t, *conj)
         seed_lab, seed_perm = _stack(list(seeds)[::-1], t)
@@ -194,14 +190,7 @@ class InducedPcgs:
                 lab, perm, piv = lab[outside], perm[outside], piv[outside]
             if not len(lab):
                 break
-            n_seeds = len(seed_lab)
-            if len(lab) > n_seeds and piv[-1] >= deep:
-                above = np.flatnonzero(piv[n_seeds:] < deep)
-                start = n_seeds + (int(above[-1]) + 1 if above.size else 0)
-                self._close_deep(lab[start:])
-                lab, perm = lab[:start], perm[:start]
-                continue
-            top_is_seed = len(lab) == n_seeds
+            top_is_seed = len(lab) == len(seed_lab)
             pivot = int(piv[-1])
             self._insert(pivot, lab[-1], perm[-1])
             lab, perm = lab[:-1], perm[:-1]
@@ -216,11 +205,7 @@ class InducedPcgs:
                 seed_perm = np.concatenate([c_perm, seed_perm[:-1]])
                 lab = np.concatenate([c_lab, lab])
                 perm = np.concatenate([c_perm, perm])
-            if pivot >= deep:
-                self._close_deep(self._deep_closing_rows())
-                continue
-            closing_lab, closing_perm = self._closing_rows(
-                len(self._pivot_of) - 1)
+            closing_lab, closing_perm = self._closing_rows(pivot)
             lab = np.concatenate([lab, closing_lab])
             perm = np.concatenate([perm, closing_perm])
         # a closed sequence keeps no spare slots: cached subgroups hold
@@ -228,27 +213,6 @@ class InducedPcgs:
         n = len(self._pivot_of)
         self._lab, self._perm = self._lab[:n].copy(), self._perm[:n].copy()
         return kept
-
-    def _close_deep(self, lab: np.ndarray) -> None:
-        """Insert and close the stack lab of label rows of elements of
-        St(depth-1), top row first, as add_generators closes its stack: sift,
-        drop the members, insert the top row and push its closing rows."""
-        while True:
-            piv = self.sift(lab, None)
-            outside = piv >= 0
-            if not outside.all():
-                lab, piv = lab[outside], piv[outside]
-            if not len(lab):
-                return
-            self._insert(int(piv[-1]), lab[-1], None)
-            lab = np.concatenate([lab[:-1], self._deep_closing_rows()])
-
-    def _deep_closing_rows(self) -> np.ndarray:
-        """The label rows of [x, h] for the newest deep element h and every
-        x above the deepest level, in slot order: [h, x] is their inverse,
-        and h^p and [h, y] for y on the deepest level are the identity."""
-        return self._commutators(self._block_labels([-1])[0],
-                                 self._perm[:len(self._pivot_of), 1])
 
     def _commutators(self, y: np.ndarray, x_inv_perm: np.ndarray
                      ) -> np.ndarray:
@@ -260,11 +224,19 @@ class InducedPcgs:
         rows %= self.p
         return rows
 
-    def _closing_rows(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of h^-p, then of [h, x] for every earlier x above the
-        deepest level in slot order, then of [h, y] for every y in the deep
-        block in row order, for the element h in slot s."""
-        t, p = self._t, self.p
+    def _closing_rows(self, pivot: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that close the sequence around the element h stored at
+        pivot.  Above the deepest level: h^-p, then [h, x] for every earlier
+        x above it in slot order, then [h, y] for every y in the deep block
+        in row order.  On it: [x, h] for every x above it in slot order
+        ([h, x] is their inverse, and h^p and [h, y] for y on the deepest
+        level are the identity).  A row in St(depth-1) has the identity
+        perm."""
+        t, p, s = self._t, self.p, int(self._slot[pivot])
+        if pivot >= self._deep:
+            lab = self._commutators(self._block_labels([s])[0],
+                                    self._perm[:len(self._pivot_of), 1])
+            return lab, np.broadcast_to(t.ident, lab.shape)
         tab_lab, tab_perm = self._table()
         earlier = np.arange(s) * p
         # h^-p = h^-1 h^-(p-1), then h^-1 x^-1 for every earlier x, in one
@@ -295,8 +267,7 @@ class InducedPcgs:
         shape = (len(self._lab) * self.p, self._t.nlabels)
         return self._lab.reshape(shape), self._perm.reshape(shape)
 
-    def _insert(self, pivot: int, lab: np.ndarray, perm: np.ndarray | None
-                ) -> None:
+    def _insert(self, pivot: int, lab: np.ndarray, perm: np.ndarray) -> None:
         """Store the power of the element (lab, perm) with leading label 1
         at pivot: above the deepest level as a new slot, with its inverse
         powers; on it as a new block row, reduced against the block (which

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -351,6 +352,17 @@ def test_tree_size_guard_exit_code(argv, capsys):
     # a depth-30 ternary tree has (3^30 - 1)/2 vertices: refused before any
     # portrait table is allocated
     assert run(argv) == EXIT_GUARD
+    assert_guard_line(capsys)
+
+
+def test_twisted_oracle_guard_trips_before_the_twisted_sum(capsys):
+    # W_14(fg3) is refused by the tree-size guard before the twisted sum is
+    # built: that takes hundreds of megabytes here, three times as much at
+    # each further level
+    with mock.patch("branchgroups.cli.iterated_twisted_sum",
+                    side_effect=AssertionError("built before the guard")):
+        assert run(["oracle", "twisted", "--preset", "fg3",
+                    "--level", "14"]) == EXIT_GUARD
     assert_guard_line(capsys)
 
 

@@ -260,11 +260,14 @@ def test_deep_closing_rows_gather_the_commutators(name):
     gens = PINNED_GROUPS[name]()
     p, depth = gens[0].p, gens[0].depth
     t = gens[0].tables
-    gather = InducedPcgs._deep_closing_rows
+    gather = InducedPcgs._closing_rows
     calls = []
 
-    def checked(self):
-        got = gather(self)
+    def checked(self, pivot):
+        got_lab, got_perm = gather(self, pivot)
+        if pivot < self._deep:
+            return got_lab, got_perm
+        assert self._slot[pivot] == len(self._block) - 1
         h = self._block_labels([-1])[0]
         h = Portrait(p, depth, h, t.ident)
         assert (h ** p).is_identity()
@@ -273,11 +276,12 @@ def test_deep_closing_rows_gather_the_commutators(name):
         want = [commutator(x, h) for x in upper]
         assert all(c.in_stab(depth - 1) and np.array_equal(c.perm, t.ident)
                    for c in want)
-        assert got.tolist() == [c.lab.tolist() for c in want]
+        assert got_lab.tolist() == [c.lab.tolist() for c in want]
+        assert got_perm.tolist() == [c.perm.tolist() for c in want]
         calls.append(len(want))
-        return got
+        return got_lab, got_perm
 
-    with mock.patch.object(InducedPcgs, "_deep_closing_rows", checked):
+    with mock.patch.object(InducedPcgs, "_closing_rows", checked):
         pcgs = Subgroup(p, depth, gens).pcgs
     assert len(calls) == len(pcgs._block) and max(calls) > 0
 
@@ -296,7 +300,7 @@ def test_closing_rows_gather_the_commutators_with_deep_elements(name):
     assert k > 0 and pcgs._pivot_of
     for s in range(len(pcgs._pivot_of)):
         h = Portrait(p, depth, pcgs._lab[s, 0], pcgs._perm[s, 0])
-        lab, perm = pcgs._closing_rows(s)
+        lab, perm = pcgs._closing_rows(pcgs._pivot_of[s])
         assert len(lab) == 1 + s + k
         assert rows_of([Portrait(p, depth, lab[r], perm[r])
                         for r in range(1 + s, len(lab))]) == rows_of(
@@ -432,20 +436,30 @@ def test_deep_membership_matches_the_stepwise_referee(name):
                     (False, False)}
 
 
-def two_seeds(a, b):
+def two_seeds(a, b, *_):
     return [commutator(a, b), b * a * b]
 
 
-def power_seeds(a):
+def power_seeds(a, *_):
     """a^2, then a: a member by the time it is reached."""
     return [a * a, a]
 
 
-def redundant_seeds(a, b):
+def redundant_seeds(a, b, *_):
     """The identity, a repeated seed, and a product of two earlier seeds,
     which is a member by the time it is reached."""
     x, y = two_seeds(a, b)
     return [Portrait.identity(a.p, a.depth), x, y, x, x * y]
+
+
+def deep_first_seeds(*gens):
+    """An element of G ∩ St(depth-1), taken from all of G's generators,
+    then a shallow seed: the deep seed's conjugates wait beneath the
+    shallow seed, and the shallow seed's closing rows push deep rows above
+    shallow ones."""
+    a, b = gens[:2]
+    deepest = Subgroup(a.p, a.depth, gens).stabilizer(a.depth - 1)
+    return [deepest.gens[0], b * a * b]
 
 
 CLOSURE_CASES = {
@@ -456,6 +470,10 @@ CLOSURE_CASES = {
     "multi-ggs-p5-3-d3": (lambda: ggs5_three_vectors(3), two_seeds),
     "fg3-4-redundant": (lambda: preset("fg3").generators(4),
                         redundant_seeds),
+    "fg3-4-deep-first": (lambda: preset("fg3").generators(4),
+                         deep_first_seeds),
+    "sunic-grigorchuk-5-deep-first": (
+        lambda: preset("sunic-grigorchuk").generators(5), deep_first_seeds),
     # at depth 1, b is the identity and every element is on the deepest level
     "fg5-1": (lambda: preset("fg5").generators(1), power_seeds),
 }
@@ -466,7 +484,7 @@ def test_normal_closure_matches_reference(case):
     gens_of, seeds_of = CLOSURE_CASES[case]
     gens = gens_of()
     g = Subgroup(gens[0].p, gens[0].depth, gens)
-    seeds = seeds_of(*g.gens[:2])
+    seeds = seeds_of(*g.gens)
     kept, ref = reference_normal_closure(seeds, g)
     ncl = normal_closure(seeds, g)
     assert [x.digits() for x in ncl.gens] == [
