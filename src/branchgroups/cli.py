@@ -366,6 +366,7 @@ def len_digits_to_depth(p: int, digits: str) -> int:
 def _resolve_flags(args) -> str | None:
     """Fill in the oracles' default --level and --depth and check them and
     --cap before any work starts; returns what is out of range, or None.
+    verify refuses --other but for profinite-pair, and --depth for it.
 
     A level m needs the layer St(m)/St(m+1) of the depth-n quotient, so
     1 <= m <= n - 1 where a quotient is built; verify and report need
@@ -379,6 +380,11 @@ def _resolve_flags(args) -> str | None:
             args.depth = args.level + 2 if between else 2
     if args.command == "oracle" and args.which == "replay" and not args.report:
         return "--report is required for oracle replay"
+    pair = args.command == "verify" and args.check == "profinite-pair"
+    if getattr(args, "other", None) is not None and not pair:
+        return "--other is read by profinite-pair only"
+    if pair and args.depth is not None:
+        return "--depth is not read by profinite-pair, which uses rdot + 1"
     depth, level = getattr(args, "depth", None), getattr(args, "level", None)
     least = 2 if args.command in ("verify", "report") else 1
     if depth is not None and depth < least:

@@ -1,12 +1,12 @@
 """The shared state of the theorem checks for one group instance.
 
 `GroupContext` caches the finite quotients G_n = G/St_G(n), n_G, the
-normal families the checks run over and, in one dict, [N, G] for every
-normal N: G' is closed from scratch and every other [N, G], lower central
-terms and family members alike, extends the largest [M, G] built below
-it, building that of the member below first.  The G-Frattini subgroup of
-each N is built once on its [N, G], and the higher derived terms and K'
-are closed from scratch once each.
+normal families the checks run over and, keyed by N alone as N carries
+its depth, [N, G] for every normal N: G' is closed from scratch and every
+other [N, G] extends the largest [M, G] built below it, building that of
+the member below first.  The G-Frattini subgroup of each N is built once
+on its [N, G], and the higher derived terms and K' are closed from
+scratch once each.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ class GroupContext:
     def __init__(self, inst):
         self.inst = inst
         self._quotients: dict[int, Subgroup] = {}
-        # [H, H] for H other than G, and [N, G] for every N, per depth
-        self._commutators: dict[tuple[Subgroup, int], Subgroup] = {}
-        self._ngs: dict[tuple[Subgroup, int], Subgroup] = {}
-        self._g_frattinis: dict[tuple[Subgroup, int], Subgroup] = {}
+        # [H, H] for H other than G, and [N, G] for every N
+        self._commutators: dict[Subgroup, Subgroup] = {}
+        self._ngs: dict[Subgroup, Subgroup] = {}
+        self._g_frattinis: dict[Subgroup, Subgroup] = {}
         # the distinct subgroups of the depth-n family members, in order
         self._members: dict[int, dict[Subgroup, None]] = {}
-        self._families: dict[tuple[int, int], list] = {}
+        self._families: dict[tuple[int, int], dict[str, Subgroup]] = {}
         self._sunic_k: dict[int, Subgroup] = {}
         self._n_g: dict[int, int | None] = {}
 
@@ -72,22 +72,22 @@ class GroupContext:
             self._quotients[n] = group_of(self.inst, n)
         return self._quotients[n]
 
-    def commutator(self, h: Subgroup, n: int) -> Subgroup:
-        """[H, H] for H normal in the depth-n quotient G, memoised on H:
-        G' is member_ng(G, n), any other closed from scratch."""
-        g = self.quotient(n)
+    def commutator(self, h: Subgroup) -> Subgroup:
+        """[H, H] for H normal in the quotient G of its depth, memoised on
+        H: G' is member_ng(G), any other closed from scratch."""
+        g = self.quotient(h.depth)
         if h is g:
-            return self.member_ng(g, n)
-        if (h, n) not in self._commutators:
-            self._commutators[h, n] = commutator_subgroup(h, h, g)
-        return self._commutators[h, n]
+            return self.member_ng(g)
+        if h not in self._commutators:
+            self._commutators[h] = commutator_subgroup(h, h, g)
+        return self._commutators[h]
 
-    def member_ng(self, sub: Subgroup, n: int) -> Subgroup:
-        """[N, G] for N = sub, normal in the depth-n quotient G, memoised
-        on sub: the one builder of [N, G], series terms included.
+    def member_ng(self, sub: Subgroup) -> Subgroup:
+        """[N, G] for N = sub, normal in the quotient G of its depth,
+        memoised on sub: the one builder of [N, G], series terms included.
 
         For N = G this is G', closed from scratch.  Otherwise the [M, G]
-        already built at depth n are tried, largest first and, among
+        already built in G are tried, largest first and, among
         equals, larger M first; the first with M <= N is reused.  With no
         such M, [M, G] is built first, by this rule, for the largest family
         member M < N, so only the least member of a chain is closed from
@@ -96,31 +96,31 @@ class GroupContext:
         generators x of N outside M and g of G: [N, G], as [M, G] is normal
         in G and N = <M, x>.
         """
-        if (sub, n) not in self._ngs:
-            g = self.quotient(n)
-            self._ngs[sub, n] = (commutator_subgroup(g, g, g) if sub is g
-                                 else self._ng_from_below(sub, g, n))
-        return self._ngs[sub, n]
+        if sub not in self._ngs:
+            g = self.quotient(sub.depth)
+            self._ngs[sub] = (commutator_subgroup(g, g, g) if sub is g
+                              else self._ng_from_below(sub, g))
+        return self._ngs[sub]
 
     def built_ngs(self, n: int) -> list[tuple[Subgroup, Subgroup]]:
         """The pairs (M, [M, G]) built so far in the depth-n quotient G."""
-        return [(a, c) for (a, k), c in self._ngs.items() if k == n]
+        return [(a, c) for a, c in self._ngs.items() if a.depth == n]
 
-    def _ng_from_below(self, sub: Subgroup, g: Subgroup, n: int) -> Subgroup:
-        built = sorted(self.built_ngs(n), key=lambda ac: (
+    def _ng_from_below(self, sub: Subgroup, g: Subgroup) -> Subgroup:
+        built = sorted(self.built_ngs(sub.depth), key=lambda ac: (
             -ac[1].order_exponent, -ac[0].order_exponent))
         below = next(((m, mg) for m, mg in built
                       if m.order_exponent <= sub.order_exponent
                       and m.is_subgroup_of(sub)), None)
         if below is None:
-            members = sorted(self._members.get(n, ()),
+            members = sorted(self._members.get(sub.depth, ()),
                              key=lambda m: -m.order_exponent)
             m = next((m for m in members
                       if m.order_exponent < sub.order_exponent
                       and m.is_subgroup_of(sub)), None)
             if m is None:
                 return commutator_subgroup(sub, g, g)
-            below = m, self.member_ng(m, n)
+            below = m, self.member_ng(m)
         m, mg = below
         if m.order_exponent == sub.order_exponent:
             return mg
@@ -128,47 +128,47 @@ class GroupContext:
                    if not inside]
         pcgs = mg.pcgs.tail(0)
         kept = pcgs.add_generators(commutator_seeds(outside, g.gens), g.gens)
-        return Subgroup(self.p, n, mg.gens + kept, pcgs=pcgs)
+        return Subgroup(self.p, sub.depth, mg.gens + kept, pcgs=pcgs)
 
-    def g_frattini(self, sub: Subgroup, n: int) -> Subgroup:
+    def g_frattini(self, sub: Subgroup) -> Subgroup:
         """The G-Frattini subgroup <[N, G], x^p for the generators x of N>
-        of N = sub, normal in the depth-n quotient G, memoised on sub: the
-        least normal subgroup of G below N with a central elementary
+        of N = sub, normal in the quotient G of its depth, memoised on sub:
+        the least normal subgroup of G below N with a central elementary
         abelian quotient.  For N = G it is the Frattini subgroup G' G^p.
         [N, G] itself when it holds every p-th power, else a copy of its
         pcgs extended by them."""
-        if (sub, n) not in self._g_frattinis:
-            ng = self.member_ng(sub, n)
+        if sub not in self._g_frattinis:
+            ng = self.member_ng(sub)
             p_powers = powers_of(sub.gens, self.p)
-            self._g_frattinis[sub, n] = (
+            self._g_frattinis[sub] = (
                 ng if ng.pcgs.members(p_powers).all()
                 else extend(ng, p_powers, ng.gens + p_powers))
-        return self._g_frattinis[sub, n]
+        return self._g_frattinis[sub]
 
-    def normal_rank(self, sub: Subgroup, n: int) -> int:
+    def normal_rank(self, sub: Subgroup) -> int:
         """log_p |N : Phi_G(N)|, the number of normal generators of N = sub
-        in the depth-n quotient G; for N = G this is d(G) by the Burnside
-        basis theorem."""
-        return sub.order_exponent - self.g_frattini(sub, n).order_exponent
+        in the quotient G of its depth; for N = G this is d(G) by the
+        Burnside basis theorem."""
+        return sub.order_exponent - self.g_frattini(sub).order_exponent
 
     def derived(self, n: int, order: int = 1) -> Subgroup:
         """The order-th derived subgroup G^(order) of the depth-n quotient."""
         h = self.quotient(n)
         for _ in range(order):
-            h = self.commutator(h, n)
+            h = self.commutator(h)
         return h
 
     def gamma(self, k: int, n: int) -> Subgroup:
         """k-th lower central term of the depth-n quotient."""
         term = self.quotient(n)
         for _ in range(k - 1):
-            term = self.member_ng(term, n)
+            term = self.member_ng(term)
         return term
 
     def branch_derived(self, n: int) -> Subgroup | None:
         """K' for the branching subgroup K at depth n (None if not branch)."""
         k = branch_subgroup(self, n)
-        return None if k is None else self.commutator(k, n)
+        return None if k is None else self.commutator(k)
 
     def sunic_k(self, n: int) -> Subgroup:
         """K = <[a,b_2],...,[a,b_r]>^G for Sunic groups on the binary tree."""
@@ -194,24 +194,13 @@ class GroupContext:
                     break
         return self._n_g[n]
 
-    def normal_family(self, n: int, seed: int) -> list["FamilyMember"]:
+    def normal_family(self, n: int, seed: int) -> dict[str, Subgroup]:
+        """The verified-normal subgroups of G_n by name, in the order added;
+        equal members may share one Subgroup object."""
         key = (n, seed)
         if key not in self._families:
             self._families[key] = _build_normal_family(self, n, seed)
         return self._families[key]
-
-
-class FamilyMember:
-    """A verified-normal subgroup of G_n; equal members may share one
-    Subgroup object."""
-
-    def __init__(self, name: str, subgroup: Subgroup):
-        self.name = name
-        self.subgroup = subgroup
-
-    def ng(self, ctx: GroupContext, n: int) -> Subgroup:
-        """[N, G] (for the members G and gamma_k this is G' and gamma_k+1)."""
-        return ctx.member_ng(self.subgroup, n)
 
 
 def random_word(rng: SplitMix64, gens: list[Portrait], length: int) -> Portrait:
@@ -228,13 +217,13 @@ def random_word(rng: SplitMix64, gens: list[Portrait], length: int) -> Portrait:
 
 
 def _build_normal_family(ctx: GroupContext, n: int,
-                         seed: int) -> list[FamilyMember]:
+                         seed: int) -> dict[str, Subgroup]:
     g = ctx.quotient(n)
-    members: list[FamilyMember] = []
+    members: dict[str, Subgroup] = {}
     registered = ctx._members.setdefault(n, {})
 
     def add(name: str, sub: Subgroup) -> None:
-        members.append(FamilyMember(name, sub))
+        members[name] = sub
         registered[sub] = None
 
     add("G", g)
@@ -265,27 +254,25 @@ def _build_normal_family(ctx: GroupContext, n: int,
         if w.is_identity():
             continue
         idx = len(members)
-        add(f"ncl{idx}", _member_closure(ctx, n, w, members))
+        add(f"ncl{idx}", _member_closure(ctx, w, members))
         if previous is not None and len(members) < FAMILY_SIZE:
             prod = previous * w
             if not prod.is_identity():
-                add(f"ncl{idx}x", _member_closure(ctx, n, prod, members))
+                add(f"ncl{idx}x", _member_closure(ctx, prod, members))
         previous = w
-    checked: set[Subgroup] = set()
-    for mem in members:
-        if mem.subgroup in checked:
-            continue
-        checked.add(mem.subgroup)
-        if not mem.subgroup.is_normal_in(g):
-            raise AssertionError(f"family member {mem.name} not normal")
+    for sub in dict.fromkeys(members.values()):
+        if not sub.is_normal_in(g):
+            name = next(k for k, s in members.items() if s is sub)
+            raise AssertionError(f"family member {name} not normal")
     return members
 
 
-def _member_closure(ctx: GroupContext, n: int, w: Portrait,
-                    members: list[FamilyMember]) -> Subgroup:
-    """The normal closure of w (not the identity) in the depth-n quotient G:
-    the subgroup of a member when it equals one, else <w> L for a normal
-    subgroup L already built when ncl(w) = <w> L, else closed from scratch.
+def _member_closure(ctx: GroupContext, w: Portrait,
+                    members: dict[str, Subgroup]) -> Subgroup:
+    """The normal closure of w (not the identity) in the quotient G of its
+    depth: the subgroup of a member when it equals one, else <w> L for a
+    normal subgroup L already built when ncl(w) = <w> L, else closed from
+    scratch.
 
     Were ncl(w) a member, it would be a least member M containing w.  And
     ncl(w) = M iff |M : Phi_G(M)| = p and w is not in Phi_G(M), Phi_G the
@@ -308,23 +295,24 @@ def _member_closure(ctx: GroupContext, n: int, w: Portrait,
     The members are searched by increasing order, each distinct subgroup
     once. [M, G] is memoised, as the checks read it anyway.
     """
-    g = ctx.quotient(n)
-    subs = sorted(dict.fromkeys(mem.subgroup for mem in members),
+    g = ctx.quotient(w.depth)
+    subs = sorted(dict.fromkeys(members.values()),
                   key=lambda sub: sub.order_exponent)
     least = next(sub for sub in subs if sub.contains(w))
-    if not ctx.member_ng(least, n).contains(w):
-        phi = ctx.g_frattini(least, n)
+    if not ctx.member_ng(least).contains(w):
+        phi = ctx.g_frattini(least)
         if (least.order_exponent - phi.order_exponent == 1
                 and not phi.contains(w)):
             return least
     seeds = commutator_seeds([w], g.gens)
-    normals = sorted(dict.fromkeys(subs + [mg for _, mg in ctx.built_ngs(n)]),
+    built = [mg for _, mg in ctx.built_ngs(w.depth)]
+    normals = sorted(dict.fromkeys(subs + built),
                      key=lambda sub: sub.order_exponent)
     ell = next(sub for sub in normals if sub.first_non_member(seeds) is None)
-    phi = ctx.g_frattini(ell, n)
+    phi = ctx.g_frattini(ell)
     if extend(phi, seeds, phi.gens + seeds).order_exponent == ell.order_exponent:
         sub = extend(ell, [w], [w] + ell.gens)
-        ctx._ngs[sub, n] = ell
+        ctx._ngs[sub] = ell
         return sub
     return normal_closure([w], g)
 

@@ -20,7 +20,6 @@ from .trees import Portrait
 @dataclass
 class VerificationReport:
     name: str
-    depth: int
     status: str                    # pass | fail | skipped
     one_sided: bool = False
     details: dict = field(default_factory=dict)
@@ -33,9 +32,8 @@ class VerificationReport:
                 "witness": self.witness, "millis": self.millis}
 
 
-def skipped(name, depth, reason, witness=None,
-            **details) -> VerificationReport:
-    return VerificationReport(name, depth, "skipped",
+def skipped(name, reason, witness=None, **details) -> VerificationReport:
+    return VerificationReport(name, "skipped",
                               details={"reason": reason, **details},
                               witness=witness)
 
@@ -66,8 +64,8 @@ class Verdict:
                 self.witness = witness()
         return ok
 
-    def report(self, name: str, n: int, one_sided: bool) -> VerificationReport:
-        return VerificationReport(name, n, self.status,
+    def report(self, name: str, one_sided: bool) -> VerificationReport:
+        return VerificationReport(name, self.status,
                                   one_sided=one_sided, details=self.details,
                                   witness=self.witness)
 

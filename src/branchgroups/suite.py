@@ -102,32 +102,31 @@ def verify_effective_csp(ctx: GroupContext, n: int,
     psi_{m+1}^{-1}(K' x ... x K') <= [N, G]."""
     offset, offset_label, _ = _family_offset(ctx, n)
     if offset is None:
-        return skipped("effective-csp", n, offset_label)
+        return skipped("effective-csp", offset_label)
     g = ctx.quotient(n)
     members = ctx.normal_family(n, seed)
     v = Verdict(offset=offset, offset_rule=offset_label,
                 family_size=len(members), members={})
-    for mem in members:
-        if mem.subgroup.is_trivial():
-            v.record(mem.name, True, "skipped: trivial", table="members")
+    for name, sub in members.items():
+        if sub.is_trivial():
+            v.record(name, True, "skipped: trivial", table="members")
             continue
-        m = mem.subgroup.max_stab_depth()
+        m = sub.max_stab_depth()
         if m + offset > n:
-            v.record(mem.name, True, f"skipped: m={m}, depth<{m + offset}",
+            v.record(name, True, f"skipped: m={m}, depth<{m + offset}",
                      table="members")
             continue
         if m + offset == n:
-            v.record(mem.name, True, f"pass: m={m}, target St({n}) trivial",
+            v.record(name, True, f"pass: m={m}, target St({n}) trivial",
                      table="members")
             continue
-        ng = mem.ng(ctx, n)
+        ng = ctx.member_ng(sub)
         missing = ng.first_non_member(g.stabilizer(m + offset).gens)
         if not v.record(
-                mem.name, missing is None,
+                name, missing is None,
                 f"{'pass' if missing is None else 'fail'}: m={m}",
-                witness=lambda: non_membership(ng, missing[1],
-                                               member=mem.name, m=m,
-                                               offset=offset),
+                witness=lambda: non_membership(ng, missing[1], member=name,
+                                               m=m, offset=offset),
                 table="members"):
             break
         kprime = ctx.branch_derived(n - m - 1) if m + 1 < n else None
@@ -135,13 +134,13 @@ def verify_effective_csp(ctx: GroupContext, n: int,
             continue
         text, miss = _embedding(kprime, m + 1, ng,
                                 "pass: K' trivial at this depth")
-        name = mem.name + "/K'-fallback"
-        v.record(name, miss is None,
+        key = name + "/K'-fallback"
+        v.record(key, miss is None,
                  text if miss is None else f"fail at coordinate {miss[0]}",
-                 witness=lambda: non_membership(ng, miss[1], member=name,
+                 witness=lambda: non_membership(ng, miss[1], member=key,
                                                 coordinate=miss[0]),
                  table="members")
-    return v.report("effective-csp", n, one_sided=True)
+    return v.report("effective-csp", one_sided=True)
 
 
 def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
@@ -149,29 +148,26 @@ def verify_branching(ctx: GroupContext, n: int, seed: int) -> VerificationReport
     for the two regular-branch cases."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return skipped("branching", n, "multi-EGS groups only")
+        return skipped("branching", "multi-EGS groups only")
     k = branch_gamma(inst)
     if k is None:
-        return skipped("branching", n,
-                       f"branch type {branch_type(inst).value}")
+        return skipped("branching", f"branch type {branch_type(inst).value}")
+    family = ctx.normal_family(n, seed)
     v = Verdict(gamma=k + 1, members={})
-    for mem in ctx.normal_family(n, seed):
-        if mem.name not in ("G", "St(1)"):
-            continue
-        m = 0 if mem.name == "G" else 1
+    for m, name in enumerate(("G", "St(1)")):
         if n - m - 1 < 1:
-            v.record(mem.name, True, "skipped: depth", table="members")
+            v.record(name, True, "skipped: depth", table="members")
             continue
         text, missing = _embedding(
-            ctx.gamma(k + 1, n - m - 1), m + 1, mem.ng(ctx, n),
+            ctx.gamma(k + 1, n - m - 1), m + 1, ctx.member_ng(family[name]),
             f"pass: gamma_{k + 1} trivial at depth {n - m - 1}")
-        if not v.record(mem.name, missing is None, text,
-                        witness=lambda: {"member": mem.name,
+        if not v.record(name, missing is None, text,
+                        witness=lambda: {"member": name,
                                          "coordinate": missing[0],
                                          "element": missing[1].digits()},
                         table="members"):
             break
-    return v.report("branching", n, one_sided=True)
+    return v.report("branching", one_sided=True)
 
 
 def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
@@ -179,28 +175,27 @@ def verify_ggs_strong(ctx: GroupContext, n: int, seed: int) -> VerificationRepor
     psi_m([N,G])."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance) or not is_ggs(inst):
-        return skipped("ggs-strong", n, "GGS groups only")
+        return skipped("ggs-strong", "GGS groups only")
     k = branch_gamma(inst)
     if k is None:
-        return skipped("ggs-strong", n,
-                       f"branch type {branch_type(inst).value}")
+        return skipped("ggs-strong", f"branch type {branch_type(inst).value}")
     label = {2: "G''", 3: "gamma3'"}[k]
     v = Verdict(inner=label, members={})
-    for mem in ctx.normal_family(n, seed):
-        if mem.subgroup.is_trivial() or mem.name.startswith("ncl"):
+    for name, sub in ctx.normal_family(n, seed).items():
+        if sub.is_trivial() or name.startswith("ncl"):
             continue
-        m = mem.subgroup.max_stab_depth()
+        m = sub.max_stab_depth()
         if m >= n - 1:
             continue
         text, missing = _embedding(ctx.branch_derived(n - m), m,
-                                   mem.ng(ctx, n),
+                                   ctx.member_ng(sub),
                                    f"pass: {label} trivial at depth {n - m}")
-        if not v.record(mem.name, missing is None, text,
-                        witness=lambda: {"member": mem.name,
+        if not v.record(name, missing is None, text,
+                        witness=lambda: {"member": name,
                                          "coordinate": missing[0]},
                         table="members"):
             break
-    return v.report("ggs-strong", n, one_sided=True)
+    return v.report("ggs-strong", one_sided=True)
 
 
 def verify_fg_lemma(ctx: GroupContext, n: int,
@@ -213,7 +208,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
     """
     inst = ctx.inst
     if not (isinstance(inst, MultiEGSInstance) and is_fabrykowski_gupta(inst)):
-        return skipped("fg-lemma", n, "Fabrykowski-Gupta preset only")
+        return skipped("fg-lemma", "Fabrykowski-Gupta preset only")
     g = ctx.quotient(n)
     v = Verdict()
     for m in range(2, n):
@@ -244,7 +239,7 @@ def verify_fg_lemma(ctx: GroupContext, n: int,
         v.record(f"b:coordinate-link m={m}", not bad,
                  witness=lambda: {"clause": f"b:m={m}",
                                   "element": bad[0].digits()})
-    return v.report("fg-lemma", n, one_sided=False)
+    return v.report("fg-lemma", one_sided=False)
 
 
 def _check_psi_st_product(ctx: GroupContext, n: int, m: int) -> bool:
@@ -317,11 +312,11 @@ def verify_chain_theorem(ctx: GroupContext, n: int,
     v.details["t"] = {str(m): tvals[m] for m in levels}
     v.details["characteristic"] = "assumed, not checked (out of scope)"
     if not _chain_hypothesis(inst):
-        return skipped("chain", n, "outside the chain-theorem hypothesis "
+        return skipped("chain", "outside the chain-theorem hypothesis "
                        "(needs a directed generator with nonzero vector "
                        "sum, or a Sunic group)",
                        witness=v.witness, informational=v.details)
-    return v.report("chain", n, one_sided=False)
+    return v.report("chain", one_sided=False)
 
 
 def _chain_hypothesis(inst) -> bool:
@@ -336,23 +331,21 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
     against the family-specific bound; FG additionally attains width 2."""
     inst = ctx.inst
     if isinstance(inst, MultiEGSInstance) and is_torsion(inst):
-        return skipped("width-rank", n,
+        return skipped("width-rank",
                        "torsion multi-EGS outside the width corollary")
     bound, rule, n_g = _family_offset(ctx, n)
     if bound is None:
-        return skipped("width-rank", n, rule)
+        return skipped("width-rank", rule)
     g = ctx.quotient(n)
     v = Verdict(bound=bound, rule=rule, members={})
-    for mem in ctx.normal_family(n, seed):
-        sub = mem.subgroup
+    for name, sub in ctx.normal_family(n, seed).items():
         if sub.is_trivial():
             continue
-        ng = mem.ng(ctx, n)
-        width = sub.order_exponent - ng.order_exponent
-        d_normal = ctx.normal_rank(sub, n)
-        v.record(mem.name, width <= bound and d_normal <= bound,
+        width = sub.order_exponent - ctx.member_ng(sub).order_exponent
+        d_normal = ctx.normal_rank(sub)
+        v.record(name, width <= bound and d_normal <= bound,
                  {"width": width, "d": d_normal},
-                 witness=lambda: {"member": mem.name, "width": width,
+                 witness=lambda: {"member": name, "width": width,
                                   "d": d_normal, "bound": bound},
                  table="members")
     v.details["max_width_seen"] = max(
@@ -363,7 +356,7 @@ def verify_width_and_rank(ctx: GroupContext, n: int,
                  witness=lambda: {"attainment": g_width})
     if n_g is not None:
         v.details["n_G"] = n_g
-    return v.report("width-rank", n, one_sided=True)
+    return v.report("width-rank", one_sided=True)
 
 
 def verify_congruence_equiv(ctx: GroupContext, n: int,
@@ -372,13 +365,13 @@ def verify_congruence_equiv(ctx: GroupContext, n: int,
     same congruence quotients (mutual containment of generator images)."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return skipped("congruence-equiv", n, "multi-EGS groups only")
+        return skipped("congruence-equiv", "multi-EGS groups only")
     if branch_gamma(inst) != 2:
-        return skipped("congruence-equiv", n,
+        return skipped("congruence-equiv",
                        "requires regular branch over the derived subgroup")
     vecs = [tuple(int(x) for x in row) for row in inst.concatenated_vectors()]
     if r_dot(inst) != len(vecs):
-        return skipped("congruence-equiv", n,
+        return skipped("congruence-equiv",
                        "concatenated system dependent; companion multi-GGS "
                        "group is not defined")
     h_inst = catalog.make_multi_ggs(ctx.p, vecs)
@@ -387,7 +380,7 @@ def verify_congruence_equiv(ctx: GroupContext, n: int,
     v = Verdict(companion=h_inst.spec_dict())
     v.record("orders", g.is_subgroup_of(h) and h.is_subgroup_of(g),
              [g.order_exponent, h.order_exponent], witness=lambda: v.details)
-    return v.report("congruence-equiv", n, one_sided=False)
+    return v.report("congruence-equiv", one_sided=False)
 
 
 def _appb_d(ctx: GroupContext, words, n: int) -> Subgroup:
@@ -402,7 +395,7 @@ def verify_appb(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
     B <= gamma_3 St(k), and the congruence completion needs 3 generators."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance) or catalog.appb_shape(inst) is None:
-        return skipped("appb", n, "requires the multi-ray single-vector "
+        return skipped("appb", "requires the multi-ray single-vector "
                        "symmetric non-constant shape")
     words = catalog.appb_d_words(inst)
     v = Verdict(d_word_count=len(words))
@@ -423,10 +416,10 @@ def verify_appb(ctx: GroupContext, n: int, seed: int) -> VerificationReport:
                  b_sub.is_subgroup_of(join(gam3, g.stabilizer(k))),
                  witness=lambda: {"clause": f"B<=gamma3*St({k})"})
     if n >= 3:
-        d3 = ctx.normal_rank(ctx.quotient(3), 3)
+        d3 = ctx.normal_rank(ctx.quotient(3))
         v.record("min_generators(G_3)", d3 == 3, d3,
                  witness=lambda: {"clause": "min_generators(G_3)", "value": d3})
-    return v.report("appb", n, one_sided=True)
+    return v.report("appb", one_sided=True)
 
 
 def verify_sunic_suite(ctx: GroupContext, n: int,
@@ -435,9 +428,9 @@ def verify_sunic_suite(ctx: GroupContext, n: int,
     fractality, the R_m pattern, n_G and the stabilizer inclusions."""
     inst = ctx.inst
     if not isinstance(inst, SunicInstance):
-        return skipped("sunic", n, "Sunic groups only")
+        return skipped("sunic", "Sunic groups only")
     if not inst.is_regular_branch():
-        return skipped("sunic", n,
+        return skipped("sunic",
                        "(p,r)=(2,1) is infinite dihedral, not regular branch")
     v = Verdict()
     p, r = inst.p, inst.r
@@ -484,7 +477,7 @@ def verify_sunic_suite(ctx: GroupContext, n: int,
                 ctx.branch_derived(n)))
         else:
             v.record(key, True, f"skipped: needs depth > {need}")
-    return v.report("sunic", n, one_sided=True)
+    return v.report("sunic", one_sided=True)
 
 
 def verify_generator_counts(ctx: GroupContext, n: int,
@@ -493,19 +486,18 @@ def verify_generator_counts(ctx: GroupContext, n: int,
     derived subgroup."""
     inst = ctx.inst
     if not isinstance(inst, MultiEGSInstance):
-        return skipped("generator-count", n, "multi-EGS groups only")
+        return skipped("generator-count", "multi-EGS groups only")
     if branch_gamma(inst) != 2:
-        return skipped("generator-count", n,
+        return skipped("generator-count",
                        "requires regular branch over the derived subgroup")
     rd = r_dot(inst)
     if n < rd + 1:
-        return skipped("generator-count", n,
-                       f"needs depth >= rdot+1 = {rd + 1}")
-    d = ctx.normal_rank(ctx.quotient(n), n)
+        return skipped("generator-count", f"needs depth >= rdot+1 = {rd + 1}")
+    d = ctx.normal_rank(ctx.quotient(n))
     v = Verdict(rdot=rd, expected=1 + rd)
     v.record("min_generators", d == 1 + rd, d,
              witness=lambda: {"min_generators": d, "expected": 1 + rd})
-    return v.report("generator-count", n, one_sided=False)
+    return v.report("generator-count", one_sided=False)
 
 
 def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
@@ -516,17 +508,16 @@ def verify_profinite_distinction(ctx_g: GroupContext, ctx_h: GroupContext
     for inst in (gi, hi):
         if not (isinstance(inst, MultiEGSInstance)
                 and branch_gamma(inst) == 2 and has_csp(inst)):
-            return skipped("profinite-pair", 0,
+            return skipped("profinite-pair",
                            "both groups must branch over the derived subgroup "
                            "and have the congruence subgroup property")
     rg, rh = r_dot(gi), r_dot(hi)
-    dg = ctx_g.normal_rank(ctx_g.quotient(rg + 1), rg + 1)
-    dh = ctx_h.normal_rank(ctx_h.quotient(rh + 1), rh + 1)
+    dg = ctx_g.normal_rank(ctx_g.quotient(rg + 1))
+    dh = ctx_h.normal_rank(ctx_h.quotient(rh + 1))
     v = Verdict(rank_G=dg)
     v.record("rank_H", dg == 1 + rg and dh == 1 + rh and dg != dh, dh,
              witness=lambda: dict(v.details))
-    return VerificationReport("profinite-pair", max(rg, rh) + 1, v.status,
-                              details=v.details, witness=v.witness)
+    return v.report("profinite-pair", one_sided=False)
 
 
 # -- registry -----------------------------------------------------------------
@@ -562,7 +553,7 @@ def run_check(ctx: GroupContext, name: str, depth: int | None = None,
     try:
         report = check(ctx, n, seed)
     except ResourceGuardError as exc:
-        report = skipped(name, n, f"resource guard: {exc}")
+        report = skipped(name, f"resource guard: {exc}")
     if timings:
         report.millis = int((time.perf_counter() - t0) * 1000)
     return report

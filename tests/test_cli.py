@@ -309,6 +309,11 @@ def test_usage_error_exit():
     (["oracle", "bfs", "--preset", "fg3", "--depth", "2", "--cap", "-1"],
      "--cap"),
     (["oracle", "normal-between", "--preset", "fg3", "--cap", "-1"], "--cap"),
+    # flags the check would not read
+    (["verify", "profinite-pair", "--preset", "fg3", "--other",
+      "remark-group", "--depth", "7"], "--depth"),
+    (["verify", "chain", "--preset", "fg3", "--depth", "3", "--other", "gs3"],
+     "--other"),
 ])
 def test_out_of_range_depth_or_level_exit_code(argv, flag, capsys):
     # exit 1 is reserved for a falsification witness
@@ -439,6 +444,13 @@ MULTI_EGS3 = {"type": "multi_egs", "p": 3,
     ("verify-chain-fg7-d4",
      ["verify", "chain", "--spec", {"type": "fg", "p": 7}, "--depth", "4"],
      EXIT_PASS),
+    # the two-group check at depth rdot + 1 of each group
+    ("profinite-pair-fg3-remark-group",
+     ["verify", "profinite-pair", "--preset", "fg3", "--other",
+      "remark-group"], EXIT_PASS),
+    ("profinite-pair-fg3-gs3",
+     ["verify", "profinite-pair", "--preset", "fg3", "--other", "gs3"],
+     EXIT_FAIL),
 ])
 def test_golden_reports(name, argv, code, tmp_path, capsys):
     """CLI output (stdout, stderr, exit code) equals the committed

@@ -9,8 +9,7 @@ from branchgroups.catalog import (PRESET_NAMES, fabrykowski_gupta, make_ggs,
                                   make_multi_egs, make_multi_ggs, make_sunic,
                                   preset)
 from branchgroups.cli import EXIT_FAIL, EXIT_GUARD, EXIT_PASS, run
-from branchgroups.context import (FamilyMember, GroupContext, SplitMix64,
-                                  branch_subgroup)
+from branchgroups.context import GroupContext, SplitMix64, branch_subgroup
 from branchgroups.gmodules import tuple_from_rank, vj_basis
 from branchgroups.reports import Verdict
 from branchgroups.suite import (csp_offset, run_all, run_check,
@@ -56,11 +55,11 @@ def test_offset_table():
 def test_normal_family_size_and_determinism(fg3_ctx):
     fam = fg3_ctx.normal_family(3, seed=5)
     assert len(fam) >= 20
-    names = [m.name for m in fam]
+    names = list(fam)
     fam2 = GroupContext(fg3_ctx.inst).normal_family(3, seed=5)
-    assert names == [m.name for m in fam2]
-    for a, b in zip(fam, fam2):
-        assert a.subgroup.order_exponent == b.subgroup.order_exponent
+    assert names == list(fam2)
+    for a, b in zip(fam.values(), fam2.values()):
+        assert a.order_exponent == b.order_exponent
 
 
 def test_pcgs_length_guard(monkeypatch, capsys):
@@ -78,9 +77,9 @@ def test_commutator_terms_built_once(fg3_ctx):
     # [G, G] is G', [gamma_k, G] is gamma_k+1 and K' is G'' for fg3
     assert fg3_ctx.gamma(2, 3) is fg3_ctx.derived(3)
     assert fg3_ctx.branch_derived(3) is fg3_ctx.derived(3, 2)
-    members = {m.name: m for m in fg3_ctx.normal_family(3, seed=5)}
-    assert members["G"].ng(fg3_ctx, 3) is fg3_ctx.derived(3)
-    assert members["gamma2"].ng(fg3_ctx, 3) is fg3_ctx.gamma(3, 3)
+    members = fg3_ctx.normal_family(3, seed=5)
+    assert fg3_ctx.member_ng(members["G"]) is fg3_ctx.derived(3)
+    assert fg3_ctx.member_ng(members["gamma2"]) is fg3_ctx.gamma(3, 3)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -91,22 +90,22 @@ def test_member_ng_matches_from_scratch_referee(name, depth, seed):
     ctx = GroupContext(preset(name))
     run_all(ctx, depth=depth, seed=seed)
     g = ctx.quotient(depth)
-    for mem in ctx.normal_family(depth, seed):
-        ng = mem.ng(ctx, depth)
-        ref = engine.commutator_subgroup(mem.subgroup, g, g)
-        assert ng.equal(ref) and ref.equal(ng), mem.name
+    for name, sub in ctx.normal_family(depth, seed).items():
+        ng = ctx.member_ng(sub)
+        ref = engine.commutator_subgroup(sub, g, g)
+        assert ng.equal(ref) and ref.equal(ng), name
 
 
 def test_equal_members_share_one_ng():
     ctx = GroupContext(fabrykowski_gupta(3))
-    family = ctx.normal_family(4, seed=1)
+    family = list(ctx.normal_family(4, seed=1).items())
     pairs = [(a, b) for i, a in enumerate(family) for b in family[i + 1:]
-             if a.subgroup.equal(b.subgroup)]
+             if a[1].equal(b[1])]
     # a series term equal to a layer preimage, and two normal closures
     assert {("gamma3", "N_1.1"), ("ncl12", "ncl15x")} <= {
-        (a.name, b.name) for a, b in pairs}
+        (a[0], b[0]) for a, b in pairs}
     for a, b in pairs:
-        assert a.ng(ctx, 4) is b.ng(ctx, 4), (a.name, b.name)
+        assert ctx.member_ng(a[1]) is ctx.member_ng(b[1]), (a[0], b[0])
 
 
 @pytest.mark.parametrize("clause", ["member", "K'-fallback"])
@@ -120,13 +119,14 @@ def test_effective_csp_witness_prints_the_tested_ng(clause, monkeypatch,
     ctx = GroupContext(fabrykowski_gupta(3))
     g = ctx.quotient(5)
     family = ctx.normal_family(5, seed=3)
-    mem = next(m for m in family if m.name == "St(1)")
-    ng = mem.ng(ctx, 5)
-    assert [m.name for m in family if m.ng(ctx, 5) is ng] == ["St(1)"]
+    st1 = family["St(1)"]
+    ng = ctx.member_ng(st1)
+    assert [name for name, sub in family.items()
+            if ctx.member_ng(sub) is ng] == ["St(1)"]
     tested = [x.digits() for x in ng.gens]
     assert tested != [x.digits() for x in engine.commutator_subgroup(
-        mem.subgroup, g, g).gens]
-    outside = next(x for x in mem.subgroup.gens if not ng.contains(x))
+        st1, g, g).gens]
+    outside = next(x for x in st1.gens if not ng.contains(x))
     if clause == "member":
         monkeypatch.setattr(ng, "first_non_member",
                             lambda elems: (0, outside))
@@ -169,10 +169,10 @@ def test_family_closures_match_from_scratch_referee(name, depth,
     closure = context._member_closure
     closed = mock.Mock(wraps=context.normal_closure)
 
-    def spy(ctx, n, w, members):
+    def spy(ctx, w, members):
         before = closed.call_count
-        sub = closure(ctx, n, w, members)
-        calls.append((w, sub, [m.subgroup for m in members],
+        sub = closure(ctx, w, members)
+        calls.append((w, sub, list(members.values()),
                       closed.call_count > before))
         return sub
 
@@ -181,8 +181,8 @@ def test_family_closures_match_from_scratch_referee(name, depth,
     ctx = GroupContext(preset(name))
     g = ctx.quotient(depth)
     for seed in range(4):
-        for mem in ctx.normal_family(depth, seed):
-            ctx.normal_rank(mem.subgroup, depth)
+        for sub in ctx.normal_family(depth, seed).values():
+            ctx.normal_rank(sub)
     ctx.gamma(5, depth)
     paths = set()
     for w, sub, earlier, from_scratch in calls:
@@ -202,7 +202,7 @@ def test_family_closures_match_from_scratch_referee(name, depth,
         refs[sub] = engine.commutator_subgroup(sub, g, g)
         assert ng.equal(refs[sub])
     # N / [N, G] is central, so <[N, G], x^p> is normal for any x in N
-    for (sub, _), phi in ctx._g_frattinis.items():
+    for sub, phi in ctx._g_frattinis.items():
         p_powers = powers_of(sub.gens, g.p)
         assert phi.equal(engine.extend(refs[sub], p_powers,
                                        refs[sub].gens + p_powers))
@@ -216,19 +216,41 @@ def test_one_object_per_series_term_stabilizer_and_g_frattini():
     n = 4
     g = ctx.quotient(n)
     for k in (1, 2, 3, 4):
-        assert ctx.gamma(k + 1, n) is ctx.member_ng(ctx.gamma(k, n), n)
-    assert ctx.derived(n) is ctx.member_ng(g, n)
-    members = {mem.name: mem.subgroup for mem in ctx.normal_family(n, 1)}
+        assert ctx.gamma(k + 1, n) is ctx.member_ng(ctx.gamma(k, n))
+    assert ctx.derived(n) is ctx.member_ng(g)
+    members = ctx.normal_family(n, 1)
     for m in range(1, n):
         assert g.stabilizer(m) is g.stabilizer(m) is members[f"St({m})"]
     for sub in members.values():
-        assert ctx.g_frattini(sub, n) is ctx.g_frattini(sub, n)
+        assert ctx.g_frattini(sub) is ctx.g_frattini(sub)
     orders = {name: sub.order_exponent for name, sub in members.items()}
     run_all(ctx, depth=n, seed=1)
     for m in range(1, n):
         assert g.stabilizer(m).order_exponent == sum(g.level_dims()[m:])
     assert {name: len(sub.pcgs.pivots())
             for name, sub in members.items()} == orders
+
+
+def test_context_caches_are_keyed_by_the_subgroup():
+    # G_3, G_4 and their St(1) in one context: each memoised value is found
+    # again from the subgroup alone and lies in the quotient of its depth
+    ctx = GroupContext(fabrykowski_gupta(3))
+    subs = [h for g in (ctx.quotient(3), ctx.quotient(4))
+            for h in (g, g.stabilizer(1))]
+    for sub in subs:
+        g = ctx.quotient(sub.depth)
+        ng, phi = ctx.member_ng(sub), ctx.g_frattini(sub)
+        comm, rank = ctx.commutator(sub), ctx.normal_rank(sub)
+        assert ctx.member_ng(sub) is ng and ctx.g_frattini(sub) is phi
+        assert ctx.commutator(sub) is comm and ctx.normal_rank(sub) == rank
+        assert ng.depth == phi.depth == comm.depth == sub.depth
+        ref = engine.commutator_subgroup(sub, g, g)
+        assert ng.equal(ref) and ref.equal(ng)
+        if sub is g:
+            assert rank == engine.min_generators(g)
+    for n in (3, 4):
+        built = ctx.built_ngs(n)
+        assert built and all(a.depth == c.depth == n for a, c in built)
 
 
 class _CyclicP2:
@@ -241,15 +263,15 @@ class _CyclicP2:
         return [Portrait.from_digits(3, depth, "1100")]
 
 
-def _member_closure(ctx, n, w, *subs):
-    members = [FamilyMember(f"M{i}", sub) for i, sub in enumerate(subs)]
-    return context._member_closure(ctx, n, w, members)
+def _member_closure(ctx, w, *subs):
+    members = {f"M{i}": sub for i, sub in enumerate(subs)}
+    return context._member_closure(ctx, w, members)
 
 
 def test_member_closure_reuses_a_member_only_when_w_generates_it(fg3_ctx):
     g = fg3_ctx.quotient(4)
     st1 = g.stabilizer(1)                  # |St(1) : Phi_G(St(1))| = 3
-    ng = fg3_ctx.member_ng(st1, 4)
+    ng = fg3_ctx.member_ng(st1)
     x = next(x for x in st1.gens if not ng.contains(x))
     comm = next(c for c in engine.commutator_seeds(st1.gens, g.gens)
                 if not c.is_identity())
@@ -263,7 +285,7 @@ def test_member_closure_reuses_a_member_only_when_w_generates_it(fg3_ctx):
         (fg3_ctx, 4, g.gens[0], [g], None),  # |G : Phi(G)| = 9
     ]
     for ctx, n, w, subs, shared in cases:
-        sub = _member_closure(ctx, n, w, *subs)
+        sub = _member_closure(ctx, w, *subs)
         ref = engine.normal_closure([w], ctx.quotient(n))
         assert sub.is_subgroup_of(ref) and ref.is_subgroup_of(sub)
         if shared is None:
@@ -306,8 +328,8 @@ def test_min_generators_from_the_g_frattini_subgroup(name):
     ctx = GroupContext(preset(name))
     for n in (2, 3, 4):
         g = ctx.quotient(n)
-        assert ctx.normal_rank(g, n) == engine.min_generators(g)
-        assert ctx.member_ng(g, n) is ctx.derived(n)
+        assert ctx.normal_rank(g) == engine.min_generators(g)
+        assert ctx.member_ng(g) is ctx.derived(n)
 
 
 def test_verdict_keeps_first_witness_and_builds_it_on_failure_only():
@@ -324,7 +346,7 @@ def test_verdict_keeps_first_witness_and_builds_it_on_failure_only():
     assert not v.record("b", False, witness=witness("b"))
     assert not v.record("c", False, "fail: late", witness=witness("c"),
                         table="members")
-    rep = v.report("demo", 2, one_sided=True)
+    rep = v.report("demo", one_sided=True)
     assert built == ["b"]
     assert rep.status == "fail" and rep.witness == {"clause": "b"}
     assert rep.details == {"a": "pass", "b": "fail",
@@ -505,15 +527,14 @@ def test_width_rank_d_matches_from_scratch_referee(ctx_name, depth, request):
     ctx = request.getfixturevalue(ctx_name)
     rep = run_check(ctx, "width-rank", depth=depth, seed=1)
     reported = rep.details["members"]
-    family = [m for m in ctx.normal_family(depth, 1)
-              if not m.subgroup.is_trivial()]
-    assert sorted(reported) == sorted(m.name for m in family)
-    for mem in family:
-        sub = mem.subgroup
-        pth = engine.Subgroup(ctx.p, depth, mem.ng(ctx, depth).gens
+    family = {name: sub for name, sub in ctx.normal_family(depth, 1).items()
+              if not sub.is_trivial()}
+    assert sorted(reported) == sorted(family)
+    for name, sub in family.items():
+        pth = engine.Subgroup(ctx.p, depth, ctx.member_ng(sub).gens
                               + [x**ctx.p for x in sub.gens])
-        assert reported[mem.name]["d"] == (sub.order_exponent
-                                           - pth.order_exponent), mem.name
+        assert reported[name]["d"] == (sub.order_exponent
+                                       - pth.order_exponent), name
     assert reported["G"]["d"] == engine.min_generators(ctx.quotient(depth))
 
 
